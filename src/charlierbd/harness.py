@@ -22,8 +22,9 @@ from .closure import MomentState
 from .models import (ErlangAParams, ErlangLossParams, QuadraticParams,
                      make_erlang_a, make_erlang_loss, make_infinite_server,
                      make_quadratic)
-from .solve import (TimeGrid, basis_parameter_prepass, simulate_paths,
-                    solve_closure, solve_galerkin, solve_reference)
+from .solve import (TimeGrid, Trajectory, basis_parameter_prepass,
+                    simulate_paths, solve_closure, solve_galerkin,
+                    solve_reference)
 
 __all__ = [
     "ConfigError",
@@ -280,65 +281,70 @@ def run_reference(cfg: ExperimentConfig):
     return solve_reference(model, x_max, cfg.initial_pmf(x_max), cfg.grid())
 
 
-def galerkin_basis_parameter(cfg: ExperimentConfig,
-                             N: int | None = None) -> float:
+def galerkin_basis_parameter(cfg: ExperimentConfig, N: int | None = None,
+                             curve: list | None = None) -> float:
     mode = cfg.basis.get("mode", "auto")
     if mode == "fixed":
         return float(cfg.basis["a"])
     if mode == "tuned":
         return tune_basis_parameter(cfg, N if N is not None
-                                    else max(cfg.orders))
+                                    else max(cfg.orders), curve=curve)
     if mode != "auto":
         raise ConfigError(f"unknown basis mode {mode!r}")
     return basis_parameter_prepass(cfg.kind, cfg.closure_params(),
                                    cfg.initial_state(), cfg.grid())
 
 
-def _galerkin_once(cfg: ExperimentConfig, N: int, a: float, grid: TimeGrid):
-    x_max = cfg.x_max()
-    basis = CharlierBasis(a=a, N=N, X_max=x_max)
-    c0 = project_density(cfg.initial_pmf(x_max), basis)
-    return solve_galerkin(cfg.build_model(), basis, c0, grid)
-
-
-def tune_basis_parameter(cfg: ExperimentConfig, N: int) -> float:
+def tune_basis_parameter(cfg: ExperimentConfig, N: int,
+                         curve: list | None = None) -> float:
     """Pick the basis parameter by self-refinement: an order-(2N+2) run
     serves as the truth proxy for the order-N run, and the parameter
     minimizing their time-averaged mean discrepancy wins. Coarse grid
-    first, then a local refinement around the coarse optimum.
+    first, then a local refinement around the coarse optimum; each stage
+    is one batched Galerkin solve over all its candidates and both orders.
+    Every (a, objective) pair scored is appended to `curve` if given.
     """
     state = cfg.initial_state()
     grid = cfg.grid()
     m_bar = basis_parameter_prepass(cfg.kind, cfg.closure_params(),
                                     state, grid)
     coarse = TimeGrid(t0=cfg.t0, T=cfg.T, dt_out=5e-3, dt_int=5e-3)
-    n_hi = 2 * N + 2
+    x_max = cfg.x_max()
+    p0 = cfg.initial_pmf(x_max)
+    model = cfg.build_model()
 
-    def objective(a):
+    def objectives(cands):
+        bases = [CharlierBasis(a=a, N=n, X_max=x_max)
+                 for a in cands for n in (N, 2 * N + 2)]
         # exploratory runs at extreme a may lose conservation or blow up;
         # treat those as unusable rather than warning or raising
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            trajs = solve_galerkin(model, bases,
+                                   [project_density(p0, b) for b in bases],
+                                   coarse)
+        vals = []
+        for lo, hi in zip(trajs[::2], trajs[1::2]):
             try:
-                lo = _galerkin_once(cfg, N, a, coarse)
-                hi = _galerkin_once(cfg, n_hi, a, coarse)
-            except (ValueError, FloatingPointError):
-                return np.inf
-        v = rel_error(lo.mean, hi.mean, coarse.times)
-        return v if np.isfinite(v) else np.inf
+                v = rel_error(lo.mean, hi.mean, coarse.times)
+            except ValueError:
+                v = np.inf
+            vals.append(v if np.isfinite(v) else np.inf)
+        if curve is not None:
+            curve.extend((float(a), v) for a, v in zip(cands, vals))
+        return vals
 
-    best_a, best_v = m_bar, objective(m_bar)
-    for a in np.linspace(0.55 * m_bar, 1.25 * m_bar, 13):
-        v = objective(a)
-        if v < best_v:
-            best_a, best_v = a, v
+    # the first candidate of a stage wins ties, as does the incumbent
+    cands = [m_bar, *np.linspace(0.55 * m_bar, 1.25 * m_bar, 13)]
+    vals = objectives(cands)
+    i = int(np.argmin(vals))
+    best_a, best_v = cands[i], vals[i]
     step = m_bar * 0.7 / 12
-    for a in best_a + step * np.linspace(-0.8, 0.8, 8):
-        if a <= 0:
-            continue
-        v = objective(a)
-        if v < best_v:
-            best_a, best_v = a, v
+    cands = [a for a in best_a + step * np.linspace(-0.8, 0.8, 8) if a > 0]
+    vals = objectives(cands)
+    i = int(np.argmin(vals))
+    if vals[i] < best_v:
+        best_a = cands[i]
     return float(best_a)
 
 
@@ -354,9 +360,15 @@ def run_galerkin(cfg: ExperimentConfig, N: int, a: float | None = None):
 
 def run_table(cfg: ExperimentConfig, reference=None) -> ErrorTable:
     """Reference run plus one Galerkin run per order; per-moment
-    time-averaged relative errors."""
+    time-averaged relative errors. The provenance records the basis
+    parameter and, for a tuned one, the search curve (`basis_tuning`)."""
     ref = reference if reference is not None else run_reference(cfg)
-    a = galerkin_basis_parameter(cfg)
+    # keep only the series the errors need, so the pmf stack is freed
+    # before tuning (the caller's reference is left as it was)
+    ref = Trajectory(times=ref.times, mean=ref.mean, variance=ref.variance,
+                     cum3=ref.cum3, cum4=ref.cum4)
+    curve = []
+    a = galerkin_basis_parameter(cfg, curve=curve)
     ref_skew, ref_kurt = _skew_kurt(ref)
     rows = []
     for N in cfg.orders:
@@ -376,6 +388,8 @@ def run_table(cfg: ExperimentConfig, reference=None) -> ErrorTable:
         "T": cfg.T,
         "dt_out": cfg.dt_out,
         "basis_a": a,
+        "basis_tuning": [[a_k, v if math.isfinite(v) else None]
+                         for a_k, v in curve],
     }
     return ErrorTable(rows=rows, provenance=provenance)
 

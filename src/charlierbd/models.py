@@ -171,20 +171,22 @@ def generator_apply(model: BirthDeathModel, t: float, p) -> np.ndarray:
 
     birth(x-1)p(x-1) + death(x+1)p(x+1) - (birth(x)+death(x))p(x), with
     births out of X_max suppressed so the truncated generator conserves
-    total mass (reflecting upper boundary).
+    total mass (reflecting upper boundary). p may be an (..., X_max+1)
+    stack; the generator acts on its last axis, with one rate evaluation
+    shared by all rows.
     """
     from .basis import PmfVector
 
     if isinstance(p, PmfVector):
         p = p.p
     p = np.asarray(p, dtype=float)
-    xs = np.arange(p.size)
+    xs = np.arange(p.shape[-1])
     b = rate_vector(model.birth, t, xs)
     d = rate_vector(model.death, t, xs)
     b[-1] = 0.0
     out = -(b + d) * p
-    out[1:] += b[:-1] * p[:-1]
-    out[:-1] += d[1:] * p[1:]
+    out[..., 1:] += b[:-1] * p[..., :-1]
+    out[..., :-1] += d[1:] * p[..., 1:]
     return out
 
 

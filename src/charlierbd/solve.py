@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -106,36 +107,56 @@ def _rk4_step(rhs, t, y, h):
 
 
 def integrate(rhs, y0, grid: TimeGrid, method: str = "rk4",
-              rtol: float = 1e-8, atol: float = 1e-10) -> Trajectory:
+              rtol: float = 1e-8, atol: float = 1e-10,
+              members: bool = False) -> Trajectory:
     """Integrate y' = rhs(t, y) with dense output on grid.times.
 
-    rk4 is fixed-step at dt_int, aligned with the output grid; rk45 uses
+    y0 may have any shape; values has shape (n_times,) + y0.shape. rk4 is
+    fixed-step at dt_int, aligned with the output grid; rk45 uses
     embedded error control with cubic-Hermite dense output.
+
+    A non-finite rk4 state raises IntegrationError, unless members is set:
+    then the leading axis of y0 indexes independent systems, and a member
+    that goes non-finite is held at zero and reads NaN in values from that
+    output time on, leaving the other members untouched; the loop ends
+    early once every member has failed.
     """
     y0 = np.asarray(y0, dtype=float)
     times = grid.times
     if method == "rk4":
         n_sub = grid.substeps
-        out = np.empty((times.size, y0.size))
+        out = np.empty((times.size,) + y0.shape)
         out[0] = y0
         y = y0.copy()
         h = grid.dt_int
+        dead = np.zeros(y0.shape[:1], dtype=bool)
         for i in range(times.size - 1):
             t = times[i]
             for j in range(n_sub):
                 y = _rk4_step(rhs, t + j * h, y, h)
             if not np.all(np.isfinite(y)):
-                raise IntegrationError(f"non-finite state at t={times[i + 1]:.6g}")
+                if not members:
+                    raise IntegrationError(
+                        f"non-finite state at t={times[i + 1]:.6g}")
+                dead |= ~np.isfinite(y.reshape(len(y), -1)).all(axis=1)
+                if dead.all():
+                    out[i + 1:] = np.nan
+                    break
+                y[dead] = 0.0
             out[i + 1] = y
+            if members:
+                out[i + 1, dead] = np.nan
         return Trajectory(times=times, values=out,
                           meta={"method": "rk4", "dt_int": h})
     if method == "rk45":
-        sol = solve_ivp(rhs, (times[0], times[-1]), y0, method="RK45",
+        shape = y0.shape
+        sol = solve_ivp(lambda t, y: np.ravel(rhs(t, y.reshape(shape))),
+                        (times[0], times[-1]), y0.ravel(), method="RK45",
                         t_eval=times, rtol=rtol, atol=atol,
                         dense_output=False)
         if not sol.success:
             raise IntegrationError(sol.message)
-        return Trajectory(times=times, values=sol.y.T,
+        return Trajectory(times=times, values=sol.y.T.reshape((-1,) + shape),
                           meta={"method": "rk45", "rtol": rtol, "atol": atol})
     raise ValueError(f"unknown integrator {method!r}")
 
@@ -195,63 +216,75 @@ def solve_reference(model: BirthDeathModel, X_max: int, p0,
                             **traj.meta})
 
 
-def _apply_generator_rows(model: BirthDeathModel, t: float,
-                          V: np.ndarray) -> np.ndarray:
-    """Generator applied to each row of V over states {0..X_max}."""
-    xs = np.arange(V.shape[1])
-    b = np.asarray(model.birth(t, xs), dtype=float)
-    if b.ndim == 0:
-        b = np.full(xs.shape, float(b))
-    else:
-        b = b.copy()
-    d = np.asarray(model.death(t, xs), dtype=float)
-    if d.ndim == 0:
-        d = np.full(xs.shape, float(d))
-    b[-1] = 0.0
-    out = -(b + d) * V
-    out[:, 1:] += b[:-1] * V[:, :-1]
-    out[:, :-1] += d[1:] * V[:, 1:]
-    return out
-
-
-def solve_galerkin(model: BirthDeathModel, basis: CharlierBasis,
-                   c0, grid: TimeGrid, method: str = "rk4") -> Trajectory:
+def solve_galerkin(model: BirthDeathModel, basis, c0, grid: TimeGrid,
+                   method: str = "rk4"):
     """Order-N spectral solver for the coefficient system c' = M(t) c.
 
-    M_ij(t) projects the generator acting on the Charlier functions back
-    onto the basis under the inverse-weighted inner product; it is
-    reassembled per integrator stage since rates may be time-varying, with
-    the polynomial tables cached once.
+    M_ij(t) = (A(t) C~_j, C_i) projects the generator acting on the
+    Charlier functions back onto the basis under the inverse-weighted
+    inner product. The right-hand side never forms M: c @ M is the
+    projection Phi (A(t) V) of the generator applied to the density
+    V = sum_j c_j C~_j.
+
+    basis is one CharlierBasis with c0 its coefficients, returning one
+    Trajectory; or a sequence of bases on one X_max with a matching
+    sequence of coefficients, returning one Trajectory per basis. All
+    members are zero-padded to the largest order and integrated together,
+    sharing each rate evaluation. A member whose state goes non-finite
+    comes back with meta["failed"] set and NaN values from then on; a
+    lone basis raises IntegrationError instead.
     """
-    if isinstance(c0, CoeffVector):
-        c0 = c0.c
-    c0 = np.asarray(c0, dtype=float)
-    if c0.size != basis.N + 1:
-        raise ValueError("coefficient length does not match basis order")
-    Phi = basis.table                       # (N+1, X+1)
-    Cw = Phi * basis.weights                # Charlier functions
+    single = isinstance(basis, CharlierBasis)
+    bases = [basis] if single else list(basis)
+    c0s = [c0] if single else list(c0)
+    if not bases or len(c0s) != len(bases):
+        raise ValueError("need one coefficient vector per basis")
+    x_max = bases[0].X_max
+    if any(b.X_max != x_max for b in bases):
+        raise ValueError("all bases of one batch must share X_max")
+    n = max(b.N for b in bases) + 1
+    Phi = np.zeros((len(bases), n, x_max + 1))   # zero rows pad low orders
+    y0 = np.zeros((len(bases), n))
+    for k, (b, c) in enumerate(zip(bases, c0s)):
+        c = np.asarray(c.c if isinstance(c, CoeffVector) else c, dtype=float)
+        if c.shape != (b.N + 1,):
+            raise ValueError("coefficient length does not match basis order")
+        Phi[k, :b.N + 1] = b.table
+        y0[k, :b.N + 1] = c
+    Cw = Phi * np.stack([b.weights for b in bases])[:, None, :]
 
     def rhs(t, c):
-        G = _apply_generator_rows(model, t, Cw)   # A(t) applied to each C~_j
-        M = G @ Phi.T                             # M[j, i] = (A C~_j, C_i)
-        return c @ M
+        V = np.matmul(c[:, None, :], Cw)[:, 0]        # member densities
+        return np.matmul(Phi, generator_apply(model, t, V)[:, :, None])[..., 0]
 
-    traj = integrate(rhs, c0, grid, method=method)
-    C = traj.values
-    drift = float(np.max(np.abs(C[:, 0] - C[0, 0])))
-    if drift > 1e-9:
-        warnings.warn(f"zeroth coefficient drift {drift:.3e} above 1e-9",
-                      RuntimeWarning, stacklevel=2)
-    xs = np.arange(basis.X_max + 1, dtype=float)
-    # moment row vectors: E[x^m] = (x^m w Phi^T) . c
-    R = np.stack([(xs**m * basis.weights) @ Phi.T for m in (1, 2, 3, 4)])
-    m1, m2, m3, m4 = (C @ R.T).T
-    mean, var, c3, c4 = _raw_to_cumulants(m1, m2, m3, m4)
-    return Trajectory(times=traj.times, coeffs=C, mean=mean, variance=var,
-                      cum3=c3, cum4=c4,
-                      meta={"solver": "galerkin", "N": basis.N,
-                            "a": basis.a, "X_max": basis.X_max,
-                            "c0_drift": drift, **traj.meta})
+    start = time.perf_counter()
+    traj = integrate(rhs, y0, grid, method=method, members=True)
+    log.debug("galerkin batch: %d member(s), orders %s, %d steps, %.3f s",
+              len(bases), [b.N for b in bases],
+              (traj.times.size - 1) * grid.substeps,
+              time.perf_counter() - start)
+    xs = np.arange(x_max + 1, dtype=float)
+    out = []
+    for k, b in enumerate(bases):
+        C = traj.values[:, k, :b.N + 1]
+        failed = bool(np.isnan(C[-1, 0]))
+        if single and failed:
+            t_bad = traj.times[np.argmax(np.isnan(C[:, 0]))]
+            raise IntegrationError(f"non-finite state at t={t_bad:.6g}")
+        drift = float(np.max(np.abs(C[:, 0] - C[0, 0])))
+        if drift > 1e-9:
+            warnings.warn(f"zeroth coefficient drift {drift:.3e} above 1e-9",
+                          RuntimeWarning, stacklevel=2)
+        # moment row vectors: E[x^m] = (x^m w Phi^T) . c
+        R = np.stack([(xs**m * b.weights) @ b.table.T for m in (1, 2, 3, 4)])
+        m1, m2, m3, m4 = (C @ R.T).T
+        mean, var, c3, c4 = _raw_to_cumulants(m1, m2, m3, m4)
+        out.append(Trajectory(times=traj.times, coeffs=C, mean=mean,
+                              variance=var, cum3=c3, cum4=c4,
+                              meta={"solver": "galerkin", "N": b.N, "a": b.a,
+                                    "X_max": x_max, "c0_drift": drift,
+                                    "failed": failed, **traj.meta}))
+    return out[0] if single else out
 
 
 def _closure_rhs(kind: str, params, order: str, flags: dict):

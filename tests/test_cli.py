@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import charlierbd
 from charlierbd.cli import main
 
 
@@ -77,3 +82,21 @@ def test_galerkin_needs_order(cfg_path, tmp_path):
     assert main(["solve-galerkin", str(cfg_path), "-N", "3",
                  "-o", str(out)]) == 0
     assert out.exists()
+
+
+def test_debug_log_reports_galerkin_batches(cfg_path, tmp_path):
+    src = str(Path(charlierbd.__file__).resolve().parents[1])
+    env = dict(os.environ, CHARLIER_LOG="debug",
+               PYTHONPATH=os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "charlierbd.cli", "table", str(cfg_path),
+         "-o", str(tmp_path / "t.csv")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    batches = [line for line in proc.stderr.splitlines()
+               if "galerkin batch" in line]
+    # one row solve per order
+    assert len(batches) == 2
+    assert batches[0].startswith("DEBUG charlierbd: galerkin batch: "
+                                 "1 member(s), orders [1], 2000 steps")

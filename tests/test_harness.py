@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from charlierbd.harness import (ConfigError, ExperimentConfig, rel_error,
-                                run_figures, run_table, write_series_csv,
+                                run_figures, run_reference, run_table,
+                                tune_basis_parameter, write_series_csv,
                                 write_table_csv)
 
 
@@ -110,6 +111,44 @@ class TestRunTable:
         assert a.read_bytes() == b.read_bytes()
         header = a.read_text().splitlines()[1]
         assert header == "N,err_mean,err_variance,err_skewness,err_kurtosis"
+
+
+class TestTuning:
+    def test_value_is_pinned(self):
+        # how the candidates are integrated must not move the choice
+        assert tune_basis_parameter(erlang_cfg(), 3) == 6.872716413144454
+
+    def test_curve_in_provenance(self, tmp_path):
+        table = run_table(erlang_cfg(basis={"mode": "tuned"}))
+        curve = table.provenance["basis_tuning"]
+        assert 14 < len(curve) <= 22
+        assert all(v is None or v >= 0 for _, v in curve)
+        a, v = min((p for p in curve if p[1] is not None),
+                   key=lambda p: p[1])
+        assert table.provenance["basis_a"] == a
+        out = tmp_path / "t.csv"
+        write_table_csv(table, out)
+        head = json.loads(out.read_text().splitlines()[0].split(":", 1)[1])
+        assert head["basis_tuning"] == curve
+
+    def test_blown_up_candidates_score_inf(self):
+        # the order-8 proxy is too stiff for the search's 5e-3 RK4 step
+        cfg = erlang_cfg(model={"kind": "erlang_a",
+                                "lambda": {"base": 600.0, "amplitude": 50.0},
+                                "mu": 150.0, "beta": 100.0, "c": 4},
+                         T=4.0, init={"kind": "poisson", "value": 4.0})
+        curve = []
+        a = tune_basis_parameter(cfg, 3, curve=curve)
+        assert len(curve) == 22
+        assert all(v == np.inf for _, v in curve)
+        assert a == curve[0][0]
+
+    def test_caller_reference_is_kept(self):
+        cfg = erlang_cfg()
+        ref = run_reference(cfg)
+        pmf = ref.pmf
+        run_table(cfg, reference=ref)
+        assert ref.pmf is pmf
 
 
 class TestRunFigures:

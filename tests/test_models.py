@@ -95,6 +95,15 @@ class TestGeneratorApply:
         p = rng.random(x_max + 1)
         assert np.allclose(generator_apply(m, t, p), A @ p, atol=1e-12)
 
+    def test_acts_on_the_last_axis(self):
+        m = make_erlang_a(ErlangAParams(lam=lam_const(6.0), mu=1.0,
+                                        beta=0.4, c=3))
+        P = np.random.default_rng(3).random((2, 4, 21))
+        out = generator_apply(m, 0.7, P)
+        assert out.shape == P.shape
+        for i, j in np.ndindex(2, 4):
+            assert np.array_equal(out[i, j], generator_apply(m, 0.7, P[i, j]))
+
     def test_point_mass_flow(self):
         m = make_infinite_server(lam_const(2.0), 1.0)
         p = np.zeros(6)

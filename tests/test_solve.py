@@ -66,6 +66,25 @@ class TestIntegrate:
         with np.errstate(over="ignore"), pytest.raises(IntegrationError):
             integrate(lambda t, y: y * y, [10.0], g)
 
+    def test_any_state_shape(self):
+        g = TimeGrid(T=1.0, dt_out=0.25, dt_int=0.05)
+        rates = np.array([[1.0, 2.0, 3.0], [0.5, 0.25, 4.0]])
+        tr = integrate(lambda t, y: -rates * y, np.ones((2, 3)), g)
+        assert tr.values.shape == (5, 2, 3)
+        for i, j in np.ndindex(2, 3):
+            one = integrate(lambda t, y: -rates[i, j] * y, [1.0], g)
+            assert np.array_equal(tr.values[:, i, j], one.values[:, 0])
+
+    def test_members_isolate_a_blowup(self):
+        g = TimeGrid(T=2.0, dt_out=0.5, dt_int=0.5)
+        rhs = lambda t, y: np.stack([y[0] * y[0], -y[1]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = integrate(rhs, [[10.0], [1.0]], g, members=True)
+        alone = integrate(lambda t, y: -y, [1.0], g)
+        assert np.isnan(tr.values[-1, 0, 0])
+        assert np.array_equal(tr.values[:, 1, 0], alone.values[:, 0])
+        assert tr.meta == alone.meta
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             integrate(lambda t, y: -y, [1.0], TimeGrid(T=1.0), method="euler")
@@ -143,6 +162,77 @@ class TestGalerkin:
         gal = solve_galerkin(model, basis, project_density(p0, basis), g)
         assert np.max(np.abs(gal.mean - ref.mean)) < 1e-7
         assert np.max(np.abs(gal.variance - ref.variance)) < 1e-7
+
+    def test_matches_assembled_operator(self):
+        # oracle: M[j, i] = (A(t) C~_j, C_i) built from the dense generator
+        model = small_erlang_a()
+        x_max = 30
+        basis = CharlierBasis(a=4.0, N=5, X_max=x_max)
+        c0 = project_density(poisson_pmf(3.0, x_max), basis).c
+        g = TimeGrid(T=2.0, dt_out=0.05, dt_int=0.005)
+        xs = np.arange(x_max + 1)
+        Cw = basis.table * basis.weights
+
+        def dense_generator(t):
+            b = model.birth(t, xs) * (xs < x_max)
+            d = model.death(t, xs)
+            return (np.diag(-(b + d)) + np.diag(b[:-1], -1)
+                    + np.diag(d[1:], 1))
+
+        oracle = integrate(
+            lambda t, c: c @ ((Cw @ dense_generator(t).T) @ basis.table.T),
+            c0, g)
+        tr = solve_galerkin(model, basis, c0, g)
+        assert np.max(np.abs(tr.coeffs - oracle.values)) < 1e-12
+
+    def test_batch_matches_single_solves(self):
+        model = small_erlang_a()
+        x_max = 50
+        p0 = poisson_pmf(4.0, x_max)
+        g = TimeGrid(T=3.0, dt_out=0.01, dt_int=0.005)
+        bases = [CharlierBasis(a=a, N=N, X_max=x_max)
+                 for a, N in ((4.0, 1), (3.0, 6), (5.5, 3), (4.0, 9))]
+        batch = solve_galerkin(model, bases,
+                               [project_density(p0, b) for b in bases], g)
+        assert len(batch) == len(bases)
+        for b, tr in zip(bases, batch):
+            one = solve_galerkin(model, b, project_density(p0, b), g)
+            assert tr.coeffs.shape == one.coeffs.shape
+            assert np.max(np.abs(tr.mean - one.mean) / np.abs(one.mean)) \
+                <= 1e-12
+            assert tr.meta["c0_drift"] == pytest.approx(
+                one.meta["c0_drift"], rel=1e-6, abs=1e-15)
+            assert tr.meta["N"] == b.N and tr.meta["a"] == b.a
+            assert not tr.meta["failed"]
+
+    def test_blown_up_member_leaves_the_others(self):
+        # RK4 at dt=0.5 is unstable for the stiff order-12 system only
+        model = small_erlang_a()
+        x_max = 40
+        p0 = poisson_pmf(3.0, x_max)
+        g = TimeGrid(T=150.0, dt_out=0.5, dt_int=0.5)
+        bases = [CharlierBasis(a=a, N=N, X_max=x_max)
+                 for a, N in ((4.0, 2), (4.0, 12), (3.0, 1))]
+        c0 = [project_density(p0, b) for b in bases]
+        with np.errstate(all="ignore"):
+            batch = solve_galerkin(model, bases, c0, g)
+        assert [tr.meta["failed"] for tr in batch] == [False, True, False]
+        assert np.isnan(batch[1].mean[-1])
+        for k in (0, 2):
+            one = solve_galerkin(model, bases[k], c0[k], g)
+            assert np.max(np.abs(batch[k].mean - one.mean)
+                          / np.abs(one.mean)) <= 1e-12
+        with np.errstate(all="ignore"), pytest.raises(IntegrationError):
+            solve_galerkin(model, bases[1], c0[1], g)
+
+    def test_batch_needs_one_support(self):
+        model = small_erlang_a()
+        bases = [CharlierBasis(a=4.0, N=2, X_max=x) for x in (30, 40)]
+        c0 = [np.zeros(3), np.zeros(3)]
+        with pytest.raises(ValueError):
+            solve_galerkin(model, bases, c0, TimeGrid(T=1.0))
+        with pytest.raises(ValueError):
+            solve_galerkin(model, bases[:1], c0, TimeGrid(T=1.0))
 
     def test_erlang_a_error_improves_with_order(self):
         model = small_erlang_a()
