@@ -17,13 +17,12 @@ import numpy as np
 
 from . import __version__, harness
 from .harness import ConfigError, ExperimentConfig
-from .models import GrowthError
 from .solve import (IntegrationError, RateBoundError, SolverError,
                     solve_closure, solve_reference)
 
 log = logging.getLogger("charlierbd")
 
-_NUMERICAL = (SolverError, IntegrationError, RateBoundError, GrowthError,
+_NUMERICAL = (SolverError, IntegrationError, RateBoundError,
               FloatingPointError)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -36,6 +37,8 @@ __all__ = [
     "write_table_csv",
     "write_series_csv",
 ]
+
+log = logging.getLogger("charlierbd")
 
 SCHEMA_VERSION = 1
 _KINDS = ("infinite_server", "erlang_a", "erlang_loss", "quadratic")
@@ -64,6 +67,11 @@ def _make_lambda(spec):
     def lam(t):
         return base + amp * np.sin(t)
     return lam
+
+
+def _is_number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
 
 
 _MODEL_FIELDS = {
@@ -101,10 +109,38 @@ class ExperimentConfig:
         missing = _MODEL_FIELDS[kind] - set(self.model)
         if missing:
             raise ConfigError(f"model {kind!r} missing fields {sorted(missing)}")
-        if self.T <= self.t0:
-            raise ConfigError("horizon T must exceed t0")
+        bad = [k for k in sorted(_MODEL_FIELDS[kind] - {"lambda"})
+               if not _is_number(self.model[k])]
+        lam = self.model["lambda"]
+        if isinstance(lam, dict):
+            bad += [f"lambda.{k}" for k in ("base", "amplitude")
+                    if k in lam and not _is_number(lam[k])]
+        if bad:
+            raise ConfigError(f"model {kind!r}: fields {bad} must be numbers")
+        try:
+            self.params()
+            self.grid().substeps
+            x_max = self.x_max()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
         if self.init.get("kind") not in ("point", "poisson"):
             raise ConfigError("init kind must be 'point' or 'poisson'")
+        value = self.init.get("value")
+        if self.init["kind"] == "point":
+            if not (_is_number(value) and value == int(value)
+                    and 0 <= value <= x_max):
+                raise ConfigError(f"point init value {value!r} is not an "
+                                  f"integer in [0, X_max={x_max}]")
+        elif not (_is_number(value) and value > 0):
+            raise ConfigError(f"poisson init value {value!r} is not a "
+                              "positive number")
+        mode = self.basis.get("mode", "auto")
+        if mode not in ("auto", "fixed", "tuned"):
+            raise ConfigError(f"unknown basis mode {mode!r}")
+        a = self.basis.get("a")
+        if mode == "fixed" and not (_is_number(a) and a > 0):
+            raise ConfigError(f"fixed basis needs a positive number 'a', "
+                              f"got {a!r}")
         if any(int(n) < 1 for n in self.orders):
             raise ConfigError("expansion orders must be >= 1")
         self.orders = [int(n) for n in self.orders]
@@ -289,8 +325,6 @@ def galerkin_basis_parameter(cfg: ExperimentConfig, N: int | None = None,
     if mode == "tuned":
         return tune_basis_parameter(cfg, N if N is not None
                                     else max(cfg.orders), curve=curve)
-    if mode != "auto":
-        raise ConfigError(f"unknown basis mode {mode!r}")
     return basis_parameter_prepass(cfg.kind, cfg.closure_params(),
                                    cfg.initial_state(), cfg.grid())
 
@@ -302,7 +336,9 @@ def tune_basis_parameter(cfg: ExperimentConfig, N: int,
     minimizing their time-averaged mean discrepancy wins. Coarse grid
     first, then a local refinement around the coarse optimum; each stage
     is one batched Galerkin solve over all its candidates and both orders.
-    Every (a, objective) pair scored is appended to `curve` if given.
+    Every (a, objective) pair scored is appended to `curve` if given. If
+    every candidate scores inf, the zeroth-closure value is returned with
+    a warning.
     """
     state = cfg.initial_state()
     grid = cfg.grid()
@@ -344,7 +380,10 @@ def tune_basis_parameter(cfg: ExperimentConfig, N: int,
     vals = objectives(cands)
     i = int(np.argmin(vals))
     if vals[i] < best_v:
-        best_a = cands[i]
+        best_a, best_v = cands[i], vals[i]
+    if best_v == np.inf:
+        log.warning("basis tuning: every candidate scored inf; falling back "
+                    "to the zeroth-closure value a=%.6g", best_a)
     return float(best_a)
 
 
@@ -390,6 +429,8 @@ def run_table(cfg: ExperimentConfig, reference=None) -> ErrorTable:
         "basis_a": a,
         "basis_tuning": [[a_k, v if math.isfinite(v) else None]
                          for a_k, v in curve],
+        "basis_tuning_fallback": bool(curve) and not any(
+            math.isfinite(v) for _, v in curve),
     }
     return ErrorTable(rows=rows, provenance=provenance)
 

@@ -1,10 +1,10 @@
-"""Birth-death process definitions: generic time- and state-dependent rate
-pairs, the built-in queueing/quadratic models, truncated generator
-application, and the linear-growth admissibility scan.
+"""Birth-death process definitions: the model record, the built-in
+queueing/quadratic models, and truncated generator application.
 
-Rate callables take (t, x), broadcast over array arguments in either slot,
-and must be pure; models are immutable after construction and safe to
-share across threads.
+Every model has a birth rate lam(t) * g(x) and a death rate d(x): the
+drive lam carries all the time dependence. Rate callables take (t, x),
+broadcast over array arguments in either slot, and must be pure; models
+are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -23,23 +23,24 @@ __all__ = [
     "make_erlang_a",
     "make_erlang_loss",
     "make_quadratic",
+    "affine_rates",
     "generator_apply",
-    "GrowthReport",
-    "GrowthError",
-    "growth_check",
 ]
-
-
-class GrowthError(ValueError):
-    """Rates violate the linear-growth admissibility envelope."""
 
 RateFn = Callable[[float, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class BirthDeathModel:
+    """Rate callables plus the drive lam(t) they are affine in.
+
+    Contract: birth(t, x) = lam(t) * g(x) and death(t, x) = d(x), where g
+    and d do not depend on t; `affine_rates` recovers (g, d) and checks it.
+    """
+
     birth: RateFn
     death: RateFn
+    lam: Callable[[float], float]
     label: str = ""
 
 
@@ -100,7 +101,7 @@ def make_infinite_server(lam: Callable[[float], float],
     def death(t, x):
         return mu * np.asarray(x, dtype=float)
 
-    return BirthDeathModel(birth, death, label="infinite_server")
+    return BirthDeathModel(birth, death, lam, label="infinite_server")
 
 
 def make_erlang_a(p: ErlangAParams) -> BirthDeathModel:
@@ -113,7 +114,7 @@ def make_erlang_a(p: ErlangAParams) -> BirthDeathModel:
         xa = np.asarray(x, dtype=float)
         return p.mu * np.minimum(xa, p.c) + p.beta * np.maximum(xa - p.c, 0.0)
 
-    return BirthDeathModel(birth, death, label="erlang_a")
+    return BirthDeathModel(birth, death, p.lam, label="erlang_a")
 
 
 def make_erlang_loss(p: ErlangLossParams) -> BirthDeathModel:
@@ -129,7 +130,7 @@ def make_erlang_loss(p: ErlangLossParams) -> BirthDeathModel:
         xa = np.asarray(x, dtype=float)
         return p.mu * np.minimum(xa, p.c) + p.beta * np.maximum(xa - p.c, 0.0)
 
-    return BirthDeathModel(birth, death, label="erlang_loss")
+    return BirthDeathModel(birth, death, p.lam, label="erlang_loss")
 
 
 def make_quadratic(p: QuadraticParams,
@@ -155,70 +156,61 @@ def make_quadratic(p: QuadraticParams,
             np.any(np.asarray(death(0.0, xs)) < 0):
         raise ValueError("quadratic model has a negative rate on the "
                          f"working range {{0..{x_hi}}}")
-    return BirthDeathModel(birth, death, label="quadratic")
+    return BirthDeathModel(birth, death, p.lam, label="quadratic")
 
 
-def rate_vector(fn: RateFn, t: float, xs: np.ndarray) -> np.ndarray:
-    """Rate values over a state array, normalized to a writable float array."""
-    out = np.asarray(fn(t, xs), dtype=float)
-    if out.ndim == 0:
-        return np.full(xs.shape, float(out))
-    return np.array(out, dtype=float)
+def affine_rates(model: BirthDeathModel, times,
+                 X_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(g, d) on {0..X_max} with birth(t, x) = lam(t) g(x), death(t, x) = d(x).
 
-
-def generator_apply(model: BirthDeathModel, t: float, p) -> np.ndarray:
-    """(A(t) p)(x) on the truncated state space {0..X_max}.
-
-    birth(x-1)p(x-1) + death(x+1)p(x+1) - (birth(x)+death(x))p(x), with
-    births out of X_max suppressed so the truncated generator conserves
-    total mass (reflecting upper boundary). p may be an (..., X_max+1)
-    stack; the generator acts on its last axis, with one rate evaluation
-    shared by all rows.
+    g is scaled by the drive sample of largest |lam| on `times` (g = 0 if
+    lam vanishes there), so a drive that is zero at some times never
+    divides. g[X_max] = 0: the truncated process has no births out of
+    X_max. Each rate callable runs once, broadcasting over (t, x); the
+    contract is checked at times[0] and times[-1], and a model whose rates
+    break it raises ValueError.
     """
-    from .basis import PmfVector
+    times = np.asarray(times, dtype=float)
+    lam = np.broadcast_to(np.asarray(model.lam(times), dtype=float),
+                          times.shape)
+    ts = np.array([times[np.argmax(np.abs(lam))], times[0],
+                   times[-1]])[:, None]
+    xs = np.arange(X_max + 1)
+    # sample the drive on the array the birth callable receives, so g is
+    # exact (1.0 for the queues) whichever numpy loop evaluates lam
+    lam3 = np.broadcast_to(np.asarray(model.lam(ts), dtype=float), ts.shape)
+    B = np.broadcast_to(np.asarray(model.birth(ts, xs), dtype=float),
+                        (3, X_max + 1))
+    D = np.broadcast_to(np.asarray(model.death(ts[1:], xs), dtype=float),
+                        (2, X_max + 1))
+    g = B[0] / lam3[0] if lam3[0, 0] != 0 else np.zeros(X_max + 1)
+    d = D[0].copy()
 
-    if isinstance(p, PmfVector):
-        p = p.p
+    def close(u, v):
+        scale = max(float(np.max(np.abs(v))), 1.0)
+        return np.allclose(u, v, rtol=1e-10, atol=1e-12 * scale)
+
+    if not (close(B[1], lam3[1] * g) and close(B[2], lam3[2] * g)):
+        raise ValueError(f"model {model.label!r}: birth(t, x) is not "
+                         "lam(t) * g(x)")
+    if not close(D[1], D[0]):
+        raise ValueError(f"model {model.label!r}: death rate depends on t")
+    g[-1] = 0.0
+    return g, d
+
+
+def generator_apply(b, d, p) -> np.ndarray:
+    """(A p)(x) on the truncated state space {0..X_max} for rate vectors.
+
+    b(x-1)p(x-1) + d(x+1)p(x+1) - (b(x)+d(x))p(x), with b and d the birth
+    and death rates on {0..X_max}. b[X_max] is ignored: births out of
+    X_max are suppressed so the truncated generator conserves total mass
+    (reflecting upper boundary). p may be an (..., X_max+1) stack; the
+    generator acts on its last axis.
+    """
     p = np.asarray(p, dtype=float)
-    xs = np.arange(p.shape[-1])
-    b = rate_vector(model.birth, t, xs)
-    d = rate_vector(model.death, t, xs)
-    b[-1] = 0.0
     out = -(b + d) * p
+    out[..., -1] = -d[-1] * p[..., -1]
     out[..., 1:] += b[:-1] * p[..., :-1]
     out[..., :-1] += d[1:] * p[..., 1:]
     return out
-
-
-@dataclass
-class GrowthReport:
-    """Fitted linear-growth envelope birth + death <= C (1 + x)."""
-
-    C: float
-    superlinear: bool
-    x_argmax: int
-
-
-def growth_check(model: BirthDeathModel, t_grid, X_max: int) -> GrowthReport:
-    """Smallest C with birth + death <= C(1 + x) on the scanned grid.
-
-    The flag reports whether the fitted C keeps growing with X_max, the
-    signature of super-linear rates.
-    """
-    xs = np.arange(X_max + 1)
-
-    def envelope(x_hi):
-        best, arg = 0.0, 0
-        for t in np.atleast_1d(t_grid):
-            tot = rate_vector(model.birth, float(t), xs[:x_hi + 1]) \
-                + rate_vector(model.death, float(t), xs[:x_hi + 1])
-            ratio = tot / (1.0 + xs[:x_hi + 1])
-            i = int(np.argmax(ratio))
-            if ratio[i] > best:
-                best, arg = float(ratio[i]), i
-        return best, arg
-
-    c_half, _ = envelope(max(X_max // 2, 1))
-    c_full, x_arg = envelope(X_max)
-    return GrowthReport(C=c_full, superlinear=c_full > 1.05 * c_half,
-                        x_argmax=x_arg)

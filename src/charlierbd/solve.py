@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 from . import closure as _closure
 from .basis import CharlierBasis, CoeffVector, project_density
 from .closure import MomentState, SurrogateParams, moment_match
-from .models import BirthDeathModel, generator_apply
+from .models import BirthDeathModel, affine_rates, generator_apply
 
 __all__ = [
     "TimeGrid",
@@ -31,6 +31,7 @@ __all__ = [
     "integrate",
     "solve_reference",
     "solve_galerkin",
+    "galerkin_matrices",
     "solve_closure",
     "simulate_paths",
     "basis_parameter_prepass",
@@ -113,7 +114,9 @@ def integrate(rhs, y0, grid: TimeGrid, method: str = "rk4",
 
     y0 may have any shape; values has shape (n_times,) + y0.shape. rk4 is
     fixed-step at dt_int, aligned with the output grid; rk45 uses
-    embedded error control with cubic-Hermite dense output.
+    embedded error control with cubic-Hermite dense output. meta records
+    the right-hand-side evaluations (n_rhs) and, for rk4, the steps taken
+    (n_steps); solve_ivp does not report its step count.
 
     A non-finite rk4 state raises IntegrationError, unless members is set:
     then the leading axis of y0 indexes independent systems, and a member
@@ -130,6 +133,7 @@ def integrate(rhs, y0, grid: TimeGrid, method: str = "rk4",
         y = y0.copy()
         h = grid.dt_int
         dead = np.zeros(y0.shape[:1], dtype=bool)
+        n_out = times.size - 1
         for i in range(times.size - 1):
             t = times[i]
             for j in range(n_sub):
@@ -141,13 +145,16 @@ def integrate(rhs, y0, grid: TimeGrid, method: str = "rk4",
                 dead |= ~np.isfinite(y.reshape(len(y), -1)).all(axis=1)
                 if dead.all():
                     out[i + 1:] = np.nan
+                    n_out = i + 1
                     break
                 y[dead] = 0.0
             out[i + 1] = y
             if members:
                 out[i + 1, dead] = np.nan
+        n_steps = n_out * n_sub
         return Trajectory(times=times, values=out,
-                          meta={"method": "rk4", "dt_int": h})
+                          meta={"method": "rk4", "dt_int": h,
+                                "n_steps": n_steps, "n_rhs": 4 * n_steps})
     if method == "rk45":
         shape = y0.shape
         sol = solve_ivp(lambda t, y: np.ravel(rhs(t, y.reshape(shape))),
@@ -157,7 +164,8 @@ def integrate(rhs, y0, grid: TimeGrid, method: str = "rk4",
         if not sol.success:
             raise IntegrationError(sol.message)
         return Trajectory(times=times, values=sol.y.T.reshape((-1,) + shape),
-                          meta={"method": "rk45", "rtol": rtol, "atol": atol})
+                          meta={"method": "rk45", "rtol": rtol, "atol": atol,
+                                "n_rhs": int(sol.nfev)})
     raise ValueError(f"unknown integrator {method!r}")
 
 
@@ -182,8 +190,10 @@ def solve_reference(model: BirthDeathModel, X_max: int, p0,
                     grid: TimeGrid, method: str = "rk4") -> Trajectory:
     """Truncated forward equations p' = A(t) p as numerical ground truth.
 
-    Emits the pmf and direct-sum cumulants at each output time; diagnoses
-    mass conservation and the probability mass parked at the truncation
+    A(t) is the generator of the rate vectors (lam(t) g, d) from
+    `affine_rates`, so no rate callable runs inside the step loop. Emits
+    the pmf and direct-sum cumulants at each output time; diagnoses mass
+    conservation and the probability mass parked at the truncation
     boundary (warning above 1e-8, error above 1e-6).
     """
     from .basis import PmfVector
@@ -194,10 +204,16 @@ def solve_reference(model: BirthDeathModel, X_max: int, p0,
     if p0.size != X_max + 1:
         raise ValueError(f"initial pmf length {p0.size} != X_max+1")
 
-    def rhs(t, p):
-        return generator_apply(model, t, p)
+    g, d = affine_rates(model, grid.times, X_max)
+    lam = model.lam
 
+    def rhs(t, p):
+        return generator_apply(lam(t) * g, d, p)
+
+    start = time.perf_counter()
     traj = integrate(rhs, p0, grid, method=method)
+    log.debug("reference: X_max %d, %s steps, %.3f s", X_max,
+              traj.meta.get("n_steps"), time.perf_counter() - start)
     P = traj.values
     mass_resid = float(np.max(np.abs(P.sum(axis=1) - p0.sum())))
     boundary = float(np.max(np.abs(P[:, -1])))
@@ -218,21 +234,22 @@ def solve_reference(model: BirthDeathModel, X_max: int, p0,
 
 def solve_galerkin(model: BirthDeathModel, basis, c0, grid: TimeGrid,
                    method: str = "rk4"):
-    """Order-N spectral solver for the coefficient system c' = M(t) c.
+    """Order-N spectral solver for the coefficient system c' = c M(t).
 
-    M_ij(t) = (A(t) C~_j, C_i) projects the generator acting on the
+    M_ji(t) = (A(t) C~_j, C_i) projects the generator acting on the
     Charlier functions back onto the basis under the inverse-weighted
-    inner product. The right-hand side never forms M: c @ M is the
-    projection Phi (A(t) V) of the generator applied to the density
-    V = sum_j c_j C~_j.
+    inner product. The generator is affine in the drive, so
+    M(t) = M0 + lam(t) M1 with both matrices built once per solve
+    (`galerkin_matrices`); meta["assembly_s"] is the time of that build,
+    rate evaluation included.
 
     basis is one CharlierBasis with c0 its coefficients, returning one
     Trajectory; or a sequence of bases on one X_max with a matching
     sequence of coefficients, returning one Trajectory per basis. All
-    members are zero-padded to the largest order and integrated together,
-    sharing each rate evaluation. A member whose state goes non-finite
-    comes back with meta["failed"] set and NaN values from then on; a
-    lone basis raises IntegrationError instead.
+    members are zero-padded to the largest order and integrated together
+    in one step loop. A member whose state goes non-finite comes back
+    with meta["failed"] set and NaN values from then on; a lone basis
+    raises IntegrationError instead.
     """
     single = isinstance(basis, CharlierBasis)
     bases = [basis] if single else list(basis)
@@ -252,16 +269,19 @@ def solve_galerkin(model: BirthDeathModel, basis, c0, grid: TimeGrid,
         Phi[k, :b.N + 1] = b.table
         y0[k, :b.N + 1] = c
     Cw = Phi * np.stack([b.weights for b in bases])[:, None, :]
+    start = time.perf_counter()
+    M0, M1 = galerkin_matrices(*affine_rates(model, grid.times, x_max),
+                               Phi, Cw)
+    assembly_s = time.perf_counter() - start
+    lam = model.lam
 
     def rhs(t, c):
-        V = np.matmul(c[:, None, :], Cw)[:, 0]        # member densities
-        return np.matmul(Phi, generator_apply(model, t, V)[:, :, None])[..., 0]
+        return np.matmul(c[:, None, :], M0 + lam(t) * M1)[:, 0]
 
     start = time.perf_counter()
     traj = integrate(rhs, y0, grid, method=method, members=True)
-    log.debug("galerkin batch: %d member(s), orders %s, %d steps, %.3f s",
-              len(bases), [b.N for b in bases],
-              (traj.times.size - 1) * grid.substeps,
+    log.debug("galerkin batch: %d member(s), orders %s, %s steps, %.3f s",
+              len(bases), [b.N for b in bases], traj.meta.get("n_steps"),
               time.perf_counter() - start)
     xs = np.arange(x_max + 1, dtype=float)
     out = []
@@ -283,8 +303,22 @@ def solve_galerkin(model: BirthDeathModel, basis, c0, grid: TimeGrid,
                               variance=var, cum3=c3, cum4=c4,
                               meta={"solver": "galerkin", "N": b.N, "a": b.a,
                                     "X_max": x_max, "c0_drift": drift,
-                                    "failed": failed, **traj.meta}))
+                                    "failed": failed,
+                                    "assembly_s": assembly_s, **traj.meta}))
     return out[0] if single else out
+
+
+def galerkin_matrices(g, d, Phi, Cw) -> tuple[np.ndarray, np.ndarray]:
+    """(M0, M1) with c @ (M0 + lam(t) M1) = Phi A(t)(c @ Cw).
+
+    A(t) is the generator of the rate vectors (lam(t) g, d); Phi holds the
+    Charlier rows C_i and Cw the weighted rows C~_j, as (..., n, X_max+1)
+    stacks. M0 is the death part and M1 the birth part per unit drive.
+    """
+    zero = np.zeros_like(d)
+    phi_t = np.swapaxes(Phi, -1, -2)
+    return (generator_apply(zero, d, Cw) @ phi_t,
+            generator_apply(g, zero, Cw) @ phi_t)
 
 
 def _closure_rhs(kind: str, params, order: str, flags: dict):
@@ -373,7 +407,10 @@ def solve_closure(kind: str, params, order: str, init: MomentState,
     rhs = _closure_rhs(kind, params, order, flags)
     y0 = np.array([init.mean] if order == "zeroth"
                   else [init.mean, init.variance], dtype=float)
+    start = time.perf_counter()
     traj = integrate(rhs, y0, grid, method=method)
+    log.debug("closure %s/%s: %s steps, %.3f s", kind, order,
+              traj.meta.get("n_steps"), time.perf_counter() - start)
     mean = traj.values[:, 0]
     var = traj.values[:, 1] if order == "first" else mean.copy()
     delay = None

@@ -100,3 +100,29 @@ def test_debug_log_reports_galerkin_batches(cfg_path, tmp_path):
     assert len(batches) == 2
     assert batches[0].startswith("DEBUG charlierbd: galerkin batch: "
                                  "1 member(s), orders [1], 2000 steps")
+
+
+@pytest.mark.parametrize("patch", [
+    {"init": {"kind": "point", "value": 61}},
+    {"basis": {"mode": "fixed"}},
+    {"dt_out": 2.5e-3, "dt_int": 1e-3},
+    {"model": {"kind": "erlang_a", "lambda": {"base": 6.0},
+               "mu": "x", "beta": 0.5, "c": 4}},
+], ids=["point_init_beyond_X_max", "fixed_basis_without_a",
+        "dt_out_not_a_multiple", "non_numeric_model_field"])
+def test_bad_config_exits_2_without_traceback(cfg_path, tmp_path, patch):
+    cfg = json.loads(cfg_path.read_text())
+    cfg.update(patch)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    src = str(Path(charlierbd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "charlierbd.cli", "solve-galerkin", str(bad),
+         "-N", "2", "-o", str(tmp_path / "g.csv")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("ERROR charlierbd: config error: ")
+    assert proc.stderr.count("\n") == 1

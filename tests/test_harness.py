@@ -126,22 +126,31 @@ class TestTuning:
         a, v = min((p for p in curve if p[1] is not None),
                    key=lambda p: p[1])
         assert table.provenance["basis_a"] == a
+        assert table.provenance["basis_tuning_fallback"] is False
         out = tmp_path / "t.csv"
         write_table_csv(table, out)
         head = json.loads(out.read_text().splitlines()[0].split(":", 1)[1])
         assert head["basis_tuning"] == curve
 
-    def test_blown_up_candidates_score_inf(self):
-        # the order-8 proxy is too stiff for the search's 5e-3 RK4 step
+    def test_blown_up_candidates_score_inf(self, caplog):
+        # the order-8 proxy is too stiff for the search's 5e-3 RK4 step;
+        # the config's own 1e-4 step keeps the reference and rows stable
         cfg = erlang_cfg(model={"kind": "erlang_a",
                                 "lambda": {"base": 600.0, "amplitude": 50.0},
                                 "mu": 150.0, "beta": 100.0, "c": 4},
-                         T=4.0, init={"kind": "poisson", "value": 4.0})
+                         T=4.0, init={"kind": "poisson", "value": 4.0},
+                         basis={"mode": "tuned"}, dt_out=1e-2, dt_int=1e-4)
         curve = []
         a = tune_basis_parameter(cfg, 3, curve=curve)
         assert len(curve) == 22
         assert all(v == np.inf for _, v in curve)
         assert a == curve[0][0]
+        warned = [r for r in caplog.records if r.levelname == "WARNING"
+                  and "every candidate scored inf" in r.getMessage()]
+        assert len(warned) == 1
+        table = run_table(cfg)
+        assert table.provenance["basis_tuning_fallback"] is True
+        assert table.provenance["basis_a"] == a
 
     def test_caller_reference_is_kept(self):
         cfg = erlang_cfg()

@@ -3,7 +3,7 @@ import pytest
 
 from charlierbd.models import (BirthDeathModel, ErlangAParams,
                                ErlangLossParams, QuadraticParams,
-                               generator_apply, growth_check, make_erlang_a,
+                               affine_rates, generator_apply, make_erlang_a,
                                make_erlang_loss, make_infinite_server,
                                make_quadratic)
 
@@ -67,6 +67,12 @@ class TestRateConstruction:
             QuadraticParams(lam=lam_const(0.1), Qtilde=0, beta=1.0)
 
 
+def rates_at(m, t, x_max):
+    xs = np.arange(x_max + 1)
+    return (np.broadcast_to(m.birth(t, xs), xs.shape),
+            np.broadcast_to(m.death(t, xs), xs.shape))
+
+
 class TestGeneratorApply:
     def test_conserves_mass(self):
         m = make_erlang_a(ErlangAParams(lam=lam_const(6.0), mu=1.0,
@@ -74,7 +80,8 @@ class TestGeneratorApply:
         rng = np.random.default_rng(5)
         p = rng.random(41)
         p /= p.sum()
-        out = generator_apply(m, 0.9, p)
+        # a nonzero birth rate at X_max must not leak mass
+        out = generator_apply(*rates_at(m, 0.9, 40), p)
         assert abs(out.sum()) < 1e-12
 
     def test_matches_dense_matrix(self):
@@ -93,44 +100,81 @@ class TestGeneratorApply:
                 A[x - 1, x] += d
         rng = np.random.default_rng(1)
         p = rng.random(x_max + 1)
-        assert np.allclose(generator_apply(m, t, p), A @ p, atol=1e-12)
+        assert np.allclose(generator_apply(*rates_at(m, t, x_max), p),
+                           A @ p, atol=1e-12)
 
     def test_acts_on_the_last_axis(self):
         m = make_erlang_a(ErlangAParams(lam=lam_const(6.0), mu=1.0,
                                         beta=0.4, c=3))
         P = np.random.default_rng(3).random((2, 4, 21))
-        out = generator_apply(m, 0.7, P)
+        b, d = rates_at(m, 0.7, 20)
+        out = generator_apply(b, d, P)
         assert out.shape == P.shape
         for i, j in np.ndindex(2, 4):
-            assert np.array_equal(out[i, j], generator_apply(m, 0.7, P[i, j]))
+            assert np.array_equal(out[i, j], generator_apply(b, d, P[i, j]))
 
     def test_point_mass_flow(self):
         m = make_infinite_server(lam_const(2.0), 1.0)
         p = np.zeros(6)
         p[3] = 1.0
-        out = generator_apply(m, 0.0, p)
+        out = generator_apply(*rates_at(m, 0.0, 5), p)
         assert out[4] == pytest.approx(2.0)   # birth into 4
         assert out[2] == pytest.approx(3.0)   # death into 2
         assert out[3] == pytest.approx(-5.0)
 
 
-class TestGrowthCheck:
-    def test_linear_rates_pass(self):
-        m = make_erlang_a(ErlangAParams(lam=lam_const(10.0), mu=1.0,
-                                        beta=0.5, c=5))
-        rep = growth_check(m, np.linspace(0, 10, 5), 200)
-        assert not rep.superlinear
+class TestAffineRates:
+    TIMES = np.linspace(0.0, 3.0, 31)
 
-    def test_superlinear_flagged(self):
-        m = BirthDeathModel(
-            birth=lambda t, x: 0.1 * np.asarray(x, dtype=float) ** 2,
-            death=lambda t, x: np.asarray(x, dtype=float))
-        rep = growth_check(m, [0.0], 200)
-        assert rep.superlinear
+    def test_built_in_shapes(self):
+        lam = lambda t: 2.0 + np.sin(t)
+        x = np.arange(31.0)
+        cases = [
+            (make_infinite_server(lam, 2.0), np.ones(31), 2.0 * x),
+            (make_erlang_loss(ErlangLossParams(lam=lam, mu=1.0, beta=0.5,
+                                               c=2, k=3)),
+             (x < 5).astype(float),
+             np.minimum(x, 2) + 0.5 * np.maximum(x - 2, 0)),
+            (make_quadratic(QuadraticParams(lam=lam, Qtilde=10, beta=1.0)),
+             x * np.maximum(10 - x, 0), x),
+        ]
+        for m, g_want, d_want in cases:
+            g, d = affine_rates(m, self.TIMES, 30)
+            g_want[-1] = 0.0
+            assert np.allclose(g, g_want, rtol=1e-14, atol=0)
+            assert np.array_equal(d, d_want)
 
-    def test_clamped_quadratic_passes(self):
-        # the logistic birth is globally bounded, hence linear-growth safe
-        m = make_quadratic(QuadraticParams(lam=lam_const(0.1), Qtilde=50,
-                                           beta=1.0), check_x_max=100)
-        rep = growth_check(m, [0.0], 100)
-        assert not rep.superlinear
+    def test_each_rate_called_once(self):
+        calls = []
+        base = make_erlang_a(ErlangAParams(lam=lam_const(3.0), mu=1.0,
+                                           beta=0.5, c=2))
+
+        def counted(fn):
+            def rate(t, x):
+                calls.append(fn)
+                return fn(t, x)
+            return rate
+        m = BirthDeathModel(counted(base.birth), counted(base.death),
+                            base.lam)
+        affine_rates(m, self.TIMES, 20)
+        assert calls == [base.birth, base.death]
+
+    def test_zero_drive_gives_zero_g(self):
+        m = make_infinite_server(lam_const(0.0), 1.0)
+        g, d = affine_rates(m, self.TIMES, 10)
+        assert np.array_equal(g, np.zeros(11))
+        assert np.array_equal(d, np.arange(11.0))
+
+    def test_broken_contract_raises(self):
+        lam = lam_const(2.0)
+        linear = lambda t, x: np.asarray(x, dtype=float) + 0.0 * t
+        t_death = BirthDeathModel(
+            birth=lambda t, x: lam(t) + 0.0 * np.asarray(x, dtype=float),
+            death=lambda t, x: (1.0 + 0.1 * t) * np.asarray(x, dtype=float),
+            lam=lam)
+        with pytest.raises(ValueError, match="death rate depends on t"):
+            affine_rates(t_death, self.TIMES, 10)
+        t_birth = BirthDeathModel(birth=lambda t, x: lam(t) + t * x,
+                                  death=linear, lam=lam)
+        with pytest.raises(ValueError, match="birth"):
+            affine_rates(t_birth, self.TIMES, 10)

@@ -1,13 +1,19 @@
+import logging
+
 import numpy as np
 import pytest
 
 from charlierbd.basis import CharlierBasis, project_density
 from charlierbd.closure import MomentState
-from charlierbd.models import (ErlangAParams, QuadraticParams, make_erlang_a,
-                               make_infinite_server, make_quadratic)
+from charlierbd.harness import _make_lambda
+from charlierbd.models import (BirthDeathModel, ErlangAParams,
+                               ErlangLossParams, QuadraticParams,
+                               affine_rates, generator_apply, make_erlang_a,
+                               make_erlang_loss, make_infinite_server,
+                               make_quadratic)
 from charlierbd.solve import (IntegrationError, SolverError, TimeGrid,
-                              integrate, simulate_paths, solve_closure,
-                              solve_galerkin, solve_reference)
+                              galerkin_matrices, integrate, simulate_paths,
+                              solve_closure, solve_galerkin, solve_reference)
 from charlierbd.special import poisson_pmf
 
 
@@ -18,6 +24,32 @@ def lam_const(v):
 def small_erlang_a():
     return make_erlang_a(ErlangAParams(lam=lambda t: 4.0 + np.sin(t),
                                        mu=1.0, beta=0.4, c=3))
+
+
+def four_models():
+    """One model of each built-in kind, all with a time-varying drive."""
+    lam = lambda t: 4.0 + np.sin(t)
+    return [
+        make_infinite_server(lam, 1.0),
+        small_erlang_a(),
+        make_erlang_loss(ErlangLossParams(lam=lam, mu=1.0, beta=0.4, c=3,
+                                          k=4)),
+        make_quadratic(QuadraticParams(lam=lambda t: 0.1 + 0.02 * np.sin(t),
+                                       Qtilde=20, beta=1.0)),
+    ]
+
+
+def stencil_oracle(model, t, p):
+    """A(t) p with both rate callables evaluated at t: the generator the
+    solvers applied at every step before the affine split."""
+    xs = np.arange(p.shape[-1])
+    b = np.array(np.broadcast_to(model.birth(t, xs), xs.shape), dtype=float)
+    d = np.broadcast_to(model.death(t, xs), xs.shape)
+    b[-1] = 0.0
+    out = -(b + d) * p
+    out[..., 1:] += b[:-1] * p[..., :-1]
+    out[..., :-1] += d[1:] * p[..., 1:]
+    return out
 
 
 class TestTimeGrid:
@@ -85,6 +117,15 @@ class TestIntegrate:
         assert np.array_equal(tr.values[:, 1, 0], alone.values[:, 0])
         assert tr.meta == alone.meta
 
+    def test_meta_counts_the_work(self):
+        g = TimeGrid(T=2.0, dt_out=0.5, dt_int=0.05)
+        tr = integrate(lambda t, y: -y, [1.0], g)
+        assert tr.meta["n_steps"] == 40 and tr.meta["n_rhs"] == 160
+        with np.errstate(over="ignore", invalid="ignore"):
+            dead = integrate(lambda t, y: y * y, [[10.0]], g, members=True)
+        # the loop stops after the first output interval, all members dead
+        assert dead.meta["n_steps"] == 10 and dead.meta["n_rhs"] == 40
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             integrate(lambda t, y: -y, [1.0], TimeGrid(T=1.0), method="euler")
@@ -121,6 +162,32 @@ class TestReference:
                              TimeGrid(T=4.0, dt_out=0.01, dt_int=0.001))
         assert tr.meta["mass_residual"] < 1e-10
         assert tr.pmf.min() > -1e-12
+
+    @pytest.mark.parametrize("model", four_models(),
+                             ids=lambda m: m.label)
+    def test_matches_the_stencil_oracle(self, model):
+        x_max = 40
+        p0 = poisson_pmf(3.0, x_max)
+        g = TimeGrid(T=1.0, dt_out=0.1, dt_int=0.01)
+        tr = solve_reference(model, x_max, p0, g)
+        oracle = integrate(lambda t, p: stencil_oracle(model, t, p), p0, g)
+        assert np.max(np.abs(tr.pmf - oracle.values)) <= 1e-12
+        gv, dv = affine_rates(model, g.times, x_max)
+        rng = np.random.default_rng(4)
+        P = rng.random((3, x_max + 1))
+        for t in (0.0, 0.37, 1.0):
+            want = stencil_oracle(model, t, P)
+            got = generator_apply(model.lam(t) * gv, dv, P)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_meta_and_debug_line(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="charlierbd")
+        g = TimeGrid(T=1.0, dt_out=0.1, dt_int=0.01)
+        tr = solve_reference(small_erlang_a(), 30, poisson_pmf(3.0, 30), g)
+        assert tr.meta["n_steps"] == 100 and tr.meta["n_rhs"] == 400
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 1
+        assert lines[0].startswith("reference: X_max 30, 100 steps, ")
 
     def test_boundary_mass_error(self):
         model = make_infinite_server(lam_const(30.0), 1.0)
@@ -225,6 +292,71 @@ class TestGalerkin:
         with np.errstate(all="ignore"), pytest.raises(IntegrationError):
             solve_galerkin(model, bases[1], c0[1], g)
 
+    @pytest.mark.parametrize("model", four_models(),
+                             ids=lambda m: m.label)
+    def test_affine_operator_matches_matrix_free(self, model):
+        # c @ (M0 + lam(t) M1) against Phi A(t)(c Cw) with rates at t
+        x_max = 40
+        bases = [CharlierBasis(a=a, N=N, X_max=x_max)
+                 for a, N in ((4.0, 6), (2.5, 3))]
+        n = 7
+        Phi = np.zeros((2, n, x_max + 1))
+        for k, b in enumerate(bases):
+            Phi[k, :b.N + 1] = b.table
+        Cw = Phi * np.stack([b.weights for b in bases])[:, None, :]
+        times = np.linspace(0.0, 3.0, 31)
+        M0, M1 = galerkin_matrices(*affine_rates(model, times, x_max),
+                                   Phi, Cw)
+        assert M0.shape == M1.shape == (2, n, n)
+        c = np.random.default_rng(8).standard_normal((2, n))
+        c[1, 4:] = 0.0
+        for t in (0.0, 1.3, 3.0):
+            got = np.matmul(c[:, None, :], M0 + model.lam(t) * M1)[:, 0]
+            V = np.matmul(c[:, None, :], Cw)[:, 0]
+            want = np.matmul(Phi, stencil_oracle(model, t, V)[:, :, None])
+            want = want[..., 0]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_time_dependent_death_is_refused(self):
+        lam = lambda t: 4.0 + np.sin(t)
+        model = BirthDeathModel(
+            birth=lambda t, x: lam(t) + 0.0 * np.asarray(x, dtype=float),
+            death=lambda t, x: (1.0 + 0.2 * t) * np.asarray(x, dtype=float),
+            lam=lam)
+        x_max = 30
+        p0 = poisson_pmf(3.0, x_max)
+        g = TimeGrid(T=1.0, dt_out=0.1, dt_int=0.01)
+        basis = CharlierBasis(a=4.0, N=3, X_max=x_max)
+        with pytest.raises(ValueError, match="death rate depends on t"):
+            solve_reference(model, x_max, p0, g)
+        with pytest.raises(ValueError, match="death rate depends on t"):
+            solve_galerkin(model, basis, project_density(p0, basis), g)
+
+    def test_drive_zero_at_t0(self):
+        lam = _make_lambda({"samples": {"t": [0.0, 1.0, 2.0],
+                                        "value": [0.0, 4.0, 2.0]}})
+        model = make_infinite_server(lam, 1.0)
+        x_max = 30
+        p0 = poisson_pmf(2.0, x_max)
+        g = TimeGrid(T=2.0, dt_out=0.1, dt_int=0.01)
+        basis = CharlierBasis(a=2.0, N=4, X_max=x_max)
+        with np.errstate(all="raise"):
+            ref = solve_reference(model, x_max, p0, g)
+            gal = solve_galerkin(model, basis, project_density(p0, basis), g)
+        oracle = integrate(lambda t, p: stencil_oracle(model, t, p), p0, g)
+        assert np.max(np.abs(ref.pmf - oracle.values)) <= 1e-12
+        assert np.all(np.isfinite(gal.mean))
+        assert np.max(np.abs(gal.mean - ref.mean)) < 1e-6
+
+    def test_assembly_time_in_meta(self):
+        x_max = 30
+        basis = CharlierBasis(a=4.0, N=3, X_max=x_max)
+        c0 = project_density(poisson_pmf(3.0, x_max), basis)
+        tr = solve_galerkin(small_erlang_a(), basis, c0,
+                            TimeGrid(T=1.0, dt_out=0.1, dt_int=0.01))
+        assert tr.meta["assembly_s"] >= 0.0
+        assert tr.meta["n_steps"] == 100 and tr.meta["n_rhs"] == 400
+
     def test_batch_needs_one_support(self):
         model = small_erlang_a()
         bases = [CharlierBasis(a=4.0, N=2, X_max=x) for x in (30, 40)]
@@ -279,6 +411,17 @@ class TestClosure:
         assert np.all(np.isfinite(tr.mean))
         assert tr.mean.max() < 50.0
 
+    def test_meta_and_debug_line(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="charlierbd")
+        p = ErlangAParams(lam=lam_const(6.0), mu=1.0, beta=0.5, c=4)
+        tr = solve_closure("erlang_a", p, "first",
+                           MomentState(mean=3.0, variance=3.0),
+                           TimeGrid(T=1.0, dt_out=0.1, dt_int=0.01))
+        assert tr.meta["n_steps"] == 100 and tr.meta["n_rhs"] == 400
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 1
+        assert lines[0].startswith("closure erlang_a/first: 100 steps, ")
+
     def test_over_dispersion_fraction_reported(self):
         # beta << mu makes the Erlang-A state over-dispersed
         p = ErlangAParams(lam=lam_const(20.0), mu=1.0, beta=0.1, c=10)
@@ -290,9 +433,9 @@ class TestClosure:
 
 class TestSimulate:
     def test_zero_rates_constant_paths(self):
-        from charlierbd.models import BirthDeathModel
         zero = lambda t, x: 0.0 * np.asarray(x, dtype=float)
-        model = BirthDeathModel(birth=zero, death=zero)
+        model = BirthDeathModel(birth=zero, death=zero,
+                                lam=lambda t: 0.0)
         g = TimeGrid(T=2.0, dt_out=0.5, dt_int=0.5)
         tr = simulate_paths(model, 50, 3, g, x0=4)
         assert np.all(tr.mean == 4.0)
