@@ -1,10 +1,9 @@
 """Poisson-Charlier polynomials, density projection onto the truncated
 Charlier-function basis, reconstruction, and weak expectations.
 
-The normalized three-term recurrence is the single computational
-representation; the unnormalized polynomials exist for closed-form
-cross-checks. Reconstructions are signed measures by design and are never
-clipped to nonnegative values.
+The normalized three-term recurrence, tabulated over the whole support,
+is the single computational representation. Reconstructions are signed
+measures by design and are never clipped to nonnegative values.
 """
 
 from __future__ import annotations
@@ -19,54 +18,12 @@ from .special import adaptive_support_bound, poisson_pmf
 __all__ = [
     "CharlierBasis",
     "CoeffVector",
-    "PmfVector",
-    "charlier_normalized",
-    "charlier_unnormalized",
     "charlier_table",
     "project_density",
     "reconstruct",
     "weak_expectation",
     "truncation_error",
 ]
-
-
-def charlier_normalized(n: int, a: float, x: int | float) -> float:
-    """Normalized Poisson-Charlier polynomial value, orthonormal in l2(w).
-
-    Three-term recurrence, seeded with 1 and (a - x)/sqrt(a), evaluated
-    iteratively in one pass.
-    """
-    if a <= 0:
-        raise ValueError(f"basis parameter must be positive, got a={a}")
-    if n < 0:
-        raise ValueError("polynomial degree must be nonnegative")
-    prev = 1.0
-    if n == 0:
-        return prev
-    cur = (a - x) / math.sqrt(a)
-    for k in range(1, n):
-        prev, cur = cur, ((k + a - x) / math.sqrt(a * (k + 1))) * cur \
-            - math.sqrt(k / (k + 1)) * prev
-    return cur
-
-
-def charlier_unnormalized(n: int, a: float, x: int | float) -> float:
-    """Unnormalized Charlier polynomial with leading convention C_1 = x - a.
-
-    Recurrence C_{n+1} = (x - n - a) C_n - n a C_{n-1}. Relates to the
-    normalized family by C_norm_n = (-1)^n C_n / sqrt(n! a^n).
-    """
-    if a <= 0:
-        raise ValueError(f"basis parameter must be positive, got a={a}")
-    if n < 0:
-        raise ValueError("polynomial degree must be nonnegative")
-    prev = 1.0
-    if n == 0:
-        return prev
-    cur = x - a
-    for k in range(1, n):
-        prev, cur = cur, (x - k - a) * cur - k * a * prev
-    return cur
 
 
 @dataclass(eq=False)
@@ -135,43 +92,13 @@ class CoeffVector:
             raise ValueError("coefficients must be finite")
 
 
-@dataclass
-class PmfVector:
-    """Signed mass vector on the states {0..X_max}.
-
-    True pmfs are nonnegative with unit mass; projections and
-    reconstructions may carry negative entries.
-    """
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        if not np.all(np.isfinite(self.p)):
-            raise ValueError("pmf entries must be finite")
-
-    @property
-    def mass(self) -> float:
-        return float(self.p.sum())
-
-    @property
-    def x_max(self) -> int:
-        return self.p.size - 1
-
-
-def _as_array(p) -> np.ndarray:
-    if isinstance(p, PmfVector):
-        return p.p
-    return np.asarray(p, dtype=float)
-
-
 def project_density(p, basis: CharlierBasis) -> CoeffVector:
     """Fourier coefficients of p against the Charlier functions.
 
     c_n = sum_x p(x) C_norm_n(x), the w^{-1}-weighted inner product of p
     with the Charlier functions; c_0 recovers the total mass of p.
     """
-    arr = _as_array(p)
+    arr = np.asarray(p, dtype=float)
     if arr.shape != (basis.X_max + 1,):
         raise ValueError(
             f"pmf length {arr.size} does not match basis X_max={basis.X_max}")
@@ -208,7 +135,7 @@ def truncation_error(p, basis: CharlierBasis, k: int = 0) -> float:
     """h^k(w^{-1}) norm of the projection residual of p on the basis."""
     from .sobolev import SobolevSpec, seq_norm
 
-    arr = _as_array(p)
+    arr = np.asarray(p, dtype=float)
     resid = reconstruct(project_density(arr, basis)) - arr
     spec = SobolevSpec(m=k, a=basis.a, weight_mode="w_inverse",
                        X_max=basis.X_max)

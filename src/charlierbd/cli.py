@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, harness
 from .harness import ConfigError, ExperimentConfig
 from .solve import (IntegrationError, RateBoundError, SolverError,
-                    solve_closure, solve_reference)
+                    solve_closure)
 
 log = logging.getLogger("charlierbd")
 
@@ -63,6 +63,10 @@ def cmd_solve_reference(args):
 
 def cmd_solve_galerkin(args):
     cfg = _load_config(args.config)
+    x_max = cfg.x_max()
+    if not 0 <= args.order <= x_max:
+        raise ConfigError(f"order -N {args.order} is not in "
+                          f"[0, X_max={x_max}]")
     traj = harness.run_galerkin(cfg, args.order)
     _write_traj_csv(traj, args.output)
     log.info("order-%d spectral run written to %s (basis a=%.6g)",
@@ -72,7 +76,7 @@ def cmd_solve_galerkin(args):
 
 def cmd_solve_closure(args):
     cfg = _load_config(args.config)
-    traj = solve_closure(cfg.kind, cfg.closure_params(), args.order,
+    traj = solve_closure(cfg.kind, cfg.params(), args.order,
                          cfg.initial_state(), cfg.grid())
     cols = ["mean", "variance"]
     _write_traj_csv(traj, args.output, cols=cols)
@@ -82,6 +86,10 @@ def cmd_solve_closure(args):
 
 def cmd_simulate(args):
     cfg = _load_config(args.config)
+    if args.paths is not None and args.paths < 2:
+        raise ConfigError(f"--paths {args.paths} is below 2")
+    if args.dt_out <= 0:
+        raise ConfigError(f"--dt-out {args.dt_out:g} is not positive")
     if args.paths is not None:
         cfg.n_paths = args.paths
     traj = harness.run_simulation(cfg, dt_out=args.dt_out)

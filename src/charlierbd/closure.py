@@ -1,6 +1,6 @@
-"""Moment-closure engine: generic functional-forward-equation right-hand
-sides, closed-form expectations of queueing functionals under zeroth- and
-first-order Charlier surrogates, moment matching, and delay probability.
+"""Moment-closure engine: closed-form expectations of queueing functionals
+under zeroth- and first-order Charlier surrogates, moment matching, and
+delay probability.
 
 Every closed form here is derived by linearity from Poisson expectations,
 
@@ -14,7 +14,7 @@ a brute-force surrogate-sum oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,10 +36,6 @@ __all__ = [
     "covariance_terms",
     "delay_probability",
     "moment_match",
-    "moment_rhs",
-    "cumulant_rhs",
-    "cumulant_rhs_display",
-    "pmf_expectation",
 ]
 
 
@@ -67,20 +63,10 @@ class SurrogateParams:
 
 @dataclass
 class MomentState:
-    """Mean, variance, and third/fourth cumulants at a time point."""
+    """Mean and variance at a time point."""
 
     mean: float
     variance: float
-    cum3: float = 0.0
-    cum4: float = 0.0
-
-    def raw_moments(self) -> tuple[float, float, float, float]:
-        m1 = self.mean
-        m2 = self.variance + m1 * m1
-        m3 = self.cum3 + 3 * m2 * m1 - 2 * m1**3
-        m4 = self.cum4 + 4 * m3 * m1 + 3 * m2 * m2 - 12 * m2 * m1 * m1 \
-            + 6 * m1**4
-        return m1, m2, m3, m4
 
 
 def surrogate_pmf(s: SurrogateParams, x_max: int | None = None) -> np.ndarray:
@@ -232,90 +218,3 @@ def moment_match(mean: float, variance: float | None = None,
     if q <= 0:
         q = mean + root
     return SurrogateParams(q=q, a1=mean / q - 1.0, order="first")
-
-
-def pmf_expectation(pmf):
-    """Expectation functional over a fixed pmf: expect(k, psi) = E[Q^k psi]."""
-    from .basis import PmfVector
-
-    if isinstance(pmf, PmfVector):
-        pmf = pmf.p
-    arr = np.asarray(pmf, dtype=float)
-    xs = np.arange(arr.size)
-
-    def expect(k: int, psi) -> float:
-        vals = np.asarray(psi(xs), dtype=float)
-        if vals.ndim == 0:
-            vals = np.full(xs.shape, float(vals))
-        return float(np.sum(xs**k * vals * arr))
-
-    return expect
-
-
-def moment_rhs(m: int, model, t: float, expect) -> float:
-    """d/dt E[Q^m] per the functional forward equations.
-
-    sum_{k<m} C(m,k) ( E[Q^k birth] + (-1)^{m-k} E[Q^k death] ); `expect`
-    evaluates E[Q^k psi(t, Q)] against the caller's distribution surrogate.
-    """
-    if m < 1:
-        raise ValueError("moment order must be at least 1")
-    total = 0.0
-    for k in range(m):
-        ea = expect(k, lambda x: model.birth(t, x))
-        ed = expect(k, lambda x: model.death(t, x))
-        total += math.comb(m, k) * (ea + (-1) ** (m - k) * ed)
-    return total
-
-
-def _raw_moment_derivs(model, t, expect) -> tuple[float, float, float, float]:
-    return tuple(moment_rhs(m, model, t, expect) for m in (1, 2, 3, 4))
-
-
-def cumulant_rhs(state: MomentState, model, t: float, expect) -> MomentState:
-    """Time derivatives of (mean, variance, cum3, cum4).
-
-    Built by the chain rule from the raw-moment forward equations; see
-    `cumulant_rhs_display` for the alternative covariance-form assembly.
-    """
-    m1, m2, m3, _ = state.raw_moments()
-    d1, d2, d3, d4 = _raw_moment_derivs(model, t, expect)
-    dmean = d1
-    dvar = d2 - 2 * m1 * d1
-    dc3 = d3 - 3 * d2 * m1 - 3 * m2 * d1 + 6 * d1 * m1 * m1
-    dc4 = d4 - 4 * d3 * m1 - 4 * m3 * d1 + 12 * d2 * m1 * m1 \
-        + 24 * m2 * d1 * m1 - 24 * d1 * m1**3 - 6 * d2 * m2
-    return MomentState(mean=dmean, variance=dvar, cum3=dc3, cum4=dc4)
-
-
-def cumulant_rhs_display(state: MomentState, model, t: float,
-                         expect) -> MomentState:
-    """Covariance-form cumulant derivatives as displayed in the source
-    derivation; kept for numerical cross-checks against `cumulant_rhs`
-    (the fourth-cumulant line is known to disagree)."""
-    m1 = state.mean
-    var = state.variance
-
-    def cov(j: int, psi) -> float:
-        # Cov[(Q - m1)^j, psi] expanded in raw Q^k psi expectations
-        e = [expect(k, psi) for k in range(j + 1)]
-        total = 0.0
-        for k in range(j + 1):
-            total += math.comb(j, k) * (-m1) ** (j - k) * e[k]
-        central = [1.0, 0.0, var, state.cum3][j] if j <= 3 else None
-        return total - central * e[0]
-
-    ea = expect(0, lambda x: model.birth(t, x))
-    ed = expect(0, lambda x: model.death(t, x))
-    ca1 = cov(1, lambda x: model.birth(t, x))
-    cd1 = cov(1, lambda x: model.death(t, x))
-    ca2 = cov(2, lambda x: model.birth(t, x))
-    cd2 = cov(2, lambda x: model.death(t, x))
-    ca3 = cov(3, lambda x: model.birth(t, x))
-    cd3 = cov(3, lambda x: model.death(t, x))
-    dmean = ea - ed
-    dvar = ea + ed + 2 * ca1 - 2 * cd1
-    dc3 = ea - ed + 3 * ca1 + 3 * cd1 + 3 * ca2 - 3 * cd2
-    dc4 = ea + ed + 4 * ca1 - 4 * cd1 + 6 * ca2 + 6 * cd2 \
-        + 4 * ca3 - 4 * cd3 + 12 * var * (ca1 + cd1)
-    return MomentState(mean=dmean, variance=dvar, cum3=dc3, cum4=dc4)

@@ -20,9 +20,9 @@ import numpy as np
 from . import __version__
 from .basis import CharlierBasis, project_density
 from .closure import MomentState
-from .models import (ErlangAParams, ErlangLossParams, QuadraticParams,
-                     make_erlang_a, make_erlang_loss, make_infinite_server,
-                     make_quadratic)
+from .models import (ErlangAParams, ErlangLossParams, InfiniteServerParams,
+                     QuadraticParams, make_erlang_a, make_erlang_loss,
+                     make_infinite_server, make_quadratic)
 from .solve import (TimeGrid, Trajectory, basis_parameter_prepass,
                     simulate_paths, solve_closure, solve_galerkin,
                     solve_reference)
@@ -117,23 +117,25 @@ class ExperimentConfig:
                     if k in lam and not _is_number(lam[k])]
         if bad:
             raise ConfigError(f"model {kind!r}: fields {bad} must be numbers")
+        if self.init.get("kind") not in ("point", "poisson"):
+            raise ConfigError("init kind must be 'point' or 'poisson'")
+        value = self.init.get("value")
+        if self.init["kind"] == "point":
+            if not (_is_number(value) and value == int(value) and value >= 0):
+                raise ConfigError(f"point init value {value!r} is not a "
+                                  "nonnegative integer")
+        elif not (_is_number(value) and value > 0):
+            raise ConfigError(f"poisson init value {value!r} is not a "
+                              "positive number")
         try:
             self.params()
             self.grid().substeps
             x_max = self.x_max()
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
-        if self.init.get("kind") not in ("point", "poisson"):
-            raise ConfigError("init kind must be 'point' or 'poisson'")
-        value = self.init.get("value")
-        if self.init["kind"] == "point":
-            if not (_is_number(value) and value == int(value)
-                    and 0 <= value <= x_max):
-                raise ConfigError(f"point init value {value!r} is not an "
-                                  f"integer in [0, X_max={x_max}]")
-        elif not (_is_number(value) and value > 0):
-            raise ConfigError(f"poisson init value {value!r} is not a "
-                              "positive number")
+        if self.init["kind"] == "point" and value > x_max:
+            raise ConfigError(f"point init value {value!r} is beyond "
+                              f"X_max={x_max}")
         mode = self.basis.get("mode", "auto")
         if mode not in ("auto", "fixed", "tuned"):
             raise ConfigError(f"unknown basis mode {mode!r}")
@@ -181,10 +183,11 @@ class ExperimentConfig:
         return self.model["kind"]
 
     def params(self):
+        """The model's frozen parameter record, one dataclass per kind."""
         m = self.model
         lam = _make_lambda(m["lambda"])
         if self.kind == "infinite_server":
-            return lam, float(m["mu"])
+            return InfiniteServerParams(lam=lam, mu=float(m["mu"]))
         if self.kind == "erlang_a":
             return ErlangAParams(lam=lam, mu=float(m["mu"]),
                                  beta=float(m["beta"]), c=int(m["c"]))
@@ -198,7 +201,7 @@ class ExperimentConfig:
     def build_model(self):
         p = self.params()
         if self.kind == "infinite_server":
-            return make_infinite_server(*p)
+            return make_infinite_server(p)
         if self.kind == "erlang_a":
             return make_erlang_a(p)
         if self.kind == "erlang_loss":
@@ -216,9 +219,24 @@ class ExperimentConfig:
             return int(1.4 * self.model["Qtilde"]) + 10
         if self.kind == "erlang_loss":
             return int(self.model["c"]) + int(self.model["k"]) + 1
-        base = self.model["lambda"].get("base", 10.0)
-        amp = abs(self.model["lambda"].get("amplitude", 0.0))
-        peak = (base + amp) / min(float(self.model.get("mu", 1.0)), 1.0)
+        m = self.model
+        lam_max = m["lambda"].get("base", 10.0) \
+            + abs(m["lambda"].get("amplitude", 0.0))
+        mu = float(m["mu"])
+        peak = lam_max / min(mu, 1.0)
+        if self.kind == "erlang_a":
+            # fluid level of the queue at the peak arrival rate, at least
+            # the initial state and at most what arrivals add by T
+            x0 = float(self.init["value"])
+            c, beta = m["c"], m["beta"]
+            if lam_max <= mu * c:
+                fluid = lam_max / mu
+            elif beta > 0:
+                fluid = c + (lam_max - mu * c) / beta
+            else:
+                fluid = math.inf
+            peak = max(peak, min(max(fluid, x0),
+                                 x0 + lam_max * (self.T - self.t0)))
         return int(peak + 12 * math.sqrt(peak) + 20)
 
     def initial_pmf(self, x_max: int) -> np.ndarray:
@@ -236,19 +254,11 @@ class ExperimentConfig:
         v = float(self.init["value"])
         if self.init["kind"] == "point":
             return MomentState(mean=v, variance=0.0)
-        return MomentState(mean=v, variance=v, cum3=v, cum4=v)
+        return MomentState(mean=v, variance=v)
 
     def closure_params(self):
-        p = self.params()
-        if self.kind == "infinite_server":
-            lam, mu = p
-
-            class _P:  # simple namespace for the closure rhs
-                pass
-            ns = _P()
-            ns.lam, ns.mu = lam, mu
-            return ns
-        return p
+        """Alias of `params`, kept for existing callers."""
+        return self.params()
 
 
 def rel_error(u, u_star, times, eps_div: float = 1e-8,
@@ -325,7 +335,7 @@ def galerkin_basis_parameter(cfg: ExperimentConfig, N: int | None = None,
     if mode == "tuned":
         return tune_basis_parameter(cfg, N if N is not None
                                     else max(cfg.orders), curve=curve)
-    return basis_parameter_prepass(cfg.kind, cfg.closure_params(),
+    return basis_parameter_prepass(cfg.kind, cfg.params(),
                                    cfg.initial_state(), cfg.grid())
 
 
@@ -342,7 +352,7 @@ def tune_basis_parameter(cfg: ExperimentConfig, N: int,
     """
     state = cfg.initial_state()
     grid = cfg.grid()
-    m_bar = basis_parameter_prepass(cfg.kind, cfg.closure_params(),
+    m_bar = basis_parameter_prepass(cfg.kind, cfg.params(),
                                     state, grid)
     coarse = TimeGrid(t0=cfg.t0, T=cfg.T, dt_out=5e-3, dt_int=5e-3)
     x_max = cfg.x_max()
@@ -445,7 +455,7 @@ def run_figures(cfg: ExperimentConfig) -> dict:
         c = int(cfg.model["c"])
         series["ref_delay"] = ref.pmf[:, c:].sum(axis=1)
     for order in ("zeroth", "first"):
-        traj = solve_closure(cfg.kind, cfg.closure_params(), order,
+        traj = solve_closure(cfg.kind, cfg.params(), order,
                              cfg.initial_state(), cfg.grid())
         series[f"{order}_mean"] = traj.mean
         series[f"{order}_variance"] = traj.variance

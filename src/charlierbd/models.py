@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "BirthDeathModel",
+    "InfiniteServerParams",
     "ErlangAParams",
     "ErlangLossParams",
     "QuadraticParams",
@@ -42,6 +43,18 @@ class BirthDeathModel:
     death: RateFn
     lam: Callable[[float], float]
     label: str = ""
+
+
+@dataclass(frozen=True)
+class InfiniteServerParams:
+    """Arrival rate lam(t) and per-customer service rate mu."""
+
+    lam: Callable[[float], float]
+    mu: float
+
+    def __post_init__(self):
+        if self.mu <= 0:
+            raise ValueError("service rate mu must be positive")
 
 
 @dataclass(frozen=True)
@@ -89,19 +102,16 @@ class QuadraticParams:
             raise ValueError("death coefficient beta must be positive")
 
 
-def make_infinite_server(lam: Callable[[float], float],
-                         mu: float) -> BirthDeathModel:
+def make_infinite_server(p: InfiniteServerParams) -> BirthDeathModel:
     """Infinite-server queue: birth lam(t), death mu*x."""
-    if mu <= 0:
-        raise ValueError("service rate mu must be positive")
 
     def birth(t, x):
-        return np.asarray(lam(t), dtype=float) + 0.0 * np.asarray(x, dtype=float)
+        return np.asarray(p.lam(t), dtype=float) + 0.0 * np.asarray(x, dtype=float)
 
     def death(t, x):
-        return mu * np.asarray(x, dtype=float)
+        return p.mu * np.asarray(x, dtype=float)
 
-    return BirthDeathModel(birth, death, lam, label="infinite_server")
+    return BirthDeathModel(birth, death, p.lam, label="infinite_server")
 
 
 def make_erlang_a(p: ErlangAParams) -> BirthDeathModel:

@@ -95,10 +95,6 @@ def seq_norm(q, spec: SobolevSpec) -> float:
     ( sum_{k<=m} a^{-k} sum_x ff(x,k) q(x)^2 omega(x) )^{1/2}, where omega
     is 1, w(x; a), or w(x; a)^{-1} according to the weight mode.
     """
-    from .basis import PmfVector
-
-    if isinstance(q, PmfVector):
-        q = q.p
     q = np.asarray(q, dtype=float)
     if spec.X_max is not None and q.size != spec.X_max + 1:
         raise ValueError(
@@ -132,10 +128,6 @@ def poisson_norm_closed_form(lam: float, a: float, m: int) -> float:
 
 def isometry_residual(p, a: float, m: int) -> float:
     """| ||w p||_{h^m(w^-1)} - ||p||_{h^m(w)} |; zero when p lies in h^m(w)."""
-    from .basis import PmfVector
-
-    if isinstance(p, PmfVector):
-        p = p.p
     p = np.asarray(p, dtype=float)
     xs = np.arange(p.size, dtype=float)
     w = np.exp(_log_weight(a, xs))
@@ -168,10 +160,8 @@ class WeakErrorReport:
 def weak_error_bound_check(f, p, basis, m: int) -> WeakErrorReport:
     """Measured weak error of the projection surrogate against the a priori
     rate (a/N)^{m/2} ||f||_{l2(w)} ||p||_{h^m(w^-1)}."""
-    from .basis import (PmfVector, project_density, weak_expectation)
+    from .basis import project_density, weak_expectation
 
-    if isinstance(p, PmfVector):
-        p = p.p
     p = np.asarray(p, dtype=float)
     if callable(f):
         fx = np.asarray([f(x) for x in range(basis.X_max + 1)], dtype=float)

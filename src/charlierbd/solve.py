@@ -9,16 +9,15 @@ bit-identical trajectories.
 from __future__ import annotations
 
 import logging
-import math
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import closure as _closure
-from .basis import CharlierBasis, CoeffVector, project_density
+from .basis import CharlierBasis, CoeffVector
+from .basis import project_density  # unused here; perfbench/tracer.py wraps it
 from .closure import MomentState, SurrogateParams, moment_match
 from .models import BirthDeathModel, affine_rates, generator_apply
 
@@ -107,18 +106,15 @@ def _rk4_step(rhs, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(rhs, y0, grid: TimeGrid, method: str = "rk4",
-              rtol: float = 1e-8, atol: float = 1e-10,
-              members: bool = False) -> Trajectory:
-    """Integrate y' = rhs(t, y) with dense output on grid.times.
+def integrate(rhs, y0, grid: TimeGrid, members: bool = False) -> Trajectory:
+    """Integrate y' = rhs(t, y) with fixed-step RK4 at dt_int, aligned with
+    the output grid.
 
-    y0 may have any shape; values has shape (n_times,) + y0.shape. rk4 is
-    fixed-step at dt_int, aligned with the output grid; rk45 uses
-    embedded error control with cubic-Hermite dense output. meta records
-    the right-hand-side evaluations (n_rhs) and, for rk4, the steps taken
-    (n_steps); solve_ivp does not report its step count.
+    y0 may have any shape; values has shape (n_times,) + y0.shape. meta
+    records the steps taken (n_steps) and the right-hand-side evaluations
+    (n_rhs).
 
-    A non-finite rk4 state raises IntegrationError, unless members is set:
+    A non-finite state raises IntegrationError, unless members is set:
     then the leading axis of y0 indexes independent systems, and a member
     that goes non-finite is held at zero and reads NaN in values from that
     output time on, leaving the other members untouched; the loop ends
@@ -126,47 +122,34 @@ def integrate(rhs, y0, grid: TimeGrid, method: str = "rk4",
     """
     y0 = np.asarray(y0, dtype=float)
     times = grid.times
-    if method == "rk4":
-        n_sub = grid.substeps
-        out = np.empty((times.size,) + y0.shape)
-        out[0] = y0
-        y = y0.copy()
-        h = grid.dt_int
-        dead = np.zeros(y0.shape[:1], dtype=bool)
-        n_out = times.size - 1
-        for i in range(times.size - 1):
-            t = times[i]
-            for j in range(n_sub):
-                y = _rk4_step(rhs, t + j * h, y, h)
-            if not np.all(np.isfinite(y)):
-                if not members:
-                    raise IntegrationError(
-                        f"non-finite state at t={times[i + 1]:.6g}")
-                dead |= ~np.isfinite(y.reshape(len(y), -1)).all(axis=1)
-                if dead.all():
-                    out[i + 1:] = np.nan
-                    n_out = i + 1
-                    break
-                y[dead] = 0.0
-            out[i + 1] = y
-            if members:
-                out[i + 1, dead] = np.nan
-        n_steps = n_out * n_sub
-        return Trajectory(times=times, values=out,
-                          meta={"method": "rk4", "dt_int": h,
-                                "n_steps": n_steps, "n_rhs": 4 * n_steps})
-    if method == "rk45":
-        shape = y0.shape
-        sol = solve_ivp(lambda t, y: np.ravel(rhs(t, y.reshape(shape))),
-                        (times[0], times[-1]), y0.ravel(), method="RK45",
-                        t_eval=times, rtol=rtol, atol=atol,
-                        dense_output=False)
-        if not sol.success:
-            raise IntegrationError(sol.message)
-        return Trajectory(times=times, values=sol.y.T.reshape((-1,) + shape),
-                          meta={"method": "rk45", "rtol": rtol, "atol": atol,
-                                "n_rhs": int(sol.nfev)})
-    raise ValueError(f"unknown integrator {method!r}")
+    n_sub = grid.substeps
+    out = np.empty((times.size,) + y0.shape)
+    out[0] = y0
+    y = y0.copy()
+    h = grid.dt_int
+    dead = np.zeros(y0.shape[:1], dtype=bool)
+    n_out = times.size - 1
+    for i in range(times.size - 1):
+        t = times[i]
+        for j in range(n_sub):
+            y = _rk4_step(rhs, t + j * h, y, h)
+        if not np.all(np.isfinite(y)):
+            if not members:
+                raise IntegrationError(
+                    f"non-finite state at t={times[i + 1]:.6g}")
+            dead |= ~np.isfinite(y.reshape(len(y), -1)).all(axis=1)
+            if dead.all():
+                out[i + 1:] = np.nan
+                n_out = i + 1
+                break
+            y[dead] = 0.0
+        out[i + 1] = y
+        if members:
+            out[i + 1, dead] = np.nan
+    n_steps = n_out * n_sub
+    return Trajectory(times=times, values=out,
+                      meta={"dt_int": h, "n_steps": n_steps,
+                            "n_rhs": 4 * n_steps})
 
 
 def _pmf_moments(P: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -187,19 +170,17 @@ def _raw_to_cumulants(m1, m2, m3, m4):
 
 
 def solve_reference(model: BirthDeathModel, X_max: int, p0,
-                    grid: TimeGrid, method: str = "rk4") -> Trajectory:
+                    grid: TimeGrid) -> Trajectory:
     """Truncated forward equations p' = A(t) p as numerical ground truth.
 
     A(t) is the generator of the rate vectors (lam(t) g, d) from
     `affine_rates`, so no rate callable runs inside the step loop. Emits
     the pmf and direct-sum cumulants at each output time; diagnoses mass
     conservation and the probability mass parked at the truncation
-    boundary (warning above 1e-8, error above 1e-6).
+    boundary (warning above 1e-8, error above 1e-6). meta["wall_s"] is
+    the wall time of the whole call.
     """
-    from .basis import PmfVector
-
-    if isinstance(p0, PmfVector):
-        p0 = p0.p
+    start = time.perf_counter()
     p0 = np.asarray(p0, dtype=float)
     if p0.size != X_max + 1:
         raise ValueError(f"initial pmf length {p0.size} != X_max+1")
@@ -210,10 +191,7 @@ def solve_reference(model: BirthDeathModel, X_max: int, p0,
     def rhs(t, p):
         return generator_apply(lam(t) * g, d, p)
 
-    start = time.perf_counter()
-    traj = integrate(rhs, p0, grid, method=method)
-    log.debug("reference: X_max %d, %s steps, %.3f s", X_max,
-              traj.meta.get("n_steps"), time.perf_counter() - start)
+    traj = integrate(rhs, p0, grid)
     P = traj.values
     mass_resid = float(np.max(np.abs(P.sum(axis=1) - p0.sum())))
     boundary = float(np.max(np.abs(P[:, -1])))
@@ -224,16 +202,18 @@ def solve_reference(model: BirthDeathModel, X_max: int, p0,
         warnings.warn(f"boundary mass {boundary:.3e} above 1e-8",
                       RuntimeWarning, stacklevel=2)
     m1, var, c3, c4 = _pmf_moments(P)
+    wall = time.perf_counter() - start
+    log.debug("reference: X_max %d, %d steps, %.3f s", X_max,
+              traj.meta["n_steps"], wall)
     return Trajectory(times=traj.times, pmf=P, mean=m1, variance=var,
                       cum3=c3, cum4=c4,
                       meta={"solver": "reference", "X_max": X_max,
                             "mass_residual": mass_resid,
-                            "boundary_mass": boundary,
+                            "boundary_mass": boundary, "wall_s": wall,
                             **traj.meta})
 
 
-def solve_galerkin(model: BirthDeathModel, basis, c0, grid: TimeGrid,
-                   method: str = "rk4"):
+def solve_galerkin(model: BirthDeathModel, basis, c0, grid: TimeGrid):
     """Order-N spectral solver for the coefficient system c' = c M(t).
 
     M_ji(t) = (A(t) C~_j, C_i) projects the generator acting on the
@@ -241,7 +221,7 @@ def solve_galerkin(model: BirthDeathModel, basis, c0, grid: TimeGrid,
     inner product. The generator is affine in the drive, so
     M(t) = M0 + lam(t) M1 with both matrices built once per solve
     (`galerkin_matrices`); meta["assembly_s"] is the time of that build,
-    rate evaluation included.
+    rate evaluation included, and meta["wall_s"] that of the whole call.
 
     basis is one CharlierBasis with c0 its coefficients, returning one
     Trajectory; or a sequence of bases on one X_max with a matching
@@ -251,6 +231,7 @@ def solve_galerkin(model: BirthDeathModel, basis, c0, grid: TimeGrid,
     with meta["failed"] set and NaN values from then on; a lone basis
     raises IntegrationError instead.
     """
+    start = time.perf_counter()
     single = isinstance(basis, CharlierBasis)
     bases = [basis] if single else list(basis)
     c0s = [c0] if single else list(c0)
@@ -269,20 +250,16 @@ def solve_galerkin(model: BirthDeathModel, basis, c0, grid: TimeGrid,
         Phi[k, :b.N + 1] = b.table
         y0[k, :b.N + 1] = c
     Cw = Phi * np.stack([b.weights for b in bases])[:, None, :]
-    start = time.perf_counter()
+    t_asm = time.perf_counter()
     M0, M1 = galerkin_matrices(*affine_rates(model, grid.times, x_max),
                                Phi, Cw)
-    assembly_s = time.perf_counter() - start
+    assembly_s = time.perf_counter() - t_asm
     lam = model.lam
 
     def rhs(t, c):
         return np.matmul(c[:, None, :], M0 + lam(t) * M1)[:, 0]
 
-    start = time.perf_counter()
-    traj = integrate(rhs, y0, grid, method=method, members=True)
-    log.debug("galerkin batch: %d member(s), orders %s, %s steps, %.3f s",
-              len(bases), [b.N for b in bases], traj.meta.get("n_steps"),
-              time.perf_counter() - start)
+    traj = integrate(rhs, y0, grid, members=True)
     xs = np.arange(x_max + 1, dtype=float)
     out = []
     for k, b in enumerate(bases):
@@ -305,6 +282,11 @@ def solve_galerkin(model: BirthDeathModel, basis, c0, grid: TimeGrid,
                                     "X_max": x_max, "c0_drift": drift,
                                     "failed": failed,
                                     "assembly_s": assembly_s, **traj.meta}))
+    wall = time.perf_counter() - start
+    for tr in out:
+        tr.meta["wall_s"] = wall
+    log.debug("galerkin batch: %d member(s), orders %s, %d steps, %.3f s",
+              len(bases), [b.N for b in bases], traj.meta["n_steps"], wall)
     return out[0] if single else out
 
 
@@ -393,24 +375,23 @@ def _closure_rhs(kind: str, params, order: str, flags: dict):
 
 
 def solve_closure(kind: str, params, order: str, init: MomentState,
-                  grid: TimeGrid, method: str = "rk4") -> Trajectory:
+                  grid: TimeGrid) -> Trajectory:
     """Explicit zeroth/first-order moment-closure trajectories.
 
     Zeroth order evolves the mean (variance reported as the surrogate's
     q); first order evolves (mean, variance). Queueing kinds also emit the
     delay probability per output time; the over-dispersion fallback
-    fraction is carried in meta.
+    fraction and the wall time of the whole call (wall_s) are carried in
+    meta.
     """
+    start = time.perf_counter()
     if order not in ("zeroth", "first"):
         raise ValueError(f"unknown closure order {order!r}")
     flags = {"evals": 0, "over_dispersed": 0}
     rhs = _closure_rhs(kind, params, order, flags)
     y0 = np.array([init.mean] if order == "zeroth"
                   else [init.mean, init.variance], dtype=float)
-    start = time.perf_counter()
-    traj = integrate(rhs, y0, grid, method=method)
-    log.debug("closure %s/%s: %s steps, %.3f s", kind, order,
-              traj.meta.get("n_steps"), time.perf_counter() - start)
+    traj = integrate(rhs, y0, grid)
     mean = traj.values[:, 0]
     var = traj.values[:, 1] if order == "first" else mean.copy()
     delay = None
@@ -422,9 +403,13 @@ def solve_closure(kind: str, params, order: str, init: MomentState,
                              v if order == "first" else None, order=order)
             delay[i] = _closure.delay_probability(s, c)
     frac = flags["over_dispersed"] / max(flags["evals"], 1)
+    wall = time.perf_counter() - start
+    log.debug("closure %s/%s: %d steps, %.3f s", kind, order,
+              traj.meta["n_steps"], wall)
     return Trajectory(times=traj.times, mean=mean, variance=var, delay=delay,
                       meta={"solver": "closure", "kind": kind, "order": order,
-                            "over_dispersed_fraction": frac, **traj.meta})
+                            "over_dispersed_fraction": frac, "wall_s": wall,
+                            **traj.meta})
 
 
 def basis_parameter_prepass(kind: str, params, init: MomentState,
@@ -453,7 +438,9 @@ def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
     violated at an accepted candidate. Rate callables must broadcast over
     array (t, x). Emits empirical cumulants with delete-a-group jackknife
     standard errors for the mean; deterministic for a fixed seed.
+    meta["wall_s"] is the wall time of the whole call.
     """
+    start = time.perf_counter()
     if n_paths < 2:
         raise ValueError("need at least two paths")
     rng = np.random.default_rng(seed)
@@ -468,6 +455,7 @@ def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
     out = np.empty((times.size, n_paths), dtype=np.int64)
     out[0] = xs
     offsets = np.linspace(0.0, 1.0, 5)
+    n_candidates = 0
 
     def total_rate(tq, xq):
         b = np.asarray(model.birth(tq, xq), dtype=float)
@@ -497,6 +485,7 @@ def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
             t_new = np.where(hit, ta + tau, ta + w)
             if np.any(hit):
                 idx = np.nonzero(hit)[0]
+                n_candidates += idx.size
                 tot, b = total_rate(t_new[idx], xa[idx])
                 Bh = B[idx]
                 if np.any(tot > Bh * (1 + 1e-12)):
@@ -518,10 +507,13 @@ def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
     c3 = (cent**3).mean(axis=1)
     c4 = (cent**4).mean(axis=1) - 3 * (cent**2).mean(axis=1) ** 2
     se = _jackknife_se_mean(vals, min(jackknife_groups, n_paths))
+    wall = time.perf_counter() - start
+    log.debug("simulate: %d paths, %d thinning candidates, %.3f s", n_paths,
+              n_candidates, wall)
     return Trajectory(times=times, mean=m1, variance=var, cum3=c3, cum4=c4,
                       se_mean=se,
                       meta={"solver": "simulate", "n_paths": n_paths,
-                            "seed": seed, "window": window})
+                            "seed": seed, "window": window, "wall_s": wall})
 
 
 def _jackknife_se_mean(vals: np.ndarray, g: int) -> np.ndarray:

@@ -3,19 +3,35 @@ import math
 import numpy as np
 import pytest
 
-from charlierbd.basis import (CharlierBasis, CoeffVector, PmfVector,
-                              charlier_normalized, charlier_table,
-                              charlier_unnormalized, project_density,
-                              reconstruct, truncation_error,
+from charlierbd.basis import (CharlierBasis, CoeffVector, charlier_table,
+                              project_density, reconstruct, truncation_error,
                               weak_expectation)
-from charlierbd.special import poisson_pmf, poisson_weight
+from charlierbd.special import poisson_pmf
 
 
-def unnorm_direct(n, a, x):
-    # plain recurrence, written out independently of the library loop
+# Scalar oracles for the tabulated recurrence, one value per call.
+
+def charlier_normalized(n, a, x):
+    """Normalized Poisson-Charlier polynomial value, orthonormal in l2(w):
+    the three-term recurrence seeded with 1 and (a - x)/sqrt(a)."""
+    prev = 1.0
     if n == 0:
-        return 1.0
-    prev, cur = 1.0, x - a
+        return prev
+    cur = (a - x) / math.sqrt(a)
+    for k in range(1, n):
+        prev, cur = cur, ((k + a - x) / math.sqrt(a * (k + 1))) * cur \
+            - math.sqrt(k / (k + 1)) * prev
+    return cur
+
+
+def charlier_unnormalized(n, a, x):
+    """Unnormalized Charlier polynomial with C_1 = x - a, from
+    C_{n+1} = (x - n - a) C_n - n a C_{n-1}; the normalized family is
+    (-1)^n C_n / sqrt(n! a^n)."""
+    prev = 1.0
+    if n == 0:
+        return prev
+    cur = x - a
     for k in range(1, n):
         prev, cur = cur, (x - k - a) * cur - k * a * prev
     return cur
@@ -31,7 +47,7 @@ class TestPolynomials:
         for a in (1.0, 4.0, 25.0):
             for x in (0, 3, 11):
                 for n in range(8):
-                    want = (-1) ** n * unnorm_direct(n, a, x) \
+                    want = (-1) ** n * charlier_unnormalized(n, a, x) \
                         / math.sqrt(math.factorial(n) * a**n)
                     assert charlier_normalized(n, a, x) == \
                         pytest.approx(want, rel=1e-10, abs=1e-10)
@@ -56,9 +72,9 @@ class TestPolynomials:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            charlier_normalized(2, 0.0, 1)
+            charlier_table(2, 0.0, 5)
         with pytest.raises(ValueError):
-            charlier_unnormalized(1, -2.0, 1)
+            CharlierBasis(a=-2.0, N=1, X_max=5)
 
 
 class TestOrthonormality:
@@ -148,17 +164,6 @@ class TestWeakExpectation:
         c = project_density(poisson_pmf(2.0, 40), basis)
         assert weak_expectation(lambda x: x * x, c) == \
             pytest.approx(2.0 + 4.0, rel=1e-10)
-
-
-class TestPmfVector:
-    def test_mass_and_bounds(self):
-        v = PmfVector(poisson_pmf(1.0, 25))
-        assert v.mass == pytest.approx(1.0)
-        assert v.x_max == 25
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            PmfVector(np.array([0.5, np.nan]))
 
 
 class TestTruncationError:

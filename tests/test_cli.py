@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -102,15 +103,41 @@ def test_debug_log_reports_galerkin_batches(cfg_path, tmp_path):
                                  "1 member(s), orders [1], 2000 steps")
 
 
-@pytest.mark.parametrize("patch", [
-    {"init": {"kind": "point", "value": 61}},
-    {"basis": {"mode": "fixed"}},
-    {"dt_out": 2.5e-3, "dt_int": 1e-3},
-    {"model": {"kind": "erlang_a", "lambda": {"base": 6.0},
-               "mu": "x", "beta": 0.5, "c": 4}},
+def test_default_x_max_holds_an_abandonment_backlog(tmp_path):
+    # lam_max = 12 exceeds mu c = 5 and beta = 0.01 drains the excess slowly
+    cfg = {"model": {"kind": "erlang_a",
+                     "lambda": {"base": 10.0, "amplitude": 2.0},
+                     "mu": 1.0, "beta": 0.01, "c": 5}, "T": 10.0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve-reference", str(path),
+                     "-o", str(tmp_path / "ref.csv")]) == 0
+    # exit 0 means boundary mass <= 1e-6; no warning means <= 1e-8
+    assert not [w for w in caught if "boundary mass" in str(w.message)]
+
+
+GALERKIN = ["solve-galerkin", "-N", "2"]
+
+
+@pytest.mark.parametrize("patch,args", [
+    ({"init": {"kind": "point", "value": 61}}, GALERKIN),
+    ({"basis": {"mode": "fixed"}}, GALERKIN),
+    ({"dt_out": 2.5e-3, "dt_int": 1e-3}, GALERKIN),
+    ({"model": {"kind": "erlang_a", "lambda": {"base": 6.0},
+                "mu": "x", "beta": 0.5, "c": 4}}, GALERKIN),
+    ({}, ["simulate", "--paths", "1"]),
+    ({}, ["simulate", "--paths", "-5"]),
+    ({}, ["simulate", "--dt-out", "0"]),
+    ({}, ["simulate", "--dt-out", "-1"]),
+    ({}, ["solve-galerkin", "-N", "400"]),
 ], ids=["point_init_beyond_X_max", "fixed_basis_without_a",
-        "dt_out_not_a_multiple", "non_numeric_model_field"])
-def test_bad_config_exits_2_without_traceback(cfg_path, tmp_path, patch):
+        "dt_out_not_a_multiple", "non_numeric_model_field", "one_path",
+        "negative_paths", "zero_dt_out", "negative_dt_out",
+        "order_beyond_X_max"])
+def test_bad_config_exits_2_without_traceback(cfg_path, tmp_path, patch,
+                                              args):
     cfg = json.loads(cfg_path.read_text())
     cfg.update(patch)
     bad = tmp_path / "bad.json"
@@ -119,8 +146,8 @@ def test_bad_config_exits_2_without_traceback(cfg_path, tmp_path, patch):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "charlierbd.cli", "solve-galerkin", str(bad),
-         "-N", "2", "-o", str(tmp_path / "g.csv")],
+        [sys.executable, "-m", "charlierbd.cli", args[0], str(bad),
+         *args[1:], "-o", str(tmp_path / "out.csv")],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

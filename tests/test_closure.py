@@ -3,17 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from charlierbd.closure import (MomentState, SurrogateParams,
-                                covariance_terms, cumulant_rhs,
-                                cumulant_rhs_display, delay_probability,
-                                expected_indicator_below, expected_min,
-                                expected_overflow,
+from charlierbd.closure import (SurrogateParams, covariance_terms,
+                                delay_probability, expected_indicator_below,
+                                expected_min, expected_overflow,
                                 expected_q_times_indicator_below,
                                 expected_q_times_min,
                                 expected_q_times_overflow, moment_match,
-                                moment_rhs, pmf_expectation, surrogate_moment,
-                                surrogate_pmf)
-from charlierbd.models import make_erlang_a, ErlangAParams
+                                surrogate_moment, surrogate_pmf)
 from charlierbd.special import adaptive_support_bound
 
 Q_GRID = [0.3, 1.0, 4.5, 20.0, 75.0]
@@ -131,80 +127,6 @@ class TestMomentMatch:
             moment_match(0.0)
         with pytest.raises(ValueError):
             moment_match(1.0, order="first")
-
-
-class TestForwardEquations:
-    def _model(self):
-        return make_erlang_a(ErlangAParams(
-            lam=lambda t: 4.0 + np.sin(t), mu=1.0, beta=0.4, c=3))
-
-    def test_moment_rhs_vs_generator_action(self):
-        # d/dt E[Q^m] must equal sum_x p(x) (Gen x^m)(x) for the exact pmf
-        from charlierbd.models import generator_apply
-        from charlierbd.special import poisson_pmf
-
-        model = self._model()
-        x_max = 60
-        p = poisson_pmf(3.5, x_max)
-        expect = pmf_expectation(p)
-        xs = np.arange(x_max + 1.0)
-        t = 0.7
-        b, d = model.birth(t, xs), model.death(t, xs)
-        for m in (1, 2, 3, 4):
-            dp = generator_apply(b, d, p)
-            want = float(xs**m @ dp)
-            assert moment_rhs(m, model, t, expect) == \
-                pytest.approx(want, rel=1e-9)
-
-    def test_cumulant_chain_rule_matches_display_through_c3(self):
-        from charlierbd.special import poisson_pmf
-
-        model = self._model()
-        p = poisson_pmf(2.8, 60)
-        xs = np.arange(61.0)
-        m1 = float(xs @ p)
-        m2 = float(xs**2 @ p)
-        m3 = float(xs**3 @ p)
-        state = MomentState(mean=m1, variance=m2 - m1**2,
-                            cum3=m3 - 3 * m2 * m1 + 2 * m1**3)
-        expect = pmf_expectation(p)
-        a = cumulant_rhs(state, model, 0.3, expect)
-        b = cumulant_rhs_display(state, model, 0.3, expect)
-        assert a.mean == pytest.approx(b.mean, rel=1e-10)
-        assert a.variance == pytest.approx(b.variance, rel=1e-10)
-        assert a.cum3 == pytest.approx(b.cum3, rel=1e-9)
-
-    def test_cumulant_rhs_vs_finite_difference(self):
-        # differentiate the exact cumulants along a reference solve
-        from charlierbd.models import generator_apply
-        from charlierbd.special import poisson_pmf
-
-        model = self._model()
-        x_max = 60
-        p = poisson_pmf(3.0, x_max)
-        t, h = 0.5, 1e-5
-
-        def cumulants(pv):
-            xs = np.arange(x_max + 1.0)
-            m1 = float(xs @ pv)
-            m2 = float(xs**2 @ pv)
-            m3 = float(xs**3 @ pv)
-            m4 = float(xs**4 @ pv)
-            var = m2 - m1**2
-            c3 = m3 - 3 * m2 * m1 + 2 * m1**3
-            c4 = m4 - 4 * m3 * m1 - 3 * m2**2 + 12 * m2 * m1**2 - 6 * m1**4
-            return np.array([m1, var, c3, c4])
-
-        xs = np.arange(x_max + 1)
-        dp = generator_apply(model.birth(t, xs), model.death(t, xs), p)
-        fd = (cumulants(p + h * dp) - cumulants(p - h * dp)) / (2 * h)
-        m1, var, c3, c4 = cumulants(p)
-        got = cumulant_rhs(MomentState(m1, var, c3, c4), model, t,
-                           pmf_expectation(p))
-        assert got.mean == pytest.approx(fd[0], rel=1e-7)
-        assert got.variance == pytest.approx(fd[1], rel=1e-7)
-        assert got.cum3 == pytest.approx(fd[2], rel=1e-6, abs=1e-8)
-        assert got.cum4 == pytest.approx(fd[3], rel=1e-5, abs=1e-7)
 
 
 class TestSurrogateParams:

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from charlierbd.harness import (ConfigError, ExperimentConfig, rel_error,
                                 run_figures, run_reference, run_table,
                                 tune_basis_parameter, write_series_csv,
                                 write_table_csv)
+from charlierbd.models import (make_erlang_a, make_erlang_loss,
+                               make_infinite_server, make_quadratic)
 
 
 def erlang_cfg(**kw):
@@ -50,8 +54,34 @@ class TestConfig:
             "lambda": {"samples": {"t": [0.0, 1.0, 2.0],
                                    "value": [3.0, 5.0, 3.0]}},
             "mu": 1.0}, T=2.0)
-        lam, mu = cfg.params()
-        assert lam(0.5) == pytest.approx(4.0)
+        assert cfg.params().lam(0.5) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("kind,fields,make", [
+        ("infinite_server", {"mu": 1.0}, make_infinite_server),
+        ("erlang_a", {"mu": 1.0, "beta": 0.5, "c": 4}, make_erlang_a),
+        ("erlang_loss", {"mu": 1.0, "beta": 0.5, "c": 4, "k": 2},
+         make_erlang_loss),
+        ("quadratic", {"Qtilde": 20, "beta": 1.0}, make_quadratic),
+    ])
+    def test_params_is_a_frozen_record(self, kind, fields, make):
+        cfg = ExperimentConfig(model={"kind": kind, "lambda": {"base": 0.5},
+                                      **fields}, T=1.0)
+        p = cfg.params()
+        assert dataclasses.is_dataclass(p) and p.lam(0.3) == 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.lam = None
+        assert make(p).label == cfg.build_model().label == kind
+
+    def test_default_x_max_sizes_the_abandonment_backlog(self):
+        def x_max(beta):
+            return ExperimentConfig(model={
+                "kind": "erlang_a", "mu": 1.0, "beta": beta, "c": 5,
+                "lambda": {"base": 10.0, "amplitude": 2.0}}, T=10.0).x_max()
+        # fluid level 5 + 7 / 0.01 = 705, capped at 0 + 12 * 10 by T
+        assert x_max(0.01) == int(120 + 12 * math.sqrt(120) + 20)
+        assert x_max(0.0) == x_max(0.01)
+        # beta >= mu: the fluid level is below lam_max / mu
+        assert x_max(1.0) == x_max(3.0) == 73
 
 
 class TestRelError:

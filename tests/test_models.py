@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from charlierbd.models import (BirthDeathModel, ErlangAParams,
-                               ErlangLossParams, QuadraticParams,
-                               affine_rates, generator_apply, make_erlang_a,
-                               make_erlang_loss, make_infinite_server,
-                               make_quadratic)
+                               ErlangLossParams, InfiniteServerParams,
+                               QuadraticParams, affine_rates, generator_apply,
+                               make_erlang_a, make_erlang_loss,
+                               make_infinite_server, make_quadratic)
 
 
 def lam_const(v):
@@ -14,7 +14,7 @@ def lam_const(v):
 
 class TestRateConstruction:
     def test_infinite_server_rates(self):
-        m = make_infinite_server(lam_const(5.0), 2.0)
+        m = make_infinite_server(InfiniteServerParams(lam_const(5.0), 2.0))
         assert m.birth(0.0, 7) == pytest.approx(5.0)
         assert m.death(0.0, 7) == pytest.approx(14.0)
         assert m.death(0.0, 0) == 0.0
@@ -57,6 +57,8 @@ class TestRateConstruction:
         assert np.allclose(bt, 2.0 + np.sin(ts))
 
     def test_parameter_validation(self):
+        with pytest.raises(ValueError):
+            InfiniteServerParams(lam=lam_const(1.0), mu=0.0)
         with pytest.raises(ValueError):
             ErlangAParams(lam=lam_const(1.0), mu=0.0, beta=0.1, c=1)
         with pytest.raises(ValueError):
@@ -114,7 +116,7 @@ class TestGeneratorApply:
             assert np.array_equal(out[i, j], generator_apply(b, d, P[i, j]))
 
     def test_point_mass_flow(self):
-        m = make_infinite_server(lam_const(2.0), 1.0)
+        m = make_infinite_server(InfiniteServerParams(lam_const(2.0), 1.0))
         p = np.zeros(6)
         p[3] = 1.0
         out = generator_apply(*rates_at(m, 0.0, 5), p)
@@ -130,7 +132,8 @@ class TestAffineRates:
         lam = lambda t: 2.0 + np.sin(t)
         x = np.arange(31.0)
         cases = [
-            (make_infinite_server(lam, 2.0), np.ones(31), 2.0 * x),
+            (make_infinite_server(InfiniteServerParams(lam, 2.0)),
+             np.ones(31), 2.0 * x),
             (make_erlang_loss(ErlangLossParams(lam=lam, mu=1.0, beta=0.5,
                                                c=2, k=3)),
              (x < 5).astype(float),
@@ -160,7 +163,7 @@ class TestAffineRates:
         assert calls == [base.birth, base.death]
 
     def test_zero_drive_gives_zero_g(self):
-        m = make_infinite_server(lam_const(0.0), 1.0)
+        m = make_infinite_server(InfiniteServerParams(lam_const(0.0), 1.0))
         g, d = affine_rates(m, self.TIMES, 10)
         assert np.array_equal(g, np.zeros(11))
         assert np.array_equal(d, np.arange(11.0))
