@@ -44,12 +44,8 @@ def _load_config(path) -> ExperimentConfig:
 
 
 def _write_traj_csv(traj, path, cols=("mean", "variance", "cum3", "cum4")):
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(cols) + "\n")
-        series = [getattr(traj, c) for c in cols]
-        for i, t in enumerate(traj.times):
-            fh.write("%.6e," % t)
-            fh.write(",".join("%.6e" % s[i] for s in series) + "\n")
+    harness.write_series_csv(
+        {"t": traj.times, **{c: getattr(traj, c) for c in cols}}, path)
 
 
 def cmd_solve_reference(args):
@@ -78,8 +74,7 @@ def cmd_solve_closure(args):
     cfg = _load_config(args.config)
     traj = solve_closure(cfg.kind, cfg.params(), args.order,
                          cfg.initial_state(), cfg.grid())
-    cols = ["mean", "variance"]
-    _write_traj_csv(traj, args.output, cols=cols)
+    _write_traj_csv(traj, args.output, cols=("mean", "variance"))
     log.info("%s-order closure run written to %s", args.order, args.output)
     return 0
 
@@ -93,11 +88,7 @@ def cmd_simulate(args):
     if args.paths is not None:
         cfg.n_paths = args.paths
     traj = harness.run_simulation(cfg, dt_out=args.dt_out)
-    with open(args.output, "w") as fh:
-        fh.write("t,mean,variance,se_mean\n")
-        for i, t in enumerate(traj.times):
-            fh.write("%.6e,%.6e,%.6e,%.6e\n" % (
-                t, traj.mean[i], traj.variance[i], traj.se_mean[i]))
+    _write_traj_csv(traj, args.output, cols=("mean", "variance", "se_mean"))
     log.info("%d simulated paths written to %s", cfg.n_paths, args.output)
     return 0
 
@@ -210,9 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once per process: every main() call parses with the same parser
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
+    parser = _PARSER
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -21,8 +21,8 @@ from . import __version__
 from .basis import CharlierBasis, project_density
 from .closure import MomentState
 from .models import (ErlangAParams, ErlangLossParams, InfiniteServerParams,
-                     QuadraticParams, make_erlang_a, make_erlang_loss,
-                     make_infinite_server, make_quadratic)
+                     QuadraticParams, SineDrive, TableDrive, make_erlang_a,
+                     make_erlang_loss, make_infinite_server, make_quadratic)
 from .solve import (TimeGrid, Trajectory, basis_parameter_prepass,
                     simulate_paths, solve_closure, solve_galerkin,
                     solve_reference)
@@ -49,24 +49,16 @@ class ConfigError(ValueError):
 
 
 def _make_lambda(spec):
-    """Arrival-rate function from a config fragment."""
+    """Arrival-rate drive from a config fragment."""
     if not isinstance(spec, dict):
         raise ConfigError("lambda spec must be an object")
     if "samples" in spec:
-        ts = np.asarray(spec["samples"]["t"], dtype=float)
-        vs = np.asarray(spec["samples"]["value"], dtype=float)
-        if ts.size != vs.size or ts.size < 2:
-            raise ConfigError("tabulated lambda needs matching t/value arrays")
-
-        def lam(t):
-            return np.interp(t, ts, vs)
-        return lam
-    base = float(spec.get("base", 0.0))
-    amp = float(spec.get("amplitude", 0.0))
-
-    def lam(t):
-        return base + amp * np.sin(t)
-    return lam
+        samples = spec["samples"]
+        if not isinstance(samples, dict):
+            raise ConfigError("lambda samples must be an object")
+        return TableDrive(samples.get("t"), samples.get("value"))
+    return SineDrive(float(spec.get("base", 0.0)),
+                     float(spec.get("amplitude", 0.0)))
 
 
 def _is_number(v) -> bool:
@@ -127,12 +119,20 @@ class ExperimentConfig:
         elif not (_is_number(value) and value > 0):
             raise ConfigError(f"poisson init value {value!r} is not a "
                               "positive number")
+        n = self.n_paths
+        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 2):
+            raise ConfigError(f"n_paths {n!r} is not an integer >= 2")
         try:
-            self.params()
+            drive = self.params().lam
             self.grid().substeps
             x_max = self.x_max()
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
+        lam_min = float(np.min(drive(self.grid().times)))
+        if lam_min < 0:
+            raise ConfigError(f"lambda reaches {lam_min:.6g} < 0 on the "
+                              "output grid; arrival rates must be "
+                              "nonnegative")
         if self.init["kind"] == "point" and value > x_max:
             raise ConfigError(f"point init value {value!r} is beyond "
                               f"X_max={x_max}")
@@ -220,8 +220,7 @@ class ExperimentConfig:
         if self.kind == "erlang_loss":
             return int(self.model["c"]) + int(self.model["k"]) + 1
         m = self.model
-        lam_max = m["lambda"].get("base", 10.0) \
-            + abs(m["lambda"].get("amplitude", 0.0))
+        lam_max = float(self.params().lam.sup(self.t0, self.T))
         mu = float(m["mu"])
         peak = lam_max / min(mu, 1.0)
         if self.kind == "erlang_a":

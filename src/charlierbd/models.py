@@ -2,9 +2,12 @@
 queueing/quadratic models, and truncated generator application.
 
 Every model has a birth rate lam(t) * g(x) and a death rate d(x): the
-drive lam carries all the time dependence. Rate callables take (t, x),
-broadcast over array arguments in either slot, and must be pure; models
-are immutable after construction and safe to share across threads.
+drive lam carries all the time dependence. The config drives, `SineDrive`
+and `TableDrive`, also give their exact maximum over an interval
+(`sup`), which the thinning simulator's rate bound needs. Rate callables
+take (t, x), broadcast over array arguments in either slot, and must be
+pure; models are immutable after construction and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "SineDrive",
+    "TableDrive",
     "BirthDeathModel",
     "InfiniteServerParams",
     "ErlangAParams",
@@ -29,6 +34,67 @@ __all__ = [
 ]
 
 RateFn = Callable[[float, np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
+class SineDrive:
+    """lam(t) = base + amp sin(t)."""
+
+    base: float
+    amp: float
+
+    def __call__(self, t):
+        return self.base + self.amp * np.sin(t)
+
+    def sup(self, a, b) -> np.ndarray:
+        """max of lam over [a, b], elementwise over arrays a <= b."""
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        ends = np.maximum(self(a), self(b))
+        if self.amp == 0:
+            return ends
+        # a crest base + |amp| sits at pi/2 (amp > 0) or 3pi/2 (amp < 0)
+        # modulo 2pi; take the first crest at or after a
+        phase = np.pi / 2 if self.amp > 0 else 1.5 * np.pi
+        crest = phase + 2 * np.pi * np.ceil((a - phase) / (2 * np.pi))
+        return np.where(crest <= b, self.base + abs(self.amp), ends)
+
+
+@dataclass(frozen=True)
+class TableDrive:
+    """lam(t) interpolated linearly in samples (t, v), held constant
+    beyond the first and last knot (np.interp semantics)."""
+
+    t: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self):
+        t = np.asarray(self.t, dtype=float)
+        v = np.asarray(self.v, dtype=float)
+        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
+            raise ValueError("tabulated lambda needs matching t/value arrays")
+        if np.any(np.diff(t) <= 0):
+            raise ValueError("tabulated lambda times must increase")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "v", v)
+
+    def __call__(self, t):
+        return np.interp(t, self.t, self.v)
+
+    def sup(self, a, b) -> np.ndarray:
+        """max of lam over [a, b], elementwise over arrays a <= b: the
+        larger end value or the largest knot value inside (a, b)."""
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                                   np.asarray(b, dtype=float))
+        ends = np.maximum(self(a), self(b))
+        lo = np.searchsorted(self.t, a, side="right").ravel()
+        hi = np.searchsorted(self.t, b, side="left").ravel()
+        # reduceat over the pairs (lo, hi) gives max(v[lo:hi]) at the even
+        # positions whenever lo < hi; the sentinel keeps hi = t.size valid
+        padded = np.append(self.v, -np.inf)
+        inner = np.maximum.reduceat(padded, np.stack([lo, hi], 1).ravel())
+        inner = np.where(lo < hi, inner[::2], -np.inf).reshape(ends.shape)
+        return np.maximum(ends, inner)
 
 
 @dataclass(frozen=True)

@@ -428,101 +428,122 @@ def basis_parameter_prepass(kind: str, params, init: MomentState,
 
 def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
                    grid: TimeGrid, x0: int = 0, x0_dist: str = "point",
-                   window: float = 0.05, bound_margin: float = 1.5,
                    jackknife_groups: int = 100) -> Trajectory:
-    """Exact-in-law paths by thinning a dominating homogeneous process.
+    """Exact-in-law paths by thinning a dominating process (Lewis and
+    Shedler, 1979).
 
-    Between jumps the state is fixed, so each path's total rate is a
-    function of t alone; it is bounded over a rolling window by a sampled
-    maximum times a safety margin, and the run aborts if the bound is ever
-    violated at an accepted candidate. Rate callables must broadcast over
-    array (t, x). Emits empirical cumulants with delete-a-group jackknife
-    standard errors for the mean; deterministic for a fixed seed.
-    meta["wall_s"] is the wall time of the whole call.
+    Between jumps a path's total rate lam(t) g(x) + d(x) moves only with
+    the drive, so on output interval [t_i, t_{i+1}] it is at most
+    B = lam_bar_i g(x) + d(x), with lam_bar_i = model.lam.sup(t_i, t_{i+1})
+    the drive's exact maximum there; a drive without `sup` raises
+    ValueError. Each path draws its next candidate from rate B and
+    accepts it as a birth or a death with probabilities lam(t) g(x) / B
+    and d(x) / B. Paths advance independently, each on its own interval;
+    g and d are kept per path (g from the birth rate at the drive's
+    largest-|lam| output time, as in `affine_rates`) and re-evaluated only
+    for paths that jumped. The contract is checked on the initial states
+    (ValueError), and a candidate whose rate exceeds its bound raises
+    RateBoundError. Emits the empirical mean and variance with
+    delete-a-group jackknife standard errors for the mean; deterministic
+    for a fixed seed. meta carries the thinning candidates
+    (n_candidates), the accepted births plus deaths (n_jumps) and the
+    wall time of the whole call (wall_s).
     """
     start = time.perf_counter()
     if n_paths < 2:
         raise ValueError("need at least two paths")
+    lam = model.lam
+    if not hasattr(lam, "sup"):
+        raise ValueError(f"model {model.label!r}: the drive has no sup(a, b) "
+                         "to bound the thinning rate")
     rng = np.random.default_rng(seed)
     times = grid.times
+    n_int = times.size - 1
+    lam_bar = np.broadcast_to(np.asarray(lam.sup(times[:-1], times[1:]),
+                                         dtype=float), (n_int,))
+    lam_t = np.broadcast_to(np.asarray(lam(times), dtype=float), times.shape)
+    t_star = times[np.argmax(np.abs(lam_t))]
+    lam_star = lam(t_star)
+
+    def rates(x):
+        b = np.broadcast_to(np.asarray(model.birth(t_star, x), dtype=float),
+                            x.shape)
+        d = np.broadcast_to(np.asarray(model.death(t_star, x), dtype=float),
+                            x.shape)
+        return (b / lam_star if lam_star != 0 else np.zeros(x.shape)), d
+
     if x0_dist == "point":
         xs = np.full(n_paths, x0, dtype=np.int64)
     elif x0_dist == "poisson":
         xs = rng.poisson(float(x0), size=n_paths).astype(np.int64)
     else:
         raise ValueError(f"unknown initial distribution {x0_dist!r}")
-    ts = np.full(n_paths, times[0])
+    # refuse a model that breaks the affine contract, as the solvers do
+    affine_rates(model, times, int(xs.max()))
     out = np.empty((times.size, n_paths), dtype=np.int64)
     out[0] = xs
-    offsets = np.linspace(0.0, 1.0, 5)
-    n_candidates = 0
+    # per live path: column in out, state, rates, clock, output interval
+    pid = np.arange(n_paths)
+    g, d = (np.array(r) for r in rates(xs))
+    ts = np.full(n_paths, times[0])
+    k = np.zeros(n_paths, dtype=np.intp)
+    n_candidates = n_jumps = 0
+    while pid.size:
+        B = lam_bar[k] * g + d
+        t_end = times[k + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_new = ts + rng.standard_exponential(pid.size) / B
+        hit = t_new <= t_end
+        h = np.nonzero(hit)[0]
+        if h.size:
+            n_candidates += h.size
+            Bh = B[h]
+            b = lam(t_new[h]) * g[h]
+            tot = b + d[h]
+            if np.any(tot > Bh * (1 + 1e-12)):
+                worst = float(np.max(tot - Bh))
+                raise RateBoundError(
+                    f"thinning rate exceeds its bound by {worst:.3e}: a rate "
+                    "is negative or the drive's sup under-reports its "
+                    "maximum")
+            u = rng.random(h.size) * Bh
+            step = np.where(u < b, 1, np.where(u < tot, -1, 0))
+            xs[h] = np.maximum(xs[h] + step, 0)
+            j = h[step != 0]
+            n_jumps += j.size
+            g[j], d[j] = rates(xs[j])
+            ts[h] = t_new[h]
+        # a path without a candidate before its interval end reaches it
+        m = np.nonzero(~hit)[0]
+        if m.size:
+            out[k[m] + 1, pid[m]] = xs[m]
+            ts[m] = t_end[m]
+            k[m] += 1
+            if np.any(k[m] == n_int):
+                live = k < n_int
+                pid, xs, g, d, ts, k = (a[live] for a in
+                                        (pid, xs, g, d, ts, k))
 
-    def total_rate(tq, xq):
-        b = np.asarray(model.birth(tq, xq), dtype=float)
-        d = np.asarray(model.death(tq, xq), dtype=float)
-        return np.broadcast_to(b + d, np.shape(xq)), \
-            np.broadcast_to(b, np.shape(xq))
-
-    for i in range(1, times.size):
-        t_end = times[i]
-        while True:
-            active = np.nonzero(ts < t_end)[0]
-            if active.size == 0:
-                break
-            ta = ts[active]
-            xa = xs[active]
-            w = np.minimum(window, t_end - ta)
-            B = np.zeros(active.size)
-            for o in offsets:
-                tot, _ = total_rate(ta + o * w, xa)
-                B = np.maximum(B, tot)
-            B *= bound_margin
-            safe_B = np.where(B > 0, B, 1.0)
-            tau = np.where(B > 0,
-                           rng.exponential(1.0, size=active.size) / safe_B,
-                           np.inf)
-            hit = tau <= w
-            t_new = np.where(hit, ta + tau, ta + w)
-            if np.any(hit):
-                idx = np.nonzero(hit)[0]
-                n_candidates += idx.size
-                tot, b = total_rate(t_new[idx], xa[idx])
-                Bh = B[idx]
-                if np.any(tot > Bh * (1 + 1e-12)):
-                    worst = float(np.max(tot - Bh))
-                    raise RateBoundError(
-                        f"thinning bound violated by {worst:.3e}; decrease "
-                        "window or increase bound_margin")
-                u = rng.random(idx.size) * Bh
-                step = np.where(u < b, 1, np.where(u < tot, -1, 0))
-                xa[idx] = np.maximum(xa[idx] + step, 0)
-            ts[active] = t_new
-            xs[active] = xa
-        out[i] = xs
-
-    vals = out.astype(float)
-    m1 = vals.mean(axis=1)
-    cent = vals - m1[:, None]
-    var = (cent**2).sum(axis=1) / (n_paths - 1)
-    c3 = (cent**3).mean(axis=1)
-    c4 = (cent**4).mean(axis=1) - 3 * (cent**2).mean(axis=1) ** 2
-    se = _jackknife_se_mean(vals, min(jackknife_groups, n_paths))
+    m1 = out.mean(axis=1)
+    var = out.var(axis=1, ddof=1)
+    se = _jackknife_se_mean(out, min(jackknife_groups, n_paths))
     wall = time.perf_counter() - start
     log.debug("simulate: %d paths, %d thinning candidates, %.3f s", n_paths,
               n_candidates, wall)
-    return Trajectory(times=times, mean=m1, variance=var, cum3=c3, cum4=c4,
-                      se_mean=se,
+    return Trajectory(times=times, mean=m1, variance=var, se_mean=se,
                       meta={"solver": "simulate", "n_paths": n_paths,
-                            "seed": seed, "window": window, "wall_s": wall})
+                            "seed": seed, "n_candidates": n_candidates,
+                            "n_jumps": n_jumps, "wall_s": wall})
 
 
 def _jackknife_se_mean(vals: np.ndarray, g: int) -> np.ndarray:
-    """Delete-a-group jackknife standard error of the per-time mean."""
-    n_times, n_paths = vals.shape
-    groups = np.array_split(np.arange(n_paths), g)
-    total = vals.sum(axis=1)
+    """Delete-a-group jackknife standard error of the per-time mean, with
+    the paths (columns of vals) split into g contiguous groups."""
+    n_paths = vals.shape[1]
+    sizes = np.array([len(c) for c in np.array_split(np.arange(n_paths), g)])
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    group_sums = np.add.reduceat(vals, starts, axis=1)
+    total = group_sums.sum(axis=1, keepdims=True)
+    reps = (total - group_sums) / (n_paths - sizes)
     est = total / n_paths
-    reps = np.empty((g, n_times))
-    for j, idx in enumerate(groups):
-        reps[j] = (total - vals[:, idx].sum(axis=1)) / (n_paths - idx.size)
-    return np.sqrt((g - 1) / g * ((reps - est) ** 2).sum(axis=0))
+    return np.sqrt((g - 1) / g * ((reps - est) ** 2).sum(axis=1))

@@ -118,6 +118,21 @@ def test_default_x_max_holds_an_abandonment_backlog(tmp_path):
     assert not [w for w in caught if "boundary mass" in str(w.message)]
 
 
+def test_default_x_max_holds_a_tabulated_drive(tmp_path):
+    # X_max is sized from the drive's maximum over the horizon, 200 here
+    cfg = {"model": {"kind": "infinite_server", "mu": 1.0,
+                     "lambda": {"samples": {"t": [0.0, 2.0],
+                                            "value": [200.0, 200.0]}}},
+           "T": 2.0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve-reference", str(path),
+                     "-o", str(tmp_path / "ref.csv")]) == 0
+    assert not [w for w in caught if "boundary mass" in str(w.message)]
+
+
 GALERKIN = ["solve-galerkin", "-N", "2"]
 
 
@@ -132,10 +147,16 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
     ({}, ["simulate", "--dt-out", "0"]),
     ({}, ["simulate", "--dt-out", "-1"]),
     ({}, ["solve-galerkin", "-N", "400"]),
+    ({"model": {"kind": "erlang_a", "lambda": {"base": 1.0, "amplitude": 3.0},
+                "mu": 1.0, "beta": 0.5, "c": 4}, "T": 5.0},
+     ["solve-reference"]),
+    ({"n_paths": 1}, ["simulate"]),
+    ({"n_paths": 2.5}, ["simulate"]),
 ], ids=["point_init_beyond_X_max", "fixed_basis_without_a",
         "dt_out_not_a_multiple", "non_numeric_model_field", "one_path",
         "negative_paths", "zero_dt_out", "negative_dt_out",
-        "order_beyond_X_max"])
+        "order_beyond_X_max", "negative_drive", "config_one_path",
+        "config_non_integer_paths"])
 def test_bad_config_exits_2_without_traceback(cfg_path, tmp_path, patch,
                                               args):
     cfg = json.loads(cfg_path.read_text())

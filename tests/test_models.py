@@ -3,13 +3,68 @@ import pytest
 
 from charlierbd.models import (BirthDeathModel, ErlangAParams,
                                ErlangLossParams, InfiniteServerParams,
-                               QuadraticParams, affine_rates, generator_apply,
-                               make_erlang_a, make_erlang_loss,
-                               make_infinite_server, make_quadratic)
+                               QuadraticParams, SineDrive, TableDrive,
+                               affine_rates, generator_apply, make_erlang_a,
+                               make_erlang_loss, make_infinite_server,
+                               make_quadratic)
 
 
 def lam_const(v):
-    return lambda t: v + 0.0 * np.asarray(t, dtype=float)
+    return SineDrive(v, 0.0)
+
+
+def check_sup(drive, a, b, attained):
+    """sup(a, b) bounds lam on 200 dense samples of [a, b] and equals it
+    at `attained`, a point of [a, b] where the maximum sits."""
+    dense = np.append(np.linspace(a, b, 200), attained)
+    top = float(np.max(drive(dense)))
+    sup = float(drive.sup(a, b))
+    assert sup >= top
+    assert sup == pytest.approx(float(drive(attained)), rel=1e-13)
+
+
+class TestDrives:
+    # intervals shorter than a period, longer than two periods, and a == b
+    @pytest.mark.parametrize("amp", [-3.0, 0.0, 2.0])
+    @pytest.mark.parametrize("a,b", [(0.3, 1.2), (2.0, 3.5), (4.0, 6.0),
+                                     (-1.0, 14.0), (0.7, 0.7)])
+    def test_sine_sup(self, amp, a, b):
+        drive = SineDrive(5.0, amp)
+        crest = np.pi / 2 if amp > 0 else 1.5 * np.pi
+        crests = crest + 2 * np.pi * np.arange(-2, 4)
+        inside = crests[(crests >= a) & (crests <= b)]
+        if amp == 0:
+            attained = a
+        elif inside.size:
+            attained = inside[0]
+        else:
+            attained = a if drive(a) >= drive(b) else b
+        check_sup(drive, a, b, attained)
+
+    @pytest.mark.parametrize("a,b,attained", [
+        (-2.0, 0.5, 0.5),     # before the first knot: constant 4
+        (5.5, 9.0, 5.5),      # after the last knot: constant 6
+        (0.5, 4.0, 2.0),      # across knots, the peak knot inside
+        (2.5, 4.5, 4.5),      # across a trough knot, the end wins
+        (3.0, 3.0, 3.0),      # a == b on a knot
+    ])
+    def test_table_sup(self, a, b, attained):
+        check_sup(TableDrive([1.0, 2.0, 3.0, 5.0], [4.0, 7.0, 2.0, 6.0]),
+                  a, b, attained)
+
+    def test_sup_is_elementwise(self):
+        a = np.array([0.0, 1.0, 2.5, 6.0])
+        b = np.array([0.5, 2.0, 8.0, 6.0])
+        for drive in (SineDrive(3.0, -1.5),
+                      TableDrive([1.0, 2.0, 3.0], [1.0, 4.0, 0.5])):
+            want = [float(drive.sup(ai, bi)) for ai, bi in zip(a, b)]
+            assert np.array_equal(drive.sup(a, b), want)
+
+    def test_table_validation(self):
+        with pytest.raises(ValueError):
+            TableDrive([0.0, 1.0], [1.0])
+        with pytest.raises(ValueError):
+            TableDrive([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
 
 
 class TestRateConstruction:

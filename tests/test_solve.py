@@ -8,17 +8,19 @@ from charlierbd.closure import MomentState
 from charlierbd.harness import _make_lambda
 from charlierbd.models import (BirthDeathModel, ErlangAParams,
                                ErlangLossParams, InfiniteServerParams,
-                               QuadraticParams, affine_rates, generator_apply,
-                               make_erlang_a, make_erlang_loss,
-                               make_infinite_server, make_quadratic)
-from charlierbd.solve import (IntegrationError, SolverError, TimeGrid,
-                              galerkin_matrices, integrate, simulate_paths,
-                              solve_closure, solve_galerkin, solve_reference)
+                               QuadraticParams, SineDrive, affine_rates,
+                               generator_apply, make_erlang_a,
+                               make_erlang_loss, make_infinite_server,
+                               make_quadratic)
+from charlierbd.solve import (IntegrationError, RateBoundError, SolverError,
+                              TimeGrid, galerkin_matrices, integrate,
+                              simulate_paths, solve_closure, solve_galerkin,
+                              solve_reference)
 from charlierbd.special import poisson_pmf
 
 
 def lam_const(v):
-    return lambda t: v + 0.0 * np.asarray(t, dtype=float)
+    return SineDrive(v, 0.0)
 
 
 def infinite_server(lam):
@@ -26,7 +28,7 @@ def infinite_server(lam):
 
 
 def small_erlang_a():
-    return make_erlang_a(ErlangAParams(lam=lambda t: 4.0 + np.sin(t),
+    return make_erlang_a(ErlangAParams(lam=SineDrive(4.0, 1.0),
                                        mu=1.0, beta=0.4, c=3))
 
 
@@ -428,7 +430,7 @@ class TestSimulate:
     def test_zero_rates_constant_paths(self):
         zero = lambda t, x: 0.0 * np.asarray(x, dtype=float)
         model = BirthDeathModel(birth=zero, death=zero,
-                                lam=lambda t: 0.0)
+                                lam=SineDrive(0.0, 0.0))
         g = TimeGrid(T=2.0, dt_out=0.5, dt_int=0.5)
         tr = simulate_paths(model, 50, 3, g, x0=4)
         assert np.all(tr.mean == 4.0)
@@ -457,6 +459,45 @@ class TestSimulate:
         paths, cands = lines[0][0].split(", ")
         assert paths == "simulate: 200 paths"
         assert int(cands.split()[0]) > 0
+
+    def test_time_varying_mean_matches_reference(self):
+        model = infinite_server(SineDrive(6.0, 3.0))
+        g = TimeGrid(T=5.0, dt_out=0.5, dt_int=0.5)
+        tr = simulate_paths(model, 20_000, 5, g, x0=2)
+        ref = solve_reference(model, 40, np.eye(41)[2],
+                              TimeGrid(T=5.0, dt_out=0.5, dt_int=1e-3))
+        z = np.abs(tr.mean[1:] - ref.mean[1:]) / tr.se_mean[1:]
+        assert np.max(z) < 4.0
+        # every candidate is a jump or a rejection, and most are jumps
+        assert 0.5 * tr.meta["n_candidates"] < tr.meta["n_jumps"] \
+            <= tr.meta["n_candidates"]
+        assert "window" not in tr.meta
+
+    def test_under_reporting_sup_is_caught(self):
+        class LowSup(SineDrive):
+            def sup(self, a, b):
+                return 0.5 * super().sup(a, b)
+
+        model = infinite_server(LowSup(6.0, 3.0))
+        with pytest.raises(RateBoundError, match="sup under-reports"):
+            simulate_paths(model, 50, 0, TimeGrid(T=1.0, dt_out=0.5,
+                                                  dt_int=0.5))
+
+    def test_drive_without_sup_is_refused(self):
+        model = infinite_server(lambda t: 6.0 + 0.0 * np.asarray(t))
+        with pytest.raises(ValueError, match="no sup"):
+            simulate_paths(model, 50, 0, TimeGrid(T=1.0, dt_out=0.5,
+                                                  dt_int=0.5))
+
+    def test_non_affine_model_is_refused(self):
+        lam = SineDrive(4.0, 1.0)
+        model = BirthDeathModel(
+            birth=lambda t, x: lam(t) + 0.0 * np.asarray(x, dtype=float),
+            death=lambda t, x: (1.0 + 0.2 * t) * np.asarray(x, dtype=float),
+            lam=lam)
+        with pytest.raises(ValueError, match="death rate depends on t"):
+            simulate_paths(model, 50, 0, TimeGrid(T=1.0, dt_out=0.5,
+                                                  dt_int=0.5), x0=3)
 
     def test_needs_two_paths(self):
         model = small_erlang_a()
