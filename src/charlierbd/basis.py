@@ -22,7 +22,6 @@ __all__ = [
     "project_density",
     "reconstruct",
     "weak_expectation",
-    "truncation_error",
 ]
 
 
@@ -129,14 +128,3 @@ def weak_expectation(f, coeffs: CoeffVector) -> float:
         if fx.shape != (basis.X_max + 1,):
             raise ValueError("function table does not match basis support")
     return float(fx @ reconstruct(coeffs))
-
-
-def truncation_error(p, basis: CharlierBasis, k: int = 0) -> float:
-    """h^k(w^{-1}) norm of the projection residual of p on the basis."""
-    from .sobolev import SobolevSpec, seq_norm
-
-    arr = np.asarray(p, dtype=float)
-    resid = reconstruct(project_density(arr, basis)) - arr
-    spec = SobolevSpec(m=k, a=basis.a, weight_mode="w_inverse",
-                       X_max=basis.X_max)
-    return seq_norm(resid, spec)

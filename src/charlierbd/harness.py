@@ -8,6 +8,7 @@ to the base + amplitude*sin(t) family plus tabulated samples.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -20,9 +21,7 @@ import numpy as np
 from . import __version__
 from .basis import CharlierBasis, project_density
 from .closure import MomentState
-from .models import (ErlangAParams, ErlangLossParams, InfiniteServerParams,
-                     QuadraticParams, SineDrive, TableDrive, make_erlang_a,
-                     make_erlang_loss, make_infinite_server, make_quadratic)
+from .models import KINDS, SineDrive, TableDrive, make_model
 from .solve import (TimeGrid, Trajectory, basis_parameter_prepass,
                     simulate_paths, solve_closure, solve_galerkin,
                     solve_reference)
@@ -41,7 +40,6 @@ __all__ = [
 log = logging.getLogger("charlierbd")
 
 SCHEMA_VERSION = 1
-_KINDS = ("infinite_server", "erlang_a", "erlang_loss", "quadratic")
 
 
 class ConfigError(ValueError):
@@ -66,12 +64,11 @@ def _is_number(v) -> bool:
             and math.isfinite(v))
 
 
-_MODEL_FIELDS = {
-    "infinite_server": {"lambda", "mu"},
-    "erlang_a": {"lambda", "mu", "beta", "c"},
-    "erlang_loss": {"lambda", "mu", "beta", "c", "k"},
-    "quadratic": {"lambda", "Qtilde", "beta"},
-}
+def _number_fields(kind: str) -> dict:
+    """{field: int or float} of a kind's params record, its drive `lam`
+    aside; the annotations are strings, as models.py postpones them."""
+    return {f.name: {"int": int, "float": float}[f.type]
+            for f in dataclasses.fields(KINDS[kind]) if f.name != "lam"}
 
 
 @dataclass
@@ -96,19 +93,23 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unsupported schema version {self.schema_version}")
         kind = self.model.get("kind")
-        if kind not in _KINDS:
+        if kind not in KINDS:
             raise ConfigError(f"unknown model kind {kind!r}")
-        missing = _MODEL_FIELDS[kind] - set(self.model)
+        fields = _number_fields(kind)
+        missing = ({"lambda"} | set(fields)) - set(self.model)
         if missing:
             raise ConfigError(f"model {kind!r} missing fields {sorted(missing)}")
-        bad = [k for k in sorted(_MODEL_FIELDS[kind] - {"lambda"})
-               if not _is_number(self.model[k])]
+        bad = [k for k in sorted(fields) if not _is_number(self.model[k])]
         lam = self.model["lambda"]
         if isinstance(lam, dict):
             bad += [f"lambda.{k}" for k in ("base", "amplitude")
                     if k in lam and not _is_number(lam[k])]
         if bad:
             raise ConfigError(f"model {kind!r}: fields {bad} must be numbers")
+        bad = [k for k in sorted(fields) if fields[k] is int
+               and self.model[k] != int(self.model[k])]
+        if bad:
+            raise ConfigError(f"model {kind!r}: fields {bad} must be integers")
         if self.init.get("kind") not in ("point", "poisson"):
             raise ConfigError("init kind must be 'point' or 'poisson'")
         value = self.init.get("value")
@@ -183,30 +184,14 @@ class ExperimentConfig:
         return self.model["kind"]
 
     def params(self):
-        """The model's frozen parameter record, one dataclass per kind."""
-        m = self.model
-        lam = _make_lambda(m["lambda"])
-        if self.kind == "infinite_server":
-            return InfiniteServerParams(lam=lam, mu=float(m["mu"]))
-        if self.kind == "erlang_a":
-            return ErlangAParams(lam=lam, mu=float(m["mu"]),
-                                 beta=float(m["beta"]), c=int(m["c"]))
-        if self.kind == "erlang_loss":
-            return ErlangLossParams(lam=lam, mu=float(m["mu"]),
-                                    beta=float(m["beta"]), c=int(m["c"]),
-                                    k=int(m["k"]))
-        return QuadraticParams(lam=lam, Qtilde=int(m["Qtilde"]),
-                               beta=float(m["beta"]))
+        """The model's frozen parameter record, `models.KINDS[kind]`."""
+        return KINDS[self.kind](
+            lam=_make_lambda(self.model["lambda"]),
+            **{k: t(self.model[k])
+               for k, t in _number_fields(self.kind).items()})
 
     def build_model(self):
-        p = self.params()
-        if self.kind == "infinite_server":
-            return make_infinite_server(p)
-        if self.kind == "erlang_a":
-            return make_erlang_a(p)
-        if self.kind == "erlang_loss":
-            return make_erlang_loss(p)
-        return make_quadratic(p, check_x_max=self.x_max())
+        return make_model(self.params())
 
     def grid(self) -> TimeGrid:
         return TimeGrid(t0=self.t0, T=self.T, dt_out=self.dt_out,
@@ -215,28 +200,7 @@ class ExperimentConfig:
     def x_max(self) -> int:
         if self.X_max is not None:
             return int(self.X_max)
-        if self.kind == "quadratic":
-            return int(1.4 * self.model["Qtilde"]) + 10
-        if self.kind == "erlang_loss":
-            return int(self.model["c"]) + int(self.model["k"]) + 1
-        m = self.model
-        lam_max = float(self.params().lam.sup(self.t0, self.T))
-        mu = float(m["mu"])
-        peak = lam_max / min(mu, 1.0)
-        if self.kind == "erlang_a":
-            # fluid level of the queue at the peak arrival rate, at least
-            # the initial state and at most what arrivals add by T
-            x0 = float(self.init["value"])
-            c, beta = m["c"], m["beta"]
-            if lam_max <= mu * c:
-                fluid = lam_max / mu
-            elif beta > 0:
-                fluid = c + (lam_max - mu * c) / beta
-            else:
-                fluid = math.inf
-            peak = max(peak, min(max(fluid, x0),
-                                 x0 + lam_max * (self.T - self.t0)))
-        return int(peak + 12 * math.sqrt(peak) + 20)
+        return self.params().x_max(self.t0, self.T, float(self.init["value"]))
 
     def initial_pmf(self, x_max: int) -> np.ndarray:
         from .special import poisson_pmf

@@ -1,8 +1,11 @@
 """Birth-death process definitions: the model record, the built-in
-queueing/quadratic models, and truncated generator application.
+model kinds, and truncated generator application.
 
 Every model has a birth rate lam(t) * g(x) and a death rate d(x): the
-drive lam carries all the time dependence. The config drives, `SineDrive`
+drive lam carries all the time dependence. Each built-in kind is one
+frozen params record in `KINDS`: its fields are the config's model
+fields, and it gives g, d and the default X_max. `make_model` turns a
+record into a `BirthDeathModel`. The config drives, `SineDrive`
 and `TableDrive`, also give their exact maximum over an interval
 (`sup`), which the thinning simulator's rate bound needs. Rate callables
 take (t, x), broadcast over array arguments in either slot, and must be
@@ -12,6 +15,7 @@ threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,10 +29,8 @@ __all__ = [
     "ErlangAParams",
     "ErlangLossParams",
     "QuadraticParams",
-    "make_infinite_server",
-    "make_erlang_a",
-    "make_erlang_loss",
-    "make_quadratic",
+    "KINDS",
+    "make_model",
     "affine_rates",
     "generator_apply",
 ]
@@ -111,10 +113,17 @@ class BirthDeathModel:
     label: str = ""
 
 
+def _tail_cover(peak: float) -> int:
+    """A queue's default X_max: peak level + 12 sqrt(peak) + 20."""
+    return int(peak + 12 * math.sqrt(peak) + 20)
+
+
 @dataclass(frozen=True)
 class InfiniteServerParams:
-    """Arrival rate lam(t) and per-customer service rate mu."""
+    """Infinite-server queue: arrivals lam(t), each customer served at
+    rate mu. g(x) = 1, d(x) = mu x."""
 
+    kind = "infinite_server"
     lam: Callable[[float], float]
     mu: float
 
@@ -122,41 +131,79 @@ class InfiniteServerParams:
         if self.mu <= 0:
             raise ValueError("service rate mu must be positive")
 
+    def g(self, x):
+        return np.ones(np.shape(x))
+
+    def d(self, x):
+        return self.mu * np.asarray(x, dtype=float)
+
+    def x_max(self, t0: float, T: float, x0: float) -> int:
+        """Default X_max of a run from level x0 over [t0, T]."""
+        return _tail_cover(float(self.lam.sup(t0, T)) / min(self.mu, 1.0))
+
 
 @dataclass(frozen=True)
-class ErlangAParams:
-    """Arrival rate lam(t), service rate mu, abandonment rate beta, c servers."""
+class ErlangAParams(InfiniteServerParams):
+    """Erlang-A queue: the infinite-server queue with only c servers and
+    abandonment at rate beta per waiting customer.
+    d(x) = mu (x ^ c) + beta (x - c)+."""
 
-    lam: Callable[[float], float]
-    mu: float
+    kind = "erlang_a"
     beta: float
     c: int
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("service rate mu must be positive")
+        super().__post_init__()
         if self.beta < 0:
             raise ValueError("abandonment rate beta must be nonnegative")
         if self.c < 1:
             raise ValueError("server count c must be at least 1")
 
+    def d(self, x):
+        x = np.asarray(x, dtype=float)
+        return self.mu * np.minimum(x, self.c) \
+            + self.beta * np.maximum(x - self.c, 0.0)
+
+    def x_max(self, t0: float, T: float, x0: float) -> int:
+        # fluid level of the queue at the peak arrival rate, at least the
+        # initial state and at most what arrivals add by T
+        lam_max = float(self.lam.sup(t0, T))
+        mu, beta, c = self.mu, self.beta, self.c
+        if lam_max <= mu * c:
+            fluid = lam_max / mu
+        elif beta > 0:
+            fluid = c + (lam_max - mu * c) / beta
+        else:
+            fluid = math.inf
+        return _tail_cover(max(lam_max / min(mu, 1.0),
+                               min(max(fluid, x0), x0 + lam_max * (T - t0))))
+
 
 @dataclass(frozen=True)
 class ErlangLossParams(ErlangAParams):
-    """Erlang-A parameters plus k waiting spaces (arrivals blocked at c+k)."""
+    """Erlang-A with k waiting spaces: arrivals are blocked at c + k, so
+    g(x) = 1{x < c + k}."""
 
-    k: int = 0
+    kind = "erlang_loss"
+    k: int
 
     def __post_init__(self):
         super().__post_init__()
         if self.k < 0:
             raise ValueError("waiting spaces k must be nonnegative")
 
+    def g(self, x):
+        return (np.asarray(x) < self.c + self.k).astype(float)
+
+    def x_max(self, t0: float, T: float, x0: float) -> int:
+        return self.c + self.k + 1
+
 
 @dataclass(frozen=True)
 class QuadraticParams:
-    """Logistic quadratic model: birth lam(t) x (Qtilde - x)+, death beta x."""
+    """Logistic quadratic model: g(x) = x (Qtilde - x)+, d(x) = beta x."""
 
+    kind = "quadratic"
     lam: Callable[[float], float]
     Qtilde: int
     beta: float
@@ -167,72 +214,26 @@ class QuadraticParams:
         if self.beta <= 0:
             raise ValueError("death coefficient beta must be positive")
 
+    def g(self, x):
+        x = np.asarray(x, dtype=float)
+        return x * np.maximum(self.Qtilde - x, 0.0)
 
-def make_infinite_server(p: InfiniteServerParams) -> BirthDeathModel:
-    """Infinite-server queue: birth lam(t), death mu*x."""
+    def d(self, x):
+        return self.beta * np.asarray(x, dtype=float)
 
-    def birth(t, x):
-        return np.asarray(p.lam(t), dtype=float) + 0.0 * np.asarray(x, dtype=float)
-
-    def death(t, x):
-        return p.mu * np.asarray(x, dtype=float)
-
-    return BirthDeathModel(birth, death, p.lam, label="infinite_server")
+    def x_max(self, t0: float, T: float, x0: float) -> int:
+        return int(1.4 * self.Qtilde) + 10
 
 
-def make_erlang_a(p: ErlangAParams) -> BirthDeathModel:
-    """Erlang-A queue: birth lam(t), death mu*(x ^ c) + beta*(x - c)+."""
-
-    def birth(t, x):
-        return np.asarray(p.lam(t), dtype=float) + 0.0 * np.asarray(x, dtype=float)
-
-    def death(t, x):
-        xa = np.asarray(x, dtype=float)
-        return p.mu * np.minimum(xa, p.c) + p.beta * np.maximum(xa - p.c, 0.0)
-
-    return BirthDeathModel(birth, death, p.lam, label="erlang_a")
+KINDS = {p.kind: p for p in (InfiniteServerParams, ErlangAParams,
+                             ErlangLossParams, QuadraticParams)}
 
 
-def make_erlang_loss(p: ErlangLossParams) -> BirthDeathModel:
-    """Erlang loss queue: Erlang-A with arrivals blocked once x >= c + k."""
-    cap = p.c + p.k
-
-    def birth(t, x):
-        xa = np.asarray(x, dtype=float)
-        lam_t = np.asarray(p.lam(t), dtype=float)
-        return np.where(xa < cap, lam_t + 0.0 * xa, 0.0)
-
-    def death(t, x):
-        xa = np.asarray(x, dtype=float)
-        return p.mu * np.minimum(xa, p.c) + p.beta * np.maximum(xa - p.c, 0.0)
-
-    return BirthDeathModel(birth, death, p.lam, label="erlang_loss")
-
-
-def make_quadratic(p: QuadraticParams,
-                   check_x_max: int | None = None) -> BirthDeathModel:
-    """Logistic quadratic model; birth clamped to zero above the ceiling.
-
-    Nonnegativity of both rates on the working range is verified at
-    construction (automatic for the clamped logistic form unless lam(0) is
-    negative).
-    """
-
-    def birth(t, x):
-        xa = np.asarray(x, dtype=float)
-        return np.asarray(p.lam(t), dtype=float) * xa \
-            * np.maximum(p.Qtilde - xa, 0.0)
-
-    def death(t, x):
-        return p.beta * np.asarray(x, dtype=float)
-
-    x_hi = check_x_max if check_x_max is not None else 2 * p.Qtilde
-    xs = np.arange(x_hi + 1)
-    if np.any(np.asarray(birth(0.0, xs)) < 0) or \
-            np.any(np.asarray(death(0.0, xs)) < 0):
-        raise ValueError("quadratic model has a negative rate on the "
-                         f"working range {{0..{x_hi}}}")
-    return BirthDeathModel(birth, death, p.lam, label="quadratic")
+def make_model(p) -> BirthDeathModel:
+    """The model of a params record: birth lam(t) g(x), death d(x)."""
+    return BirthDeathModel(
+        birth=lambda t, x: np.asarray(p.lam(t), dtype=float) * p.g(x),
+        death=lambda t, x: p.d(x), lam=p.lam, label=p.kind)
 
 
 def affine_rates(model: BirthDeathModel, times,
@@ -243,12 +244,16 @@ def affine_rates(model: BirthDeathModel, times,
     lam vanishes there), so a drive that is zero at some times never
     divides. g[X_max] = 0: the truncated process has no births out of
     X_max. Each rate callable runs once, broadcasting over (t, x); the
-    contract is checked at times[0] and times[-1], and a model whose rates
-    break it raises ValueError.
+    contract is checked at times[0] and times[-1]. A model whose rates
+    break it, or that has a negative rate (lam below zero on `times`, or
+    a negative entry of g or d), raises ValueError.
     """
     times = np.asarray(times, dtype=float)
     lam = np.broadcast_to(np.asarray(model.lam(times), dtype=float),
                           times.shape)
+    if np.any(lam < 0):
+        raise ValueError(f"model {model.label!r}: lam reaches "
+                         f"{lam.min():.6g} < 0; rates must be nonnegative")
     ts = np.array([times[np.argmax(np.abs(lam))], times[0],
                    times[-1]])[:, None]
     xs = np.arange(X_max + 1)
@@ -271,6 +276,9 @@ def affine_rates(model: BirthDeathModel, times,
                          "lam(t) * g(x)")
     if not close(D[1], D[0]):
         raise ValueError(f"model {model.label!r}: death rate depends on t")
+    if np.any(g < 0) or np.any(d < 0):
+        raise ValueError(f"model {model.label!r}: negative rate on "
+                         f"{{0..{X_max}}}; rates must be nonnegative")
     g[-1] = 0.0
     return g, d
 

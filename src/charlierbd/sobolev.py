@@ -1,5 +1,5 @@
 """Weighted discrete Sobolev sequence norms, the weight-map isometry, and
-numerical verification helpers for the approximation and weak-error rates.
+a numerical check of the weak-error rate.
 
 Inverse-weighted sums grow super-exponentially in the weight, so `seq_norm`
 monitors the summand at the truncation boundary and rejects inputs whose
@@ -22,7 +22,6 @@ __all__ = [
     "seq_norm",
     "poisson_norm_closed_form",
     "isometry_residual",
-    "estimate_bound_rhs",
     "WeakErrorReport",
     "weak_error_bound_check",
 ]
@@ -134,20 +133,6 @@ def isometry_residual(p, a: float, m: int) -> float:
     lhs = seq_norm(w * p, SobolevSpec(m=m, a=a, weight_mode="w_inverse"))
     rhs = seq_norm(p, SobolevSpec(m=m, a=a, weight_mode="w"))
     return abs(lhs - rhs)
-
-
-def estimate_bound_rhs(N: int, m: int, k: int, a: float,
-                       norm_m: float) -> float:
-    """Approximation-rate predictor (a/N)^{m/2} max(1, N/a)^{k/2} norm_m.
-
-    The unknown constant of the rate estimate is set to 1; callers fit it
-    empirically per experiment.
-    """
-    if k > m:
-        raise ValueError(f"k={k} must not exceed m={m}")
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    return (a / N) ** (m / 2) * max(1.0, N / a) ** (k / 2) * norm_m
 
 
 @dataclass

@@ -438,14 +438,13 @@ def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
     the drive's exact maximum there; a drive without `sup` raises
     ValueError. Each path draws its next candidate from rate B and
     accepts it as a birth or a death with probabilities lam(t) g(x) / B
-    and d(x) / B. Paths advance independently, each on its own interval;
-    g and d are kept per path (g from the birth rate at the drive's
-    largest-|lam| output time, as in `affine_rates`) and re-evaluated only
-    for paths that jumped. The contract is checked on the initial states
-    (ValueError), and a candidate whose rate exceeds its bound raises
-    RateBoundError. Emits the empirical mean and variance with
-    delete-a-group jackknife standard errors for the mean; deterministic
-    for a fixed seed. meta carries the thinning candidates
+    and d(x) / B. Paths advance independently, each on its own interval,
+    and read g and d from `affine_rates` tables on {0..top} (ValueError
+    for a model it refuses); as g[top] is truncated to 0, the tables
+    double whenever a path reaches top. A candidate whose rate exceeds
+    its bound raises RateBoundError. Emits the empirical mean and
+    variance with delete-a-group jackknife standard errors for the mean;
+    deterministic for a fixed seed. meta carries the thinning candidates
     (n_candidates), the accepted births plus deaths (n_jumps) and the
     wall time of the whole call (wall_s).
     """
@@ -461,35 +460,24 @@ def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
     n_int = times.size - 1
     lam_bar = np.broadcast_to(np.asarray(lam.sup(times[:-1], times[1:]),
                                          dtype=float), (n_int,))
-    lam_t = np.broadcast_to(np.asarray(lam(times), dtype=float), times.shape)
-    t_star = times[np.argmax(np.abs(lam_t))]
-    lam_star = lam(t_star)
-
-    def rates(x):
-        b = np.broadcast_to(np.asarray(model.birth(t_star, x), dtype=float),
-                            x.shape)
-        d = np.broadcast_to(np.asarray(model.death(t_star, x), dtype=float),
-                            x.shape)
-        return (b / lam_star if lam_star != 0 else np.zeros(x.shape)), d
-
     if x0_dist == "point":
         xs = np.full(n_paths, x0, dtype=np.int64)
     elif x0_dist == "poisson":
         xs = rng.poisson(float(x0), size=n_paths).astype(np.int64)
     else:
         raise ValueError(f"unknown initial distribution {x0_dist!r}")
-    # refuse a model that breaks the affine contract, as the solvers do
-    affine_rates(model, times, int(xs.max()))
+    top = 2 * int(xs.max()) + 2
+    g, d = affine_rates(model, times, top)
     out = np.empty((times.size, n_paths), dtype=np.int64)
     out[0] = xs
-    # per live path: column in out, state, rates, clock, output interval
+    # per live path: column in out, state, clock, output interval
     pid = np.arange(n_paths)
-    g, d = (np.array(r) for r in rates(xs))
     ts = np.full(n_paths, times[0])
     k = np.zeros(n_paths, dtype=np.intp)
     n_candidates = n_jumps = 0
     while pid.size:
-        B = lam_bar[k] * g + d
+        gx, dx = g[xs], d[xs]
+        B = lam_bar[k] * gx + dx
         t_end = times[k + 1]
         with np.errstate(divide="ignore", invalid="ignore"):
             t_new = ts + rng.standard_exponential(pid.size) / B
@@ -498,8 +486,8 @@ def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
         if h.size:
             n_candidates += h.size
             Bh = B[h]
-            b = lam(t_new[h]) * g[h]
-            tot = b + d[h]
+            b = lam(t_new[h]) * gx[h]
+            tot = b + dx[h]
             if np.any(tot > Bh * (1 + 1e-12)):
                 worst = float(np.max(tot - Bh))
                 raise RateBoundError(
@@ -509,9 +497,10 @@ def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
             u = rng.random(h.size) * Bh
             step = np.where(u < b, 1, np.where(u < tot, -1, 0))
             xs[h] = np.maximum(xs[h] + step, 0)
-            j = h[step != 0]
-            n_jumps += j.size
-            g[j], d[j] = rates(xs[j])
+            n_jumps += np.count_nonzero(step)
+            if xs[h].max() == top:
+                top *= 2
+                g, d = affine_rates(model, times, top)
             ts[h] = t_new[h]
         # a path without a candidate before its interval end reaches it
         m = np.nonzero(~hit)[0]
@@ -521,8 +510,7 @@ def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
             k[m] += 1
             if np.any(k[m] == n_int):
                 live = k < n_int
-                pid, xs, g, d, ts, k = (a[live] for a in
-                                        (pid, xs, g, d, ts, k))
+                pid, xs, ts, k = (a[live] for a in (pid, xs, ts, k))
 
     m1 = out.mean(axis=1)
     var = out.var(axis=1, ddof=1)

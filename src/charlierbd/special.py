@@ -1,6 +1,6 @@
 """Special functions: Poisson weight and tails, Stirling numbers, Touchard
-polynomials, falling factorials, and the Chen-Stein / central-moment
-identities of the Poisson distribution.
+polynomials, falling factorials, and the Chen-Stein identity of the
+Poisson distribution.
 
 All scalar routines are pure functions; sums are truncated adaptively so
 that the neglected tail is below 1e-15 of the total and accumulated with
@@ -25,7 +25,6 @@ __all__ = [
     "falling_factorial",
     "falling_factorial_vec",
     "chen_stein_gap",
-    "poisson_central_moment",
     "adaptive_support_bound",
 ]
 
@@ -160,20 +159,3 @@ def chen_stein_gap(f, q: float, x_max: int | None = None) -> float:
     lhs = math.fsum(x * f(x) * w[x] for x in range(x_max + 1))
     rhs = q * math.fsum(f(x + 1) * w[x] for x in range(x_max + 1))
     return lhs - rhs
-
-
-def poisson_central_moment(m: int, q: float) -> float:
-    """m-th central moment E[(Q-q)^m] of Poisson(q).
-
-    Recursion E[(Q-q)^{m+1}] = q * sum_{j=0}^{m-1} C(m, j) E[(Q-q)^j],
-    seeded with E[(Q-q)^0] = 1 and E[(Q-q)^1] = 0.
-    """
-    if m < 0:
-        raise ValueError("central moment order must be nonnegative")
-    if q < 0:
-        raise ValueError(f"Poisson rate must be nonnegative, got q={q}")
-    mu = [1.0, 0.0]
-    for n in range(1, m):
-        nxt = q * math.fsum(math.comb(n, j) * mu[j] for j in range(n))
-        mu.append(nxt)
-    return mu[m]

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from charlierbd.basis import (CharlierBasis, CoeffVector, charlier_table,
-                              project_density, reconstruct, truncation_error,
-                              weak_expectation)
+                              project_density, reconstruct, weak_expectation)
 from charlierbd.special import poisson_pmf
 
 
@@ -164,12 +163,3 @@ class TestWeakExpectation:
         c = project_density(poisson_pmf(2.0, 40), basis)
         assert weak_expectation(lambda x: x * x, c) == \
             pytest.approx(2.0 + 4.0, rel=1e-10)
-
-
-class TestTruncationError:
-    def test_decreases_with_order(self):
-        x_max = 70
-        src = poisson_pmf(2.4, x_max)
-        errs = [truncation_error(src, CharlierBasis(a=2.0, N=N, X_max=x_max))
-                for N in (1, 4, 10)]
-        assert errs[2] < errs[1] < errs[0]

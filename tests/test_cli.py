@@ -152,11 +152,19 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
      ["solve-reference"]),
     ({"n_paths": 1}, ["simulate"]),
     ({"n_paths": 2.5}, ["simulate"]),
+    ({"model": {"kind": "erlang_a", "lambda": {"base": 6.0},
+                "mu": 1.0, "beta": 0.5, "c": 4.7}}, ["solve-reference"]),
+    ({"model": {"kind": "erlang_loss", "lambda": {"base": 6.0},
+                "mu": 1.0, "beta": 0.5, "c": 4, "k": 2.9}},
+     ["solve-reference"]),
+    ({"model": {"kind": "quadratic", "lambda": {"base": 0.1},
+                "Qtilde": 20.5, "beta": 1.0}}, ["solve-reference"]),
 ], ids=["point_init_beyond_X_max", "fixed_basis_without_a",
         "dt_out_not_a_multiple", "non_numeric_model_field", "one_path",
         "negative_paths", "zero_dt_out", "negative_dt_out",
         "order_beyond_X_max", "negative_drive", "config_one_path",
-        "config_non_integer_paths"])
+        "config_non_integer_paths", "non_integer_servers",
+        "non_integer_waiting_spaces", "non_integer_carrying_capacity"])
 def test_bad_config_exits_2_without_traceback(cfg_path, tmp_path, patch,
                                               args):
     cfg = json.loads(cfg_path.read_text())

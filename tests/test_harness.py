@@ -9,8 +9,7 @@ from charlierbd.harness import (ConfigError, ExperimentConfig, rel_error,
                                 run_figures, run_reference, run_table,
                                 tune_basis_parameter, write_series_csv,
                                 write_table_csv)
-from charlierbd.models import (make_erlang_a, make_erlang_loss,
-                               make_infinite_server, make_quadratic)
+from charlierbd.models import KINDS, affine_rates, make_model
 
 
 def erlang_cfg(**kw):
@@ -56,21 +55,25 @@ class TestConfig:
             "mu": 1.0}, T=2.0)
         assert cfg.params().lam(0.5) == pytest.approx(4.0)
 
-    @pytest.mark.parametrize("kind,fields,make", [
-        ("infinite_server", {"mu": 1.0}, make_infinite_server),
-        ("erlang_a", {"mu": 1.0, "beta": 0.5, "c": 4}, make_erlang_a),
-        ("erlang_loss", {"mu": 1.0, "beta": 0.5, "c": 4, "k": 2},
-         make_erlang_loss),
-        ("quadratic", {"Qtilde": 20, "beta": 1.0}, make_quadratic),
-    ])
-    def test_params_is_a_frozen_record(self, kind, fields, make):
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_params_is_a_frozen_record(self, kind):
+        fields = {"mu": 1.0, "beta": 0.5, "c": 4, "k": 2, "Qtilde": 20}
+        names = [f.name for f in dataclasses.fields(KINDS[kind])]
         cfg = ExperimentConfig(model={"kind": kind, "lambda": {"base": 0.5},
-                                      **fields}, T=1.0)
+                                      **{n: fields[n] for n in names[1:]}},
+                               T=1.0)
         p = cfg.params()
-        assert dataclasses.is_dataclass(p) and p.lam(0.3) == 0.5
+        assert type(p) is KINDS[kind] and p.kind == kind
+        assert names[0] == "lam" and p.lam(0.3) == 0.5
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.lam = None
-        assert make(p).label == cfg.build_model().label == kind
+        assert make_model(p).label == cfg.build_model().label == kind
+        # the model's rates come back as the record's g and d
+        xs = np.arange(31)
+        g, d = affine_rates(make_model(p), cfg.grid().times, 30)
+        g_want = p.g(xs)
+        g_want[-1] = 0.0
+        assert np.array_equal(g, g_want) and np.array_equal(d, p.d(xs))
 
     def test_default_x_max_sizes_the_abandonment_backlog(self):
         def x_max(beta):

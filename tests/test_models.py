@@ -4,9 +4,7 @@ import pytest
 from charlierbd.models import (BirthDeathModel, ErlangAParams,
                                ErlangLossParams, InfiniteServerParams,
                                QuadraticParams, SineDrive, TableDrive,
-                               affine_rates, generator_apply, make_erlang_a,
-                               make_erlang_loss, make_infinite_server,
-                               make_quadratic)
+                               affine_rates, generator_apply, make_model)
 
 
 def lam_const(v):
@@ -69,14 +67,14 @@ class TestDrives:
 
 class TestRateConstruction:
     def test_infinite_server_rates(self):
-        m = make_infinite_server(InfiniteServerParams(lam_const(5.0), 2.0))
+        m = make_model(InfiniteServerParams(lam_const(5.0), 2.0))
         assert m.birth(0.0, 7) == pytest.approx(5.0)
         assert m.death(0.0, 7) == pytest.approx(14.0)
         assert m.death(0.0, 0) == 0.0
 
     def test_erlang_a_rates(self):
         p = ErlangAParams(lam=lam_const(10.0), mu=1.0, beta=0.5, c=4)
-        m = make_erlang_a(p)
+        m = make_model(p)
         # death = mu (x ^ c) + beta (x - c)^+
         assert m.death(0.0, 2) == pytest.approx(2.0)
         assert m.death(0.0, 4) == pytest.approx(4.0)
@@ -85,7 +83,7 @@ class TestRateConstruction:
 
     def test_erlang_loss_blocks_births(self):
         p = ErlangLossParams(lam=lam_const(3.0), mu=1.0, beta=0.5, c=2, k=3)
-        m = make_erlang_loss(p)
+        m = make_model(p)
         assert m.birth(0.0, 4) == pytest.approx(3.0)
         assert m.birth(0.0, 5) == 0.0
         assert m.birth(0.0, 9) == 0.0
@@ -93,15 +91,15 @@ class TestRateConstruction:
 
     def test_quadratic_rates(self):
         p = QuadraticParams(lam=lam_const(0.1), Qtilde=10, beta=1.0)
-        m = make_quadratic(p)
+        m = make_model(p)
         assert m.birth(0.0, 4) == pytest.approx(0.1 * 4 * 6)
         assert m.birth(0.0, 10) == 0.0
         assert m.birth(0.0, 15) == 0.0  # clamped above the carrying level
         assert m.death(0.0, 3) == pytest.approx(3.0)
 
     def test_array_broadcasting(self):
-        m = make_erlang_a(ErlangAParams(lam=lambda t: 2.0 + np.sin(t),
-                                        mu=1.0, beta=0.3, c=2))
+        m = make_model(ErlangAParams(lam=lambda t: 2.0 + np.sin(t),
+                                     mu=1.0, beta=0.3, c=2))
         xs = np.arange(6)
         b = m.birth(0.5, xs)
         d = m.death(0.5, xs)
@@ -132,8 +130,8 @@ def rates_at(m, t, x_max):
 
 class TestGeneratorApply:
     def test_conserves_mass(self):
-        m = make_erlang_a(ErlangAParams(lam=lam_const(6.0), mu=1.0,
-                                        beta=0.4, c=3))
+        m = make_model(ErlangAParams(lam=lam_const(6.0), mu=1.0,
+                                     beta=0.4, c=3))
         rng = np.random.default_rng(5)
         p = rng.random(41)
         p /= p.sum()
@@ -142,8 +140,8 @@ class TestGeneratorApply:
         assert abs(out.sum()) < 1e-12
 
     def test_matches_dense_matrix(self):
-        m = make_erlang_a(ErlangAParams(lam=lam_const(4.0), mu=1.5,
-                                        beta=0.2, c=2))
+        m = make_model(ErlangAParams(lam=lam_const(4.0), mu=1.5,
+                                     beta=0.2, c=2))
         x_max = 12
         t = 0.4
         A = np.zeros((x_max + 1, x_max + 1))
@@ -161,8 +159,8 @@ class TestGeneratorApply:
                            A @ p, atol=1e-12)
 
     def test_acts_on_the_last_axis(self):
-        m = make_erlang_a(ErlangAParams(lam=lam_const(6.0), mu=1.0,
-                                        beta=0.4, c=3))
+        m = make_model(ErlangAParams(lam=lam_const(6.0), mu=1.0,
+                                     beta=0.4, c=3))
         P = np.random.default_rng(3).random((2, 4, 21))
         b, d = rates_at(m, 0.7, 20)
         out = generator_apply(b, d, P)
@@ -171,7 +169,7 @@ class TestGeneratorApply:
             assert np.array_equal(out[i, j], generator_apply(b, d, P[i, j]))
 
     def test_point_mass_flow(self):
-        m = make_infinite_server(InfiniteServerParams(lam_const(2.0), 1.0))
+        m = make_model(InfiniteServerParams(lam_const(2.0), 1.0))
         p = np.zeros(6)
         p[3] = 1.0
         out = generator_apply(*rates_at(m, 0.0, 5), p)
@@ -187,13 +185,13 @@ class TestAffineRates:
         lam = lambda t: 2.0 + np.sin(t)
         x = np.arange(31.0)
         cases = [
-            (make_infinite_server(InfiniteServerParams(lam, 2.0)),
+            (make_model(InfiniteServerParams(lam, 2.0)),
              np.ones(31), 2.0 * x),
-            (make_erlang_loss(ErlangLossParams(lam=lam, mu=1.0, beta=0.5,
-                                               c=2, k=3)),
+            (make_model(ErlangLossParams(lam=lam, mu=1.0, beta=0.5,
+                                         c=2, k=3)),
              (x < 5).astype(float),
              np.minimum(x, 2) + 0.5 * np.maximum(x - 2, 0)),
-            (make_quadratic(QuadraticParams(lam=lam, Qtilde=10, beta=1.0)),
+            (make_model(QuadraticParams(lam=lam, Qtilde=10, beta=1.0)),
              x * np.maximum(10 - x, 0), x),
         ]
         for m, g_want, d_want in cases:
@@ -204,8 +202,8 @@ class TestAffineRates:
 
     def test_each_rate_called_once(self):
         calls = []
-        base = make_erlang_a(ErlangAParams(lam=lam_const(3.0), mu=1.0,
-                                           beta=0.5, c=2))
+        base = make_model(ErlangAParams(lam=lam_const(3.0), mu=1.0,
+                                        beta=0.5, c=2))
 
         def counted(fn):
             def rate(t, x):
@@ -218,7 +216,7 @@ class TestAffineRates:
         assert calls == [base.birth, base.death]
 
     def test_zero_drive_gives_zero_g(self):
-        m = make_infinite_server(InfiniteServerParams(lam_const(0.0), 1.0))
+        m = make_model(InfiniteServerParams(lam_const(0.0), 1.0))
         g, d = affine_rates(m, self.TIMES, 10)
         assert np.array_equal(g, np.zeros(11))
         assert np.array_equal(d, np.arange(11.0))
@@ -236,3 +234,18 @@ class TestAffineRates:
                                   death=linear, lam=lam)
         with pytest.raises(ValueError, match="birth"):
             affine_rates(t_birth, self.TIMES, 10)
+
+    def test_negative_rate_raises(self):
+        lam = lam_const(2.0)
+        linear = lambda t, x: np.asarray(x, dtype=float)
+        logistic = BirthDeathModel(   # x (10 - x) unclamped: < 0 above 10
+            birth=lambda t, x: lam(t) * linear(t, x) * (10 - linear(t, x)),
+            death=linear, lam=lam)
+        with pytest.raises(ValueError, match="negative rate"):
+            affine_rates(logistic, self.TIMES, 12)
+        assert affine_rates(logistic, self.TIMES, 10)[0].min() == 0.0
+        shifted = BirthDeathModel(birth=lambda t, x: lam(t) + 0 * linear(t, x),
+                                  death=lambda t, x: linear(t, x) - 1.0,
+                                  lam=lam)
+        with pytest.raises(ValueError, match="negative rate"):
+            affine_rates(shifted, self.TIMES, 5)

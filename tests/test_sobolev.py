@@ -5,9 +5,8 @@ import pytest
 
 from charlierbd.basis import CharlierBasis
 from charlierbd.sobolev import (DivergenceError, SobolevSpec,
-                                estimate_bound_rhs, isometry_residual,
-                                poisson_norm_closed_form, seq_norm,
-                                weak_error_bound_check)
+                                isometry_residual, poisson_norm_closed_form,
+                                seq_norm, weak_error_bound_check)
 from charlierbd.special import (adaptive_support_bound, falling_factorial,
                                 poisson_pmf, poisson_weight)
 
@@ -96,18 +95,6 @@ class TestIsometry:
         assert len(dists) == 5
         for p in dists:
             assert isometry_residual(p, a, m) < 1e-10
-
-
-class TestRateBound:
-    def test_monotone_in_N(self):
-        vals = [estimate_bound_rhs(N, 4, 0, 5.0, 1.0) for N in (2, 5, 10, 40)]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-
-    def test_rejects_bad_orders(self):
-        with pytest.raises(ValueError):
-            estimate_bound_rhs(4, 2, 3, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            estimate_bound_rhs(0, 2, 1, 1.0, 1.0)
 
 
 class TestWeakErrorCheck:

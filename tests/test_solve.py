@@ -6,12 +6,10 @@ import pytest
 from charlierbd.basis import CharlierBasis, project_density
 from charlierbd.closure import MomentState
 from charlierbd.harness import _make_lambda
-from charlierbd.models import (BirthDeathModel, ErlangAParams,
+from charlierbd.models import (KINDS, BirthDeathModel, ErlangAParams,
                                ErlangLossParams, InfiniteServerParams,
                                QuadraticParams, SineDrive, affine_rates,
-                               generator_apply, make_erlang_a,
-                               make_erlang_loss, make_infinite_server,
-                               make_quadratic)
+                               generator_apply, make_model)
 from charlierbd.solve import (IntegrationError, RateBoundError, SolverError,
                               TimeGrid, galerkin_matrices, integrate,
                               simulate_paths, solve_closure, solve_galerkin,
@@ -24,12 +22,12 @@ def lam_const(v):
 
 
 def infinite_server(lam):
-    return make_infinite_server(InfiniteServerParams(lam=lam, mu=1.0))
+    return make_model(InfiniteServerParams(lam=lam, mu=1.0))
 
 
 def small_erlang_a():
-    return make_erlang_a(ErlangAParams(lam=SineDrive(4.0, 1.0),
-                                       mu=1.0, beta=0.4, c=3))
+    return make_model(ErlangAParams(lam=SineDrive(4.0, 1.0),
+                                    mu=1.0, beta=0.4, c=3))
 
 
 def four_models():
@@ -38,11 +36,17 @@ def four_models():
     return [
         infinite_server(lam),
         small_erlang_a(),
-        make_erlang_loss(ErlangLossParams(lam=lam, mu=1.0, beta=0.4, c=3,
-                                          k=4)),
-        make_quadratic(QuadraticParams(lam=lambda t: 0.1 + 0.02 * np.sin(t),
-                                       Qtilde=20, beta=1.0)),
+        make_model(ErlangLossParams(lam=lam, mu=1.0, beta=0.4, c=3, k=4)),
+        make_model(QuadraticParams(lam=lambda t: 0.1 + 0.02 * np.sin(t),
+                                   Qtilde=20, beta=1.0)),
     ]
+
+
+# numeric fields of one valid params record per kind
+KIND_FIELDS = {"infinite_server": {"mu": 1.0},
+               "erlang_a": {"mu": 1.0, "beta": 0.4, "c": 3},
+               "erlang_loss": {"mu": 1.0, "beta": 0.4, "c": 3, "k": 4},
+               "quadratic": {"Qtilde": 20, "beta": 1.0}}
 
 
 def stencil_oracle(model, t, p):
@@ -184,6 +188,14 @@ class TestReference:
         lines = [r.getMessage() for r in caplog.records]
         assert lines == ["reference: X_max 30, 100 steps, "
                          f"{tr.meta['wall_s']:.3f} s"]
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_negative_drive_is_refused(self, kind):
+        # a negative drive makes every kind's birth rate negative
+        p = KINDS[kind](lam=SineDrive(-2.0, 0.0), **KIND_FIELDS[kind])
+        with pytest.raises(ValueError, match="lam reaches -2 < 0"):
+            solve_reference(make_model(p), 30, np.eye(31)[3],
+                            TimeGrid(T=1.0, dt_out=0.1, dt_int=0.01))
 
     def test_boundary_mass_error(self):
         model = infinite_server(lam_const(30.0))
@@ -472,6 +484,24 @@ class TestSimulate:
         assert 0.5 * tr.meta["n_candidates"] < tr.meta["n_jumps"] \
             <= tr.meta["n_candidates"]
         assert "window" not in tr.meta
+
+    def test_paths_outgrow_the_rate_table(self, monkeypatch):
+        # from 0 towards Poisson(50): the rate tables, first on {0..2},
+        # double each time a path reaches their top state
+        tables = []
+
+        def counted(model, times, X_max):
+            tables.append(X_max)
+            return affine_rates(model, times, X_max)
+        monkeypatch.setattr("charlierbd.solve.affine_rates", counted)
+        model = infinite_server(lam_const(50.0))
+        g = TimeGrid(T=4.0, dt_out=0.5, dt_int=0.5)
+        tr = simulate_paths(model, 4000, 7, g, x0=0)
+        assert tables[:5] == [2, 4, 8, 16, 32]
+        ref = solve_reference(model, 150, np.eye(151)[0],
+                              TimeGrid(T=4.0, dt_out=0.5, dt_int=1e-3))
+        z = np.abs(tr.mean[1:] - ref.mean[1:]) / tr.se_mean[1:]
+        assert np.max(z) < 4.0
 
     def test_under_reporting_sup_is_caught(self):
         class LowSup(SineDrive):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from charlierbd.special import (adaptive_support_bound, chen_stein_gap,
-                                falling_factorial, lower_tail,
-                                poisson_central_moment, poisson_pmf,
+                                falling_factorial, lower_tail, poisson_pmf,
                                 poisson_weight, stirling2, touchard,
                                 upper_tail)
 
@@ -115,23 +114,3 @@ class TestChenStein:
               lambda x: float(x) ** 3, lambda x: float(x >= 4)]
         for f in fs:
             assert abs(chen_stein_gap(f, q)) < 1e-10
-
-
-class TestCentralMoments:
-    def test_low_orders(self):
-        q = 3.3
-        assert poisson_central_moment(1, q) == 0.0
-        assert poisson_central_moment(2, q) == pytest.approx(q)
-        assert poisson_central_moment(3, 5.0) == pytest.approx(5.0)
-
-    @pytest.mark.parametrize("m", range(7))
-    @pytest.mark.parametrize("q", [0.5, 2.0, 11.0])
-    def test_vs_truncated_sum(self, m, q):
-        xm = adaptive_support_bound(q, tail_tol=1e-16) + 60
-        want = math.fsum((x - q) ** m * poisson_weight(q, x)
-                         for x in range(xm + 1))
-        got = poisson_central_moment(m, q)
-        if abs(want) < 1e-9:
-            assert got == pytest.approx(want, abs=1e-8)
-        else:
-            assert got == pytest.approx(want, rel=1e-9)
