@@ -106,6 +106,12 @@ def cmd_figures(args):
     series = harness.run_figures(cfg)
     harness.write_series_csv(series, args.output)
     log.info("figure series written to %s", args.output)
+    for order, meta in series["_meta"].items():
+        frac, n_rhs = meta["over_dispersed_fraction"], meta["n_rhs"]
+        log.info("%s-order closure: over_dispersed_fraction %.6g (%d of %d "
+                 "right-hand-side evaluations saw variance > mean and used "
+                 "the zeroth-order surrogate)", order, frac,
+                 round(frac * n_rhs), n_rhs)
     return 0
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "MomentState",
     "surrogate_pmf",
     "surrogate_moment",
+    "surrogate_moments",
     "expected_overflow",
     "expected_min",
     "expected_indicator_below",
@@ -34,6 +36,8 @@ __all__ = [
     "expected_q_times_indicator_below",
     "CovarianceTerms",
     "covariance_terms",
+    "QueueTerms",
+    "queue_terms",
     "delay_probability",
     "moment_match",
 ]
@@ -85,6 +89,16 @@ def _surrogate_value(s: SurrogateParams, e0: float, e1: float) -> float:
 def surrogate_moment(s: SurrogateParams, k: int) -> float:
     """E_s[Q^k] = a0 T_k(q) + a1 (T_{k+1}(q) - q T_k(q))."""
     return _surrogate_value(s, touchard(k, s.q), touchard(k + 1, s.q))
+
+
+def surrogate_moments(s: SurrogateParams, n: int) -> list[float]:
+    """[E_s[Q], ..., E_s[Q^n]], each T_k read once; entry k - 1 equals
+    surrogate_moment(s, k) exactly. Reads T_1..T_{n+1}, or T_1..T_n when
+    a1 = 0: there every a1 (T_{k+1} - q T_k) term is exactly zero."""
+    t = [touchard(k, s.q) for k in range(1, n + 1 + (s.a1 != 0.0))]
+    if s.a1 == 0.0:
+        return [s.a0 * tk for tk in t]
+    return [_surrogate_value(s, lo, hi) for lo, hi in zip(t, t[1:])]
 
 
 # Poisson(q) building blocks; tails written with argument order (rate q,
@@ -183,6 +197,79 @@ def covariance_terms(s: SurrogateParams, c: int,
         cov_below = expected_q_times_indicator_below(s, z) \
             - mean * expected_indicator_below(s, z)
     return CovarianceTerms(overflow=cov_ovf, minimum=cov_min, below=cov_below)
+
+
+class QueueTerms(NamedTuple):
+    """The queue closures' expectations under one surrogate; `admit` is 1
+    without a cap, and the covariances are None at zeroth order (`below`
+    also without a cap)."""
+
+    mean: float
+    minimum: float
+    overflow: float
+    admit: float
+    cov_overflow: float | None
+    cov_minimum: float | None
+    cov_below: float | None
+
+
+def queue_terms(s: SurrogateParams, c: int, z: int | None = None,
+                first: bool = True) -> QueueTerms:
+    """One-block evaluation of what a queue closure's right-hand side needs:
+    E_s[Q], E_s[Q ^ c], E_s[(Q - c)^+], the admission probability
+    E_s[1{Q < z}] and, when `first`, Cov[Q, .] of the last three.
+
+    Each distinct Poisson value is read once: the upper tails
+    G(q, c-j) for j = 0..3, the Touchard moments T_1..T_3 and the lower
+    tails at z-1..z-3 with covariances, one fewer of each without. A
+    surrogate with a1 = 0 (every zeroth-order one, and the over-dispersed
+    first-order fallback) needs one fewer again: its a1 terms are exactly
+    zero, so the Q-weighted values that feed only them are not read. The
+    assembly repeats the float operations of the single closed forms above
+    in the same order, the a1 terms aside when a1 = 0, so every field
+    equals its closed form exactly.
+    """
+    if c < 0:
+        raise ValueError("threshold c must be nonnegative")
+    if z is not None and z < 0:
+        raise ValueError("cap z must be nonnegative")
+    q, a0, a1 = s.q, s.a0, s.a1
+    corr = a1 != 0.0  # the a1 (first-order correction) terms count
+    # Q-weighting levels the blocks need; g[j] = G(q, c - j)
+    depth = 1 + first + corr
+    g = [upper_tail(q, c - j) for j in range(depth + 1)]
+    moments = surrogate_moments(s, 1 + first)
+    mean = moments[0]
+    pois_ovf = q * g[1] - c * g[0]
+    if depth > 1:
+        pois_q_ovf = q * q * g[2] - q * (c - 1) * g[1]
+    overflow = a0 * pois_ovf
+    if corr:
+        overflow += a1 * (pois_q_ovf - q * pois_ovf)
+    minimum = mean - overflow
+    admit = 1.0
+    if z is not None:
+        low = [lower_tail(q, z - 1 - j) for j in range(depth)]
+        admit = a0 * low[0]
+        if corr:
+            admit += a1 * (q * low[1] - q * low[0])
+    if not first:
+        return QueueTerms(mean, minimum, overflow, admit, None, None, None)
+    q_ovf = a0 * pois_q_ovf
+    if corr:
+        pois_q2_ovf = q * ((q * q * g[3] - q * (c - 2) * g[2])
+                           + (q * g[2] - (c - 1) * g[1]))
+        q_ovf += a1 * (pois_q2_ovf - q * pois_q_ovf)
+    q_min = moments[1] - q_ovf
+    cov_below = None
+    if z is not None:
+        q_below = a0 * (q * low[1])
+        if corr:
+            q_below += a1 * (q * (q * low[2] + low[1]) - q * (q * low[1]))
+        cov_below = q_below - mean * admit
+    return QueueTerms(mean, minimum, overflow, admit,
+                      q_ovf - mean * overflow, q_min - mean * minimum,
+                      cov_below)
 
 
 def delay_probability(s: SurrogateParams, c: int) -> float:

@@ -64,6 +64,11 @@ def _is_number(v) -> bool:
             and math.isfinite(v))
 
 
+def _is_count(v, least: int) -> bool:
+    """v is an integer >= least; a float with an integral value counts."""
+    return _is_number(v) and v == int(v) and v >= least
+
+
 def _number_fields(kind: str) -> dict:
     """{field: int or float} of a kind's params record, its drive `lam`
     aside; the annotations are strings, as models.py postpones them."""
@@ -92,6 +97,9 @@ class ExperimentConfig:
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(
                 f"unsupported schema version {self.schema_version}")
+        for name in ("model", "init", "basis"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be an object")
         kind = self.model.get("kind")
         if kind not in KINDS:
             raise ConfigError(f"unknown model kind {kind!r}")
@@ -110,11 +118,22 @@ class ExperimentConfig:
                and self.model[k] != int(self.model[k])]
         if bad:
             raise ConfigError(f"model {kind!r}: fields {bad} must be integers")
+        if not (isinstance(self.seed, int) and self.seed >= 0
+                and not isinstance(self.seed, bool)):
+            raise ConfigError(f"seed {self.seed!r} is not a nonnegative "
+                              "integer")
+        if self.X_max is not None and not _is_count(self.X_max, 1):
+            raise ConfigError(f"X_max {self.X_max!r} is not a positive "
+                              "integer")
+        if not (isinstance(self.orders, list) and self.orders
+                and all(_is_count(n, 1) for n in self.orders)):
+            raise ConfigError(f"orders {self.orders!r} is not a nonempty "
+                              "list of integers >= 1")
         if self.init.get("kind") not in ("point", "poisson"):
             raise ConfigError("init kind must be 'point' or 'poisson'")
         value = self.init.get("value")
         if self.init["kind"] == "point":
-            if not (_is_number(value) and value == int(value) and value >= 0):
+            if not _is_count(value, 0):
                 raise ConfigError(f"point init value {value!r} is not a "
                                   "nonnegative integer")
         elif not (_is_number(value) and value > 0):
@@ -129,11 +148,11 @@ class ExperimentConfig:
             x_max = self.x_max()
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
-        lam_min = float(np.min(drive(self.grid().times)))
+        lam_min = float(drive.inf(self.t0, self.T))
         if lam_min < 0:
-            raise ConfigError(f"lambda reaches {lam_min:.6g} < 0 on the "
-                              "output grid; arrival rates must be "
-                              "nonnegative")
+            raise ConfigError(f"lambda reaches {lam_min:.6g} < 0 on "
+                              f"[{self.t0:g}, {self.T:g}]; arrival rates "
+                              "must be nonnegative")
         if self.init["kind"] == "point" and value > x_max:
             raise ConfigError(f"point init value {value!r} is beyond "
                               f"X_max={x_max}")
@@ -144,8 +163,6 @@ class ExperimentConfig:
         if mode == "fixed" and not (_is_number(a) and a > 0):
             raise ConfigError(f"fixed basis needs a positive number 'a', "
                               f"got {a!r}")
-        if any(int(n) < 1 for n in self.orders):
-            raise ConfigError("expansion orders must be >= 1")
         self.orders = [int(n) for n in self.orders]
 
     @classmethod

@@ -7,10 +7,11 @@ frozen params record in `KINDS`: its fields are the config's model
 fields, and it gives g, d and the default X_max. `make_model` turns a
 record into a `BirthDeathModel`. The config drives, `SineDrive`
 and `TableDrive`, also give their exact maximum over an interval
-(`sup`), which the thinning simulator's rate bound needs. Rate callables
-take (t, x), broadcast over array arguments in either slot, and must be
-pure; models are immutable after construction and safe to share across
-threads.
+(`sup`), which the thinning simulator's rate bound needs, and their
+exact minimum (`inf`), which config validation checks for a negative
+arrival rate. Rate callables take (t, x), broadcast over array arguments
+in either slot, and must be pure; models are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ class SineDrive:
         crest = phase + 2 * np.pi * np.ceil((a - phase) / (2 * np.pi))
         return np.where(crest <= b, self.base + abs(self.amp), ends)
 
+    def inf(self, a, b) -> np.ndarray:
+        """min of lam over [a, b]: the negated sup of the negated drive."""
+        return -SineDrive(-self.base, -self.amp).sup(a, b)
+
 
 @dataclass(frozen=True)
 class TableDrive:
@@ -97,6 +102,10 @@ class TableDrive:
         inner = np.maximum.reduceat(padded, np.stack([lo, hi], 1).ravel())
         inner = np.where(lo < hi, inner[::2], -np.inf).reshape(ends.shape)
         return np.maximum(ends, inner)
+
+    def inf(self, a, b) -> np.ndarray:
+        """min of lam over [a, b]: the negated sup of the negated drive."""
+        return -TableDrive(self.t, -self.v).sup(a, b)
 
 
 @dataclass(frozen=True)

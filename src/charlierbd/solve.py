@@ -306,9 +306,11 @@ def galerkin_matrices(g, d, Phi, Cw) -> tuple[np.ndarray, np.ndarray]:
 def _closure_rhs(kind: str, params, order: str, flags: dict):
     """Mean(/variance) vector field for the explicit closure solver."""
 
+    first = order == "first"
+
     def surrogate(mean: float, var: float) -> SurrogateParams:
-        s = moment_match(max(mean, _Q_FLOOR),
-                         var if order == "first" else None, order=order)
+        s = moment_match(max(mean, _Q_FLOOR), var if first else None,
+                         order=order)
         flags["evals"] += 1
         if s.over_dispersed:
             flags["over_dispersed"] += 1
@@ -318,7 +320,7 @@ def _closure_rhs(kind: str, params, order: str, flags: dict):
         lam, mu = params.lam, params.mu
 
         def rhs(t, y):
-            if order == "zeroth":
+            if not first:
                 return np.array([lam(t) - mu * y[0]])
             return np.array([lam(t) - mu * y[0],
                              lam(t) + mu * y[0] - 2 * mu * y[1]])
@@ -329,23 +331,16 @@ def _closure_rhs(kind: str, params, order: str, flags: dict):
         cap = params.c + params.k if kind == "erlang_loss" else None
 
         def rhs(t, y):
-            s = surrogate(y[0], y[1] if order == "first" else y[0])
-            emin = _closure.expected_min(s, c)
-            eovf = _closure.expected_overflow(s, c)
+            s = surrogate(y[0], y[1] if first else y[0])
+            e = _closure.queue_terms(s, c, z=cap, first=first)
             lam_t = lam(t)
-            if cap is None:
-                admit = 1.0
-                dmean = lam_t - mu * emin - beta * eovf
-            else:
-                admit = _closure.expected_indicator_below(s, cap)
-                dmean = lam_t * admit - mu * emin - beta * eovf
-            if order == "zeroth":
+            dmean = lam_t * e.admit - mu * e.minimum - beta * e.overflow
+            if not first:
                 return np.array([dmean])
-            cov = _closure.covariance_terms(s, c, z=cap)
-            dvar = lam_t * admit + mu * emin + beta * eovf \
-                - 2 * (mu * cov.minimum + beta * cov.overflow)
+            dvar = lam_t * e.admit + mu * e.minimum + beta * e.overflow \
+                - 2 * (mu * e.cov_minimum + beta * e.cov_overflow)
             if cap is not None:
-                dvar += 2 * lam_t * cov.below
+                dvar += 2 * lam_t * e.cov_below
             return np.array([dmean, dvar])
         return rhs
 
@@ -353,18 +348,17 @@ def _closure_rhs(kind: str, params, order: str, flags: dict):
         lam, qt, beta = params.lam, params.Qtilde, params.beta
 
         def rhs(t, y):
-            s = surrogate(y[0], y[1] if order == "first" else y[0])
-            m1 = _closure.surrogate_moment(s, 1)
-            m2 = _closure.surrogate_moment(s, 2)
+            s = surrogate(y[0], y[1] if first else y[0])
+            m = _closure.surrogate_moments(s, 3 if first else 2)
+            m1, m2 = m[0], m[1]
             lam_t = lam(t)
             e_alpha = lam_t * (qt * m1 - m2)
             e_delta = beta * m1
             dmean = e_alpha - e_delta
-            if order == "zeroth":
+            if not first:
                 return np.array([dmean])
-            m3 = _closure.surrogate_moment(s, 3)
             cov_q = m2 - m1 * m1
-            cov_q2 = m3 - m1 * m2
+            cov_q2 = m[2] - m1 * m2
             cov_alpha = lam_t * (qt * cov_q - cov_q2)
             cov_delta = beta * cov_q
             dvar = e_alpha + e_delta + 2 * (cov_alpha - cov_delta)

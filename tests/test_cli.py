@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -85,6 +86,22 @@ def test_galerkin_needs_order(cfg_path, tmp_path):
     assert out.exists()
 
 
+def test_figures_logs_the_over_dispersion_fallback(cfg_path, tmp_path,
+                                                   caplog):
+    out = tmp_path / "f.csv"
+    with caplog.at_level(logging.INFO, logger="charlierbd"):
+        assert main(["figures", str(cfg_path), "-o", str(out)]) == 0
+    lines = [r.getMessage() for r in caplog.records
+             if "over_dispersed_fraction" in r.getMessage()]
+    assert [line.split(":")[0] for line in lines] == [
+        "zeroth-order closure", "first-order closure"]
+    # 2000 RK4 steps of four right-hand-side evaluations per closure
+    assert lines[0].startswith("zeroth-order closure: over_dispersed_fraction"
+                               " 0 (0 of 8000 right-hand-side evaluations")
+    assert "of 8000 right-hand-side evaluations saw variance > mean" \
+        in lines[1]
+
+
 def test_debug_log_reports_galerkin_batches(cfg_path, tmp_path):
     src = str(Path(charlierbd.__file__).resolve().parents[1])
     env = dict(os.environ, CHARLIER_LOG="debug",
@@ -159,12 +176,28 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
      ["solve-reference"]),
     ({"model": {"kind": "quadratic", "lambda": {"base": 0.1},
                 "Qtilde": 20.5, "beta": 1.0}}, ["solve-reference"]),
+    ({"model": {"kind": "erlang_a", "lambda": {"base": 0.9, "amplitude": 1.0},
+                "mu": 1.0, "beta": 0.5, "c": 4}, "T": 10.0, "dt_out": 2.0},
+     ["solve-reference"]),
+    ({"seed": 1.5}, ["simulate"]),
+    ({"seed": -1}, ["simulate"]),
+    ({"model": "x"}, ["solve-reference"]),
+    ({"init": "x"}, ["solve-reference"]),
+    ({"basis": []}, GALERKIN),
+    ({"X_max": -3}, ["solve-reference"]),
+    ({"X_max": 40.7}, ["solve-reference"]),
+    ({"orders": [1.5]}, ["table"]),
+    ({"orders": "12"}, ["table"]),
 ], ids=["point_init_beyond_X_max", "fixed_basis_without_a",
         "dt_out_not_a_multiple", "non_numeric_model_field", "one_path",
         "negative_paths", "zero_dt_out", "negative_dt_out",
         "order_beyond_X_max", "negative_drive", "config_one_path",
         "config_non_integer_paths", "non_integer_servers",
-        "non_integer_waiting_spaces", "non_integer_carrying_capacity"])
+        "non_integer_waiting_spaces", "non_integer_carrying_capacity",
+        "negative_drive_between_output_times", "non_integer_seed",
+        "negative_seed", "model_not_an_object", "init_not_an_object", "basis_not_an_object",
+        "negative_X_max", "non_integer_X_max", "non_integer_order",
+        "orders_not_a_list"])
 def test_bad_config_exits_2_without_traceback(cfg_path, tmp_path, patch,
                                               args):
     cfg = json.loads(cfg_path.read_text())

@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from charlierbd import closure
 from charlierbd.closure import (SurrogateParams, covariance_terms,
                                 delay_probability, expected_indicator_below,
                                 expected_min, expected_overflow,
                                 expected_q_times_indicator_below,
                                 expected_q_times_min,
                                 expected_q_times_overflow, moment_match,
-                                surrogate_moment, surrogate_pmf)
+                                queue_terms, surrogate_moment,
+                                surrogate_moments, surrogate_pmf)
+from charlierbd.harness import ExperimentConfig
+from charlierbd.solve import TimeGrid, solve_closure
 from charlierbd.special import adaptive_support_bound
 
 Q_GRID = [0.3, 1.0, 4.5, 20.0, 75.0]
@@ -137,3 +141,73 @@ class TestSurrogateParams:
             SurrogateParams(q=1.0, a1=0.2, order="zeroth")
         with pytest.raises(ValueError):
             SurrogateParams(q=1.0, order="second")
+
+
+class TestQueueTermsBlock:
+    """The one-block evaluation behind the queue closures equals the
+    single closed forms exactly, and reads each Poisson value once."""
+
+    @pytest.mark.parametrize("q", [1e-9, 0.8, 30.0, 100.3])
+    @pytest.mark.parametrize("a1", [0.0, 0.3])
+    @pytest.mark.parametrize("first", [False, True])
+    @pytest.mark.parametrize("z", [None, 0, 1, 2, 5, 104])
+    def test_equals_single_closed_forms(self, q, a1, first, z):
+        s = SurrogateParams(q=q, a1=a1,
+                            order="zeroth" if a1 == 0.0 else "first")
+        for c in (0, 1, 2, 3, 9, 100):
+            got = queue_terms(s, c, z=z, first=first)
+            assert got.mean == surrogate_moment(s, 1)
+            assert got.minimum == expected_min(s, c)
+            assert got.overflow == expected_overflow(s, c)
+            assert got.admit == (1.0 if z is None
+                                 else expected_indicator_below(s, z))
+            if not first:
+                assert got[4:] == (None, None, None)
+                continue
+            cov = covariance_terms(s, c, z=z)
+            assert got.cov_overflow == cov.overflow
+            assert got.cov_minimum == cov.minimum
+            assert got.cov_below == cov.below
+
+    def test_domain(self):
+        s = SurrogateParams(q=2.0)
+        with pytest.raises(ValueError):
+            queue_terms(s, -1)
+        with pytest.raises(ValueError):
+            queue_terms(s, 2, z=-1)
+
+    @pytest.mark.parametrize("a1", [0.0, 0.3])
+    def test_surrogate_moments_equal_single_moments(self, a1):
+        for q in (1e-9, 0.8, 30.0, 100.3):
+            s = SurrogateParams(q=q, a1=a1,
+                                order="zeroth" if a1 == 0.0 else "first")
+            assert surrogate_moments(s, 4) == [surrogate_moment(s, k)
+                                               for k in range(1, 5)]
+
+    @pytest.mark.parametrize("order,tails,touchards",
+                             [("zeroth", 3, 2), ("first", 4, 3)])
+    def test_call_counts_per_rhs(self, monkeypatch, order, tails, touchards):
+        counts = {"upper_tail": 0, "touchard": 0}
+
+        def counted(name):
+            fn = getattr(closure, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(closure, name, counted(name))
+        cfg = ExperimentConfig(
+            model={"kind": "erlang_a", "lambda": {"base": 12.0,
+                                                  "amplitude": 2.0},
+                   "mu": 1.0, "beta": 0.5, "c": 10},
+            T=1.0, init={"kind": "poisson", "value": 10.0})
+        grid = TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01)
+        traj = solve_closure(cfg.kind, cfg.params(), order,
+                             cfg.initial_state(), grid)
+        n_rhs = traj.meta["n_rhs"]
+        assert n_rhs == 400
+        assert counts["upper_tail"] <= tails * n_rhs
+        assert counts["touchard"] <= touchards * n_rhs

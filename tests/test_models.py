@@ -21,6 +21,16 @@ def check_sup(drive, a, b, attained):
     assert sup == pytest.approx(float(drive(attained)), rel=1e-13)
 
 
+def check_inf(drive, a, b, attained):
+    """inf(a, b) bounds lam from below on 200 dense samples of [a, b] and
+    equals it at `attained`, a point of [a, b] where the minimum sits."""
+    dense = np.append(np.linspace(a, b, 200), attained)
+    bottom = float(np.min(drive(dense)))
+    inf = float(drive.inf(a, b))
+    assert inf <= bottom
+    assert inf == pytest.approx(float(drive(attained)), rel=1e-13)
+
+
 class TestDrives:
     # intervals shorter than a period, longer than two periods, and a == b
     @pytest.mark.parametrize("amp", [-3.0, 0.0, 2.0])
@@ -49,6 +59,43 @@ class TestDrives:
     def test_table_sup(self, a, b, attained):
         check_sup(TableDrive([1.0, 2.0, 3.0, 5.0], [4.0, 7.0, 2.0, 6.0]),
                   a, b, attained)
+
+    # inf is the negated sup of the negated drive: its trough is attained
+    # where the negated drive has its crest
+    @pytest.mark.parametrize("amp", [-3.0, 0.0, 2.0])
+    @pytest.mark.parametrize("a,b", [(0.3, 1.2), (2.0, 3.5), (4.0, 6.0),
+                                     (-1.0, 14.0), (0.7, 0.7)])
+    def test_sine_inf(self, amp, a, b):
+        drive = SineDrive(5.0, amp)
+        trough = 1.5 * np.pi if amp > 0 else np.pi / 2
+        troughs = trough + 2 * np.pi * np.arange(-2, 4)
+        inside = troughs[(troughs >= a) & (troughs <= b)]
+        if amp == 0:
+            attained = a
+        elif inside.size:
+            attained = inside[0]
+        else:
+            attained = a if drive(a) <= drive(b) else b
+        check_inf(drive, a, b, attained)
+
+    @pytest.mark.parametrize("a,b,attained", [
+        (-2.0, 0.5, 0.5),     # before the first knot: constant 4
+        (5.5, 9.0, 5.5),      # after the last knot: constant 6
+        (0.5, 4.0, 3.0),      # across knots, the trough knot inside
+        (1.5, 2.5, 2.5),      # across a peak knot, the lower end wins
+        (3.0, 3.0, 3.0),      # a == b on a knot
+    ])
+    def test_table_inf(self, a, b, attained):
+        check_inf(TableDrive([1.0, 2.0, 3.0, 5.0], [4.0, 7.0, 2.0, 6.0]),
+                  a, b, attained)
+
+    def test_inf_is_elementwise(self):
+        a = np.array([0.0, 1.0, 2.5, 6.0])
+        b = np.array([0.5, 2.0, 8.0, 6.0])
+        for drive in (SineDrive(3.0, -1.5),
+                      TableDrive([1.0, 2.0, 3.0], [1.0, 4.0, 0.5])):
+            want = [float(drive.inf(ai, bi)) for ai, bi in zip(a, b)]
+            assert np.array_equal(drive.inf(a, b), want)
 
     def test_sup_is_elementwise(self):
         a = np.array([0.0, 1.0, 2.5, 6.0])
