@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import adaptive_support_bound, poisson_pmf
+from .special import poisson_pmf
 
 __all__ = [
     "CharlierBasis",
@@ -31,15 +31,13 @@ class CharlierBasis:
 
     a: float
     N: int
-    X_max: int | None = None
+    X_max: int
 
     def __post_init__(self):
         if self.a <= 0:
             raise ValueError(f"basis parameter must be positive, got a={self.a}")
         if self.N < 0:
             raise ValueError("basis order must be nonnegative")
-        if self.X_max is None:
-            self.X_max = adaptive_support_bound(self.a)
         if self.N > self.X_max:
             raise ValueError(f"N={self.N} exceeds X_max={self.X_max}")
         self._table = None
@@ -104,27 +102,16 @@ def project_density(p, basis: CharlierBasis) -> CoeffVector:
     return CoeffVector(basis.table @ arr, basis)
 
 
-def reconstruct(coeffs: CoeffVector, x: int | None = None):
-    """Signed density w(x; a) * sum_n c_n C_norm_n(x).
-
-    With x=None, returns the full vector over {0..X_max}.
-    """
+def reconstruct(coeffs: CoeffVector) -> np.ndarray:
+    """Signed density w(x; a) * sum_n c_n C_norm_n(x) over {0..X_max}."""
     basis = coeffs.basis
-    values = basis.weights * (coeffs.c @ basis.table)
-    if x is None:
-        return values
-    if x > basis.X_max:
-        raise ValueError(f"state {x} beyond basis X_max={basis.X_max}")
-    return float(values[x])
+    return basis.weights * (coeffs.c @ basis.table)
 
 
 def weak_expectation(f, coeffs: CoeffVector) -> float:
-    """Numerical expectation sum_x f(x) p_N(x) of the reconstruction."""
-    basis = coeffs.basis
-    if callable(f):
-        fx = np.asarray([f(x) for x in range(basis.X_max + 1)], dtype=float)
-    else:
-        fx = np.asarray(f, dtype=float)
-        if fx.shape != (basis.X_max + 1,):
-            raise ValueError("function table does not match basis support")
+    """Numerical expectation sum_x f(x) p_N(x) of the reconstruction, for
+    f tabulated on {0..X_max}."""
+    fx = np.asarray(f, dtype=float)
+    if fx.shape != (coeffs.basis.X_max + 1,):
+        raise ValueError("function table does not match basis support")
     return float(fx @ reconstruct(coeffs))

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 numerical failure (divergence, rate-bound
-violation, boundary-mass overflow), 2 bad input (config or arguments).
-Set CHARLIER_LOG=debug for verbose progress output.
+violation, boundary-mass overflow) or out of memory, 2 bad input (config
+or arguments). Set CHARLIER_LOG=debug for verbose progress output.
 """
 
 from __future__ import annotations
@@ -59,10 +59,9 @@ def cmd_solve_reference(args):
 
 def cmd_solve_galerkin(args):
     cfg = _load_config(args.config)
-    x_max = cfg.x_max()
-    if not 0 <= args.order <= x_max:
-        raise ConfigError(f"order -N {args.order} is not in "
-                          f"[0, X_max={x_max}]")
+    if args.order < 0:
+        raise ConfigError(f"order -N {args.order} is negative")
+    cfg.check_order(args.order)
     traj = harness.run_galerkin(cfg, args.order)
     _write_traj_csv(traj, args.output)
     log.info("order-%d spectral run written to %s (basis a=%.6g)",
@@ -85,6 +84,7 @@ def cmd_simulate(args):
         raise ConfigError(f"--paths {args.paths} is below 2")
     if args.dt_out <= 0:
         raise ConfigError(f"--dt-out {args.dt_out:g} is not positive")
+    harness.check_horizon(cfg.t0, cfg.T, args.dt_out)
     if args.paths is not None:
         cfg.n_paths = args.paths
     traj = harness.run_simulation(cfg, dt_out=args.dt_out)
@@ -225,6 +225,9 @@ def main(argv=None) -> int:
         return 2
     except _NUMERICAL as exc:
         log.error("numerical failure: %s", exc)
+        return 1
+    except MemoryError as exc:
+        log.error("out of memory: %s", exc)
         return 1
     except ValueError as exc:
         log.error("%s", exc)

@@ -4,7 +4,7 @@ delay probability.
 
 Every closed form here is derived by linearity from Poisson expectations,
 
-    E_s[f] = a0 E_P[f] + a1 (E_P[Q f] - q E_P[f]),
+    E_s[f] = E_P[f] + a1 (E_P[Q f] - q E_P[f]),
 
 with the Q-weighted Poisson expectations reduced through the Chen-Stein
 identity E_P[Q g(Q)] = q E_P[g(Q+1)]. The unit tests pin each form against
@@ -19,8 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .special import (adaptive_support_bound, lower_tail, poisson_pmf,
-                      touchard, upper_tail)
+from .special import lower_tail, poisson_pmf, touchard, upper_tail
 
 __all__ = [
     "SurrogateParams",
@@ -45,13 +44,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SurrogateParams:
-    """Charlier surrogate p(x) = w(x; q) (a0 + a1 (x - q)).
-
-    a0 = 1 for a probability surrogate; order "zeroth" forces a1 = 0.
+    """Charlier surrogate p(x) = w(x; q) (1 + a1 (x - q)), a probability
+    surrogate: its total mass is 1. Order "zeroth" forces a1 = 0.
     """
 
     q: float
-    a0: float = 1.0
     a1: float = 0.0
     order: str = "zeroth"
     over_dispersed: bool = False
@@ -73,21 +70,20 @@ class MomentState:
     variance: float
 
 
-def surrogate_pmf(s: SurrogateParams, x_max: int | None = None) -> np.ndarray:
-    """Tabulated surrogate density w(x; q) (a0 + a1 (x - q)); may be signed."""
-    if x_max is None:
-        x_max = adaptive_support_bound(max(s.q, 1.0))
+def surrogate_pmf(s: SurrogateParams, x_max: int) -> np.ndarray:
+    """Tabulated surrogate density w(x; q) (1 + a1 (x - q)) on {0..x_max};
+    may be signed."""
     xs = np.arange(x_max + 1)
-    return poisson_pmf(s.q, x_max) * (s.a0 + s.a1 * (xs - s.q))
+    return poisson_pmf(s.q, x_max) * (1.0 + s.a1 * (xs - s.q))
 
 
 def _surrogate_value(s: SurrogateParams, e0: float, e1: float) -> float:
-    """a0 E_P[f] + a1 (E_P[Q f] - q E_P[f]) from the two Poisson blocks."""
-    return s.a0 * e0 + s.a1 * (e1 - s.q * e0)
+    """E_P[f] + a1 (E_P[Q f] - q E_P[f]) from the two Poisson blocks."""
+    return e0 + s.a1 * (e1 - s.q * e0)
 
 
 def surrogate_moment(s: SurrogateParams, k: int) -> float:
-    """E_s[Q^k] = a0 T_k(q) + a1 (T_{k+1}(q) - q T_k(q))."""
+    """E_s[Q^k] = T_k(q) + a1 (T_{k+1}(q) - q T_k(q))."""
     return _surrogate_value(s, touchard(k, s.q), touchard(k + 1, s.q))
 
 
@@ -97,7 +93,7 @@ def surrogate_moments(s: SurrogateParams, n: int) -> list[float]:
     a1 = 0: there every a1 (T_{k+1} - q T_k) term is exactly zero."""
     t = [touchard(k, s.q) for k in range(1, n + 1 + (s.a1 != 0.0))]
     if s.a1 == 0.0:
-        return [s.a0 * tk for tk in t]
+        return t
     return [_surrogate_value(s, lo, hi) for lo, hi in zip(t, t[1:])]
 
 
@@ -233,7 +229,7 @@ def queue_terms(s: SurrogateParams, c: int, z: int | None = None,
         raise ValueError("threshold c must be nonnegative")
     if z is not None and z < 0:
         raise ValueError("cap z must be nonnegative")
-    q, a0, a1 = s.q, s.a0, s.a1
+    q, a1 = s.q, s.a1
     corr = a1 != 0.0  # the a1 (first-order correction) terms count
     # Q-weighting levels the blocks need; g[j] = G(q, c - j)
     depth = 1 + first + corr
@@ -243,19 +239,19 @@ def queue_terms(s: SurrogateParams, c: int, z: int | None = None,
     pois_ovf = q * g[1] - c * g[0]
     if depth > 1:
         pois_q_ovf = q * q * g[2] - q * (c - 1) * g[1]
-    overflow = a0 * pois_ovf
+    overflow = pois_ovf
     if corr:
         overflow += a1 * (pois_q_ovf - q * pois_ovf)
     minimum = mean - overflow
     admit = 1.0
     if z is not None:
         low = [lower_tail(q, z - 1 - j) for j in range(depth)]
-        admit = a0 * low[0]
+        admit = low[0]
         if corr:
             admit += a1 * (q * low[1] - q * low[0])
     if not first:
         return QueueTerms(mean, minimum, overflow, admit, None, None, None)
-    q_ovf = a0 * pois_q_ovf
+    q_ovf = pois_q_ovf
     if corr:
         pois_q2_ovf = q * ((q * q * g[3] - q * (c - 2) * g[2])
                            + (q * g[2] - (c - 1) * g[1]))
@@ -263,7 +259,7 @@ def queue_terms(s: SurrogateParams, c: int, z: int | None = None,
     q_min = moments[1] - q_ovf
     cov_below = None
     if z is not None:
-        q_below = a0 * (q * low[1])
+        q_below = q * low[1]
         if corr:
             q_below += a1 * (q * (q * low[2] + low[1]) - q * (q * low[1]))
         cov_below = q_below - mean * admit
@@ -280,14 +276,14 @@ def delay_probability(s: SurrogateParams, c: int) -> float:
 
 
 def moment_match(mean: float, variance: float | None = None,
-                 order: str = "zeroth", positive_root: bool = True) -> SurrogateParams:
+                 order: str = "zeroth") -> SurrogateParams:
     """Surrogate parameters tracking a (mean, variance) pair.
 
     Zeroth order pins q = mean. First order solves mean = q (1 + a1) and
-    variance = mean - (q - mean)^2; the a1 >= 0 root q = mean -
-    sqrt(mean - variance) is taken by default. The family cannot represent
-    variance > mean; such targets fall back to the zeroth-order point with
-    the over-dispersion flag set.
+    variance = mean - (q - mean)^2, taking the a1 >= 0 root q = mean -
+    sqrt(mean - variance), or the other root where that one is not
+    positive. The family cannot represent variance > mean; such targets
+    fall back to the zeroth-order point with the over-dispersion flag set.
     """
     if mean <= 0:
         raise ValueError(f"surrogate mean must be positive, got {mean}")
@@ -301,7 +297,7 @@ def moment_match(mean: float, variance: float | None = None,
     if gap < 0:
         return SurrogateParams(q=mean, order="first", over_dispersed=True)
     root = math.sqrt(gap)
-    q = mean - root if positive_root else mean + root
+    q = mean - root
     if q <= 0:
         q = mean + root
     return SurrogateParams(q=q, a1=mean / q - 1.0, order="first")

@@ -22,9 +22,9 @@ from . import __version__
 from .basis import CharlierBasis, project_density
 from .closure import MomentState
 from .models import KINDS, SineDrive, TableDrive, make_model
-from .solve import (TimeGrid, Trajectory, basis_parameter_prepass,
-                    simulate_paths, solve_closure, solve_galerkin,
-                    solve_reference)
+from .solve import (IntegrationError, TimeGrid, Trajectory,
+                    basis_parameter_prepass, simulate_paths, solve_closure,
+                    solve_galerkin, solve_reference)
 
 __all__ = [
     "ConfigError",
@@ -46,17 +46,38 @@ class ConfigError(ValueError):
     pass
 
 
+def _reject_unknown(what: str, d: dict, allowed) -> None:
+    unknown = set(d) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {sorted(unknown)}; "
+                          f"allowed: {sorted(allowed)}")
+
+
 def _make_lambda(spec):
-    """Arrival-rate drive from a config fragment."""
+    """Arrival-rate drive from a config fragment: `base`/`amplitude`, or
+    `samples` with `t`/`value`."""
     if not isinstance(spec, dict):
         raise ConfigError("lambda spec must be an object")
     if "samples" in spec:
+        _reject_unknown("lambda", spec, {"samples"})
         samples = spec["samples"]
         if not isinstance(samples, dict):
             raise ConfigError("lambda samples must be an object")
+        _reject_unknown("lambda samples", samples, {"t", "value"})
         return TableDrive(samples.get("t"), samples.get("value"))
+    _reject_unknown("lambda", spec, {"base", "amplitude"})
     return SineDrive(float(spec.get("base", 0.0)),
                      float(spec.get("amplitude", 0.0)))
+
+
+def check_horizon(t0: float, T: float, dt_out: float) -> None:
+    """ConfigError unless [t0, T] holds a whole number of output steps
+    dt_out: every solver stops at the last output time, so a remainder
+    would be cut off without notice."""
+    n = round((T - t0) / dt_out)
+    if abs(n * dt_out - (T - t0)) > 1e-9 * (T - t0):
+        raise ConfigError(f"horizon T - t0 = {T - t0:g} is not a whole "
+                          f"number of output steps dt_out = {dt_out:g}")
 
 
 def _is_number(v) -> bool:
@@ -107,6 +128,8 @@ class ExperimentConfig:
         missing = ({"lambda"} | set(fields)) - set(self.model)
         if missing:
             raise ConfigError(f"model {kind!r} missing fields {sorted(missing)}")
+        _reject_unknown(f"model {kind!r}", self.model,
+                        {"kind", "lambda", *fields})
         bad = [k for k in sorted(fields) if not _is_number(self.model[k])]
         lam = self.model["lambda"]
         if isinstance(lam, dict):
@@ -145,6 +168,7 @@ class ExperimentConfig:
         try:
             drive = self.params().lam
             self.grid().substeps
+            check_horizon(self.t0, self.T, self.dt_out)
             x_max = self.x_max()
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
@@ -164,13 +188,22 @@ class ExperimentConfig:
             raise ConfigError(f"fixed basis needs a positive number 'a', "
                               f"got {a!r}")
         self.orders = [int(n) for n in self.orders]
+        self.check_order(max(self.orders))
+
+    def check_order(self, N: int) -> None:
+        """ConfigError unless order N fits X_max, and with it the
+        order-(2N + 2) proxy that a tuned basis also runs."""
+        mode, x_max = self.basis.get("mode", "auto"), self.x_max()
+        need = 2 * N + 2 if mode == "tuned" else N
+        if need > x_max:
+            raise ConfigError(f"order N={N} needs X_max >= {need} with basis "
+                              f"mode {mode!r}; X_max is {x_max}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys {sorted(unknown)}")
+        if not isinstance(d, dict):
+            raise ConfigError("a config must be a JSON object")
+        _reject_unknown("config", d, cls.__dataclass_fields__)
         try:
             return cls(**d)
         except TypeError as exc:
@@ -182,13 +215,7 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model, "T": self.T, "t0": self.t0,
-            "dt_out": self.dt_out, "dt_int": self.dt_int, "init": self.init,
-            "orders": self.orders, "X_max": self.X_max, "basis": self.basis,
-            "seed": self.seed, "n_paths": self.n_paths,
-            "schema_version": self.schema_version,
-        }
+        return dataclasses.asdict(self)
 
     def hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -241,24 +268,23 @@ class ExperimentConfig:
         return self.params()
 
 
-def rel_error(u, u_star, times, eps_div: float = 1e-8,
-              t_lo_fallback: float = 1.0) -> float:
+def rel_error(u, u_star, times) -> float:
     """Time-averaged relative error (1/(T-t_lo)) int |u-u*|/|u*| dt.
 
-    Trapezoidal on the shared grid. If |u*| dips below eps_div anywhere on
-    [t0, t_lo_fallback], the lower integration limit moves to
-    t_lo_fallback and the averaging measure is renormalized; a dip after
-    that limit is a hard division-guard error.
+    Trapezoidal on the shared grid. If |u*| dips below 1e-8 (or is not
+    finite) anywhere on [t0, t0 + 1], the lower integration limit moves to
+    t0 + 1 and the averaging measure is renormalized; a dip after that
+    limit is a hard division-guard error.
     """
     u = np.asarray(u, dtype=float)
     u_star = np.asarray(u_star, dtype=float)
     times = np.asarray(times, dtype=float)
     if u.shape != u_star.shape or u.shape != times.shape:
         raise ValueError("series and grid must share one shape")
-    small = (np.abs(u_star) < eps_div) | ~np.isfinite(u_star)
+    small = (np.abs(u_star) < 1e-8) | ~np.isfinite(u_star)
     lo = 0
     if np.any(small):
-        cut = times[0] + t_lo_fallback
+        cut = times[0] + 1.0
         if np.all(times[small] <= cut):
             lo = int(np.searchsorted(times, cut, side="right")) - 1
             if small[lo]:
@@ -266,7 +292,7 @@ def rel_error(u, u_star, times, eps_div: float = 1e-8,
         else:
             t_bad = times[small & (times > cut)][0]
             raise ValueError(
-                f"reference magnitude below {eps_div:g} or non-finite at "
+                "reference magnitude below 1e-8 or non-finite at "
                 f"t={t_bad:.6g}, after the lower-limit fallback")
     integrand = np.abs(u[lo:] - u_star[lo:]) / np.abs(u_star[lo:])
     span = times[-1] - times[lo]
@@ -346,9 +372,8 @@ def tune_basis_parameter(cfg: ExperimentConfig, N: int,
         # treat those as unusable rather than warning or raising
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            trajs = solve_galerkin(model, bases,
-                                   [project_density(p0, b) for b in bases],
-                                   coarse)
+            trajs = solve_galerkin(
+                model, [project_density(p0, b) for b in bases], coarse)
         vals = []
         for lo, hi in zip(trajs[::2], trajs[1::2]):
             try:
@@ -384,7 +409,11 @@ def run_galerkin(cfg: ExperimentConfig, N: int, a: float | None = None):
     basis = CharlierBasis(a=a, N=N, X_max=x_max)
     model = cfg.build_model()
     c0 = project_density(cfg.initial_pmf(x_max), basis)
-    return solve_galerkin(model, basis, c0, cfg.grid())
+    traj, = solve_galerkin(model, [c0], cfg.grid())
+    if traj.meta["failed"]:
+        t_bad = traj.times[np.argmax(np.isnan(traj.coeffs[:, 0]))]
+        raise IntegrationError(f"non-finite state at t={t_bad:.6g}")
+    return traj
 
 
 def run_table(cfg: ExperimentConfig, reference=None) -> ErrorTable:
@@ -445,9 +474,8 @@ def run_figures(cfg: ExperimentConfig) -> dict:
     return series
 
 
-def run_simulation(cfg: ExperimentConfig, dt_out: float | None = None):
-    grid = cfg.grid() if dt_out is None else TimeGrid(
-        t0=cfg.t0, T=cfg.T, dt_out=dt_out, dt_int=dt_out)
+def run_simulation(cfg: ExperimentConfig, dt_out: float):
+    grid = TimeGrid(t0=cfg.t0, T=cfg.T, dt_out=dt_out, dt_int=dt_out)
     return simulate_paths(cfg.build_model(), cfg.n_paths, cfg.seed, grid,
                           x0=cfg.init["value"], x0_dist=cfg.init["kind"])
 

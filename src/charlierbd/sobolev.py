@@ -33,23 +33,20 @@ class DivergenceError(ValueError):
 
 @dataclass
 class SobolevSpec:
-    """Order m, weight parameter a, weight mode, and truncation policy."""
+    """Order m, weight parameter a, and weight mode: "w" for the weight
+    w(x; a), "w_inverse" for its inverse."""
 
     m: int
     a: float
-    weight_mode: str = "none"  # one of: none, w, w_inverse
-    X_max: int | None = None
-    tail_tol: float = 1e-12
+    weight_mode: str
 
     def __post_init__(self):
         if self.a <= 0:
             raise ValueError(f"weight parameter must be positive, got a={self.a}")
         if self.m < 0:
             raise ValueError("Sobolev order must be nonnegative")
-        if self.weight_mode not in ("none", "w", "w_inverse"):
+        if self.weight_mode not in ("w", "w_inverse"):
             raise ValueError(f"unknown weight mode {self.weight_mode!r}")
-        if self.tail_tol <= 0:
-            raise ValueError("tail_tol must be positive")
 
 
 def _log_weight(a: float, xs: np.ndarray) -> np.ndarray:
@@ -61,8 +58,6 @@ def _summand(q: np.ndarray, spec: SobolevSpec, k: int) -> np.ndarray:
     for the inverse weight."""
     xs = np.arange(q.size, dtype=float)
     ff = falling_factorial_vec(xs, k)
-    if spec.weight_mode == "none":
-        return spec.a ** (-k) * ff * q * q
     logw = _log_weight(spec.a, xs)
     if spec.weight_mode == "w":
         return spec.a ** (-k) * ff * q * q * np.exp(logw)
@@ -76,11 +71,13 @@ def _summand(q: np.ndarray, spec: SobolevSpec, k: int) -> np.ndarray:
 
 
 def _check_tail(s: np.ndarray, total: float, spec: SobolevSpec, k: int) -> None:
+    """DivergenceError if the last five summands do not decay while the
+    last is still above 1e-12 of the norm."""
     if s.size < 6:
         return
     tail = s[-5:]
     if tail[-1] > 0 and tail[-1] >= tail[0] and \
-            tail[-1] > spec.tail_tol * max(total, tail[-1]):
+            tail[-1] > 1e-12 * max(total, tail[-1]):
         x_bad = s.size - 1
         raise DivergenceError(
             f"h^{spec.m}(w^-1) summand (order k={k}) is not decaying at the "
@@ -92,12 +89,9 @@ def seq_norm(q, spec: SobolevSpec) -> float:
     """Weighted Sobolev sequence norm of q.
 
     ( sum_{k<=m} a^{-k} sum_x ff(x,k) q(x)^2 omega(x) )^{1/2}, where omega
-    is 1, w(x; a), or w(x; a)^{-1} according to the weight mode.
+    is w(x; a) or w(x; a)^{-1} according to the weight mode.
     """
     q = np.asarray(q, dtype=float)
-    if spec.X_max is not None and q.size != spec.X_max + 1:
-        raise ValueError(
-            f"sequence length {q.size} does not match X_max={spec.X_max}")
     total = 0.0
     for k in range(spec.m + 1):
         s = _summand(q, spec, k)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closure as _closure
-from .basis import CharlierBasis, CoeffVector
+from .basis import CoeffVector
 from .basis import project_density  # unused here; perfbench/tracer.py wraps it
 from .closure import MomentState, SurrogateParams, moment_match
 from .models import BirthDeathModel, affine_rates, generator_apply
@@ -213,7 +213,8 @@ def solve_reference(model: BirthDeathModel, X_max: int, p0,
                             **traj.meta})
 
 
-def solve_galerkin(model: BirthDeathModel, basis, c0, grid: TimeGrid):
+def solve_galerkin(model: BirthDeathModel, coeffs: list[CoeffVector],
+                   grid: TimeGrid) -> list[Trajectory]:
     """Order-N spectral solver for the coefficient system c' = c M(t).
 
     M_ji(t) = (A(t) C~_j, C_i) projects the generator acting on the
@@ -223,32 +224,23 @@ def solve_galerkin(model: BirthDeathModel, basis, c0, grid: TimeGrid):
     (`galerkin_matrices`); meta["assembly_s"] is the time of that build,
     rate evaluation included, and meta["wall_s"] that of the whole call.
 
-    basis is one CharlierBasis with c0 its coefficients, returning one
-    Trajectory; or a sequence of bases on one X_max with a matching
-    sequence of coefficients, returning one Trajectory per basis. All
-    members are zero-padded to the largest order and integrated together
-    in one step loop. A member whose state goes non-finite comes back
-    with meta["failed"] set and NaN values from then on; a lone basis
-    raises IntegrationError instead.
+    coeffs holds the initial coefficients of each member, each against
+    its own basis, all on one X_max; one Trajectory comes back per member.
+    All members are zero-padded to the largest order and integrated
+    together in one step loop. A member whose state goes non-finite comes
+    back with meta["failed"] set and NaN values from then on.
     """
     start = time.perf_counter()
-    single = isinstance(basis, CharlierBasis)
-    bases = [basis] if single else list(basis)
-    c0s = [c0] if single else list(c0)
-    if not bases or len(c0s) != len(bases):
-        raise ValueError("need one coefficient vector per basis")
+    bases = [cv.basis for cv in coeffs]
     x_max = bases[0].X_max
     if any(b.X_max != x_max for b in bases):
         raise ValueError("all bases of one batch must share X_max")
     n = max(b.N for b in bases) + 1
     Phi = np.zeros((len(bases), n, x_max + 1))   # zero rows pad low orders
     y0 = np.zeros((len(bases), n))
-    for k, (b, c) in enumerate(zip(bases, c0s)):
-        c = np.asarray(c.c if isinstance(c, CoeffVector) else c, dtype=float)
-        if c.shape != (b.N + 1,):
-            raise ValueError("coefficient length does not match basis order")
+    for k, (b, cv) in enumerate(zip(bases, coeffs)):
         Phi[k, :b.N + 1] = b.table
-        y0[k, :b.N + 1] = c
+        y0[k, :b.N + 1] = cv.c
     Cw = Phi * np.stack([b.weights for b in bases])[:, None, :]
     t_asm = time.perf_counter()
     M0, M1 = galerkin_matrices(*affine_rates(model, grid.times, x_max),
@@ -265,9 +257,6 @@ def solve_galerkin(model: BirthDeathModel, basis, c0, grid: TimeGrid):
     for k, b in enumerate(bases):
         C = traj.values[:, k, :b.N + 1]
         failed = bool(np.isnan(C[-1, 0]))
-        if single and failed:
-            t_bad = traj.times[np.argmax(np.isnan(C[:, 0]))]
-            raise IntegrationError(f"non-finite state at t={t_bad:.6g}")
         drift = float(np.max(np.abs(C[:, 0] - C[0, 0])))
         if drift > 1e-9:
             warnings.warn(f"zeroth coefficient drift {drift:.3e} above 1e-9",
@@ -287,7 +276,7 @@ def solve_galerkin(model: BirthDeathModel, basis, c0, grid: TimeGrid):
         tr.meta["wall_s"] = wall
     log.debug("galerkin batch: %d member(s), orders %s, %d steps, %.3f s",
               len(bases), [b.N for b in bases], traj.meta["n_steps"], wall)
-    return out[0] if single else out
+    return out
 
 
 def galerkin_matrices(g, d, Phi, Cw) -> tuple[np.ndarray, np.ndarray]:
@@ -421,8 +410,8 @@ def basis_parameter_prepass(kind: str, params, init: MomentState,
 
 
 def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
-                   grid: TimeGrid, x0: int = 0, x0_dist: str = "point",
-                   jackknife_groups: int = 100) -> Trajectory:
+                   grid: TimeGrid, x0: int = 0,
+                   x0_dist: str = "point") -> Trajectory:
     """Exact-in-law paths by thinning a dominating process (Lewis and
     Shedler, 1979).
 
@@ -437,10 +426,11 @@ def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
     for a model it refuses); as g[top] is truncated to 0, the tables
     double whenever a path reaches top. A candidate whose rate exceeds
     its bound raises RateBoundError. Emits the empirical mean and
-    variance with delete-a-group jackknife standard errors for the mean;
-    deterministic for a fixed seed. meta carries the thinning candidates
-    (n_candidates), the accepted births plus deaths (n_jumps) and the
-    wall time of the whole call (wall_s).
+    variance with delete-a-group jackknife standard errors for the mean
+    (100 groups, or one per path when fewer); deterministic for a fixed
+    seed. meta carries the thinning candidates (n_candidates), the
+    accepted births plus deaths (n_jumps) and the wall time of the whole
+    call (wall_s).
     """
     start = time.perf_counter()
     if n_paths < 2:
@@ -508,7 +498,7 @@ def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
 
     m1 = out.mean(axis=1)
     var = out.var(axis=1, ddof=1)
-    se = _jackknife_se_mean(out, min(jackknife_groups, n_paths))
+    se = _jackknife_se_mean(out, min(100, n_paths))
     wall = time.perf_counter() - start
     log.debug("simulate: %d paths, %d thinning candidates, %.3f s", n_paths,
               n_candidates, wall)

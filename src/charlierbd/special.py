@@ -144,16 +144,16 @@ def adaptive_support_bound(a: float, tail_tol: float = 1e-14) -> int:
     return int(math.ceil(1.5 * x))
 
 
-def chen_stein_gap(f, q: float, x_max: int | None = None) -> float:
+def chen_stein_gap(f, q: float) -> float:
     """E[Q f(Q)] - q E[f(Q+1)] under Poisson(q); identically 0 for Poisson.
 
-    Evaluated by truncated summation over {0..x_max}; f must be bounded on
+    Evaluated by truncated summation over {0..x_max}, x_max the
+    `adaptive_support_bound` of max(q, 1); f must be bounded on
     {0..x_max + 1}.
     """
     if q < 0:
         raise ValueError(f"Poisson rate must be nonnegative, got q={q}")
-    if x_max is None:
-        x_max = adaptive_support_bound(max(q, 1.0))
+    x_max = adaptive_support_bound(max(q, 1.0))
     w = [poisson_weight(q, x) if q > 0 else (1.0 if x == 0 else 0.0)
          for x in range(x_max + 1)]
     lhs = math.fsum(x * f(x) * w[x] for x in range(x_max + 1))

@@ -157,9 +157,3 @@ class TestWeakExpectation:
         for k in (0, 1, 2, 3):
             want = float((xs**k) @ src)
             assert weak_expectation(xs**k, c) == pytest.approx(want, rel=1e-10)
-
-    def test_callable_argument(self):
-        basis = CharlierBasis(a=2.0, N=4, X_max=40)
-        c = project_density(poisson_pmf(2.0, 40), basis)
-        assert weak_expectation(lambda x: x * x, c) == \
-            pytest.approx(2.0 + 4.0, rel=1e-10)

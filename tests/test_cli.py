@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import charlierbd
+from charlierbd import harness
 from charlierbd.cli import main
 
 
@@ -41,8 +42,9 @@ def test_validate_without_config(capsys):
 
 def test_malformed_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["validate", str(bad)]) == 2
+    for text in ("{not json", "5", "[1, 2]"):
+        bad.write_text(text)
+        assert main(["validate", str(bad)]) == 2
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -84,6 +86,18 @@ def test_galerkin_needs_order(cfg_path, tmp_path):
     assert main(["solve-galerkin", str(cfg_path), "-N", "3",
                  "-o", str(out)]) == 0
     assert out.exists()
+
+
+def test_out_of_memory_exits_1(cfg_path, tmp_path, monkeypatch, caplog):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 72.8 TiB")
+    monkeypatch.setattr(harness, "simulate_paths", no_memory)
+    with caplog.at_level(logging.INFO, logger="charlierbd"):
+        assert main(["simulate", str(cfg_path), "-o",
+                     str(tmp_path / "s.csv")]) == 1
+    errors = [r.getMessage() for r in caplog.records
+              if r.levelname == "ERROR"]
+    assert errors == ["out of memory: Unable to allocate 72.8 TiB"]
 
 
 def test_figures_logs_the_over_dispersion_fallback(cfg_path, tmp_path,
@@ -188,6 +202,25 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
     ({"X_max": 40.7}, ["solve-reference"]),
     ({"orders": [1.5]}, ["table"]),
     ({"orders": "12"}, ["table"]),
+    ({"model": {"kind": "erlang_a",
+                "lambda": {"base": 6.0, "amplitdue": 1.0},
+                "mu": 1.0, "beta": 0.5, "c": 4}}, ["solve-reference"]),
+    ({"model": {"kind": "erlang_a", "lambda": {"base": 6.0},
+                "mu": 1.0, "beta": 0.5, "c": 4, "k": 5}}, ["solve-reference"]),
+    ({"model": {"kind": "erlang_a",
+                "lambda": {"samples": {"t": [0.0, 2.0], "value": [6.0, 6.0]},
+                           "base": 6.0},
+                "mu": 1.0, "beta": 0.5, "c": 4}}, ["solve-reference"]),
+    ({"model": {"kind": "erlang_a",
+                "lambda": {"samples": {"t": [0.0, 2.0], "value": [6.0, 6.0],
+                                       "kind": "linear"}},
+                "mu": 1.0, "beta": 0.5, "c": 4}}, ["solve-reference"]),
+    ({"dt_out": 0.3}, ["solve-reference"]),
+    ({}, ["simulate", "--dt-out", "0.3"]),
+    ({"orders": [61]}, ["table"]),
+    ({"orders": [30], "basis": {"mode": "tuned"}}, ["table"]),
+    ({"basis": {"mode": "tuned"}}, ["solve-galerkin", "-N", "40"]),
+    ({}, ["solve-galerkin", "-N", "-1"]),
 ], ids=["point_init_beyond_X_max", "fixed_basis_without_a",
         "dt_out_not_a_multiple", "non_numeric_model_field", "one_path",
         "negative_paths", "zero_dt_out", "negative_dt_out",
@@ -197,7 +230,11 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
         "negative_drive_between_output_times", "non_integer_seed",
         "negative_seed", "model_not_an_object", "init_not_an_object", "basis_not_an_object",
         "negative_X_max", "non_integer_X_max", "non_integer_order",
-        "orders_not_a_list"])
+        "orders_not_a_list", "misspelt_lambda_key", "unknown_model_key",
+        "lambda_samples_beside_base", "unknown_lambda_samples_key",
+        "horizon_not_whole_output_steps", "dt_out_flag_not_whole_steps",
+        "order_beyond_X_max_in_config", "tuned_proxy_beyond_X_max",
+        "tuned_proxy_of_order_flag_beyond_X_max", "negative_order_flag"])
 def test_bad_config_exits_2_without_traceback(cfg_path, tmp_path, patch,
                                               args):
     cfg = json.loads(cfg_path.read_text())

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from charlierbd.harness import (ConfigError, ExperimentConfig, rel_error,
-                                run_figures, run_reference, run_table,
-                                tune_basis_parameter, write_series_csv,
-                                write_table_csv)
+                                run_figures, run_galerkin, run_reference,
+                                run_table, tune_basis_parameter,
+                                write_series_csv, write_table_csv)
 from charlierbd.models import KINDS, affine_rates, make_model
+from charlierbd.solve import IntegrationError
 
 
 def erlang_cfg(**kw):
@@ -144,6 +145,20 @@ class TestRunTable:
         assert a.read_bytes() == b.read_bytes()
         header = a.read_text().splitlines()[1]
         assert header == "N,err_mean,err_variance,err_skewness,err_kurtosis"
+
+
+class TestRunGalerkin:
+    def test_blown_up_row_raises(self):
+        # RK4 at dt=0.5 is unstable for the stiff order-12 system
+        cfg = erlang_cfg(model={"kind": "erlang_a",
+                                "lambda": {"base": 4.0, "amplitude": 1.0},
+                                "mu": 1.0, "beta": 0.4, "c": 3},
+                         T=150.0, dt_out=0.5, dt_int=0.5, X_max=40,
+                         init={"kind": "poisson", "value": 3.0})
+        with np.errstate(all="ignore"):
+            assert not run_galerkin(cfg, 2, a=4.0).meta["failed"]
+            with pytest.raises(IntegrationError, match="non-finite state"):
+                run_galerkin(cfg, 12, a=4.0)
 
 
 class TestTuning:

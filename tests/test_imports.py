@@ -72,3 +72,93 @@ def test_every_definition_has_a_caller():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert {f"{mod}.{name}" for mod, name in defined
             if name not in used} == set()
+
+
+# ExperimentConfig's fields are set by JSON keys, through from_dict's
+# cls(**d), which no call site names.
+OPTION_ALLOWED = {"harness.ExperimentConfig"}
+
+
+def defaulted_options(source: str) -> dict:
+    """{(label, callee, param): position} for every parameter with a
+    default of a top-level function or method, and every annotated class
+    attribute with a default (a dataclass or NamedTuple field). The label
+    names the option in a report; the callee is the name a call of it
+    uses, the class's for a field. position is the index among the
+    positional parameters after self or cls (among the fields, a base
+    class's first), None for a keyword-only one."""
+    out = {}
+    fields = {}
+    for node in ast.parse(source).body:
+        funcs = [("", node)] if isinstance(node, ast.FunctionDef) else []
+        if isinstance(node, ast.ClassDef):
+            names = [f for b in node.bases if isinstance(b, ast.Name)
+                     for f in fields.get(b.id, [])]
+            for s in node.body:
+                if isinstance(s, ast.AnnAssign):
+                    names.append(s.target.id)
+                    if s.value is not None:
+                        out[(node.name, node.name, s.target.id)] = \
+                            len(names) - 1
+                elif isinstance(s, ast.FunctionDef):
+                    funcs.append((node.name + ".", s))
+            fields[node.name] = names
+        for owner, fn in funcs:
+            a = fn.args
+            pos = a.posonlyargs + a.args
+            skip = 1 if owner and pos and pos[0].arg in ("self", "cls") else 0
+            first = len(pos) - len(a.defaults)
+            for i, arg in enumerate(pos[first:], start=first - skip):
+                out[(owner + fn.name, fn.name, arg.arg)] = i
+            for arg, d in zip(a.kwonlyargs, a.kw_defaults):
+                if d is not None:
+                    out[(owner + fn.name, fn.name, arg.arg)] = None
+    return out
+
+
+def passed_options(source: str) -> set:
+    """(callee, keyword or position) pairs that the calls in `source`
+    pass, a call keyed by the name it calls, bare or as an attribute;
+    "*" and "**" stand for unpacked positionals and keywords."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and \
+                isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = getattr(node.func, "id", None) or node.func.attr
+            out |= {(name, "*" if isinstance(arg, ast.Starred) else i)
+                    for i, arg in enumerate(node.args)}
+            out |= {(name, k.arg or "**") for k in node.keywords}
+    return out
+
+
+def unset_options(sources: dict, callers: list) -> set:
+    """`module.label.param` for each option of `sources` ({module: text})
+    that no call in `callers` passes, by keyword, by position or by
+    unpacking."""
+    passed = set().union(*map(passed_options, callers))
+    return {f"{mod}.{label}.{param}"
+            for mod, text in sources.items()
+            for (label, callee, param), pos in defaulted_options(text).items()
+            if f"{mod}.{callee}" not in OPTION_ALLOWED
+            and not passed & {(callee, w) for w in (param, pos, "*", "**")}}
+
+
+def test_the_check_sees_an_unset_option():
+    src = ("from dataclasses import dataclass\n"
+           "def f(x, y=1, *, z=2):\n    pass\n"
+           "def g(x, y=1):\n    pass\n"
+           "@dataclass\nclass S:\n    a: int\n    b: int = 0\n"
+           "    def m(self, u=3):\n        pass\n")
+    calls = "f(0, z=1)\ng(*xs)\nS(1, 2)\nobj.m()\n"
+    assert unset_options({"mod": src}, [src, calls]) == {"mod.f.y",
+                                                         "mod.S.m.u"}
+
+
+def test_every_option_is_set_by_a_caller():
+    # callers: the library itself, the acceptance criteria, and the
+    # benchmark; unit tests do not count
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    callers = [*sources.values(),
+               (REPO / "tests" / "test_acceptance.py").read_text(),
+               *(p.read_text() for p in (REPO / "perfbench").glob("*.py"))]
+    assert unset_options(sources, callers) == set()

@@ -19,13 +19,13 @@ def brute_norm_sq(q, a, m, mode):
             if ff == 0 or v == 0:
                 continue
             w = poisson_weight(a, x)
-            omega = {"none": 1.0, "w": w, "w_inverse": 1.0 / w}[mode]
+            omega = {"w": w, "w_inverse": 1.0 / w}[mode]
             total += a ** (-k) * ff * v * v * omega
     return total
 
 
 class TestSeqNorm:
-    @pytest.mark.parametrize("mode", ["none", "w", "w_inverse"])
+    @pytest.mark.parametrize("mode", ["w", "w_inverse"])
     @pytest.mark.parametrize("m", [0, 1, 3])
     def test_vs_brute_force(self, mode, m):
         rng = np.random.default_rng(11)
@@ -34,14 +34,6 @@ class TestSeqNorm:
         want = math.sqrt(brute_norm_sq(q, a, m, mode))
         assert seq_norm(q, SobolevSpec(m=m, a=a, weight_mode=mode)) == \
             pytest.approx(want, rel=1e-10)
-
-    def test_m0_unweighted_is_l2(self):
-        q = np.array([3.0, -4.0])
-        assert seq_norm(q, SobolevSpec(m=0, a=1.0)) == pytest.approx(5.0)
-
-    def test_length_check(self):
-        with pytest.raises(ValueError):
-            seq_norm(np.ones(5), SobolevSpec(m=0, a=1.0, X_max=9))
 
     def test_divergence_detection(self):
         # slowly decaying sequence is far too heavy for w^{-1} at small a
@@ -52,11 +44,12 @@ class TestSeqNorm:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            SobolevSpec(m=0, a=0.0)
+            SobolevSpec(m=0, a=0.0, weight_mode="w")
         with pytest.raises(ValueError):
-            SobolevSpec(m=-1, a=1.0)
-        with pytest.raises(ValueError):
-            SobolevSpec(m=0, a=1.0, weight_mode="both")
+            SobolevSpec(m=-1, a=1.0, weight_mode="w")
+        for mode in ("both", "none"):
+            with pytest.raises(ValueError):
+                SobolevSpec(m=0, a=1.0, weight_mode=mode)
 
 
 class TestPoissonClosedForm:
