@@ -340,19 +340,20 @@ def galerkin_basis_parameter(cfg: ExperimentConfig, N: int | None = None,
         return float(cfg.basis["a"])
     if mode == "tuned":
         return tune_basis_parameter(cfg, N if N is not None
-                                    else max(cfg.orders), curve=curve)
+                                    else max(cfg.orders),
+                                    [] if curve is None else curve)
     return basis_parameter_prepass(cfg.kind, cfg.params(),
                                    cfg.initial_state(), cfg.grid())
 
 
 def tune_basis_parameter(cfg: ExperimentConfig, N: int,
-                         curve: list | None = None) -> float:
+                         curve: list) -> float:
     """Pick the basis parameter by self-refinement: an order-(2N+2) run
     serves as the truth proxy for the order-N run, and the parameter
     minimizing their time-averaged mean discrepancy wins. Coarse grid
     first, then a local refinement around the coarse optimum; each stage
     is one batched Galerkin solve over all its candidates and both orders.
-    Every (a, objective) pair scored is appended to `curve` if given. If
+    Every (a, objective) pair scored is appended to `curve`. If
     every candidate scores inf, the zeroth-closure value is returned with
     a warning.
     """
@@ -381,8 +382,7 @@ def tune_basis_parameter(cfg: ExperimentConfig, N: int,
             except ValueError:
                 v = np.inf
             vals.append(v if np.isfinite(v) else np.inf)
-        if curve is not None:
-            curve.extend((float(a), v) for a, v in zip(cands, vals))
+        curve.extend((float(a), v) for a, v in zip(cands, vals))
         return vals
 
     # the first candidate of a stage wins ties, as does the incumbent
@@ -419,8 +419,12 @@ def run_galerkin(cfg: ExperimentConfig, N: int, a: float | None = None):
 def run_table(cfg: ExperimentConfig, reference=None) -> ErrorTable:
     """Reference run plus one Galerkin run per order; per-moment
     time-averaged relative errors. The provenance records the basis
-    parameter and, for a tuned one, the search curve (`basis_tuning`)."""
+    parameter and, for a tuned one, the search curve (`basis_tuning`);
+    the reference's mass residual and boundary mass (`reference`); and
+    each Galerkin row's order, c0 drift, steps and failure flag
+    (`galerkin_rows`). It holds no wall times, so it is deterministic."""
     ref = reference if reference is not None else run_reference(cfg)
+    ref_meta = {k: ref.meta[k] for k in ("mass_residual", "boundary_mass")}
     # keep only the series the errors need, so the pmf stack is freed
     # before tuning (the caller's reference is left as it was)
     ref = Trajectory(times=ref.times, mean=ref.mean, variance=ref.variance,
@@ -428,9 +432,11 @@ def run_table(cfg: ExperimentConfig, reference=None) -> ErrorTable:
     curve = []
     a = galerkin_basis_parameter(cfg, curve=curve)
     ref_skew, ref_kurt = _skew_kurt(ref)
-    rows = []
+    rows, gal_meta = [], []
     for N in cfg.orders:
         gal = run_galerkin(cfg, N, a=a)
+        gal_meta.append({k: gal.meta[k]
+                         for k in ("N", "c0_drift", "n_steps", "failed")})
         skew, kurt = _skew_kurt(gal)
         rows.append(ErrorTableRow(
             N=N,
@@ -450,6 +456,8 @@ def run_table(cfg: ExperimentConfig, reference=None) -> ErrorTable:
                          for a_k, v in curve],
         "basis_tuning_fallback": bool(curve) and not any(
             math.isfinite(v) for _, v in curve),
+        "reference": ref_meta,
+        "galerkin_rows": gal_meta,
     }
     return ErrorTable(rows=rows, provenance=provenance)
 

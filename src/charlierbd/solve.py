@@ -8,6 +8,7 @@ bit-identical trajectories.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 import warnings
@@ -106,19 +107,13 @@ def _rk4_step(rhs, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(rhs, y0, grid: TimeGrid, members: bool = False) -> Trajectory:
+def integrate(rhs, y0, grid: TimeGrid) -> Trajectory:
     """Integrate y' = rhs(t, y) with fixed-step RK4 at dt_int, aligned with
     the output grid.
 
     y0 may have any shape; values has shape (n_times,) + y0.shape. meta
     records the steps taken (n_steps) and the right-hand-side evaluations
-    (n_rhs).
-
-    A non-finite state raises IntegrationError, unless members is set:
-    then the leading axis of y0 indexes independent systems, and a member
-    that goes non-finite is held at zero and reads NaN in values from that
-    output time on, leaving the other members untouched; the loop ends
-    early once every member has failed.
+    (n_rhs). A non-finite state raises IntegrationError.
     """
     y0 = np.asarray(y0, dtype=float)
     times = grid.times
@@ -127,29 +122,122 @@ def integrate(rhs, y0, grid: TimeGrid, members: bool = False) -> Trajectory:
     out[0] = y0
     y = y0.copy()
     h = grid.dt_int
-    dead = np.zeros(y0.shape[:1], dtype=bool)
-    n_out = times.size - 1
     for i in range(times.size - 1):
         t = times[i]
         for j in range(n_sub):
             y = _rk4_step(rhs, t + j * h, y, h)
         if not np.all(np.isfinite(y)):
-            if not members:
-                raise IntegrationError(
-                    f"non-finite state at t={times[i + 1]:.6g}")
-            dead |= ~np.isfinite(y.reshape(len(y), -1)).all(axis=1)
-            if dead.all():
-                out[i + 1:] = np.nan
-                n_out = i + 1
-                break
-            y[dead] = 0.0
+            raise IntegrationError(f"non-finite state at t={times[i + 1]:.6g}")
         out[i + 1] = y
-        if members:
-            out[i + 1, dead] = np.nan
-    n_steps = n_out * n_sub
+    n_steps = (times.size - 1) * n_sub
     return Trajectory(times=times, values=out,
                       meta={"dt_int": h, "n_steps": n_steps,
                             "n_rhs": 4 * n_steps})
+
+
+# RK4 on y' = y A(t) with A = M0 + lam(t) M1 is one step y <- y + y D
+# with D = P - I. With the stage matrices A1, A2 (= A3) and A4 at t,
+# t + h/2 and t + h,
+#   D = h/6 (A1 + 4 A2 + A4) + h^2/6 (A1 A2 + A2 A2 + A2 A4)
+#       + h^3/12 (A1 A2 A2 + A2 A2 A4) + h^4/24 A1 A2 A2 A4,
+# from K1 = A1, K2 = (I + h/2 K1) A2, K3 = (I + h/2 K2) A2,
+# K4 = (I + h K3) A4 and D = h/6 (K1 + 2 K2 + 2 K3 + K4). Each term is
+# (coefficient of h^k, stage of each of its k factors), the stages
+# 0, 1, 2 being A1, A2, A4.
+_RK4_TERMS = [(1 / 6, (0,)), (4 / 6, (1,)), (1 / 6, (2,)),
+              (1 / 6, (0, 1)), (1 / 6, (1, 1)), (1 / 6, (1, 2)),
+              (1 / 12, (0, 1, 1)), (1 / 12, (1, 1, 2)),
+              (1 / 24, (0, 1, 1, 2))]
+# the 30 words in {M0, M1} of length 1..4
+_WORDS = [w for k in range(1, 5) for w in itertools.product((0, 1), repeat=k)]
+# steps per propagator GEMM; the chunk's propagators are held at once, so
+# 64 steps raised the Erlang-A table's peak RSS by about 3 MB
+_CHUNK = 16
+
+
+def _rk4_word_coeffs(lam3: np.ndarray, h: float) -> np.ndarray:
+    """(n_steps, 30) coefficients a_w with D = sum_w a_w W_w, from the drive
+    at the three stage times of each step, lam3 (3, n_steps)."""
+    cols = []
+    for w in _WORDS:
+        a = np.zeros(lam3.shape[1])
+        for coef, stages in _RK4_TERMS:
+            if len(stages) == len(w):
+                term = coef * h ** len(w)
+                for bit, s in zip(w, stages):
+                    if bit:
+                        term = term * lam3[s]
+                a = a + term
+        cols.append(a)
+    return np.stack(cols, axis=1)
+
+
+def _rk4_words(M0: np.ndarray, M1: np.ndarray) -> np.ndarray:
+    """(30, members, n, n) products W_w = M_w1 ... M_wk of the
+    (members, n, n) stacks M0 and M1, in `_WORDS` order."""
+    words = [M0, M1]
+    start = 0
+    for _ in range(3):
+        prev = words[start:]
+        start = len(words)
+        words += [W @ M for W in prev for M in (M0, M1)]
+    return np.stack(words)
+
+
+def _step_linear(M0, M1, lam, y0: np.ndarray, grid: TimeGrid):
+    """RK4 for the members' independent systems y' = y (M0 + lam(t) M1),
+    each step y <- y + y D_k with a precomputed increment propagator.
+
+    The drive is sampled once at every stage time, with the float
+    expressions `integrate` uses. The D_k of each _CHUNK steps come from
+    one GEMM of their word coefficients with the word stack. Adding y D_k
+    to y, rather than forming I + D_k, keeps the increment's low bits, as
+    stagewise RK4 does. A member whose state goes non-finite reads NaN
+    from that output time on and leaves the loop at the end of the chunk;
+    the loop ends with the chunk in which the last member failed. Returns
+    (values, n_steps, propagator_s), n_steps counting the steps taken.
+    """
+    times = grid.times
+    n_sub, h = grid.substeps, grid.dt_int
+    start = time.perf_counter()
+    t = (times[:-1, None] + np.arange(n_sub) * h).ravel()
+    ts = np.concatenate([t, t + 0.5 * h, t + h])
+    lam3 = np.broadcast_to(np.asarray(lam(ts), dtype=float), ts.shape)
+    coeffs = _rk4_word_coeffs(lam3.reshape(3, -1), h)
+    words = _rk4_words(M0, M1)
+    propagator_s = time.perf_counter() - start
+    m, n = y0.shape
+    out = np.full((times.size, m, n), np.nan)
+    out[0] = y0
+    live = np.arange(m)
+    y = y0[:, None, :]
+    W = words.reshape(len(_WORDS), -1)
+    n_steps = t.size
+    for c in range(0, t.size, _CHUNK):
+        start = time.perf_counter()
+        D = (coeffs[c:c + _CHUNK] @ W).reshape(-1, live.size, n, n)
+        propagator_s += time.perf_counter() - start
+        Y = np.empty((len(D) + 1,) + y.shape)   # Y[j]: after step c + j
+        Y[0] = y
+        Ys = list(Y)
+        for y_j, D_j, y_next in zip(Ys, D, Ys[1:]):
+            np.matmul(y_j, D_j, out=y_next)
+            y_next += y_j
+        y = Y[-1]
+        k = np.arange(c + 1, c + len(D) + 1)
+        at = np.nonzero(k % n_sub == 0)[0]
+        rows = Y[at + 1, :, 0]
+        dead = np.logical_or.accumulate(~np.isfinite(rows).all(axis=2),
+                                        axis=0)
+        rows[dead] = np.nan
+        out[k[at, None] // n_sub, live] = rows
+        if at.size and dead[-1].any():
+            live, y = live[~dead[-1]], y[~dead[-1]]
+            if not live.size:
+                n_steps = int(k[-1])
+                break
+            W = words[:, live].reshape(len(_WORDS), -1)
+    return out, n_steps, propagator_s
 
 
 def _pmf_moments(P: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -221,14 +309,19 @@ def solve_galerkin(model: BirthDeathModel, coeffs: list[CoeffVector],
     Charlier functions back onto the basis under the inverse-weighted
     inner product. The generator is affine in the drive, so
     M(t) = M0 + lam(t) M1 with both matrices built once per solve
-    (`galerkin_matrices`); meta["assembly_s"] is the time of that build,
-    rate evaluation included, and meta["wall_s"] that of the whole call.
+    (`galerkin_matrices`). Each RK4 step is then c <- c + c D_k, with a
+    propagator D_k precomputed from the drive at the step's stage times
+    (`_step_linear`), so no right-hand side is evaluated.
 
     coeffs holds the initial coefficients of each member, each against
     its own basis, all on one X_max; one Trajectory comes back per member.
-    All members are zero-padded to the largest order and integrated
-    together in one step loop. A member whose state goes non-finite comes
-    back with meta["failed"] set and NaN values from then on.
+    All members are zero-padded to the largest order and stepped together;
+    they never mix. A member whose state goes non-finite comes back with
+    meta["failed"] set and NaN values from then on. meta carries the steps
+    taken (n_steps) and where the time went: assembly_s (the two matrices,
+    rate evaluation included), propagator_s (drive samples, words and
+    propagator GEMMs), loop_s (the step products) and wall_s (the whole
+    call).
     """
     start = time.perf_counter()
     bases = [cv.basis for cv in coeffs]
@@ -246,16 +339,15 @@ def solve_galerkin(model: BirthDeathModel, coeffs: list[CoeffVector],
     M0, M1 = galerkin_matrices(*affine_rates(model, grid.times, x_max),
                                Phi, Cw)
     assembly_s = time.perf_counter() - t_asm
-    lam = model.lam
-
-    def rhs(t, c):
-        return np.matmul(c[:, None, :], M0 + lam(t) * M1)[:, 0]
-
-    traj = integrate(rhs, y0, grid, members=True)
+    t_loop = time.perf_counter()
+    values, n_steps, propagator_s = _step_linear(
+        M0, M1, model.lam, y0, grid)
+    loop_s = time.perf_counter() - t_loop - propagator_s
     xs = np.arange(x_max + 1, dtype=float)
+    times = grid.times
     out = []
     for k, b in enumerate(bases):
-        C = traj.values[:, k, :b.N + 1]
+        C = values[:, k, :b.N + 1]
         failed = bool(np.isnan(C[-1, 0]))
         drift = float(np.max(np.abs(C[:, 0] - C[0, 0])))
         if drift > 1e-9:
@@ -265,17 +357,22 @@ def solve_galerkin(model: BirthDeathModel, coeffs: list[CoeffVector],
         R = np.stack([(xs**m * b.weights) @ b.table.T for m in (1, 2, 3, 4)])
         m1, m2, m3, m4 = (C @ R.T).T
         mean, var, c3, c4 = _raw_to_cumulants(m1, m2, m3, m4)
-        out.append(Trajectory(times=traj.times, coeffs=C, mean=mean,
+        out.append(Trajectory(times=times, coeffs=C, mean=mean,
                               variance=var, cum3=c3, cum4=c4,
                               meta={"solver": "galerkin", "N": b.N, "a": b.a,
                                     "X_max": x_max, "c0_drift": drift,
                                     "failed": failed,
-                                    "assembly_s": assembly_s, **traj.meta}))
+                                    "dt_int": grid.dt_int,
+                                    "n_steps": n_steps,
+                                    "assembly_s": assembly_s,
+                                    "propagator_s": propagator_s,
+                                    "loop_s": loop_s}))
     wall = time.perf_counter() - start
     for tr in out:
         tr.meta["wall_s"] = wall
-    log.debug("galerkin batch: %d member(s), orders %s, %d steps, %.3f s",
-              len(bases), [b.N for b in bases], traj.meta["n_steps"], wall)
+    log.debug("galerkin batch: %d member(s), orders %s, %d steps, "
+              "propagators %.3f s, step loop %.3f s, %.3f s", len(bases),
+              [b.N for b in bases], n_steps, propagator_s, loop_s, wall)
     return out
 
 

@@ -136,6 +136,21 @@ class TestRunTable:
         assert table.provenance["config_hash"] == cfg.hash()
         assert table.provenance["T"] == cfg.T
 
+    def test_solver_meta_in_provenance(self, tmp_path):
+        cfg = erlang_cfg()
+        table = run_table(cfg)
+        out = tmp_path / "t.csv"
+        write_table_csv(table, out)
+        head = json.loads(out.read_text().splitlines()[0].split(":", 1)[1])
+        rows = head["galerkin_rows"]
+        assert [r["N"] for r in rows] == cfg.orders
+        assert all(r["c0_drift"] < 1e-9 and r["n_steps"] == 3000
+                   and r["failed"] is False for r in rows)
+        ref = head["reference"]
+        assert set(ref) == {"mass_residual", "boundary_mass"}
+        assert ref["mass_residual"] < 1e-10
+        assert 0 <= ref["boundary_mass"] < 1e-8
+
     def test_deterministic_csv(self, tmp_path):
         cfg = erlang_cfg()
         a = tmp_path / "a.csv"
@@ -164,7 +179,7 @@ class TestRunGalerkin:
 class TestTuning:
     def test_value_is_pinned(self):
         # how the candidates are integrated must not move the choice
-        assert tune_basis_parameter(erlang_cfg(), 3) == 6.872716413144454
+        assert tune_basis_parameter(erlang_cfg(), 3, []) == 6.872716413144454
 
     def test_curve_in_provenance(self, tmp_path):
         table = run_table(erlang_cfg(basis={"mode": "tuned"}))

@@ -62,6 +62,29 @@ def stencil_oracle(model, t, p):
     return out
 
 
+def stagewise(model, coeffs, grid):
+    """Each member's coefficients from stagewise RK4 (`integrate`) on the
+    matrix-free rhs c @ (M0 + lam(t) M1): the propagator stepper's oracle."""
+    out = []
+    for cv in coeffs:
+        b = cv.basis
+        M0, M1 = galerkin_matrices(*affine_rates(model, grid.times, b.X_max),
+                                   b.table, b.table * b.weights)
+        out.append(integrate(lambda t, c: c @ (M0 + model.lam(t) * M1),
+                             cv.c, grid).values)
+    return out
+
+
+def oracle_models():
+    """(id, model): the four kinds, a drive that returns a scalar, and a
+    tabulated drive that is zero at t0."""
+    table = _make_lambda({"samples": {"t": [0.0, 1.0, 2.0],
+                                      "value": [0.0, 4.0, 2.0]}})
+    return [*((m.label, m) for m in four_models()),
+            ("scalar_drive", infinite_server(lambda t: 3.0)),
+            ("table_drive_zero_at_t0", infinite_server(table))]
+
+
 class TestTimeGrid:
     def test_times_layout(self):
         g = TimeGrid(t0=0.0, T=1.0, dt_out=0.25, dt_int=0.25)
@@ -110,24 +133,10 @@ class TestIntegrate:
             one = integrate(lambda t, y: -rates[i, j] * y, [1.0], g)
             assert np.array_equal(tr.values[:, i, j], one.values[:, 0])
 
-    def test_members_isolate_a_blowup(self):
-        g = TimeGrid(T=2.0, dt_out=0.5, dt_int=0.5)
-        rhs = lambda t, y: np.stack([y[0] * y[0], -y[1]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            tr = integrate(rhs, [[10.0], [1.0]], g, members=True)
-        alone = integrate(lambda t, y: -y, [1.0], g)
-        assert np.isnan(tr.values[-1, 0, 0])
-        assert np.array_equal(tr.values[:, 1, 0], alone.values[:, 0])
-        assert tr.meta == alone.meta
-
     def test_meta_counts_the_work(self):
         g = TimeGrid(T=2.0, dt_out=0.5, dt_int=0.05)
         tr = integrate(lambda t, y: -y, [1.0], g)
         assert tr.meta["n_steps"] == 40 and tr.meta["n_rhs"] == 160
-        with np.errstate(over="ignore", invalid="ignore"):
-            dead = integrate(lambda t, y: y * y, [[10.0]], g, members=True)
-        # the loop stops after the first output interval, all members dead
-        assert dead.meta["n_steps"] == 10 and dead.meta["n_rhs"] == 40
 
 
 class TestReference:
@@ -261,15 +270,19 @@ class TestGalerkin:
         assert np.max(np.abs(tr.coeffs - oracle.values)) < 1e-12
 
     def test_batch_matches_single_solves(self):
+        # 28 members: four mixed ones plus a tuning-shaped search, twelve
+        # candidates a at orders N and 2N + 2
         model = small_erlang_a()
         x_max = 50
         p0 = poisson_pmf(4.0, x_max)
         g = TimeGrid(T=3.0, dt_out=0.01, dt_int=0.005)
         bases = [CharlierBasis(a=a, N=N, X_max=x_max)
                  for a, N in ((4.0, 1), (3.0, 6), (5.5, 3), (4.0, 9))]
+        bases += [CharlierBasis(a=a, N=N, X_max=x_max)
+                  for a in np.linspace(2.5, 5.5, 12) for N in (3, 8)]
         c0 = [project_density(p0, b) for b in bases]
         batch = solve_galerkin(model, c0, g)
-        assert len(batch) == len(bases)
+        assert len(batch) == len(bases) == 28
         assert len({tr.meta["wall_s"] for tr in batch}) == 1
         for b, c, tr in zip(bases, c0, batch):
             one, = solve_galerkin(model, [c], g)
@@ -280,6 +293,24 @@ class TestGalerkin:
                 one.meta["c0_drift"], rel=1e-6, abs=1e-15)
             assert tr.meta["N"] == b.N and tr.meta["a"] == b.a
             assert not tr.meta["failed"]
+
+    @pytest.mark.parametrize("model", [m for _, m in oracle_models()],
+                             ids=[i for i, _ in oracle_models()])
+    def test_stepper_matches_stagewise_rk4(self, model):
+        # 230 steps (not a multiple of the 16-step chunk), 10 per output
+        x_max = 40
+        g = TimeGrid(T=2.3, dt_out=0.1, dt_int=0.01)
+        bases = [CharlierBasis(a=a, N=N, X_max=x_max)
+                 for a, N in ((4.0, 6), (2.5, 3))]
+        p0 = poisson_pmf(3.0, x_max)
+        c0 = [project_density(p0, b) for b in bases]
+        with np.errstate(all="raise"):
+            batch = solve_galerkin(model, c0, g)
+        for tr, want in zip(batch, stagewise(model, c0, g)):
+            assert tr.coeffs.shape == want.shape == (24, tr.meta["N"] + 1)
+            assert np.max(np.abs(tr.coeffs - want)) \
+                <= 1e-12 * np.max(np.abs(want))
+            assert tr.meta["n_steps"] == 230 and not tr.meta["failed"]
 
     def test_blown_up_member_leaves_the_others(self):
         # RK4 at dt=0.5 is unstable for the stiff order-12 system only
@@ -361,8 +392,46 @@ class TestGalerkin:
         c0 = project_density(poisson_pmf(3.0, x_max), basis)
         tr, = solve_galerkin(small_erlang_a(), [c0],
                              TimeGrid(T=1.0, dt_out=0.1, dt_int=0.01))
-        assert 0.0 <= tr.meta["assembly_s"] < tr.meta["wall_s"]
-        assert tr.meta["n_steps"] == 100 and tr.meta["n_rhs"] == 400
+        parts = [tr.meta[k] for k in ("assembly_s", "propagator_s", "loop_s")]
+        assert all(s >= 0.0 for s in parts) and sum(parts) < tr.meta["wall_s"]
+        # the stepper evaluates no right-hand side
+        assert tr.meta["n_steps"] == 100 and "n_rhs" not in tr.meta
+
+    def test_members_isolate_a_blowup(self):
+        # RK4 at dt=4 is unstable for the order-12 system only: it reads
+        # NaN from the output time it overflows on, its neighbour as alone
+        model = small_erlang_a()
+        x_max = 40
+        p0 = poisson_pmf(3.0, x_max)
+        g = TimeGrid(T=400.0, dt_out=4.0, dt_int=4.0)
+        c0 = [project_density(p0, CharlierBasis(a=a, N=N, X_max=x_max))
+              for a, N in ((4.0, 12), (3.0, 1))]
+        with np.errstate(all="ignore"):
+            bad, good = solve_galerkin(model, c0, g)
+        one, = solve_galerkin(model, c0[1:], g)
+        assert bad.meta["failed"] and not good.meta["failed"]
+        i = int(np.argmax(np.isnan(bad.coeffs).any(axis=1)))
+        assert 0 < i < 100 and np.isnan(bad.coeffs[i:]).all()
+        assert np.all(np.isfinite(bad.coeffs[:i]))
+        assert np.max(np.abs(good.coeffs - one.coeffs)) \
+            <= 1e-12 * np.max(np.abs(one.coeffs))
+        assert good.meta["n_steps"] == bad.meta["n_steps"] == 100
+
+    def test_stops_once_every_member_is_dead(self):
+        model = small_erlang_a()
+        x_max = 40
+        p0 = poisson_pmf(3.0, x_max)
+        g = TimeGrid(T=400.0, dt_out=4.0, dt_int=4.0)
+        c0 = [project_density(p0, CharlierBasis(a=4.0, N=N, X_max=x_max))
+              for N in (12, 20)]
+        with np.errstate(all="ignore"):
+            batch = solve_galerkin(model, c0, g)
+        last = max(int(np.argmax(np.isnan(tr.mean))) for tr in batch)
+        assert all(tr.meta["failed"] for tr in batch)
+        # the loop ends with the 16-step chunk in which the last one failed
+        assert 0 < last < 100
+        assert batch[0].meta["n_steps"] == 16 * -(-last // 16) < 100
+        assert all(np.isnan(tr.coeffs[last:]).all() for tr in batch)
 
     def test_batch_needs_one_support(self):
         model = small_erlang_a()
