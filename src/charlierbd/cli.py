@@ -82,8 +82,9 @@ def cmd_simulate(args):
     cfg = _load_config(args.config)
     if args.paths is not None and args.paths < 2:
         raise ConfigError(f"--paths {args.paths} is below 2")
-    if args.dt_out <= 0:
-        raise ConfigError(f"--dt-out {args.dt_out:g} is not positive")
+    if not (args.dt_out > 0 and np.isfinite(args.dt_out)):
+        raise ConfigError(f"--dt-out {args.dt_out:g} is not a positive "
+                          "finite number")
     harness.check_horizon(cfg.t0, cfg.T, args.dt_out)
     if args.paths is not None:
         cfg.n_paths = args.paths

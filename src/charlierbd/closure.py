@@ -49,8 +49,8 @@ class SurrogateParams:
     """
 
     q: float
+    order: str
     a1: float = 0.0
-    order: str = "zeroth"
     over_dispersed: bool = False
 
     def __post_init__(self):
@@ -180,11 +180,11 @@ class CovarianceTerms:
 
     overflow: float
     minimum: float
-    below: float | None = None
+    below: float | None
 
 
 def covariance_terms(s: SurrogateParams, c: int,
-                     z: int | None = None) -> CovarianceTerms:
+                     z: int | None) -> CovarianceTerms:
     mean = surrogate_moment(s, 1)
     cov_ovf = expected_q_times_overflow(s, c) - mean * expected_overflow(s, c)
     cov_min = expected_q_times_min(s, c) - mean * expected_min(s, c)
@@ -196,9 +196,9 @@ def covariance_terms(s: SurrogateParams, c: int,
 
 
 class QueueTerms(NamedTuple):
-    """The queue closures' expectations under one surrogate; `admit` is 1
-    without a cap, and the covariances are None at zeroth order (`below`
-    also without a cap)."""
+    """The queue closures' expectations under one surrogate; without a cap
+    `admit` is 1 and `cov_below` 0, and the covariances are None at
+    zeroth order."""
 
     mean: float
     minimum: float
@@ -209,8 +209,8 @@ class QueueTerms(NamedTuple):
     cov_below: float | None
 
 
-def queue_terms(s: SurrogateParams, c: int, z: int | None = None,
-                first: bool = True) -> QueueTerms:
+def queue_terms(s: SurrogateParams, c: int, z: int | None,
+                first: bool) -> QueueTerms:
     """One-block evaluation of what a queue closure's right-hand side needs:
     E_s[Q], E_s[Q ^ c], E_s[(Q - c)^+], the admission probability
     E_s[1{Q < z}] and, when `first`, Cov[Q, .] of the last three.
@@ -257,7 +257,7 @@ def queue_terms(s: SurrogateParams, c: int, z: int | None = None,
                            + (q * g[2] - (c - 1) * g[1]))
         q_ovf += a1 * (pois_q2_ovf - q * pois_q_ovf)
     q_min = moments[1] - q_ovf
-    cov_below = None
+    cov_below = 0.0
     if z is not None:
         q_below = q * low[1]
         if corr:
@@ -275,8 +275,8 @@ def delay_probability(s: SurrogateParams, c: int) -> float:
     return 1.0 - expected_indicator_below(s, c)
 
 
-def moment_match(mean: float, variance: float | None = None,
-                 order: str = "zeroth") -> SurrogateParams:
+def moment_match(mean: float, variance: float | None,
+                 order: str) -> SurrogateParams:
     """Surrogate parameters tracking a (mean, variance) pair.
 
     Zeroth order pins q = mean. First order solves mean = q (1 + a1) and

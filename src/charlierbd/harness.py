@@ -121,6 +121,10 @@ class ExperimentConfig:
         for name in ("model", "init", "basis"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name} must be an object")
+        bad = [k for k in ("t0", "T", "dt_out", "dt_int")
+               if not _is_number(getattr(self, k))]
+        if bad:
+            raise ConfigError(f"fields {bad} must be finite numbers")
         kind = self.model.get("kind")
         if kind not in KINDS:
             raise ConfigError(f"unknown model kind {kind!r}")
@@ -342,8 +346,8 @@ def galerkin_basis_parameter(cfg: ExperimentConfig, N: int | None = None,
         return tune_basis_parameter(cfg, N if N is not None
                                     else max(cfg.orders),
                                     [] if curve is None else curve)
-    return basis_parameter_prepass(cfg.kind, cfg.params(),
-                                   cfg.initial_state(), cfg.grid())
+    return basis_parameter_prepass(cfg.params(), cfg.initial_state(),
+                                   cfg.grid())
 
 
 def tune_basis_parameter(cfg: ExperimentConfig, N: int,
@@ -359,8 +363,7 @@ def tune_basis_parameter(cfg: ExperimentConfig, N: int,
     """
     state = cfg.initial_state()
     grid = cfg.grid()
-    m_bar = basis_parameter_prepass(cfg.kind, cfg.params(),
-                                    state, grid)
+    m_bar = basis_parameter_prepass(cfg.params(), state, grid)
     coarse = TimeGrid(t0=cfg.t0, T=cfg.T, dt_out=5e-3, dt_int=5e-3)
     x_max = cfg.x_max()
     p0 = cfg.initial_pmf(x_max)
@@ -468,11 +471,11 @@ def run_figures(cfg: ExperimentConfig) -> dict:
     ref = run_reference(cfg)
     series = {"t": ref.times, "ref_mean": ref.mean,
               "ref_variance": ref.variance}
-    if cfg.kind in ("erlang_a", "erlang_loss"):
-        c = int(cfg.model["c"])
-        series["ref_delay"] = ref.pmf[:, c:].sum(axis=1)
+    params = cfg.params()
+    if hasattr(params, "c"):
+        series["ref_delay"] = ref.pmf[:, params.c:].sum(axis=1)
     for order in ("zeroth", "first"):
-        traj = solve_closure(cfg.kind, cfg.params(), order,
+        traj = solve_closure(cfg.kind, params, order,
                              cfg.initial_state(), cfg.grid())
         series[f"{order}_mean"] = traj.mean
         series[f"{order}_variance"] = traj.variance

@@ -138,14 +138,12 @@ class WeakErrorReport:
 
 def weak_error_bound_check(f, p, basis, m: int) -> WeakErrorReport:
     """Measured weak error of the projection surrogate against the a priori
-    rate (a/N)^{m/2} ||f||_{l2(w)} ||p||_{h^m(w^-1)}."""
+    rate (a/N)^{m/2} ||f||_{l2(w)} ||p||_{h^m(w^-1)}, for a test function
+    f(x) evaluated on {0..X_max}."""
     from .basis import project_density, weak_expectation
 
     p = np.asarray(p, dtype=float)
-    if callable(f):
-        fx = np.asarray([f(x) for x in range(basis.X_max + 1)], dtype=float)
-    else:
-        fx = np.asarray(f, dtype=float)
+    fx = np.asarray([f(x) for x in range(basis.X_max + 1)], dtype=float)
     exact = float(fx @ p)
     approx = weak_expectation(fx, project_density(p, basis))
     measured = abs(approx - exact)

@@ -19,7 +19,7 @@ import numpy as np
 from . import closure as _closure
 from .basis import CoeffVector
 from .basis import project_density  # unused here; perfbench/tracer.py wraps it
-from .closure import MomentState, SurrogateParams, moment_match
+from .closure import MomentState, moment_match
 from .models import BirthDeathModel, affine_rates, generator_apply
 
 __all__ = [
@@ -58,10 +58,10 @@ class RateBoundError(RuntimeError):
 class TimeGrid:
     """Horizon and step layout; dt_out must be an integer multiple of dt_int."""
 
-    t0: float = 0.0
-    T: float = 10.0
-    dt_out: float = 1e-3
-    dt_int: float = 1e-3
+    t0: float
+    T: float
+    dt_out: float
+    dt_int: float
 
     def __post_init__(self):
         if self.T <= self.t0:
@@ -389,69 +389,28 @@ def galerkin_matrices(g, d, Phi, Cw) -> tuple[np.ndarray, np.ndarray]:
             generator_apply(g, zero, Cw) @ phi_t)
 
 
-def _closure_rhs(kind: str, params, order: str, flags: dict):
-    """Mean(/variance) vector field for the explicit closure solver."""
-
+def _closure_rhs(params, order: str, flags: dict):
+    """Mean(/variance) vector field for the explicit closure solver: with
+    the params record's `closure_terms` under the matched surrogate,
+    mean' = lam E[g] - E[d] and
+    var' = lam E[g] + E[d] + 2 (lam Cov[Q, g] - Cov[Q, d])."""
     first = order == "first"
+    lam = params.lam
 
-    def surrogate(mean: float, var: float) -> SurrogateParams:
-        s = moment_match(max(mean, _Q_FLOOR), var if first else None,
-                         order=order)
+    def rhs(t, y):
+        s = moment_match(max(y[0], _Q_FLOOR), y[1] if first else None,
+                         order)
         flags["evals"] += 1
         if s.over_dispersed:
             flags["over_dispersed"] += 1
-        return s
-
-    if kind == "infinite_server":
-        lam, mu = params.lam, params.mu
-
-        def rhs(t, y):
-            if not first:
-                return np.array([lam(t) - mu * y[0]])
-            return np.array([lam(t) - mu * y[0],
-                             lam(t) + mu * y[0] - 2 * mu * y[1]])
-        return rhs
-
-    if kind in ("erlang_a", "erlang_loss"):
-        lam, mu, beta, c = params.lam, params.mu, params.beta, params.c
-        cap = params.c + params.k if kind == "erlang_loss" else None
-
-        def rhs(t, y):
-            s = surrogate(y[0], y[1] if first else y[0])
-            e = _closure.queue_terms(s, c, z=cap, first=first)
-            lam_t = lam(t)
-            dmean = lam_t * e.admit - mu * e.minimum - beta * e.overflow
-            if not first:
-                return np.array([dmean])
-            dvar = lam_t * e.admit + mu * e.minimum + beta * e.overflow \
-                - 2 * (mu * e.cov_minimum + beta * e.cov_overflow)
-            if cap is not None:
-                dvar += 2 * lam_t * e.cov_below
-            return np.array([dmean, dvar])
-        return rhs
-
-    if kind == "quadratic":
-        lam, qt, beta = params.lam, params.Qtilde, params.beta
-
-        def rhs(t, y):
-            s = surrogate(y[0], y[1] if first else y[0])
-            m = _closure.surrogate_moments(s, 3 if first else 2)
-            m1, m2 = m[0], m[1]
-            lam_t = lam(t)
-            e_alpha = lam_t * (qt * m1 - m2)
-            e_delta = beta * m1
-            dmean = e_alpha - e_delta
-            if not first:
-                return np.array([dmean])
-            cov_q = m2 - m1 * m1
-            cov_q2 = m[2] - m1 * m2
-            cov_alpha = lam_t * (qt * cov_q - cov_q2)
-            cov_delta = beta * cov_q
-            dvar = e_alpha + e_delta + 2 * (cov_alpha - cov_delta)
-            return np.array([dmean, dvar])
-        return rhs
-
-    raise ValueError(f"unknown model kind {kind!r}")
+        e_g, e_d, cov_g, cov_d = params.closure_terms(s, first)
+        lam_t = lam(t)
+        dmean = lam_t * e_g - e_d
+        if not first:
+            return np.array([dmean])
+        return np.array([dmean,
+                         lam_t * e_g + e_d + 2 * (lam_t * cov_g - cov_d)])
+    return rhs
 
 
 def solve_closure(kind: str, params, order: str, init: MomentState,
@@ -459,29 +418,31 @@ def solve_closure(kind: str, params, order: str, init: MomentState,
     """Explicit zeroth/first-order moment-closure trajectories.
 
     Zeroth order evolves the mean (variance reported as the surrogate's
-    q); first order evolves (mean, variance). Queueing kinds also emit the
-    delay probability per output time; the over-dispersion fallback
-    fraction and the wall time of the whole call (wall_s) are carried in
-    meta.
+    q); first order evolves (mean, variance). A model with servers (a
+    params record with `c`) also emits the delay probability per output
+    time; the over-dispersion fallback fraction and the wall time of the
+    whole call (wall_s) are carried in meta. `kind` must be the record's.
     """
     start = time.perf_counter()
+    if kind != params.kind:
+        raise ValueError(f"model kind {kind!r} does not match the "
+                         f"{params.kind!r} params record")
     if order not in ("zeroth", "first"):
         raise ValueError(f"unknown closure order {order!r}")
     flags = {"evals": 0, "over_dispersed": 0}
-    rhs = _closure_rhs(kind, params, order, flags)
+    rhs = _closure_rhs(params, order, flags)
     y0 = np.array([init.mean] if order == "zeroth"
                   else [init.mean, init.variance], dtype=float)
     traj = integrate(rhs, y0, grid)
     mean = traj.values[:, 0]
     var = traj.values[:, 1] if order == "first" else mean.copy()
     delay = None
-    if kind in ("erlang_a", "erlang_loss"):
-        c = params.c
+    if hasattr(params, "c"):
         delay = np.empty_like(mean)
         for i, (m, v) in enumerate(zip(mean, var)):
             s = moment_match(max(m, _Q_FLOOR),
-                             v if order == "first" else None, order=order)
-            delay[i] = _closure.delay_probability(s, c)
+                             v if order == "first" else None, order)
+            delay[i] = _closure.delay_probability(s, params.c)
     frac = flags["over_dispersed"] / max(flags["evals"], 1)
     wall = time.perf_counter() - start
     log.debug("closure %s/%s: %d steps, %.3f s", kind, order,
@@ -492,7 +453,7 @@ def solve_closure(kind: str, params, order: str, init: MomentState,
                             **traj.meta})
 
 
-def basis_parameter_prepass(kind: str, params, init: MomentState,
+def basis_parameter_prepass(params, init: MomentState,
                             grid: TimeGrid) -> float:
     """Default Galerkin basis parameter: time-averaged zeroth-closure mean.
 
@@ -501,14 +462,13 @@ def basis_parameter_prepass(kind: str, params, init: MomentState,
     coarse = TimeGrid(t0=grid.t0, T=grid.T,
                       dt_out=max(grid.dt_out, (grid.T - grid.t0) / 200),
                       dt_int=max(grid.dt_int, (grid.T - grid.t0) / 2000))
-    traj = solve_closure(kind, params, "zeroth", init, coarse)
+    traj = solve_closure(params.kind, params, "zeroth", init, coarse)
     a = float(np.mean(traj.mean))
     return max(a, _Q_FLOOR)
 
 
 def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
-                   grid: TimeGrid, x0: int = 0,
-                   x0_dist: str = "point") -> Trajectory:
+                   grid: TimeGrid, x0: int, x0_dist: str) -> Trajectory:
     """Exact-in-law paths by thinning a dominating process (Lewis and
     Shedler, 1979).
 

@@ -221,6 +221,21 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
     ({"orders": [30], "basis": {"mode": "tuned"}}, ["table"]),
     ({"basis": {"mode": "tuned"}}, ["solve-galerkin", "-N", "40"]),
     ({}, ["solve-galerkin", "-N", "-1"]),
+    ({"T": float("inf")}, ["solve-reference"]),
+    ({"T": True}, ["solve-reference"]),
+    ({"t0": float("-inf")}, ["solve-reference"]),
+    ({"dt_out": float("inf")}, ["solve-reference"]),
+    ({"dt_int": float("nan")}, ["solve-reference"]),
+    ({}, ["simulate", "--dt-out", "inf"]),
+    ({}, ["simulate", "--dt-out", "nan"]),
+    ({"model": {"kind": "erlang_a",
+                "lambda": {"samples": {"t": [0.0, 2.0],
+                                       "value": [6.0, float("nan")]}},
+                "mu": 1.0, "beta": 0.5, "c": 4}}, ["solve-reference"]),
+    ({"model": {"kind": "erlang_a",
+                "lambda": {"samples": {"t": [0.0, float("nan")],
+                                       "value": [6.0, 6.0]}},
+                "mu": 1.0, "beta": 0.5, "c": 4}}, ["solve-reference"]),
 ], ids=["point_init_beyond_X_max", "fixed_basis_without_a",
         "dt_out_not_a_multiple", "non_numeric_model_field", "one_path",
         "negative_paths", "zero_dt_out", "negative_dt_out",
@@ -234,7 +249,10 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
         "lambda_samples_beside_base", "unknown_lambda_samples_key",
         "horizon_not_whole_output_steps", "dt_out_flag_not_whole_steps",
         "order_beyond_X_max_in_config", "tuned_proxy_beyond_X_max",
-        "tuned_proxy_of_order_flag_beyond_X_max", "negative_order_flag"])
+        "tuned_proxy_of_order_flag_beyond_X_max", "negative_order_flag",
+        "infinite_horizon", "boolean_horizon", "infinite_t0",
+        "infinite_dt_out", "nan_dt_int", "infinite_dt_out_flag",
+        "nan_dt_out_flag", "nan_lambda_sample", "nan_lambda_knot_time"])
 def test_bad_config_exits_2_without_traceback(cfg_path, tmp_path, patch,
                                               args):
     cfg = json.loads(cfg_path.read_text())

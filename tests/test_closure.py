@@ -110,33 +110,33 @@ class TestClosedFormsAgainstBruteSums:
 
 class TestMomentMatch:
     def test_zeroth(self):
-        s = moment_match(3.2, order="zeroth")
+        s = moment_match(3.2, None, "zeroth")
         assert s.q == 3.2 and s.a1 == 0.0 and not s.over_dispersed
 
     def test_first_reproduces_targets(self):
         for mean, var in [(5.0, 3.0), (10.0, 9.5), (2.0, 2.0), (40.0, 12.0)]:
-            s = moment_match(mean, var, order="first")
+            s = moment_match(mean, var, "first")
             got_mean = surrogate_moment(s, 1)
             got_var = surrogate_moment(s, 2) - got_mean**2
             assert got_mean == pytest.approx(mean, rel=1e-12)
             assert got_var == pytest.approx(var, rel=1e-10)
 
     def test_over_dispersed_fallback(self):
-        s = moment_match(3.0, 5.0, order="first")
+        s = moment_match(3.0, 5.0, "first")
         assert s.over_dispersed
         assert s.q == 3.0 and s.a1 == 0.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            moment_match(0.0)
+            moment_match(0.0, None, "zeroth")
         with pytest.raises(ValueError):
-            moment_match(1.0, order="first")
+            moment_match(1.0, None, "first")
 
 
 class TestSurrogateParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SurrogateParams(q=0.0)
+            SurrogateParams(q=0.0, order="zeroth")
         with pytest.raises(ValueError):
             SurrogateParams(q=1.0, a1=0.2, order="zeroth")
         with pytest.raises(ValueError):
@@ -167,14 +167,14 @@ class TestQueueTermsBlock:
             cov = covariance_terms(s, c, z=z)
             assert got.cov_overflow == cov.overflow
             assert got.cov_minimum == cov.minimum
-            assert got.cov_below == cov.below
+            assert got.cov_below == (0.0 if z is None else cov.below)
 
     def test_domain(self):
-        s = SurrogateParams(q=2.0)
+        s = SurrogateParams(q=2.0, order="zeroth")
         with pytest.raises(ValueError):
-            queue_terms(s, -1)
+            queue_terms(s, -1, None, True)
         with pytest.raises(ValueError):
-            queue_terms(s, 2, z=-1)
+            queue_terms(s, 2, -1, True)
 
     @pytest.mark.parametrize("a1", [0.0, 0.3])
     def test_surrogate_moments_equal_single_moments(self, a1):

@@ -1,5 +1,7 @@
-"""Every name a library module imports is used in that module, and every
-function and class it defines has a caller outside the unit tests."""
+"""Every name a library module imports is used in that module; every
+function and class it defines has a caller outside the unit tests; and
+every option it offers is set by one such caller and left at its default
+by another; and no module but models.py names a model kind."""
 
 import ast
 from pathlib import Path
@@ -116,19 +118,25 @@ def defaulted_options(source: str) -> dict:
     return out
 
 
-def passed_options(source: str) -> set:
-    """(callee, keyword or position) pairs that the calls in `source`
-    pass, a call keyed by the name it calls, bare or as an attribute;
+def calls(source: str) -> list:
+    """(callee, set of keywords or positions passed) for every call in
+    `source`, a call keyed by the name it calls, bare or as an attribute;
     "*" and "**" stand for unpacked positionals and keywords."""
-    out = set()
+    out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call) and \
                 isinstance(node.func, (ast.Name, ast.Attribute)):
             name = getattr(node.func, "id", None) or node.func.attr
-            out |= {(name, "*" if isinstance(arg, ast.Starred) else i)
-                    for i, arg in enumerate(node.args)}
-            out |= {(name, k.arg or "**") for k in node.keywords}
+            out.append((name, {"*" if isinstance(arg, ast.Starred) else i
+                               for i, arg in enumerate(node.args)}
+                        | {k.arg or "**" for k in node.keywords}))
     return out
+
+
+def passed_options(source: str) -> set:
+    """(callee, keyword or position) pairs that the calls in `source`
+    pass."""
+    return {(name, w) for name, passed in calls(source) for w in passed}
 
 
 def unset_options(sources: dict, callers: list) -> set:
@@ -143,22 +151,70 @@ def unset_options(sources: dict, callers: list) -> set:
             and not passed & {(callee, w) for w in (param, pos, "*", "**")}}
 
 
+def unused_defaults(sources: dict, callers: list) -> set:
+    """`module.label.param` for each option of `sources` whose default no
+    call in `callers` relies on: every call of its callee passes it by
+    keyword, by position or by unpacking."""
+    made = [c for text in callers for c in calls(text)]
+    return {f"{mod}.{label}.{param}"
+            for mod, text in sources.items()
+            for (label, callee, param), pos in defaulted_options(text).items()
+            if f"{mod}.{callee}" not in OPTION_ALLOWED
+            and not any(name == callee
+                        and not passed & {param, pos, "*", "**"}
+                        for name, passed in made)}
+
+
 def test_the_check_sees_an_unset_option():
     src = ("from dataclasses import dataclass\n"
            "def f(x, y=1, *, z=2):\n    pass\n"
            "def g(x, y=1):\n    pass\n"
            "@dataclass\nclass S:\n    a: int\n    b: int = 0\n"
            "    def m(self, u=3):\n        pass\n")
-    calls = "f(0, z=1)\ng(*xs)\nS(1, 2)\nobj.m()\n"
-    assert unset_options({"mod": src}, [src, calls]) == {"mod.f.y",
-                                                         "mod.S.m.u"}
+    caller = "f(0, z=1)\ng(*xs)\nS(1, 2)\nobj.m()\n"
+    assert unset_options({"mod": src}, [src, caller]) == {"mod.f.y",
+                                                          "mod.S.m.u"}
 
 
-def test_every_option_is_set_by_a_caller():
-    # callers: the library itself, the acceptance criteria, and the
-    # benchmark; unit tests do not count
+def test_the_check_sees_an_unused_default():
+    src = ("from dataclasses import dataclass\n"
+           "def f(x, y=1, *, z=2):\n    pass\n"
+           "def g(x, y=1):\n    pass\n"
+           "@dataclass\nclass S:\n    a: int\n    b: int = 0\n"
+           "    def m(self, u=3):\n        pass\n")
+    caller = "f(0, 2, z=1)\nf(0, y=3, z=1)\ng(0)\nS(*xs)\nobj.m(u=4)\n"
+    assert unused_defaults({"mod": src}, [src, caller]) == {
+        "mod.f.y", "mod.f.z", "mod.S.b", "mod.S.m.u"}
+
+
+def library_and_callers() -> tuple[dict, list]:
+    """({module: text} of the library, texts of the calls that count):
+    the library itself, the acceptance criteria, and the benchmark; unit
+    tests do not count."""
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     callers = [*sources.values(),
                (REPO / "tests" / "test_acceptance.py").read_text(),
                *(p.read_text() for p in (REPO / "perfbench").glob("*.py"))]
-    assert unset_options(sources, callers) == set()
+    return sources, callers
+
+
+def test_every_option_is_set_by_a_caller():
+    assert unset_options(*library_and_callers()) == set()
+
+
+def test_every_default_is_relied_on():
+    # the reverse check: a default that every caller overrides is a
+    # required argument in disguise
+    assert unused_defaults(*library_and_callers()) == set()
+
+
+def test_kind_names_are_data_of_models_only():
+    # the solvers and the harness read what differs between model kinds
+    # from the params records; no other module names a kind
+    from charlierbd.models import KINDS
+    for path in SRC.glob("*.py"):
+        if path.stem != "models":
+            strings = {n.value for n in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(n, ast.Constant)}
+            assert strings & set(KINDS) == set(), path.stem
+

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from charlierbd.closure import SurrogateParams, surrogate_pmf
 from charlierbd.models import (BirthDeathModel, ErlangAParams,
                                ErlangLossParams, InfiniteServerParams,
                                QuadraticParams, SineDrive, TableDrive,
@@ -110,6 +111,14 @@ class TestDrives:
             TableDrive([0.0, 1.0], [1.0])
         with pytest.raises(ValueError):
             TableDrive([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("t,v", [([0.0, 1.0], [1.0, np.nan]),
+                                     ([0.0, np.nan], [1.0, 2.0]),
+                                     ([0.0, 1.0], [np.inf, 2.0]),
+                                     ([-np.inf, 1.0], [1.0, 2.0])])
+    def test_non_finite_knots_are_refused(self, t, v):
+        with pytest.raises(ValueError, match="finite"):
+            TableDrive(t, v)
 
 
 class TestRateConstruction:
@@ -258,7 +267,7 @@ class TestAffineRates:
                 return fn(t, x)
             return rate
         m = BirthDeathModel(counted(base.birth), counted(base.death),
-                            base.lam)
+                            base.lam, base.label)
         affine_rates(m, self.TIMES, 20)
         assert calls == [base.birth, base.death]
 
@@ -274,11 +283,11 @@ class TestAffineRates:
         t_death = BirthDeathModel(
             birth=lambda t, x: lam(t) + 0.0 * np.asarray(x, dtype=float),
             death=lambda t, x: (1.0 + 0.1 * t) * np.asarray(x, dtype=float),
-            lam=lam)
+            lam=lam, label="t-death")
         with pytest.raises(ValueError, match="death rate depends on t"):
             affine_rates(t_death, self.TIMES, 10)
         t_birth = BirthDeathModel(birth=lambda t, x: lam(t) + t * x,
-                                  death=linear, lam=lam)
+                                  death=linear, lam=lam, label="t-birth")
         with pytest.raises(ValueError, match="birth"):
             affine_rates(t_birth, self.TIMES, 10)
 
@@ -287,12 +296,46 @@ class TestAffineRates:
         linear = lambda t, x: np.asarray(x, dtype=float)
         logistic = BirthDeathModel(   # x (10 - x) unclamped: < 0 above 10
             birth=lambda t, x: lam(t) * linear(t, x) * (10 - linear(t, x)),
-            death=linear, lam=lam)
+            death=linear, lam=lam, label="logistic")
         with pytest.raises(ValueError, match="negative rate"):
             affine_rates(logistic, self.TIMES, 12)
         assert affine_rates(logistic, self.TIMES, 10)[0].min() == 0.0
         shifted = BirthDeathModel(birth=lambda t, x: lam(t) + 0 * linear(t, x),
                                   death=lambda t, x: linear(t, x) - 1.0,
-                                  lam=lam)
+                                  lam=lam, label="shifted")
         with pytest.raises(ValueError, match="negative rate"):
             affine_rates(shifted, self.TIMES, 5)
+
+
+class TestClosureTerms:
+    """Each record's (E_s[g], E_s[d], Cov_s[Q, g], Cov_s[Q, d]) against
+    direct sums over the tabulated surrogate density."""
+
+    RECORDS = [InfiniteServerParams(lam_const(5.0), 1.5),
+               ErlangAParams(lam_const(5.0), 1.0, 0.4, 6),
+               ErlangLossParams(lam_const(5.0), 1.0, 0.4, 6, 3),
+               QuadraticParams(lam_const(0.1), 30, 1.0)]
+
+    @pytest.mark.parametrize("p", RECORDS, ids=lambda p: p.kind)
+    @pytest.mark.parametrize("s", [SurrogateParams(q=4.0, order="zeroth"),
+                                   SurrogateParams(q=7.5, order="first",
+                                                   a1=0.2)])
+    def test_terms_match_surrogate_sums(self, p, s):
+        xs = np.arange(201)
+        w = surrogate_pmf(s, 200)
+        # the quadratic record's closure takes g unclamped
+        g = xs * (p.Qtilde - xs) if p.kind == "quadratic" else p.g(xs)
+        d = p.d(xs)
+        mean = w @ xs
+        want = [w @ g, w @ d, w @ (xs * g) - mean * (w @ g),
+                w @ (xs * d) - mean * (w @ d)]
+        first = s.order == "first"
+        got = p.closure_terms(s, first)
+        assert got[:2] == pytest.approx(want[:2], rel=1e-12, abs=1e-12)
+        if not first:
+            assert got[2:] == (None, None)
+            return
+        # covariances cancel products of the size of E[Q g], E[Q d]
+        scale = max(abs(w @ (xs * g)), abs(w @ (xs * d)))
+        assert got[2:] == pytest.approx(want[2:], abs=1e-11 * scale)
+

@@ -93,15 +93,15 @@ class TestTimeGrid:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TimeGrid(t0=1.0, T=1.0)
+            TimeGrid(t0=1.0, T=1.0, dt_out=1e-3, dt_int=1e-3)
         with pytest.raises(ValueError):
-            TimeGrid(dt_out=1e-3, dt_int=2e-3)
+            TimeGrid(t0=0.0, T=10.0, dt_out=1e-3, dt_int=2e-3)
 
 
 class TestIntegrate:
     def test_exact_on_linear_ode(self):
         # y' = -y, rk4 local error ~ h^5
-        g = TimeGrid(T=2.0, dt_out=0.1, dt_int=0.01)
+        g = TimeGrid(t0=0.0, T=2.0, dt_out=0.1, dt_int=0.01)
         tr = integrate(lambda t, y: -y, [1.0], g)
         assert np.max(np.abs(tr.values[:, 0] - np.exp(-tr.times))) < 1e-9
 
@@ -111,7 +111,7 @@ class TestIntegrate:
         p0 = poisson_pmf(3.0, x_max)
 
         def run(dt):
-            g = TimeGrid(T=2.0, dt_out=0.5, dt_int=dt)
+            g = TimeGrid(t0=0.0, T=2.0, dt_out=0.5, dt_int=dt)
             return solve_reference(model, x_max, p0, g).mean
 
         fine = run(6.25e-4)
@@ -120,12 +120,12 @@ class TestIntegrate:
         assert e1 / e2 == pytest.approx(16.0, rel=0.3)
 
     def test_nonfinite_detection(self):
-        g = TimeGrid(T=2.0, dt_out=0.5, dt_int=0.5)
+        g = TimeGrid(t0=0.0, T=2.0, dt_out=0.5, dt_int=0.5)
         with np.errstate(over="ignore"), pytest.raises(IntegrationError):
             integrate(lambda t, y: y * y, [10.0], g)
 
     def test_any_state_shape(self):
-        g = TimeGrid(T=1.0, dt_out=0.25, dt_int=0.05)
+        g = TimeGrid(t0=0.0, T=1.0, dt_out=0.25, dt_int=0.05)
         rates = np.array([[1.0, 2.0, 3.0], [0.5, 0.25, 4.0]])
         tr = integrate(lambda t, y: -rates * y, np.ones((2, 3)), g)
         assert tr.values.shape == (5, 2, 3)
@@ -134,7 +134,7 @@ class TestIntegrate:
             assert np.array_equal(tr.values[:, i, j], one.values[:, 0])
 
     def test_meta_counts_the_work(self):
-        g = TimeGrid(T=2.0, dt_out=0.5, dt_int=0.05)
+        g = TimeGrid(t0=0.0, T=2.0, dt_out=0.5, dt_int=0.05)
         tr = integrate(lambda t, y: -y, [1.0], g)
         assert tr.meta["n_steps"] == 40 and tr.meta["n_rhs"] == 160
 
@@ -145,7 +145,7 @@ class TestReference:
         x_max = 45
         p0 = np.zeros(x_max + 1)
         p0[0] = 1.0
-        g = TimeGrid(T=6.0, dt_out=0.01, dt_int=0.01)
+        g = TimeGrid(t0=0.0, T=6.0, dt_out=0.01, dt_int=0.01)
         tr = solve_reference(model, x_max, p0, g)
         # oracle: m' = lam(t) - m, solved with the same fixed-step scheme
         m = np.zeros_like(tr.times)
@@ -167,7 +167,7 @@ class TestReference:
         model = small_erlang_a()
         x_max = 40
         tr = solve_reference(model, x_max, poisson_pmf(3.0, x_max),
-                             TimeGrid(T=4.0, dt_out=0.01, dt_int=0.001))
+                             TimeGrid(t0=0.0, T=4.0, dt_out=0.01, dt_int=0.001))
         assert tr.meta["mass_residual"] < 1e-10
         assert tr.pmf.min() > -1e-12
 
@@ -176,7 +176,7 @@ class TestReference:
     def test_matches_the_stencil_oracle(self, model):
         x_max = 40
         p0 = poisson_pmf(3.0, x_max)
-        g = TimeGrid(T=1.0, dt_out=0.1, dt_int=0.01)
+        g = TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01)
         tr = solve_reference(model, x_max, p0, g)
         oracle = integrate(lambda t, p: stencil_oracle(model, t, p), p0, g)
         assert np.max(np.abs(tr.pmf - oracle.values)) <= 1e-12
@@ -190,7 +190,7 @@ class TestReference:
 
     def test_meta_and_debug_line(self, caplog):
         caplog.set_level(logging.DEBUG, logger="charlierbd")
-        g = TimeGrid(T=1.0, dt_out=0.1, dt_int=0.01)
+        g = TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01)
         tr = solve_reference(small_erlang_a(), 30, poisson_pmf(3.0, 30), g)
         assert tr.meta["n_steps"] == 100 and tr.meta["n_rhs"] == 400
         assert tr.meta["wall_s"] > 0.0
@@ -204,14 +204,14 @@ class TestReference:
         p = KINDS[kind](lam=SineDrive(-2.0, 0.0), **KIND_FIELDS[kind])
         with pytest.raises(ValueError, match="lam reaches -2 < 0"):
             solve_reference(make_model(p), 30, np.eye(31)[3],
-                            TimeGrid(T=1.0, dt_out=0.1, dt_int=0.01))
+                            TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01))
 
     def test_boundary_mass_error(self):
         model = infinite_server(lam_const(30.0))
         p0 = np.zeros(11)
         p0[0] = 1.0
         with pytest.raises(SolverError):
-            solve_reference(model, 10, p0, TimeGrid(T=2.0, dt_out=0.1,
+            solve_reference(model, 10, p0, TimeGrid(t0=0.0, T=2.0, dt_out=0.1,
                                                     dt_int=0.01))
 
 
@@ -221,7 +221,7 @@ class TestGalerkin:
         x_max = 60
         basis = CharlierBasis(a=4.0, N=2, X_max=x_max)
         c0 = project_density(poisson_pmf(2.0, x_max), basis)
-        g = TimeGrid(T=5.0, dt_out=0.01, dt_int=0.01)
+        g = TimeGrid(t0=0.0, T=5.0, dt_out=0.01, dt_int=0.01)
         tr, = solve_galerkin(model, [c0], g)
         want = 4.0 + (2.0 - 4.0) * np.exp(-tr.times)
         assert np.max(np.abs(tr.mean - want)) < 1e-6
@@ -231,7 +231,7 @@ class TestGalerkin:
         x_max = 60
         basis = CharlierBasis(a=4.0, N=6, X_max=x_max)
         c0 = project_density(poisson_pmf(3.0, x_max), basis)
-        tr, = solve_galerkin(model, [c0], TimeGrid(T=4.0, dt_out=0.01,
+        tr, = solve_galerkin(model, [c0], TimeGrid(t0=0.0, T=4.0, dt_out=0.01,
                                                    dt_int=0.005))
         assert tr.meta["c0_drift"] < 1e-9
 
@@ -240,7 +240,7 @@ class TestGalerkin:
         x_max = 30
         p0 = poisson_pmf(3.0, x_max)
         p0 /= p0.sum()
-        g = TimeGrid(T=2.0, dt_out=0.05, dt_int=0.005)
+        g = TimeGrid(t0=0.0, T=2.0, dt_out=0.05, dt_int=0.005)
         ref = solve_reference(model, x_max, p0, g)
         basis = CharlierBasis(a=4.0, N=x_max, X_max=x_max)
         gal, = solve_galerkin(model, [project_density(p0, basis)], g)
@@ -253,7 +253,7 @@ class TestGalerkin:
         x_max = 30
         basis = CharlierBasis(a=4.0, N=5, X_max=x_max)
         c0 = project_density(poisson_pmf(3.0, x_max), basis)
-        g = TimeGrid(T=2.0, dt_out=0.05, dt_int=0.005)
+        g = TimeGrid(t0=0.0, T=2.0, dt_out=0.05, dt_int=0.005)
         xs = np.arange(x_max + 1)
         Cw = basis.table * basis.weights
 
@@ -275,7 +275,7 @@ class TestGalerkin:
         model = small_erlang_a()
         x_max = 50
         p0 = poisson_pmf(4.0, x_max)
-        g = TimeGrid(T=3.0, dt_out=0.01, dt_int=0.005)
+        g = TimeGrid(t0=0.0, T=3.0, dt_out=0.01, dt_int=0.005)
         bases = [CharlierBasis(a=a, N=N, X_max=x_max)
                  for a, N in ((4.0, 1), (3.0, 6), (5.5, 3), (4.0, 9))]
         bases += [CharlierBasis(a=a, N=N, X_max=x_max)
@@ -299,7 +299,7 @@ class TestGalerkin:
     def test_stepper_matches_stagewise_rk4(self, model):
         # 230 steps (not a multiple of the 16-step chunk), 10 per output
         x_max = 40
-        g = TimeGrid(T=2.3, dt_out=0.1, dt_int=0.01)
+        g = TimeGrid(t0=0.0, T=2.3, dt_out=0.1, dt_int=0.01)
         bases = [CharlierBasis(a=a, N=N, X_max=x_max)
                  for a, N in ((4.0, 6), (2.5, 3))]
         p0 = poisson_pmf(3.0, x_max)
@@ -317,7 +317,7 @@ class TestGalerkin:
         model = small_erlang_a()
         x_max = 40
         p0 = poisson_pmf(3.0, x_max)
-        g = TimeGrid(T=150.0, dt_out=0.5, dt_int=0.5)
+        g = TimeGrid(t0=0.0, T=150.0, dt_out=0.5, dt_int=0.5)
         bases = [CharlierBasis(a=a, N=N, X_max=x_max)
                  for a, N in ((4.0, 2), (4.0, 12), (3.0, 1))]
         c0 = [project_density(p0, b) for b in bases]
@@ -360,10 +360,10 @@ class TestGalerkin:
         model = BirthDeathModel(
             birth=lambda t, x: lam(t) + 0.0 * np.asarray(x, dtype=float),
             death=lambda t, x: (1.0 + 0.2 * t) * np.asarray(x, dtype=float),
-            lam=lam)
+            lam=lam, label="t-death")
         x_max = 30
         p0 = poisson_pmf(3.0, x_max)
-        g = TimeGrid(T=1.0, dt_out=0.1, dt_int=0.01)
+        g = TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01)
         basis = CharlierBasis(a=4.0, N=3, X_max=x_max)
         with pytest.raises(ValueError, match="death rate depends on t"):
             solve_reference(model, x_max, p0, g)
@@ -376,7 +376,7 @@ class TestGalerkin:
         model = infinite_server(lam)
         x_max = 30
         p0 = poisson_pmf(2.0, x_max)
-        g = TimeGrid(T=2.0, dt_out=0.1, dt_int=0.01)
+        g = TimeGrid(t0=0.0, T=2.0, dt_out=0.1, dt_int=0.01)
         basis = CharlierBasis(a=2.0, N=4, X_max=x_max)
         with np.errstate(all="raise"):
             ref = solve_reference(model, x_max, p0, g)
@@ -391,7 +391,7 @@ class TestGalerkin:
         basis = CharlierBasis(a=4.0, N=3, X_max=x_max)
         c0 = project_density(poisson_pmf(3.0, x_max), basis)
         tr, = solve_galerkin(small_erlang_a(), [c0],
-                             TimeGrid(T=1.0, dt_out=0.1, dt_int=0.01))
+                             TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01))
         parts = [tr.meta[k] for k in ("assembly_s", "propagator_s", "loop_s")]
         assert all(s >= 0.0 for s in parts) and sum(parts) < tr.meta["wall_s"]
         # the stepper evaluates no right-hand side
@@ -403,7 +403,7 @@ class TestGalerkin:
         model = small_erlang_a()
         x_max = 40
         p0 = poisson_pmf(3.0, x_max)
-        g = TimeGrid(T=400.0, dt_out=4.0, dt_int=4.0)
+        g = TimeGrid(t0=0.0, T=400.0, dt_out=4.0, dt_int=4.0)
         c0 = [project_density(p0, CharlierBasis(a=a, N=N, X_max=x_max))
               for a, N in ((4.0, 12), (3.0, 1))]
         with np.errstate(all="ignore"):
@@ -421,7 +421,7 @@ class TestGalerkin:
         model = small_erlang_a()
         x_max = 40
         p0 = poisson_pmf(3.0, x_max)
-        g = TimeGrid(T=400.0, dt_out=4.0, dt_int=4.0)
+        g = TimeGrid(t0=0.0, T=400.0, dt_out=4.0, dt_int=4.0)
         c0 = [project_density(p0, CharlierBasis(a=4.0, N=N, X_max=x_max))
               for N in (12, 20)]
         with np.errstate(all="ignore"):
@@ -438,13 +438,14 @@ class TestGalerkin:
         bases = [CharlierBasis(a=4.0, N=2, X_max=x) for x in (30, 40)]
         c0 = [CoeffVector(np.zeros(3), b) for b in bases]
         with pytest.raises(ValueError):
-            solve_galerkin(model, c0, TimeGrid(T=1.0))
+            solve_galerkin(model, c0, TimeGrid(t0=0.0, T=1.0, dt_out=1e-3,
+                                                dt_int=1e-3))
 
     def test_erlang_a_error_improves_with_order(self):
         model = small_erlang_a()
         x_max = 50
         p0 = poisson_pmf(4.0, x_max)
-        g = TimeGrid(T=4.0, dt_out=0.01, dt_int=0.01)
+        g = TimeGrid(t0=0.0, T=4.0, dt_out=0.01, dt_int=0.01)
         ref = solve_reference(model, x_max, p0, g)
 
         def err(N):
@@ -461,7 +462,7 @@ class TestClosure:
         p = InfiniteServerParams(lam=lam_const(lamv), mu=1.0)
         tr = solve_closure("infinite_server", p, "zeroth",
                            MomentState(mean=1.0, variance=0.0),
-                           TimeGrid(T=5.0, dt_out=0.01, dt_int=0.01))
+                           TimeGrid(t0=0.0, T=5.0, dt_out=0.01, dt_int=0.01))
         want = lamv + (1.0 - lamv) * np.exp(-tr.times)
         assert np.max(np.abs(tr.mean - want)) < 1e-8
 
@@ -470,7 +471,7 @@ class TestClosure:
                           c=4)
         tr = solve_closure("erlang_a", p, "first",
                            MomentState(mean=3.0, variance=3.0),
-                           TimeGrid(T=4.0, dt_out=0.01, dt_int=0.005))
+                           TimeGrid(t0=0.0, T=4.0, dt_out=0.01, dt_int=0.005))
         assert np.max(np.abs(tr.variance - tr.mean)) < 1e-8
         assert tr.delay is not None
 
@@ -478,7 +479,7 @@ class TestClosure:
         p = QuadraticParams(lam=lam_const(0.1), Qtilde=50, beta=1.0)
         tr = solve_closure("quadratic", p, "zeroth",
                            MomentState(mean=20.0, variance=0.0),
-                           TimeGrid(T=10.0, dt_out=0.01, dt_int=0.01))
+                           TimeGrid(t0=0.0, T=10.0, dt_out=0.01, dt_int=0.01))
         assert np.all(np.isfinite(tr.mean))
         assert tr.mean.max() < 50.0
 
@@ -487,19 +488,26 @@ class TestClosure:
         p = ErlangAParams(lam=lam_const(6.0), mu=1.0, beta=0.5, c=4)
         tr = solve_closure("erlang_a", p, "first",
                            MomentState(mean=3.0, variance=3.0),
-                           TimeGrid(T=1.0, dt_out=0.1, dt_int=0.01))
+                           TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01))
         assert tr.meta["n_steps"] == 100 and tr.meta["n_rhs"] == 400
         assert tr.meta["wall_s"] > 0.0
         lines = [r.getMessage() for r in caplog.records]
         assert lines == ["closure erlang_a/first: 100 steps, "
                          f"{tr.meta['wall_s']:.3f} s"]
 
+    def test_kind_must_match_the_record(self):
+        p = ErlangAParams(lam=lam_const(6.0), mu=1.0, beta=0.5, c=4)
+        with pytest.raises(ValueError, match="does not match"):
+            solve_closure("erlang_loss", p, "first",
+                          MomentState(mean=3.0, variance=3.0),
+                          TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01))
+
     def test_over_dispersion_fraction_reported(self):
         # beta << mu makes the Erlang-A state over-dispersed
         p = ErlangAParams(lam=lam_const(20.0), mu=1.0, beta=0.1, c=10)
         tr = solve_closure("erlang_a", p, "first",
                            MomentState(mean=20.0, variance=20.0),
-                           TimeGrid(T=10.0, dt_out=0.1, dt_int=0.01))
+                           TimeGrid(t0=0.0, T=10.0, dt_out=0.1, dt_int=0.01))
         assert tr.meta["over_dispersed_fraction"] > 0.5
 
 
@@ -507,15 +515,15 @@ class TestSimulate:
     def test_zero_rates_constant_paths(self):
         zero = lambda t, x: 0.0 * np.asarray(x, dtype=float)
         model = BirthDeathModel(birth=zero, death=zero,
-                                lam=SineDrive(0.0, 0.0))
-        g = TimeGrid(T=2.0, dt_out=0.5, dt_int=0.5)
-        tr = simulate_paths(model, 50, 3, g, x0=4)
+                                lam=SineDrive(0.0, 0.0), label="zero")
+        g = TimeGrid(t0=0.0, T=2.0, dt_out=0.5, dt_int=0.5)
+        tr = simulate_paths(model, 50, 3, g, x0=4, x0_dist="point")
         assert np.all(tr.mean == 4.0)
         assert np.all(tr.variance == 0.0)
 
     def test_stationary_infinite_server(self):
         model = infinite_server(lam_const(6.0))
-        g = TimeGrid(T=3.0, dt_out=0.5, dt_int=0.5)
+        g = TimeGrid(t0=0.0, T=3.0, dt_out=0.5, dt_int=0.5)
         tr = simulate_paths(model, 8000, 11, g, x0=6, x0_dist="poisson")
         z = np.abs(tr.mean - 6.0) / tr.se_mean
         assert np.max(z) < 3.0
@@ -523,9 +531,9 @@ class TestSimulate:
     def test_deterministic_given_seed(self, caplog):
         caplog.set_level(logging.DEBUG, logger="charlierbd")
         model = small_erlang_a()
-        g = TimeGrid(T=2.0, dt_out=0.5, dt_int=0.5)
-        a = simulate_paths(model, 200, 9, g, x0=3)
-        b = simulate_paths(model, 200, 9, g, x0=3)
+        g = TimeGrid(t0=0.0, T=2.0, dt_out=0.5, dt_int=0.5)
+        a = simulate_paths(model, 200, 9, g, x0=3, x0_dist="point")
+        b = simulate_paths(model, 200, 9, g, x0=3, x0_dist="point")
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.se_mean, b.se_mean)
         assert a.meta["wall_s"] > 0.0
@@ -539,10 +547,10 @@ class TestSimulate:
 
     def test_time_varying_mean_matches_reference(self):
         model = infinite_server(SineDrive(6.0, 3.0))
-        g = TimeGrid(T=5.0, dt_out=0.5, dt_int=0.5)
-        tr = simulate_paths(model, 20_000, 5, g, x0=2)
+        g = TimeGrid(t0=0.0, T=5.0, dt_out=0.5, dt_int=0.5)
+        tr = simulate_paths(model, 20_000, 5, g, x0=2, x0_dist="point")
         ref = solve_reference(model, 40, np.eye(41)[2],
-                              TimeGrid(T=5.0, dt_out=0.5, dt_int=1e-3))
+                              TimeGrid(t0=0.0, T=5.0, dt_out=0.5, dt_int=1e-3))
         z = np.abs(tr.mean[1:] - ref.mean[1:]) / tr.se_mean[1:]
         assert np.max(z) < 4.0
         # every candidate is a jump or a rejection, and most are jumps
@@ -560,11 +568,11 @@ class TestSimulate:
             return affine_rates(model, times, X_max)
         monkeypatch.setattr("charlierbd.solve.affine_rates", counted)
         model = infinite_server(lam_const(50.0))
-        g = TimeGrid(T=4.0, dt_out=0.5, dt_int=0.5)
-        tr = simulate_paths(model, 4000, 7, g, x0=0)
+        g = TimeGrid(t0=0.0, T=4.0, dt_out=0.5, dt_int=0.5)
+        tr = simulate_paths(model, 4000, 7, g, x0=0, x0_dist="point")
         assert tables[:5] == [2, 4, 8, 16, 32]
         ref = solve_reference(model, 150, np.eye(151)[0],
-                              TimeGrid(T=4.0, dt_out=0.5, dt_int=1e-3))
+                              TimeGrid(t0=0.0, T=4.0, dt_out=0.5, dt_int=1e-3))
         z = np.abs(tr.mean[1:] - ref.mean[1:]) / tr.se_mean[1:]
         assert np.max(z) < 4.0
 
@@ -575,27 +583,27 @@ class TestSimulate:
 
         model = infinite_server(LowSup(6.0, 3.0))
         with pytest.raises(RateBoundError, match="sup under-reports"):
-            simulate_paths(model, 50, 0, TimeGrid(T=1.0, dt_out=0.5,
-                                                  dt_int=0.5))
+            simulate_paths(model, 50, 0, TimeGrid(t0=0.0, T=1.0, dt_out=0.5,
+                                                  dt_int=0.5), 0, "point")
 
     def test_drive_without_sup_is_refused(self):
         model = infinite_server(lambda t: 6.0 + 0.0 * np.asarray(t))
         with pytest.raises(ValueError, match="no sup"):
-            simulate_paths(model, 50, 0, TimeGrid(T=1.0, dt_out=0.5,
-                                                  dt_int=0.5))
+            simulate_paths(model, 50, 0, TimeGrid(t0=0.0, T=1.0, dt_out=0.5,
+                                                  dt_int=0.5), 0, "point")
 
     def test_non_affine_model_is_refused(self):
         lam = SineDrive(4.0, 1.0)
         model = BirthDeathModel(
             birth=lambda t, x: lam(t) + 0.0 * np.asarray(x, dtype=float),
             death=lambda t, x: (1.0 + 0.2 * t) * np.asarray(x, dtype=float),
-            lam=lam)
+            lam=lam, label="t-death")
         with pytest.raises(ValueError, match="death rate depends on t"):
-            simulate_paths(model, 50, 0, TimeGrid(T=1.0, dt_out=0.5,
-                                                  dt_int=0.5), x0=3)
+            simulate_paths(model, 50, 0, TimeGrid(t0=0.0, T=1.0, dt_out=0.5,
+                                                  dt_int=0.5), 3, "point")
 
     def test_needs_two_paths(self):
         model = small_erlang_a()
         with pytest.raises(ValueError):
-            simulate_paths(model, 1, 0, TimeGrid(T=1.0, dt_out=0.5,
-                                                 dt_int=0.5))
+            simulate_paths(model, 1, 0, TimeGrid(t0=0.0, T=1.0, dt_out=0.5,
+                                                 dt_int=0.5), 0, "point")
