@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, harness
 from .harness import ConfigError, ExperimentConfig
 from .solve import (IntegrationError, RateBoundError, SolverError,
-                    solve_closure)
+                    TimeGrid, solve_closure)
 
 log = logging.getLogger("charlierbd")
 
@@ -82,13 +82,13 @@ def cmd_simulate(args):
     cfg = _load_config(args.config)
     if args.paths is not None and args.paths < 2:
         raise ConfigError(f"--paths {args.paths} is below 2")
-    if not (args.dt_out > 0 and np.isfinite(args.dt_out)):
-        raise ConfigError(f"--dt-out {args.dt_out:g} is not a positive "
-                          "finite number")
-    harness.check_horizon(cfg.t0, cfg.T, args.dt_out)
+    try:
+        grid = TimeGrid(cfg.t0, cfg.T, args.dt_out, args.dt_out)
+    except ValueError as exc:
+        raise ConfigError(f"--dt-out {args.dt_out:g}: {exc}") from None
     if args.paths is not None:
         cfg.n_paths = args.paths
-    traj = harness.run_simulation(cfg, dt_out=args.dt_out)
+    traj = harness.run_simulation(cfg, grid)
     _write_traj_csv(traj, args.output, cols=("mean", "variance", "se_mean"))
     log.info("%d simulated paths written to %s", cfg.n_paths, args.output)
     return 0
@@ -104,10 +104,10 @@ def cmd_table(args):
 
 def cmd_figures(args):
     cfg = _load_config(args.config)
-    series = harness.run_figures(cfg)
+    series, closure_meta = harness.run_figures(cfg)
     harness.write_series_csv(series, args.output)
     log.info("figure series written to %s", args.output)
-    for order, meta in series["_meta"].items():
+    for order, meta in closure_meta.items():
         frac, n_rhs = meta["over_dispersed_fraction"], meta["n_rhs"]
         log.info("%s-order closure: over_dispersed_fraction %.6g (%d of %d "
                  "right-hand-side evaluations saw variance > mean and used "

@@ -21,10 +21,11 @@ import numpy as np
 from . import __version__
 from .basis import CharlierBasis, project_density
 from .closure import MomentState
-from .models import KINDS, SineDrive, TableDrive, make_model
+from .models import KINDS, SineDrive, TableDrive, _tail_cover, make_model
 from .solve import (IntegrationError, TimeGrid, Trajectory,
                     basis_parameter_prepass, simulate_paths, solve_closure,
                     solve_galerkin, solve_reference)
+from .special import poisson_pmf, upper_tail
 
 __all__ = [
     "ConfigError",
@@ -68,16 +69,6 @@ def _make_lambda(spec):
     _reject_unknown("lambda", spec, {"base", "amplitude"})
     return SineDrive(float(spec.get("base", 0.0)),
                      float(spec.get("amplitude", 0.0)))
-
-
-def check_horizon(t0: float, T: float, dt_out: float) -> None:
-    """ConfigError unless [t0, T] holds a whole number of output steps
-    dt_out: every solver stops at the last output time, so a remainder
-    would be cut off without notice."""
-    n = round((T - t0) / dt_out)
-    if abs(n * dt_out - (T - t0)) > 1e-9 * (T - t0):
-        raise ConfigError(f"horizon T - t0 = {T - t0:g} is not a whole "
-                          f"number of output steps dt_out = {dt_out:g}")
 
 
 def _is_number(v) -> bool:
@@ -171,8 +162,7 @@ class ExperimentConfig:
             raise ConfigError(f"n_paths {n!r} is not an integer >= 2")
         try:
             drive = self.params().lam
-            self.grid().substeps
-            check_horizon(self.t0, self.T, self.dt_out)
+            self.grid()
             x_max = self.x_max()
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
@@ -246,13 +236,17 @@ class ExperimentConfig:
                         dt_int=self.dt_int)
 
     def x_max(self) -> int:
+        """X_max, or else the params record's rule, raised to cover the
+        init's tail if the init puts more than 1e-12 at or above it."""
         if self.X_max is not None:
             return int(self.X_max)
-        return self.params().x_max(self.t0, self.T, float(self.init["value"]))
+        x0 = float(self.init["value"])
+        rule = self.params().x_max(self.t0, self.T, x0)
+        mass = (x0 >= rule if self.init["kind"] == "point"
+                else upper_tail(x0, rule - 1))
+        return max(rule, _tail_cover(x0)) if mass > 1e-12 else rule
 
     def initial_pmf(self, x_max: int) -> np.ndarray:
-        from .special import poisson_pmf
-
         p0 = np.zeros(x_max + 1)
         if self.init["kind"] == "point":
             p0[int(self.init["value"])] = 1.0
@@ -364,7 +358,7 @@ def tune_basis_parameter(cfg: ExperimentConfig, N: int,
     state = cfg.initial_state()
     grid = cfg.grid()
     m_bar = basis_parameter_prepass(cfg.params(), state, grid)
-    coarse = TimeGrid(t0=cfg.t0, T=cfg.T, dt_out=5e-3, dt_int=5e-3)
+    coarse = grid.coarsened(5e-3, 5e-3)
     x_max = cfg.x_max()
     p0 = cfg.initial_pmf(x_max)
     model = cfg.build_model()
@@ -465,15 +459,17 @@ def run_table(cfg: ExperimentConfig, reference=None) -> ErrorTable:
     return ErrorTable(rows=rows, provenance=provenance)
 
 
-def run_figures(cfg: ExperimentConfig) -> dict:
+def run_figures(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Per-time mean, variance, and delay probability for the reference,
-    zeroth-, and first-order closure solvers."""
+    zeroth-, and first-order closure solvers, and the closure runs' meta
+    by order."""
     ref = run_reference(cfg)
     series = {"t": ref.times, "ref_mean": ref.mean,
               "ref_variance": ref.variance}
     params = cfg.params()
     if hasattr(params, "c"):
         series["ref_delay"] = ref.pmf[:, params.c:].sum(axis=1)
+    closure_meta = {}
     for order in ("zeroth", "first"):
         traj = solve_closure(cfg.kind, params, order,
                              cfg.initial_state(), cfg.grid())
@@ -481,12 +477,11 @@ def run_figures(cfg: ExperimentConfig) -> dict:
         series[f"{order}_variance"] = traj.variance
         if traj.delay is not None:
             series[f"{order}_delay"] = traj.delay
-        series.setdefault("_meta", {})[order] = traj.meta
-    return series
+        closure_meta[order] = traj.meta
+    return series, closure_meta
 
 
-def run_simulation(cfg: ExperimentConfig, dt_out: float):
-    grid = TimeGrid(t0=cfg.t0, T=cfg.T, dt_out=dt_out, dt_int=dt_out)
+def run_simulation(cfg: ExperimentConfig, grid: TimeGrid):
     return simulate_paths(cfg.build_model(), cfg.n_paths, cfg.seed, grid,
                           x0=cfg.init["value"], x0_dist=cfg.init["kind"])
 
@@ -503,7 +498,7 @@ def write_table_csv(table: ErrorTable, path) -> None:
 
 
 def write_series_csv(series: dict, path) -> None:
-    cols = [k for k in series if not k.startswith("_")]
+    cols = list(series)
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         n = len(series["t"])

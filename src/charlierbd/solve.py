@@ -56,7 +56,9 @@ class RateBoundError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Horizon and step layout; dt_out must be an integer multiple of dt_int."""
+    """Output times every dt_out on [t0, T], each output step split into
+    `substeps` RK4 steps of dt_int. Construction sets the read-only
+    `times` and raises ValueError for any other layout."""
 
     t0: float
     T: float
@@ -64,22 +66,35 @@ class TimeGrid:
     dt_int: float
 
     def __post_init__(self):
-        if self.T <= self.t0:
-            raise ValueError("horizon T must exceed t0")
-        if self.dt_int <= 0 or self.dt_out < self.dt_int:
+        span = self.T - self.t0
+        if not 0 < span < np.inf:
+            raise ValueError("horizon T must exceed t0, both finite")
+        if not self.dt_out >= self.dt_int > 0:
             raise ValueError("need dt_out >= dt_int > 0")
-
-    @property
-    def times(self) -> np.ndarray:
-        n = int(round((self.T - self.t0) / self.dt_out))
-        return self.t0 + self.dt_out * np.arange(n + 1)
-
-    @property
-    def substeps(self) -> int:
-        n = int(round(self.dt_out / self.dt_int))
-        if abs(n * self.dt_int - self.dt_out) > 1e-9 * self.dt_out:
+        n_out = round(span / self.dt_out)
+        if not abs(n_out * self.dt_out - span) <= 1e-9 * span:
+            raise ValueError(f"horizon T - t0 = {span:g} is not a whole number"
+                             f" of output steps dt_out = {self.dt_out:g}")
+        n_sub = round(self.dt_out / self.dt_int)
+        if abs(n_sub * self.dt_int - self.dt_out) > 1e-9 * self.dt_out:
             raise ValueError("dt_out must be an integer multiple of dt_int")
-        return n
+        object.__setattr__(self, "substeps", n_sub)
+        object.__setattr__(self, "times",
+                           self.t0 + self.dt_out * np.arange(n_out + 1))
+        self.times.flags.writeable = False
+
+    def coarsened(self, dt_out: float, dt_int: float) -> "TimeGrid":
+        """The grid on [t0, T] with these steps if valid, else the nearest
+        valid one: whole step counts nearest span / dt_out and dt_out /
+        dt_int, at least one each."""
+        try:
+            return TimeGrid(self.t0, self.T, dt_out, dt_int)
+        except ValueError:
+            span = self.T - self.t0
+            n_out = max(1, round(span / dt_out))
+            n_sub = max(1, round(span / n_out / dt_int))
+            return TimeGrid(self.t0, self.T, span / n_out,
+                            span / (n_out * n_sub))
 
 
 @dataclass
@@ -459,9 +474,9 @@ def basis_parameter_prepass(params, init: MomentState,
 
     One cheap fixed-step pre-pass on a coarsened grid.
     """
-    coarse = TimeGrid(t0=grid.t0, T=grid.T,
-                      dt_out=max(grid.dt_out, (grid.T - grid.t0) / 200),
-                      dt_int=max(grid.dt_int, (grid.T - grid.t0) / 2000))
+    span = grid.T - grid.t0
+    coarse = grid.coarsened(max(grid.dt_out, span / 200),
+                            max(grid.dt_int, span / 2000))
     traj = solve_closure(params.kind, params, "zeroth", init, coarse)
     a = float(np.mean(traj.mean))
     return max(a, _Q_FLOOR)

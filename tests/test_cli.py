@@ -164,6 +164,50 @@ def test_default_x_max_holds_a_tabulated_drive(tmp_path):
     assert not [w for w in caught if "boundary mass" in str(w.message)]
 
 
+# the prepass asks for steps max(dt_out, T/200) = 0.075 and
+# max(dt_int, T/2000) = 0.00525, and 0.075 / 0.00525 is not whole
+ODD_GRID = {"model": {"kind": "erlang_a",
+                      "lambda": {"base": 10.0, "amplitude": 2.0},
+                      "mu": 1.0, "beta": 0.5, "c": 10},
+            "T": 10.5, "dt_out": 0.075, "dt_int": 0.00375, "X_max": 60,
+            "init": {"kind": "poisson", "value": 10.0}}
+
+
+@pytest.mark.parametrize("args", [["table"], ["solve-galerkin", "-N", "2"]],
+                         ids=["table", "solve_galerkin"])
+def test_odd_grid_runs(tmp_path, args):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**ODD_GRID, "orders": [1, 2]}))
+    out = tmp_path / "out.csv"
+    assert main([args[0], str(path), *args[1:], "-o", str(out)]) == 0
+    assert out.exists()
+
+
+LOSS = {"kind": "erlang_loss", "lambda": {"base": 12.0, "amplitude": 2.0},
+        "mu": 1.0, "beta": 0.5, "c": 10, "k": 5}
+QUADRATIC = {"kind": "quadratic", "lambda": {"base": 0.1, "amplitude": 0.02},
+             "Qtilde": 50, "beta": 1.0}
+INFINITE = {"kind": "infinite_server",
+            "lambda": {"base": 10.0, "amplitude": 2.0}, "mu": 1.0}
+
+
+@pytest.mark.parametrize("model,init", [
+    (LOSS, {"kind": "poisson", "value": 10.0}),
+    (LOSS, {"kind": "point", "value": 20}),
+    (QUADRATIC, {"kind": "poisson", "value": 60.0}),
+    (QUADRATIC, {"kind": "point", "value": 100}),
+    (INFINITE, {"kind": "poisson", "value": 500.0}),
+    (INFINITE, {"kind": "point", "value": 500}),
+], ids=["loss_poisson", "loss_point", "quadratic_poisson", "quadratic_point",
+        "infinite_poisson", "infinite_point"])
+def test_default_x_max_holds_the_initial_distribution(tmp_path, model, init):
+    # each init puts mass at or above its model's own X_max rule
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": model, "T": 2.0, "init": init}))
+    assert main(["solve-reference", str(path),
+                 "-o", str(tmp_path / "ref.csv")]) == 0
+
+
 GALERKIN = ["solve-galerkin", "-N", "2"]
 
 
@@ -217,6 +261,7 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
                 "mu": 1.0, "beta": 0.5, "c": 4}}, ["solve-reference"]),
     ({"dt_out": 0.3}, ["solve-reference"]),
     ({}, ["simulate", "--dt-out", "0.3"]),
+    ({"T": 1.0}, ["simulate", "--dt-out", "0.3"]),
     ({"orders": [61]}, ["table"]),
     ({"orders": [30], "basis": {"mode": "tuned"}}, ["table"]),
     ({"basis": {"mode": "tuned"}}, ["solve-galerkin", "-N", "40"]),
@@ -248,6 +293,7 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
         "orders_not_a_list", "misspelt_lambda_key", "unknown_model_key",
         "lambda_samples_beside_base", "unknown_lambda_samples_key",
         "horizon_not_whole_output_steps", "dt_out_flag_not_whole_steps",
+        "dt_out_flag_not_whole_steps_of_a_unit_horizon",
         "order_beyond_X_max_in_config", "tuned_proxy_beyond_X_max",
         "tuned_proxy_of_order_flag_beyond_X_max", "negative_order_flag",
         "infinite_horizon", "boolean_horizon", "infinite_t0",

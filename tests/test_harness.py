@@ -226,7 +226,9 @@ class TestTuning:
 class TestRunFigures:
     def test_series_bundle(self, tmp_path):
         cfg = erlang_cfg(orders=[1])
-        series = run_figures(cfg)
+        series, closure_meta = run_figures(cfg)
+        assert list(closure_meta) == ["zeroth", "first"]
+        assert "_meta" not in series
         for key in ("t", "ref_mean", "ref_delay", "zeroth_mean",
                     "first_mean", "first_delay"):
             assert key in series
@@ -243,6 +245,6 @@ class TestRunFigures:
                                       "mu": 1.0},
                                T=4.0, init={"kind": "poisson", "value": 5.0},
                                X_max=60)
-        series = run_figures(cfg)
+        series, _ = run_figures(cfg)
         assert np.max(np.abs(series["zeroth_mean"] - series["ref_mean"])) \
             < 1e-6

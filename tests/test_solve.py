@@ -97,6 +97,48 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(t0=0.0, T=10.0, dt_out=1e-3, dt_int=2e-3)
 
+    @pytest.mark.parametrize("t0,T,dt_out,dt_int,match", [
+        (0.0, 1.0, 0.3, 0.3, "not a whole number of output steps"),
+        (0.0, 1.0, 0.25, 0.1, "integer multiple"),
+        (0.0, 1.0, np.inf, np.inf, "not a whole number of output steps"),
+        (0.0, 1.0, np.nan, np.nan, "dt_out >= dt_int > 0"),
+        (0.0, 1.0, 0.0, 0.0, "dt_out >= dt_int > 0"),
+        (0.0, np.inf, 0.5, 0.5, "must exceed t0"),
+        (np.nan, 1.0, 0.5, 0.5, "must exceed t0"),
+    ])
+    def test_every_bad_layout_raises_at_construction(self, t0, T, dt_out,
+                                                      dt_int, match):
+        with pytest.raises(ValueError, match=match):
+            TimeGrid(t0=t0, T=T, dt_out=dt_out, dt_int=dt_int)
+
+    def test_layout_is_set_once_and_read_only(self):
+        g = TimeGrid(t0=0.0, T=1.0, dt_out=0.25, dt_int=0.05)
+        assert g.times is g.times
+        assert g.substeps == 5 and isinstance(g.substeps, int)
+        with pytest.raises(ValueError):
+            g.times[0] = 1.0
+
+    def test_coarsened_keeps_a_valid_layout(self):
+        g = TimeGrid(t0=0.0, T=10.0, dt_out=1e-3, dt_int=1e-3)
+        c = g.coarsened(0.05, 5e-3)
+        assert (c.dt_out, c.dt_int) == (0.05, 5e-3)
+        assert np.array_equal(c.times, 0.05 * np.arange(201))
+
+    @pytest.mark.parametrize("T,steps,want", [
+        # 5e-3 overshoots T = 0.004 and T = 0.002: one step of T
+        (0.004, (5e-3, 5e-3), (1, 1)),
+        (0.002, (5e-3, 5e-3), (1, 1)),
+        (0.0125, (5e-3, 5e-3), (2, 1)),
+        # 0.075 / 0.00525 is not whole: 14 RK4 steps per output step
+        (10.5, (0.075, 0.00525), (140, 14)),
+    ])
+    def test_coarsened_rounds_to_the_nearest_valid_layout(self, T, steps,
+                                                          want):
+        c = TimeGrid(t0=0.0, T=T, dt_out=T, dt_int=T).coarsened(*steps)
+        assert (c.times.size - 1, c.substeps) == want
+        assert c.times[0] == 0.0 and c.times[-1] == pytest.approx(T,
+                                                                  rel=1e-12)
+
 
 class TestIntegrate:
     def test_exact_on_linear_ode(self):
