@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 numerical failure (divergence, rate-bound
-violation, boundary-mass overflow) or out of memory, 2 bad input (config
-or arguments). Set CHARLIER_LOG=debug for verbose progress output.
+violation, boundary-mass overflow), out of memory or standard output
+closed early (as by `| head -1`), 2 bad input (config or arguments). Set
+CHARLIER_LOG=debug for verbose progress output.
 """
 
 from __future__ import annotations
@@ -220,7 +221,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so
+        # the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return 2

@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -47,38 +48,47 @@ class ConfigError(ValueError):
     pass
 
 
-def _reject_unknown(what: str, d: dict, allowed) -> None:
+def _object(what: str, d, allowed, required=()) -> dict:
+    """`d`, once it is a JSON object with no key outside `allowed` and
+    every key in `required`."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be an object")
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown {what} keys {sorted(unknown)}; "
                           f"allowed: {sorted(allowed)}")
+    missing = set(required) - set(d)
+    if missing:
+        raise ConfigError(f"{what} missing keys {sorted(missing)}")
+    return d
+
+
+def _number(what: str, v, least=None, count=False):
+    """`v` as an int if `count`, else a float, once it is a finite real
+    that fits a float (any int for a count) and not a bool; a count is
+    whole (an integral float counts) and at least `least`, a real above
+    it: the schema's one bound on a real is positivity."""
+    if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and (count and isinstance(v, int) or abs(v) <= sys.float_info.max)
+            and (not count or v == int(v))
+            and (least is None or (v >= least if count else v > least))):
+        bound = "" if least is None else f" {'>=' if count else '>'} {least}"
+        raise ConfigError(f"{what} {v!r} is not "
+                          f"{'an integer' if count else 'a finite number'}"
+                          f"{bound}")
+    return int(v) if count else float(v)
 
 
 def _make_lambda(spec):
     """Arrival-rate drive from a config fragment: `base`/`amplitude`, or
     `samples` with `t`/`value`."""
-    if not isinstance(spec, dict):
-        raise ConfigError("lambda spec must be an object")
-    if "samples" in spec:
-        _reject_unknown("lambda", spec, {"samples"})
-        samples = spec["samples"]
-        if not isinstance(samples, dict):
-            raise ConfigError("lambda samples must be an object")
-        _reject_unknown("lambda samples", samples, {"t", "value"})
-        return TableDrive(samples.get("t"), samples.get("value"))
-    _reject_unknown("lambda", spec, {"base", "amplitude"})
-    return SineDrive(float(spec.get("base", 0.0)),
-                     float(spec.get("amplitude", 0.0)))
-
-
-def _is_number(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
-
-
-def _is_count(v, least: int) -> bool:
-    """v is an integer >= least; a float with an integral value counts."""
-    return _is_number(v) and v == int(v) and v >= least
+    if "samples" not in _object("lambda", spec,
+                                ("base", "amplitude", "samples")):
+        return SineDrive(*(_number(f"lambda.{k}", spec.get(k, 0.0))
+                           for k in ("base", "amplitude")))
+    samples = _object("lambda", spec, ("samples",))["samples"]
+    _object("lambda samples", samples, ("t", "value"), ("t", "value"))
+    return TableDrive(samples["t"], samples["value"])
 
 
 def _number_fields(kind: str) -> dict:
@@ -106,60 +116,36 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        if self.schema_version != SCHEMA_VERSION:
+        if _number("schema_version", self.schema_version) != SCHEMA_VERSION:
             raise ConfigError(
                 f"unsupported schema version {self.schema_version}")
-        for name in ("model", "init", "basis"):
-            if not isinstance(getattr(self, name), dict):
-                raise ConfigError(f"{name} must be an object")
-        bad = [k for k in ("t0", "T", "dt_out", "dt_int")
-               if not _is_number(getattr(self, k))]
-        if bad:
-            raise ConfigError(f"fields {bad} must be finite numbers")
-        kind = self.model.get("kind")
+        for k in ("t0", "T", "dt_out", "dt_int"):
+            _number(k, getattr(self, k))
+        # the kind decides which other model keys are allowed
+        kind = _object("model", self.model, self.model, ("kind",))["kind"]
         if kind not in KINDS:
             raise ConfigError(f"unknown model kind {kind!r}")
         fields = _number_fields(kind)
-        missing = ({"lambda"} | set(fields)) - set(self.model)
-        if missing:
-            raise ConfigError(f"model {kind!r} missing fields {sorted(missing)}")
-        _reject_unknown(f"model {kind!r}", self.model,
-                        {"kind", "lambda", *fields})
-        bad = [k for k in sorted(fields) if not _is_number(self.model[k])]
-        lam = self.model["lambda"]
-        if isinstance(lam, dict):
-            bad += [f"lambda.{k}" for k in ("base", "amplitude")
-                    if k in lam and not _is_number(lam[k])]
-        if bad:
-            raise ConfigError(f"model {kind!r}: fields {bad} must be numbers")
-        bad = [k for k in sorted(fields) if fields[k] is int
-               and self.model[k] != int(self.model[k])]
-        if bad:
-            raise ConfigError(f"model {kind!r}: fields {bad} must be integers")
-        if not (isinstance(self.seed, int) and self.seed >= 0
-                and not isinstance(self.seed, bool)):
-            raise ConfigError(f"seed {self.seed!r} is not a nonnegative "
-                              "integer")
-        if self.X_max is not None and not _is_count(self.X_max, 1):
-            raise ConfigError(f"X_max {self.X_max!r} is not a positive "
-                              "integer")
-        if not (isinstance(self.orders, list) and self.orders
-                and all(_is_count(n, 1) for n in self.orders)):
-            raise ConfigError(f"orders {self.orders!r} is not a nonempty "
-                              "list of integers >= 1")
-        if self.init.get("kind") not in ("point", "poisson"):
+        keys = {"kind", "lambda", *fields}
+        _object(f"model {kind!r}", self.model, keys, keys)
+        for k, t in fields.items():
+            _number(f"model {kind!r} field {k}", self.model[k],
+                    count=t is int)
+        self.seed = _number("seed", self.seed, 0, count=True)
+        if self.X_max is not None:
+            _number("X_max", self.X_max, 1, count=True)
+        if not (isinstance(self.orders, list) and self.orders):
+            raise ConfigError(f"orders {self.orders!r} is not a nonempty list")
+        self.orders = [_number("order", n, 1, count=True)
+                       for n in self.orders]
+        init = _object("init", self.init, ("kind", "value"),
+                       ("kind", "value"))
+        if init["kind"] not in ("point", "poisson"):
             raise ConfigError("init kind must be 'point' or 'poisson'")
-        value = self.init.get("value")
-        if self.init["kind"] == "point":
-            if not _is_count(value, 0):
-                raise ConfigError(f"point init value {value!r} is not a "
-                                  "nonnegative integer")
-        elif not (_is_number(value) and value > 0):
-            raise ConfigError(f"poisson init value {value!r} is not a "
-                              "positive number")
-        n = self.n_paths
-        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 2):
-            raise ConfigError(f"n_paths {n!r} is not an integer >= 2")
+        point = init["kind"] == "point"
+        value = _number(f"{init['kind']} init value", init["value"], 0,
+                        count=point)
+        self.n_paths = _number("n_paths", self.n_paths, 2, count=True)
         try:
             drive = self.params().lam
             self.grid()
@@ -171,17 +157,17 @@ class ExperimentConfig:
             raise ConfigError(f"lambda reaches {lam_min:.6g} < 0 on "
                               f"[{self.t0:g}, {self.T:g}]; arrival rates "
                               "must be nonnegative")
-        if self.init["kind"] == "point" and value > x_max:
+        if point and value > x_max:
             raise ConfigError(f"point init value {value!r} is beyond "
                               f"X_max={x_max}")
-        mode = self.basis.get("mode", "auto")
+        basis = _object("basis", self.basis, ("mode", "a"))
+        mode = basis.get("mode", "auto")
         if mode not in ("auto", "fixed", "tuned"):
             raise ConfigError(f"unknown basis mode {mode!r}")
-        a = self.basis.get("a")
-        if mode == "fixed" and not (_is_number(a) and a > 0):
-            raise ConfigError(f"fixed basis needs a positive number 'a', "
-                              f"got {a!r}")
-        self.orders = [int(n) for n in self.orders]
+        keys = ("mode", "a") if mode == "fixed" else ("mode",)
+        _object(f"{mode} basis", basis, keys, keys[1:])
+        if mode == "fixed":
+            _number("fixed basis a", basis["a"], 0)
         self.check_order(max(self.orders))
 
     def check_order(self, N: int) -> None:
@@ -195,9 +181,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("a config must be a JSON object")
-        _reject_unknown("config", d, cls.__dataclass_fields__)
+        _object("config", d, cls.__dataclass_fields__, ("model",))
         try:
             return cls(**d)
         except TypeError as exc:
@@ -272,7 +256,7 @@ def rel_error(u, u_star, times) -> float:
     Trapezoidal on the shared grid. If |u*| dips below 1e-8 (or is not
     finite) anywhere on [t0, t0 + 1], the lower integration limit moves to
     t0 + 1 and the averaging measure is renormalized; a dip after that
-    limit is a hard division-guard error.
+    limit, or fewer than two output times left after it, is a ValueError.
     """
     u = np.asarray(u, dtype=float)
     u_star = np.asarray(u_star, dtype=float)
@@ -287,6 +271,11 @@ def rel_error(u, u_star, times) -> float:
             lo = int(np.searchsorted(times, cut, side="right")) - 1
             if small[lo]:
                 lo += 1
+            if lo >= len(times) - 1:
+                raise ValueError(
+                    "reference magnitude below 1e-8 or non-finite on "
+                    f"[{times[0]:.6g}, {cut:.6g}] leaves fewer than two "
+                    "output times after the lower-limit fallback")
         else:
             t_bad = times[small & (times > cut)][0]
             raise ValueError(

@@ -208,6 +208,21 @@ def test_default_x_max_holds_the_initial_distribution(tmp_path, model, init):
                  "-o", str(tmp_path / "ref.csv")]) == 0
 
 
+def cli_command(args):
+    """argv and environment that run the CLI on this checkout's package
+    in a fresh interpreter."""
+    src = str(Path(charlierbd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    return [sys.executable, "-m", "charlierbd.cli", *args], env
+
+
+def run_cli(args):
+    argv, env = cli_command(args)
+    return subprocess.run(argv, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 GALERKIN = ["solve-galerkin", "-N", "2"]
 
 
@@ -281,6 +296,14 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
                 "lambda": {"samples": {"t": [0.0, float("nan")],
                                        "value": [6.0, 6.0]}},
                 "mu": 1.0, "beta": 0.5, "c": 4}}, ["solve-reference"]),
+    ({"init": {"kind": "poisson", "value": 5.0, "vlaue": 5.0}},
+     ["solve-reference"]),
+    ({"basis": {"mdoe": "fixed", "a": 3.0}}, GALERKIN),
+    ({"basis": {"mode": "auto", "a": 3.0}}, GALERKIN),
+    ({"basis": {"mode": "tuned", "a": 3.0}}, GALERKIN),
+    ({"init": {"kind": "point"}}, ["solve-reference"]),
+    ({"schema_version": True}, ["solve-reference"]),
+    ({"T": 10**400}, ["solve-reference"]),
 ], ids=["point_init_beyond_X_max", "fixed_basis_without_a",
         "dt_out_not_a_multiple", "non_numeric_model_field", "one_path",
         "negative_paths", "zero_dt_out", "negative_dt_out",
@@ -298,21 +321,60 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
         "tuned_proxy_of_order_flag_beyond_X_max", "negative_order_flag",
         "infinite_horizon", "boolean_horizon", "infinite_t0",
         "infinite_dt_out", "nan_dt_int", "infinite_dt_out_flag",
-        "nan_dt_out_flag", "nan_lambda_sample", "nan_lambda_knot_time"])
+        "nan_dt_out_flag", "nan_lambda_sample", "nan_lambda_knot_time",
+        "unknown_init_key", "misspelt_basis_key", "a_with_auto_basis",
+        "a_with_tuned_basis", "init_without_value", "boolean_schema_version",
+        "horizon_beyond_float_range"])
 def test_bad_config_exits_2_without_traceback(cfg_path, tmp_path, patch,
                                               args):
     cfg = json.loads(cfg_path.read_text())
     cfg.update(patch)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
-    src = str(Path(charlierbd.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "charlierbd.cli", args[0], str(bad),
-         *args[1:], "-o", str(tmp_path / "out.csv")],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = run_cli([args[0], str(bad), *args[1:],
+                    "-o", str(tmp_path / "out.csv")])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("ERROR charlierbd: config error: ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_integral_float_counts_match_their_integer_form(cfg_path, tmp_path):
+    cfg = json.loads(cfg_path.read_text())
+    csvs = []
+    for i, (seed, n_paths) in enumerate(((7, 300), (7.0, 300.0))):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(dict(cfg, seed=seed, n_paths=n_paths)))
+        out = tmp_path / f"sim{i}.csv"
+        assert main(["simulate", str(path), "--dt-out", "0.5",
+                     "-o", str(out)]) == 0
+        csvs.append(out.read_text())
+    assert csvs[0] == csvs[1]
+
+
+# the infinite-server queue started empty: its mean is 0 at t0, so the
+# error average starts at t0 + 1, at or past the last output time
+@pytest.mark.parametrize("lam,T", [
+    ({"base": 10.0, "amplitude": 2.0}, 1.0),
+    ({"base": 10.0, "amplitude": 2.0}, 0.5),
+    ({"base": 0.0}, 1.0),
+], ids=["unit_horizon", "half_horizon", "no_arrivals"])
+def test_table_on_a_short_horizon_exits_1_with_one_line(tmp_path, lam, T):
+    cfg = {"model": {"kind": "infinite_server", "lambda": lam, "mu": 1.0},
+           "T": T, "orders": [1, 2]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["table", str(path), "-o", str(tmp_path / "t.csv")])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("ERROR charlierbd: reference magnitude")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_closed_stdout_prints_no_traceback():
+    argv, env = cli_command(["validate"])
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b""

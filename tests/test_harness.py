@@ -126,6 +126,20 @@ class TestRelError:
         with pytest.raises(ValueError):
             rel_error(np.ones(3), np.ones(4), np.arange(4.0))
 
+    @pytest.mark.parametrize("T", [0.5, 1.0])
+    def test_fallback_past_a_short_horizon(self, T):
+        # only t0 is small, and the fallback to t0 + 1 leaves one time
+        t = np.linspace(0, T, 11)
+        u_star = np.where(t == 0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="fewer than two output times"):
+            rel_error(u_star + 0.1, u_star, t)
+
+    def test_reference_small_up_to_the_horizon(self):
+        # every time is small, and the fallback leaves none
+        t = np.linspace(0, 1, 11)
+        with pytest.raises(ValueError, match="fewer than two output times"):
+            rel_error(np.ones(11), np.zeros(11), t)
+
 
 class TestRunTable:
     def test_trend_and_provenance(self):

@@ -1,9 +1,13 @@
-"""Seeded property test over the config schema: every drawn config is
+"""Seeded property tests over the config schema: every drawn config is
 either refused with ConfigError or has coarse grids that cover [t0, T]
-and a default X_max that holds its initial distribution. No solver runs.
+and a default X_max that holds its initial distribution, and an unknown
+key in any of an accepted config's objects is refused. No solver runs.
 """
 
+import copy
+
 import numpy as np
+import pytest
 
 from charlierbd.harness import ConfigError, ExperimentConfig
 from charlierbd.special import upper_tail
@@ -84,18 +88,32 @@ def draw_init(rng):
     return {"kind": "poisson", "value": float(rng.uniform(0.05, 600.0))}
 
 
-def test_configs_are_refused_or_safe_on_every_grid():
+def draw_basis(rng):
+    mode = str(rng.choice(["auto", "fixed", "tuned"]))
+    if mode == "fixed":
+        return {"mode": mode, "a": float(rng.uniform(0.05, 100.0))}
+    return {"mode": mode}
+
+
+def accepted_configs():
+    """The drawn configs that ExperimentConfig accepts."""
     rng = np.random.default_rng(20141)
-    accepted = 0
     for _ in range(N_CONFIGS):
         t0, T, dt_out, dt_int = draw_layout(rng)
         try:
-            cfg = ExperimentConfig(model=draw_model(rng), t0=t0, T=T,
+            yield ExperimentConfig(model=draw_model(rng), t0=t0, T=T,
                                    dt_out=dt_out, dt_int=dt_int,
-                                   init=draw_init(rng), orders=[1])
+                                   init=draw_init(rng), orders=[1],
+                                   basis=draw_basis(rng))
         except ConfigError:
             continue
+
+
+def test_configs_are_refused_or_safe_on_every_grid():
+    accepted = 0
+    for cfg in accepted_configs():
         accepted += 1
+        t0, T = cfg.t0, cfg.T
         span = T - t0
         for steps, new, old in coarse_grids(cfg.grid()):
             assert new.times[0] == t0
@@ -113,3 +131,35 @@ def test_configs_are_refused_or_safe_on_every_grid():
         assert mass <= 1e-12, (cfg.model, cfg.init, x_max)
     # the draws must exercise both branches
     assert 100 < accepted < N_CONFIGS
+
+
+def object_levels(d):
+    """(config, paths): the config dict d with its sine drive, with that
+    drive tabulated, and with each basis mode, and the paths of the
+    objects each holds that the other entries do not cover."""
+    yield d, [(), ("model",), ("model", "lambda"), ("init",)]
+    tabulated = copy.deepcopy(d)
+    base = d["model"]["lambda"]["base"]
+    tabulated["model"]["lambda"] = {"samples": {"t": [d["t0"], d["T"]],
+                                                "value": [base, base]}}
+    yield tabulated, [("model", "lambda"), ("model", "lambda", "samples")]
+    for basis in ({"mode": "auto"}, {"mode": "fixed", "a": 1.0},
+                  {"mode": "tuned"}):
+        yield dict(d, basis=basis), [("basis",)]
+
+
+def test_an_unknown_key_is_refused_in_every_object():
+    modes = set()
+    for cfg in accepted_configs():
+        d = cfg.to_dict()
+        modes.add(d["basis"]["mode"])
+        for variant, paths in object_levels(d):
+            for path in paths:
+                bad = copy.deepcopy(variant)
+                obj = bad
+                for key in path:
+                    obj = obj[key]
+                obj["zz"] = 1.0
+                with pytest.raises(ConfigError, match="zz"):
+                    ExperimentConfig.from_dict(bad)
+    assert modes == {"auto", "fixed", "tuned"}
