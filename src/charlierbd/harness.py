@@ -123,8 +123,9 @@ class ExperimentConfig:
             _number(k, getattr(self, k))
         # the kind decides which other model keys are allowed
         kind = _object("model", self.model, self.model, ("kind",))["kind"]
-        if kind not in KINDS:
-            raise ConfigError(f"unknown model kind {kind!r}")
+        if not isinstance(kind, str) or kind not in KINDS:
+            raise ConfigError(f"model kind {kind!r} is not one of "
+                              f"{sorted(KINDS)}")
         fields = _number_fields(kind)
         keys = {"kind", "lambda", *fields}
         _object(f"model {kind!r}", self.model, keys, keys)

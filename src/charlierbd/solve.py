@@ -499,10 +499,15 @@ def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
     double whenever a path reaches top. A candidate whose rate exceeds
     its bound raises RateBoundError. Emits the empirical mean and
     variance with delete-a-group jackknife standard errors for the mean
-    (100 groups, or one per path when fewer); deterministic for a fixed
-    seed. meta carries the thinning candidates (n_candidates), the
-    accepted births plus deaths (n_jumps) and the wall time of the whole
-    call (wall_s).
+    (100 contiguous groups of paths, or one per path when fewer);
+    deterministic for a fixed seed. No path history is kept: the state of
+    each path at each output time is added into exact int64 sums at that
+    time, S1 of states, S2 of squared states and one state sum per group,
+    so memory is O(n_paths + 100 n_times). The mean is S1 / n_paths, the
+    variance the correctly rounded (n S2 - S1^2) / (n (n-1)); a table top
+    at which n_paths top^2 could reach 2^63 raises SolverError. meta
+    carries the thinning candidates (n_candidates), the accepted births
+    plus deaths (n_jumps) and the wall time of the whole call (wall_s).
     """
     start = time.perf_counter()
     if n_paths < 2:
@@ -522,21 +527,42 @@ def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
         xs = rng.poisson(float(x0), size=n_paths).astype(np.int64)
     else:
         raise ValueError(f"unknown initial distribution {x0_dist!r}")
+
+    def tables(top):
+        if n_paths * top * top >= 2 ** 63:
+            raise SolverError(f"{n_paths} paths up to state {top} overflow "
+                              "the int64 sum of squared states")
+        return affine_rates(model, times, top)
+
     top = 2 * int(xs.max()) + 2
-    g, d = affine_rates(model, times, top)
-    out = np.empty((times.size, n_paths), dtype=np.int64)
-    out[0] = xs
-    # per live path: column in out, state, clock, output interval
-    pid = np.arange(n_paths)
+    g, d = tables(top)
+    sizes = np.array([len(c) for c in np.array_split(np.arange(n_paths),
+                                                     min(100, n_paths))])
+    n_groups = sizes.size
+    # per output time: the sums of states and of squared states, and the
+    # state sum of each jackknife group
+    s1 = np.zeros(times.size, dtype=np.int64)
+    s2 = np.zeros(times.size, dtype=np.int64)
+    group_sums = np.zeros((times.size, n_groups), dtype=np.int64)
+
+    def record(i, group, x):
+        # paths of jackknife groups `group` at output times i in states x
+        np.add.at(s1, i, x)
+        np.add.at(s2, i, x * x)
+        np.add.at(group_sums, (i, group), x)
+
+    # per live path: jackknife group, state, clock, output interval
+    grp = np.repeat(np.arange(n_groups), sizes)
     ts = np.full(n_paths, times[0])
     k = np.zeros(n_paths, dtype=np.intp)
+    record(k, grp, xs)
     n_candidates = n_jumps = 0
-    while pid.size:
+    while grp.size:
         gx, dx = g[xs], d[xs]
         B = lam_bar[k] * gx + dx
         t_end = times[k + 1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_new = ts + rng.standard_exponential(pid.size) / B
+            t_new = ts + rng.standard_exponential(grp.size) / B
         hit = t_new <= t_end
         h = np.nonzero(hit)[0]
         if h.size:
@@ -556,21 +582,24 @@ def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
             n_jumps += np.count_nonzero(step)
             if xs[h].max() == top:
                 top *= 2
-                g, d = affine_rates(model, times, top)
+                g, d = tables(top)
             ts[h] = t_new[h]
         # a path without a candidate before its interval end reaches it
         m = np.nonzero(~hit)[0]
         if m.size:
-            out[k[m] + 1, pid[m]] = xs[m]
             ts[m] = t_end[m]
             k[m] += 1
+            record(k[m], grp[m], xs[m])
             if np.any(k[m] == n_int):
                 live = k < n_int
-                pid, xs, ts, k = (a[live] for a in (pid, xs, ts, k))
+                grp, xs, ts, k = (a[live] for a in (grp, xs, ts, k))
 
-    m1 = out.mean(axis=1)
-    var = out.var(axis=1, ddof=1)
-    se = _jackknife_se_mean(out, min(100, n_paths))
+    m1 = s1 / n_paths
+    # exact Python ints, one correctly rounded division per output time
+    den = n_paths * (n_paths - 1)
+    var = np.array([(n_paths * q - s * s) / den
+                    for s, q in zip(s1.tolist(), s2.tolist())])
+    se = _jackknife_se_mean(group_sums, sizes)
     wall = time.perf_counter() - start
     log.debug("simulate: %d paths, %d thinning candidates, %.3f s", n_paths,
               n_candidates, wall)
@@ -580,13 +609,12 @@ def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
                             "n_jumps": n_jumps, "wall_s": wall})
 
 
-def _jackknife_se_mean(vals: np.ndarray, g: int) -> np.ndarray:
-    """Delete-a-group jackknife standard error of the per-time mean, with
-    the paths (columns of vals) split into g contiguous groups."""
-    n_paths = vals.shape[1]
-    sizes = np.array([len(c) for c in np.array_split(np.arange(n_paths), g)])
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    group_sums = np.add.reduceat(vals, starts, axis=1)
+def _jackknife_se_mean(group_sums: np.ndarray,
+                       sizes: np.ndarray) -> np.ndarray:
+    """Delete-a-group jackknife standard error of the per-time mean, from
+    the per-time state sums of each group (columns) of `sizes` paths."""
+    g = sizes.size
+    n_paths = int(sizes.sum())
     total = group_sums.sum(axis=1, keepdims=True)
     reps = (total - group_sums) / (n_paths - sizes)
     est = total / n_paths

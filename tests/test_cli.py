@@ -88,6 +88,22 @@ def test_galerkin_needs_order(cfg_path, tmp_path):
     assert out.exists()
 
 
+def test_simulate_past_the_int64_sums_exits_1(cfg_path, tmp_path, caplog):
+    # 4 paths from state 2^30 could sum squares past 2^63: refused before
+    # any rate table is built
+    cfg = json.loads(cfg_path.read_text())
+    cfg.update(X_max=2 ** 32, init={"kind": "point", "value": 2 ** 30})
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(cfg))
+    with caplog.at_level(logging.INFO, logger="charlierbd"):
+        assert main(["simulate", str(big), "--paths", "4", "-o",
+                     str(tmp_path / "s.csv")]) == 1
+    errors = [r.getMessage() for r in caplog.records
+              if r.levelname == "ERROR"]
+    assert errors == ["numerical failure: 4 paths up to state 2147483650 "
+                      "overflow the int64 sum of squared states"]
+
+
 def test_out_of_memory_exits_1(cfg_path, tmp_path, monkeypatch, caplog):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 72.8 TiB")
@@ -337,6 +353,21 @@ def test_bad_config_exits_2_without_traceback(cfg_path, tmp_path, patch,
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("ERROR charlierbd: config error: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", [["erlang_a"], {"name": "erlang_a"},
+                                  "erlang_b"],
+                         ids=["list", "object", "unknown_name"])
+def test_bad_model_kind_names_the_allowed_kinds(cfg_path, tmp_path, kind):
+    from charlierbd.models import KINDS
+    cfg = json.loads(cfg_path.read_text())
+    cfg["model"]["kind"] = kind
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    proc = run_cli(["validate", str(bad)])
+    assert proc.returncode == 2
+    assert proc.stderr == ("ERROR charlierbd: config error: model kind "
+                           f"{kind!r} is not one of {sorted(KINDS)}\n")
 
 
 def test_integral_float_counts_match_their_integer_form(cfg_path, tmp_path):

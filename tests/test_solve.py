@@ -1,4 +1,6 @@
 import logging
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -562,6 +564,74 @@ class TestSimulate:
         tr = simulate_paths(model, 50, 3, g, x0=4, x0_dist="point")
         assert np.all(tr.mean == 4.0)
         assert np.all(tr.variance == 0.0)
+
+    @pytest.mark.parametrize("n", [37, 1003])
+    def test_zero_rates_keep_exact_poisson_moments(self, n):
+        # every path keeps its initial draw, so each output time holds the
+        # moments of the seed's Poisson sample, exactly
+        zero = lambda t, x: 0.0 * np.asarray(x, dtype=float)
+        model = BirthDeathModel(birth=zero, death=zero,
+                                lam=SineDrive(0.0, 0.0), label="zero")
+        g = TimeGrid(t0=0.0, T=2.0, dt_out=0.5, dt_int=0.5)
+        tr = simulate_paths(model, n, 17, g, x0=40, x0_dist="poisson")
+        draw = np.random.default_rng(17).poisson(40.0, n)
+        s1, s2 = sum(draw.tolist()), sum(v * v for v in draw.tolist())
+        assert np.all(tr.mean == s1 / n)
+        assert np.all(tr.variance
+                      == float(Fraction(n * s2 - s1 * s1, n * (n - 1))))
+        # delete-a-group jackknife on the (times, paths) matrix of states,
+        # over min(100, n) contiguous groups
+        vals = np.tile(draw, (g.times.size, 1))
+        n_groups = min(100, n)
+        sizes = np.array([len(c) for c in
+                          np.array_split(np.arange(n), n_groups)])
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        group_sums = np.add.reduceat(vals, starts, axis=1)
+        total = group_sums.sum(axis=1, keepdims=True)
+        reps = (total - group_sums) / (n - sizes)
+        se = np.sqrt((n_groups - 1) / n_groups
+                     * ((reps - total / n) ** 2).sum(axis=1))
+        assert np.all(tr.se_mean == se)
+
+    def test_seeded_run_is_pinned(self):
+        # mean, SE and thinning counts of one seeded run, recorded when the
+        # simulator still kept the (times, paths) matrix of states
+        g = TimeGrid(t0=0.0, T=4.0, dt_out=0.5, dt_int=0.5)
+        tr = simulate_paths(small_erlang_a(), 300, 9, g, x0=3,
+                            x0_dist="poisson")
+        mean = ["0x1.8d3a06d3a06d4p+1", "0x1.ec5f92c5f92c6p+1",
+                "0x1.2258bf258bf26p+2", "0x1.5d0369d0369d0p+2",
+                "0x1.892c5f92c5f93p+2", "0x1.9a740da740da7p+2",
+                "0x1.a0da740da740ep+2", "0x1.92c5f92c5f92cp+2",
+                "0x1.7dddddddddddep+2"]
+        se = ["0x1.856ce35b6bb53p-4", "0x1.e232fb7e9b798p-4",
+              "0x1.1bde312bd742cp-3", "0x1.4b1d948b8a5eap-3",
+              "0x1.681782a9a4678p-3", "0x1.7bac82f5eaa79p-3",
+              "0x1.71ea2dea92503p-3", "0x1.53a4d4236b276p-3",
+              "0x1.47d395743db65p-3"]
+        assert [v.hex() for v in tr.mean.tolist()] == mean
+        assert [v.hex() for v in tr.se_mean.tolist()] == se
+        assert (tr.meta["n_candidates"], tr.meta["n_jumps"]) == (10185, 9955)
+
+    def test_memory_does_not_scale_with_times_by_paths(self):
+        model = infinite_server(lam_const(1.0))
+        g = TimeGrid(t0=0.0, T=2.0, dt_out=1e-3, dt_int=1e-3)
+        n = 2000
+        tracemalloc.start()
+        try:
+            simulate_paths(model, n, 1, g, x0=1, x0_dist="point")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.times.size == 2001
+        assert peak < g.times.size * n * 8 / 4
+
+    def test_overflowing_sum_of_squares_is_refused(self):
+        # 4 paths up to state 2^31 + 2 could sum squares past 2^63
+        model = infinite_server(lam_const(1.0))
+        with pytest.raises(SolverError, match="overflow"):
+            simulate_paths(model, 4, 0, TimeGrid(t0=0.0, T=1.0, dt_out=0.5,
+                                                 dt_int=0.5), 2 ** 30, "point")
 
     def test_stationary_infinite_server(self):
         model = infinite_server(lam_const(6.0))
