@@ -23,9 +23,9 @@ from . import __version__
 from .basis import CharlierBasis, project_density
 from .closure import MomentState
 from .models import KINDS, SineDrive, TableDrive, _tail_cover, make_model
-from .solve import (IntegrationError, TimeGrid, Trajectory,
-                    basis_parameter_prepass, simulate_paths, solve_closure,
-                    solve_galerkin, solve_reference)
+from .solve import (IntegrationError, TimeGrid, basis_parameter_prepass,
+                    simulate_paths, solve_closure, solve_galerkin,
+                    solve_reference)
 from .special import poisson_pmf, upper_tail
 
 __all__ = [
@@ -318,7 +318,8 @@ def _skew_kurt(traj):
 def run_reference(cfg: ExperimentConfig):
     x_max = cfg.x_max()
     model = cfg.build_model()
-    return solve_reference(model, x_max, cfg.initial_pmf(x_max), cfg.grid())
+    return solve_reference(model, x_max, cfg.initial_pmf(x_max), cfg.grid(),
+                           getattr(cfg.params(), "c", None))
 
 
 def galerkin_basis_parameter(cfg: ExperimentConfig, N: int | None = None,
@@ -412,10 +413,6 @@ def run_table(cfg: ExperimentConfig, reference=None) -> ErrorTable:
     (`galerkin_rows`). It holds no wall times, so it is deterministic."""
     ref = reference if reference is not None else run_reference(cfg)
     ref_meta = {k: ref.meta[k] for k in ("mass_residual", "boundary_mass")}
-    # keep only the series the errors need, so the pmf stack is freed
-    # before tuning (the caller's reference is left as it was)
-    ref = Trajectory(times=ref.times, mean=ref.mean, variance=ref.variance,
-                     cum3=ref.cum3, cum4=ref.cum4)
     curve = []
     a = galerkin_basis_parameter(cfg, curve=curve)
     ref_skew, ref_kurt = _skew_kurt(ref)
@@ -456,9 +453,9 @@ def run_figures(cfg: ExperimentConfig) -> tuple[dict, dict]:
     ref = run_reference(cfg)
     series = {"t": ref.times, "ref_mean": ref.mean,
               "ref_variance": ref.variance}
+    if ref.delay is not None:
+        series["ref_delay"] = ref.delay
     params = cfg.params()
-    if hasattr(params, "c"):
-        series["ref_delay"] = ref.pmf[:, params.c:].sum(axis=1)
     closure_meta = {}
     for order in ("zeroth", "first"):
         traj = solve_closure(cfg.kind, params, order,

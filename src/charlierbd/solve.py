@@ -12,7 +12,7 @@ import itertools
 import logging
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,8 +102,8 @@ class Trajectory:
     """Output times plus per-time records and solver diagnostics."""
 
     times: np.ndarray
+    meta: dict
     values: np.ndarray | None = None
-    pmf: np.ndarray | None = None
     coeffs: np.ndarray | None = None
     mean: np.ndarray | None = None
     variance: np.ndarray | None = None
@@ -111,7 +111,11 @@ class Trajectory:
     cum4: np.ndarray | None = None
     delay: np.ndarray | None = None
     se_mean: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
+
+
+# output states per block that `integrate` hands to its `reduce`; a block
+# of reference pmfs at X_max 250 is 128 kB
+_BLOCK = 64
 
 
 def _rk4_step(rhs, t, y, h):
@@ -122,19 +126,27 @@ def _rk4_step(rhs, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(rhs, y0, grid: TimeGrid) -> Trajectory:
+def integrate(rhs, y0, grid: TimeGrid, reduce=None) -> Trajectory:
     """Integrate y' = rhs(t, y) with fixed-step RK4 at dt_int, aligned with
     the output grid.
 
-    y0 may have any shape; values has shape (n_times,) + y0.shape. meta
-    records the steps taken (n_steps) and the right-hand-side evaluations
-    (n_rhs). A non-finite state raises IntegrationError.
+    y0 may have any shape; values has shape (n_times,) + y0.shape. With
+    `reduce`, at most _BLOCK output states are held at once: each block
+    of consecutive states, a (rows,) + y0.shape stack, is replaced by
+    reduce(block), one row per state, and values stacks the reduced rows.
+    Memory is then O(_BLOCK y0.size + n_times row size), not
+    O(n_times y0.size). meta records the steps taken (n_steps) and the
+    right-hand-side evaluations (n_rhs). A non-finite state raises
+    IntegrationError.
     """
     y0 = np.asarray(y0, dtype=float)
     times = grid.times
     n_sub = grid.substeps
-    out = np.empty((times.size,) + y0.shape)
-    out[0] = y0
+    rows = times.size if reduce is None else _BLOCK
+    block = np.empty((rows,) + y0.shape)
+    block[0] = y0
+    k = 1   # states held in block
+    done = []
     y = y0.copy()
     h = grid.dt_int
     for i in range(times.size - 1):
@@ -143,7 +155,13 @@ def integrate(rhs, y0, grid: TimeGrid) -> Trajectory:
             y = _rk4_step(rhs, t + j * h, y, h)
         if not np.all(np.isfinite(y)):
             raise IntegrationError(f"non-finite state at t={times[i + 1]:.6g}")
-        out[i + 1] = y
+        if k == rows:
+            done.append(reduce(block))
+            block, k = np.empty_like(block), 0
+        block[k] = y
+        k += 1
+    out = block if reduce is None else np.concatenate(
+        [*done, reduce(block[:k])])
     n_steps = (times.size - 1) * n_sub
     return Trajectory(times=times, values=out,
                       meta={"dt_int": h, "n_steps": n_steps,
@@ -255,16 +273,6 @@ def _step_linear(M0, M1, lam, y0: np.ndarray, grid: TimeGrid):
     return out, n_steps, propagator_s
 
 
-def _pmf_moments(P: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Mean/variance/cum3/cum4 rows of a (n_times, X_max+1) pmf stack."""
-    xs = np.arange(P.shape[1], dtype=float)
-    m1 = P @ xs
-    m2 = P @ xs**2
-    m3 = P @ xs**3
-    m4 = P @ xs**4
-    return _raw_to_cumulants(m1, m2, m3, m4)
-
-
 def _raw_to_cumulants(m1, m2, m3, m4):
     var = m2 - m1**2
     c3 = m3 - 3 * m2 * m1 + 2 * m1**3
@@ -273,15 +281,19 @@ def _raw_to_cumulants(m1, m2, m3, m4):
 
 
 def solve_reference(model: BirthDeathModel, X_max: int, p0,
-                    grid: TimeGrid) -> Trajectory:
+                    grid: TimeGrid, c: int | None) -> Trajectory:
     """Truncated forward equations p' = A(t) p as numerical ground truth.
 
     A(t) is the generator of the rate vectors (lam(t) g, d) from
     `affine_rates`, so no rate callable runs inside the step loop. Emits
-    the pmf and direct-sum cumulants at each output time; diagnoses mass
+    direct-sum cumulants at each output time and, for a model with `c`
+    servers (c not None), the delay probability P(X >= c). No pmf stack
+    is kept: `integrate` reduces each block of output pmfs to these sums,
+    so memory is O(_BLOCK (X_max+1) + n_times). Diagnoses mass
     conservation and the probability mass parked at the truncation
-    boundary (warning above 1e-8, error above 1e-6). meta["wall_s"] is
-    the wall time of the whole call.
+    boundary (warning above 1e-8, error above 1e-6); meta carries both,
+    the smallest entry of any output pmf (pmf_min) and the wall time of
+    the whole call (wall_s).
     """
     start = time.perf_counter()
     p0 = np.asarray(p0, dtype=float)
@@ -290,30 +302,42 @@ def solve_reference(model: BirthDeathModel, X_max: int, p0,
 
     g, d = affine_rates(model, grid.times, X_max)
     lam = model.lam
+    powers = [np.arange(X_max + 1, dtype=float) ** k for k in (1, 2, 3, 4)]
 
     def rhs(t, p):
         return generator_apply(lam(t) * g, d, p)
 
-    traj = integrate(rhs, p0, grid)
-    P = traj.values
-    mass_resid = float(np.max(np.abs(P.sum(axis=1) - p0.sum())))
-    boundary = float(np.max(np.abs(P[:, -1])))
+    def reduce(block):
+        # per pmf: mass, boundary mass, smallest entry, raw moments 1-4
+        # and, with servers, the delay probability
+        cols = [block.sum(axis=1), np.abs(block[:, -1]), block.min(axis=1),
+                *(block @ x for x in powers)]
+        if c is not None:
+            cols.append(block[:, c:].sum(axis=1))
+        return np.stack(cols, axis=1)
+
+    traj = integrate(rhs, p0, grid, reduce)
+    mass, bound, low, m1, m2, m3, m4, *delay = traj.values.T
+    mass_resid = float(np.max(np.abs(mass - p0.sum())))
+    boundary = float(np.max(bound))
+    pmf_min = float(np.min(low))
     if boundary > 1e-6:
         raise SolverError(
             f"boundary mass {boundary:.3e} exceeds 1e-6; increase X_max")
     if boundary > 1e-8:
         warnings.warn(f"boundary mass {boundary:.3e} above 1e-8",
                       RuntimeWarning, stacklevel=2)
-    m1, var, c3, c4 = _pmf_moments(P)
+    m1, var, c3, c4 = _raw_to_cumulants(m1, m2, m3, m4)
     wall = time.perf_counter() - start
-    log.debug("reference: X_max %d, %d steps, %.3f s", X_max,
-              traj.meta["n_steps"], wall)
-    return Trajectory(times=traj.times, pmf=P, mean=m1, variance=var,
-                      cum3=c3, cum4=c4,
+    log.debug("reference: X_max %d, %d steps, mass_residual %.3e, "
+              "boundary_mass %.3e, pmf_min %.3e, %.3f s", X_max,
+              traj.meta["n_steps"], mass_resid, boundary, pmf_min, wall)
+    return Trajectory(times=traj.times, mean=m1, variance=var, cum3=c3,
+                      cum4=c4, delay=delay[0] if delay else None,
                       meta={"solver": "reference", "X_max": X_max,
                             "mass_residual": mass_resid,
-                            "boundary_mass": boundary, "wall_s": wall,
-                            **traj.meta})
+                            "boundary_mass": boundary, "pmf_min": pmf_min,
+                            "wall_s": wall, **traj.meta})
 
 
 def solve_galerkin(model: BirthDeathModel, coeffs: list[CoeffVector],

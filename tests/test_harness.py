@@ -232,9 +232,15 @@ class TestTuning:
     def test_caller_reference_is_kept(self):
         cfg = erlang_cfg()
         ref = run_reference(cfg)
-        pmf = ref.pmf
+        names = ("times", "mean", "variance", "cum3", "cum4", "delay")
+        series = {k: getattr(ref, k) for k in names}
+        copies = {k: v.copy() for k, v in series.items()}
+        meta = dict(ref.meta)
         run_table(cfg, reference=ref)
-        assert ref.pmf is pmf
+        for k in names:
+            assert getattr(ref, k) is series[k], k
+            assert np.array_equal(series[k], copies[k]), k
+        assert ref.meta == meta
 
 
 class TestRunFigures:

@@ -12,10 +12,10 @@ from charlierbd.models import (KINDS, BirthDeathModel, ErlangAParams,
                                ErlangLossParams, InfiniteServerParams,
                                QuadraticParams, SineDrive, affine_rates,
                                generator_apply, make_model)
-from charlierbd.solve import (IntegrationError, RateBoundError, SolverError,
-                              TimeGrid, galerkin_matrices, integrate,
-                              simulate_paths, solve_closure, solve_galerkin,
-                              solve_reference)
+from charlierbd.solve import (_BLOCK, IntegrationError, RateBoundError,
+                              SolverError, TimeGrid, _raw_to_cumulants,
+                              galerkin_matrices, integrate, simulate_paths,
+                              solve_closure, solve_galerkin, solve_reference)
 from charlierbd.special import poisson_pmf
 
 
@@ -42,6 +42,34 @@ def four_models():
         make_model(QuadraticParams(lam=lambda t: 0.1 + 0.02 * np.sin(t),
                                    Qtilde=20, beta=1.0)),
     ]
+
+
+# servers c of the four_models() that have them
+SERVERS = {"erlang_a": 3, "erlang_loss": 3}
+
+
+def assert_reference_matches(tr, P, p0, c):
+    """Every series and diagnostic of the reference run `tr` agrees with
+    the same reductions of the unreduced (n_times, X_max+1) pmf stack P:
+    mean, variance, cum3, cum4 and, with c servers, the delay P(X >= c)
+    to 1e-12 of each series' largest magnitude at every output time; the
+    mass residual, boundary mass and smallest pmf entry to 1e-12."""
+    xs = np.arange(P.shape[1], dtype=float)
+    want = dict(zip(("mean", "variance", "cum3", "cum4"),
+                    _raw_to_cumulants(*(P @ xs**k for k in (1, 2, 3, 4)))))
+    if c is None:
+        assert tr.delay is None
+    else:
+        want["delay"] = P[:, c:].sum(axis=1)
+    for name, w in want.items():
+        got = getattr(tr, name)
+        assert got.shape == tr.times.shape, name
+        assert np.max(np.abs(got - w)) <= 1e-12 * np.max(np.abs(w)), name
+    diag = {"mass_residual": np.max(np.abs(P.sum(axis=1) - p0.sum())),
+            "boundary_mass": np.max(np.abs(P[:, -1])),
+            "pmf_min": P.min()}
+    for name, w in diag.items():
+        assert abs(tr.meta[name] - w) <= 1e-12, name
 
 
 # numeric fields of one valid params record per kind
@@ -156,7 +184,7 @@ class TestIntegrate:
 
         def run(dt):
             g = TimeGrid(t0=0.0, T=2.0, dt_out=0.5, dt_int=dt)
-            return solve_reference(model, x_max, p0, g).mean
+            return solve_reference(model, x_max, p0, g, None).mean
 
         fine = run(6.25e-4)
         e1 = np.max(np.abs(run(1e-2) - fine))
@@ -182,6 +210,57 @@ class TestIntegrate:
         tr = integrate(lambda t, y: -y, [1.0], g)
         assert tr.meta["n_steps"] == 40 and tr.meta["n_rhs"] == 160
 
+    # a grid holds at least two output times, so 2 stands in for one
+    @pytest.mark.parametrize("n_times", [2, _BLOCK, _BLOCK + 1,
+                                         2 * _BLOCK + 3])
+    def test_reduce_equals_the_blockwise_reduction(self, n_times):
+        g = TimeGrid(t0=0.0, T=(n_times - 1) * 0.05, dt_out=0.05,
+                     dt_int=0.01)
+        rates = np.array([[1.0, 2.0, 3.0], [0.5, 0.25, 4.0]])
+
+        def rhs(t, y):
+            return -rates * y + np.sin(3 * t)
+
+        def reduce(block):
+            # (rows, 2, 3) states to rows of width 4
+            return np.stack([block.sum(axis=(1, 2)), block[:, 0, 0],
+                             block[:, 1] @ np.array([1.0, 0.3, -2.0]),
+                             block.min(axis=(1, 2))], axis=1)
+
+        seen = []
+
+        def counted(block):
+            seen.append(len(block))
+            return reduce(block)
+
+        full = integrate(rhs, np.ones((2, 3)), g)
+        got = integrate(rhs, np.ones((2, 3)), g, counted)
+        blocks = np.split(full.values, range(_BLOCK, n_times, _BLOCK))
+        assert seen == [len(b) for b in blocks] and sum(seen) == n_times
+        assert got.values.shape == (n_times, 4)
+        assert np.array_equal(got.values,
+                              np.concatenate([reduce(b) for b in blocks]))
+        assert got.meta == full.meta
+
+    def test_nonfinite_detection_with_reduce(self):
+        # y = 10 / (1 - 10 t) blows up at t = 0.1, past the first block
+        g = TimeGrid(t0=0.0, T=0.2, dt_out=1e-3, dt_int=1e-3)
+        seen = []
+
+        def reduce(block):
+            seen.append(len(block))
+            return block
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError) as plain:
+                integrate(lambda t, y: y * y, [10.0], g)
+            with pytest.raises(IntegrationError) as reduced:
+                integrate(lambda t, y: y * y, [10.0], g, reduce)
+        assert str(reduced.value) == str(plain.value)
+        t_bad = float(str(plain.value).split("t=")[1])
+        assert g.times[_BLOCK] < t_bad < 0.11
+        assert seen == [_BLOCK]
+
 
 class TestReference:
     def test_infinite_server_scalar_ode(self):
@@ -190,7 +269,7 @@ class TestReference:
         p0 = np.zeros(x_max + 1)
         p0[0] = 1.0
         g = TimeGrid(t0=0.0, T=6.0, dt_out=0.01, dt_int=0.01)
-        tr = solve_reference(model, x_max, p0, g)
+        tr = solve_reference(model, x_max, p0, g, None)
         # oracle: m' = lam(t) - m, solved with the same fixed-step scheme
         m = np.zeros_like(tr.times)
         h = 1e-4
@@ -211,19 +290,22 @@ class TestReference:
         model = small_erlang_a()
         x_max = 40
         tr = solve_reference(model, x_max, poisson_pmf(3.0, x_max),
-                             TimeGrid(t0=0.0, T=4.0, dt_out=0.01, dt_int=0.001))
+                             TimeGrid(t0=0.0, T=4.0, dt_out=0.01, dt_int=0.001),
+                             3)
         assert tr.meta["mass_residual"] < 1e-10
-        assert tr.pmf.min() > -1e-12
+        assert tr.meta["pmf_min"] > -1e-12
 
     @pytest.mark.parametrize("model", four_models(),
                              ids=lambda m: m.label)
     def test_matches_the_stencil_oracle(self, model):
         x_max = 40
         p0 = poisson_pmf(3.0, x_max)
-        g = TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01)
-        tr = solve_reference(model, x_max, p0, g)
+        # 101 output times: more than one block of the reduction
+        g = TimeGrid(t0=0.0, T=1.0, dt_out=0.01, dt_int=0.01)
+        tr = solve_reference(model, x_max, p0, g, SERVERS.get(model.label))
         oracle = integrate(lambda t, p: stencil_oracle(model, t, p), p0, g)
-        assert np.max(np.abs(tr.pmf - oracle.values)) <= 1e-12
+        assert_reference_matches(tr, oracle.values, p0,
+                                 SERVERS.get(model.label))
         gv, dv = affine_rates(model, g.times, x_max)
         rng = np.random.default_rng(4)
         P = rng.random((3, x_max + 1))
@@ -235,12 +317,16 @@ class TestReference:
     def test_meta_and_debug_line(self, caplog):
         caplog.set_level(logging.DEBUG, logger="charlierbd")
         g = TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01)
-        tr = solve_reference(small_erlang_a(), 30, poisson_pmf(3.0, 30), g)
+        tr = solve_reference(small_erlang_a(), 30, poisson_pmf(3.0, 30), g,
+                             3)
         assert tr.meta["n_steps"] == 100 and tr.meta["n_rhs"] == 400
         assert tr.meta["wall_s"] > 0.0
         lines = [r.getMessage() for r in caplog.records]
-        assert lines == ["reference: X_max 30, 100 steps, "
-                         f"{tr.meta['wall_s']:.3f} s"]
+        m = tr.meta
+        assert lines == ["reference: X_max 30, 100 steps, mass_residual "
+                         f"{m['mass_residual']:.3e}, boundary_mass "
+                         f"{m['boundary_mass']:.3e}, pmf_min "
+                         f"{m['pmf_min']:.3e}, {m['wall_s']:.3f} s"]
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_negative_drive_is_refused(self, kind):
@@ -248,7 +334,21 @@ class TestReference:
         p = KINDS[kind](lam=SineDrive(-2.0, 0.0), **KIND_FIELDS[kind])
         with pytest.raises(ValueError, match="lam reaches -2 < 0"):
             solve_reference(make_model(p), 30, np.eye(31)[3],
-                            TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01))
+                            TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01),
+                            None)
+
+    def test_memory_does_not_scale_with_times_by_states(self):
+        # the (20001, 201) pmf stack alone would be 32 MB
+        model = infinite_server(lam_const(1.0))
+        g = TimeGrid(t0=0.0, T=20.0, dt_out=1e-3, dt_int=1e-3)
+        tracemalloc.start()
+        try:
+            tr = solve_reference(model, 200, np.eye(201)[1], g, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.times.size == 20001 and tr.delay.shape == (20001,)
+        assert peak < 4e6
 
     def test_boundary_mass_error(self):
         model = infinite_server(lam_const(30.0))
@@ -256,7 +356,7 @@ class TestReference:
         p0[0] = 1.0
         with pytest.raises(SolverError):
             solve_reference(model, 10, p0, TimeGrid(t0=0.0, T=2.0, dt_out=0.1,
-                                                    dt_int=0.01))
+                                                    dt_int=0.01), None)
 
 
 class TestGalerkin:
@@ -285,7 +385,7 @@ class TestGalerkin:
         p0 = poisson_pmf(3.0, x_max)
         p0 /= p0.sum()
         g = TimeGrid(t0=0.0, T=2.0, dt_out=0.05, dt_int=0.005)
-        ref = solve_reference(model, x_max, p0, g)
+        ref = solve_reference(model, x_max, p0, g, None)
         basis = CharlierBasis(a=4.0, N=x_max, X_max=x_max)
         gal, = solve_galerkin(model, [project_density(p0, basis)], g)
         assert np.max(np.abs(gal.mean - ref.mean)) < 1e-7
@@ -410,7 +510,7 @@ class TestGalerkin:
         g = TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01)
         basis = CharlierBasis(a=4.0, N=3, X_max=x_max)
         with pytest.raises(ValueError, match="death rate depends on t"):
-            solve_reference(model, x_max, p0, g)
+            solve_reference(model, x_max, p0, g, None)
         with pytest.raises(ValueError, match="death rate depends on t"):
             solve_galerkin(model, [project_density(p0, basis)], g)
 
@@ -423,10 +523,10 @@ class TestGalerkin:
         g = TimeGrid(t0=0.0, T=2.0, dt_out=0.1, dt_int=0.01)
         basis = CharlierBasis(a=2.0, N=4, X_max=x_max)
         with np.errstate(all="raise"):
-            ref = solve_reference(model, x_max, p0, g)
+            ref = solve_reference(model, x_max, p0, g, None)
             gal, = solve_galerkin(model, [project_density(p0, basis)], g)
         oracle = integrate(lambda t, p: stencil_oracle(model, t, p), p0, g)
-        assert np.max(np.abs(ref.pmf - oracle.values)) <= 1e-12
+        assert_reference_matches(ref, oracle.values, p0, None)
         assert np.all(np.isfinite(gal.mean))
         assert np.max(np.abs(gal.mean - ref.mean)) < 1e-6
 
@@ -490,7 +590,7 @@ class TestGalerkin:
         x_max = 50
         p0 = poisson_pmf(4.0, x_max)
         g = TimeGrid(t0=0.0, T=4.0, dt_out=0.01, dt_int=0.01)
-        ref = solve_reference(model, x_max, p0, g)
+        ref = solve_reference(model, x_max, p0, g, None)
 
         def err(N):
             basis = CharlierBasis(a=4.0, N=N, X_max=x_max)
@@ -662,7 +762,8 @@ class TestSimulate:
         g = TimeGrid(t0=0.0, T=5.0, dt_out=0.5, dt_int=0.5)
         tr = simulate_paths(model, 20_000, 5, g, x0=2, x0_dist="point")
         ref = solve_reference(model, 40, np.eye(41)[2],
-                              TimeGrid(t0=0.0, T=5.0, dt_out=0.5, dt_int=1e-3))
+                              TimeGrid(t0=0.0, T=5.0, dt_out=0.5, dt_int=1e-3),
+                              None)
         z = np.abs(tr.mean[1:] - ref.mean[1:]) / tr.se_mean[1:]
         assert np.max(z) < 4.0
         # every candidate is a jump or a rejection, and most are jumps
@@ -684,7 +785,8 @@ class TestSimulate:
         tr = simulate_paths(model, 4000, 7, g, x0=0, x0_dist="point")
         assert tables[:5] == [2, 4, 8, 16, 32]
         ref = solve_reference(model, 150, np.eye(151)[0],
-                              TimeGrid(t0=0.0, T=4.0, dt_out=0.5, dt_int=1e-3))
+                              TimeGrid(t0=0.0, T=4.0, dt_out=0.5, dt_int=1e-3),
+                              None)
         z = np.abs(tr.mean[1:] - ref.mean[1:]) / tr.se_mean[1:]
         assert np.max(z) < 4.0
 
