@@ -27,7 +27,9 @@ __all__ = [
 
 @dataclass(eq=False)
 class CharlierBasis:
-    """Basis parameter a, max degree N, and summation bound X_max."""
+    """Basis parameter a, max degree N, and summation bound X_max; built
+    once, at construction: the weights w(x; a) (`weights`, (X_max+1,)) and
+    the values C_norm_n(x) (`table`, (N+1, X_max+1), one recurrence sweep)."""
 
     a: float
     N: int
@@ -40,21 +42,8 @@ class CharlierBasis:
             raise ValueError("basis order must be nonnegative")
         if self.N > self.X_max:
             raise ValueError(f"N={self.N} exceeds X_max={self.X_max}")
-        self._table = None
-        self._weights = None
-
-    @property
-    def weights(self) -> np.ndarray:
-        if self._weights is None:
-            self._weights = poisson_pmf(self.a, self.X_max)
-        return self._weights
-
-    @property
-    def table(self) -> np.ndarray:
-        """Values C_norm_n(x), shape (N+1, X_max+1), one recurrence sweep."""
-        if self._table is None:
-            self._table = charlier_table(self.N, self.a, self.X_max)
-        return self._table
+        self.weights = poisson_pmf(self.a, self.X_max)
+        self.table = charlier_table(self.N, self.a, self.X_max)
 
 
 def charlier_table(n_max: int, a: float, x_max: int) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 numerical failure (divergence, rate-bound
 violation, boundary-mass overflow), out of memory or standard output
-closed early (as by `| head -1`), 2 bad input (config or arguments). Set
-CHARLIER_LOG=debug for verbose progress output.
+closed early (as by `| head -1`), 2 bad input: config, arguments, an `-o`
+that is a directory or in a missing one (checked before any solve), or a
+CHARLIER_LOG other than debug (verbose progress), info (the default),
+warning or error, in any case.
 """
 
 from __future__ import annotations
@@ -25,14 +27,7 @@ log = logging.getLogger("charlierbd")
 
 _NUMERICAL = (SolverError, IntegrationError, RateBoundError,
               FloatingPointError)
-
-
-def _setup_logging():
-    level = os.environ.get("CHARLIER_LOG", "info").lower()
-    logging.basicConfig(
-        level={"debug": logging.DEBUG, "info": logging.INFO,
-               "warning": logging.WARNING}.get(level, logging.INFO),
-        format="%(levelname)s %(name)s: %(message)s")
+_LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 def _load_config(path) -> ExperimentConfig:
@@ -44,13 +39,20 @@ def _load_config(path) -> ExperimentConfig:
         raise ConfigError(f"malformed JSON in {path}: {exc}")
 
 
+def _check_output(path) -> None:
+    """ConfigError if `path` is a directory or its directory is missing."""
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"output path {path} is in a missing directory")
+
+
 def _write_traj_csv(traj, path, cols=("mean", "variance", "cum3", "cum4")):
     harness.write_series_csv(
         {"t": traj.times, **{c: getattr(traj, c) for c in cols}}, path)
 
 
-def cmd_solve_reference(args):
-    cfg = _load_config(args.config)
+def cmd_solve_reference(args, cfg):
     traj = harness.run_reference(cfg)
     _write_traj_csv(traj, args.output)
     log.info("reference run written to %s (mass residual %.3e)",
@@ -58,8 +60,7 @@ def cmd_solve_reference(args):
     return 0
 
 
-def cmd_solve_galerkin(args):
-    cfg = _load_config(args.config)
+def cmd_solve_galerkin(args, cfg):
     if args.order < 0:
         raise ConfigError(f"order -N {args.order} is negative")
     cfg.check_order(args.order)
@@ -70,8 +71,7 @@ def cmd_solve_galerkin(args):
     return 0
 
 
-def cmd_solve_closure(args):
-    cfg = _load_config(args.config)
+def cmd_solve_closure(args, cfg):
     traj = solve_closure(cfg.kind, cfg.params(), args.order,
                          cfg.initial_state(), cfg.grid())
     _write_traj_csv(traj, args.output, cols=("mean", "variance"))
@@ -79,8 +79,7 @@ def cmd_solve_closure(args):
     return 0
 
 
-def cmd_simulate(args):
-    cfg = _load_config(args.config)
+def cmd_simulate(args, cfg):
     if args.paths is not None and args.paths < 2:
         raise ConfigError(f"--paths {args.paths} is below 2")
     try:
@@ -95,16 +94,14 @@ def cmd_simulate(args):
     return 0
 
 
-def cmd_table(args):
-    cfg = _load_config(args.config)
+def cmd_table(args, cfg):
     table = harness.run_table(cfg)
     harness.write_table_csv(table, args.output)
     log.info("error table written to %s", args.output)
     return 0
 
 
-def cmd_figures(args):
-    cfg = _load_config(args.config)
+def cmd_figures(args, cfg):
     series, closure_meta = harness.run_figures(cfg)
     harness.write_series_csv(series, args.output)
     log.info("figure series written to %s", args.output)
@@ -162,9 +159,8 @@ def _oracle_suites():
     yield "closure closed forms", err < 1e-9
 
 
-def cmd_validate(args):
-    if args.config is not None:
-        cfg = _load_config(args.config)
+def cmd_validate(args, cfg):
+    if cfg is not None:
         print(json.dumps({"config_ok": True, "hash": cfg.hash(),
                           "kind": cfg.kind, "X_max": cfg.x_max()}))
     failures = 0
@@ -214,14 +210,22 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    _setup_logging()
-    parser = _PARSER
+    level = os.environ.get("CHARLIER_LOG") or "info"
+    if level.lower() not in _LOG_LEVELS:
+        print(f"ERROR charlierbd: CHARLIER_LOG={level!r} is not one of "
+              f"{', '.join(_LOG_LEVELS)}", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level.upper(),
+                        format="%(levelname)s %(name)s: %(message)s")
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        code = args.fn(args)
+        cfg = None if args.config is None else _load_config(args.config)
+        if "output" in args:
+            _check_output(args.output)
+        code = args.fn(args, cfg)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -275,24 +275,20 @@ def delay_probability(s: SurrogateParams, c: int) -> float:
     return 1.0 - expected_indicator_below(s, c)
 
 
-def moment_match(mean: float, variance: float | None,
-                 order: str) -> SurrogateParams:
-    """Surrogate parameters tracking a (mean, variance) pair.
+def moment_match(mean: float, variance: float | None) -> SurrogateParams:
+    """Surrogate parameters tracking a mean, or a (mean, variance) pair.
 
-    Zeroth order pins q = mean. First order solves mean = q (1 + a1) and
-    variance = mean - (q - mean)^2, taking the a1 >= 0 root q = mean -
-    sqrt(mean - variance), or the other root where that one is not
-    positive. The family cannot represent variance > mean; such targets
-    fall back to the zeroth-order point with the over-dispersion flag set.
+    Without a variance (None) the match is zeroth order: q = mean. With
+    one it is first order, solving mean = q (1 + a1) and variance = mean
+    - (q - mean)^2 with the a1 >= 0 root q = mean - sqrt(mean - variance),
+    or the other root where that one is not positive. The family cannot
+    represent variance > mean; such targets fall back to the zeroth-order
+    point with the over-dispersion flag set.
     """
     if mean <= 0:
         raise ValueError(f"surrogate mean must be positive, got {mean}")
-    if order == "zeroth":
-        return SurrogateParams(q=mean, order="zeroth")
-    if order != "first":
-        raise ValueError(f"unknown surrogate order {order!r}")
     if variance is None:
-        raise ValueError("first-order matching needs a variance")
+        return SurrogateParams(q=mean, order="zeroth")
     gap = mean - variance
     if gap < 0:
         return SurrogateParams(q=mean, order="first", over_dispersed=True)

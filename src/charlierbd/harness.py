@@ -231,7 +231,9 @@ class ExperimentConfig:
                 else upper_tail(x0, rule - 1))
         return max(rule, _tail_cover(x0)) if mass > 1e-12 else rule
 
-    def initial_pmf(self, x_max: int) -> np.ndarray:
+    def initial_pmf(self) -> np.ndarray:
+        """The init's pmf on {0..x_max()}."""
+        x_max = self.x_max()
         p0 = np.zeros(x_max + 1)
         if self.init["kind"] == "point":
             p0[int(self.init["value"])] = 1.0
@@ -316,9 +318,7 @@ def _skew_kurt(traj):
 
 
 def run_reference(cfg: ExperimentConfig):
-    x_max = cfg.x_max()
-    model = cfg.build_model()
-    return solve_reference(model, x_max, cfg.initial_pmf(x_max), cfg.grid(),
+    return solve_reference(cfg.build_model(), cfg.initial_pmf(), cfg.grid(),
                            getattr(cfg.params(), "c", None))
 
 
@@ -350,12 +350,11 @@ def tune_basis_parameter(cfg: ExperimentConfig, N: int,
     grid = cfg.grid()
     m_bar = basis_parameter_prepass(cfg.params(), state, grid)
     coarse = grid.coarsened(5e-3, 5e-3)
-    x_max = cfg.x_max()
-    p0 = cfg.initial_pmf(x_max)
+    p0 = cfg.initial_pmf()
     model = cfg.build_model()
 
     def objectives(cands):
-        bases = [CharlierBasis(a=a, N=n, X_max=x_max)
+        bases = [CharlierBasis(a=a, N=n, X_max=p0.size - 1)
                  for a in cands for n in (N, 2 * N + 2)]
         # exploratory runs at extreme a may lose conservation or blow up;
         # treat those as unusable rather than warning or raising
@@ -393,10 +392,10 @@ def tune_basis_parameter(cfg: ExperimentConfig, N: int,
 def run_galerkin(cfg: ExperimentConfig, N: int, a: float | None = None):
     if a is None:
         a = galerkin_basis_parameter(cfg, N)
-    x_max = cfg.x_max()
-    basis = CharlierBasis(a=a, N=N, X_max=x_max)
+    p0 = cfg.initial_pmf()
+    basis = CharlierBasis(a=a, N=N, X_max=p0.size - 1)
     model = cfg.build_model()
-    c0 = project_density(cfg.initial_pmf(x_max), basis)
+    c0 = project_density(p0, basis)
     traj, = solve_galerkin(model, [c0], cfg.grid())
     if traj.meta["failed"]:
         t_bad = traj.times[np.argmax(np.isnan(traj.coeffs[:, 0]))]

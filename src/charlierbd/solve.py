@@ -126,24 +126,23 @@ def _rk4_step(rhs, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(rhs, y0, grid: TimeGrid, reduce=None) -> Trajectory:
+def integrate(rhs, y0, grid: TimeGrid, reduce=lambda b: b) -> Trajectory:
     """Integrate y' = rhs(t, y) with fixed-step RK4 at dt_int, aligned with
     the output grid.
 
-    y0 may have any shape; values has shape (n_times,) + y0.shape. With
-    `reduce`, at most _BLOCK output states are held at once: each block
-    of consecutive states, a (rows,) + y0.shape stack, is replaced by
-    reduce(block), one row per state, and values stacks the reduced rows.
-    Memory is then O(_BLOCK y0.size + n_times row size), not
-    O(n_times y0.size). meta records the steps taken (n_steps) and the
-    right-hand-side evaluations (n_rhs). A non-finite state raises
-    IntegrationError.
+    y0 may have any shape. At most _BLOCK output states are held at once:
+    each block of consecutive states, a (rows,) + y0.shape stack, is
+    replaced by reduce(block), one row per state, and values stacks the
+    reduced rows. The default reduce keeps the states, so values has shape
+    (n_times,) + y0.shape; one that reduces each state to a few sums keeps
+    memory at O(_BLOCK y0.size + n_times row size), not O(n_times y0.size).
+    meta records the steps taken (n_steps) and the right-hand-side
+    evaluations (n_rhs). A non-finite state raises IntegrationError.
     """
     y0 = np.asarray(y0, dtype=float)
     times = grid.times
     n_sub = grid.substeps
-    rows = times.size if reduce is None else _BLOCK
-    block = np.empty((rows,) + y0.shape)
+    block = np.empty((_BLOCK,) + y0.shape)
     block[0] = y0
     k = 1   # states held in block
     done = []
@@ -155,13 +154,12 @@ def integrate(rhs, y0, grid: TimeGrid, reduce=None) -> Trajectory:
             y = _rk4_step(rhs, t + j * h, y, h)
         if not np.all(np.isfinite(y)):
             raise IntegrationError(f"non-finite state at t={times[i + 1]:.6g}")
-        if k == rows:
+        if k == _BLOCK:
             done.append(reduce(block))
             block, k = np.empty_like(block), 0
         block[k] = y
         k += 1
-    out = block if reduce is None else np.concatenate(
-        [*done, reduce(block[:k])])
+    out = np.concatenate([*done, reduce(block[:k])])
     n_steps = (times.size - 1) * n_sub
     return Trajectory(times=times, values=out,
                       meta={"dt_int": h, "n_steps": n_steps,
@@ -280,9 +278,10 @@ def _raw_to_cumulants(m1, m2, m3, m4):
     return m1, var, c3, c4
 
 
-def solve_reference(model: BirthDeathModel, X_max: int, p0,
-                    grid: TimeGrid, c: int | None) -> Trajectory:
-    """Truncated forward equations p' = A(t) p as numerical ground truth.
+def solve_reference(model: BirthDeathModel, p0, grid: TimeGrid,
+                    c: int | None) -> Trajectory:
+    """Truncated forward equations p' = A(t) p on {0..X_max}, X_max + 1
+    being the length of the initial pmf p0, as numerical ground truth.
 
     A(t) is the generator of the rate vectors (lam(t) g, d) from
     `affine_rates`, so no rate callable runs inside the step loop. Emits
@@ -297,9 +296,7 @@ def solve_reference(model: BirthDeathModel, X_max: int, p0,
     """
     start = time.perf_counter()
     p0 = np.asarray(p0, dtype=float)
-    if p0.size != X_max + 1:
-        raise ValueError(f"initial pmf length {p0.size} != X_max+1")
-
+    X_max = p0.size - 1
     g, d = affine_rates(model, grid.times, X_max)
     lam = model.lam
     powers = [np.arange(X_max + 1, dtype=float) ** k for k in (1, 2, 3, 4)]
@@ -437,8 +434,7 @@ def _closure_rhs(params, order: str, flags: dict):
     lam = params.lam
 
     def rhs(t, y):
-        s = moment_match(max(y[0], _Q_FLOOR), y[1] if first else None,
-                         order)
+        s = moment_match(max(y[0], _Q_FLOOR), y[1] if first else None)
         flags["evals"] += 1
         if s.over_dispersed:
             flags["over_dispersed"] += 1
@@ -480,7 +476,7 @@ def solve_closure(kind: str, params, order: str, init: MomentState,
         delay = np.empty_like(mean)
         for i, (m, v) in enumerate(zip(mean, var)):
             s = moment_match(max(m, _Q_FLOOR),
-                             v if order == "first" else None, order)
+                             v if order == "first" else None)
             delay[i] = _closure.delay_probability(s, params.c)
     frac = flags["over_dispersed"] / max(flags["evals"], 1)
     wall = time.perf_counter() - start

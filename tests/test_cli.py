@@ -9,8 +9,11 @@ from pathlib import Path
 import pytest
 
 import charlierbd
-from charlierbd import harness
+from charlierbd import cli, harness
 from charlierbd.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import output_hashes  # noqa: E402
 
 
 @pytest.fixture
@@ -401,6 +404,55 @@ def test_table_on_a_short_horizon_exits_1_with_one_line(tmp_path, lam, T):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("level", ["error", "ERROR"])
+def test_log_level_error_silences_info(cfg_path, tmp_path, level):
+    argv, env = cli_command(["solve-closure", str(cfg_path),
+                             "-o", str(tmp_path / "c.csv")])
+    proc = subprocess.run(argv, env=dict(env, CHARLIER_LOG=level),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_unknown_log_level_exits_2_with_one_line(cfg_path, tmp_path):
+    argv, env = cli_command(["solve-closure", str(cfg_path),
+                             "-o", str(tmp_path / "c.csv")])
+    proc = subprocess.run(argv, env=dict(env, CHARLIER_LOG="loud"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == ("ERROR charlierbd: CHARLIER_LOG='loud' is not one "
+                           "of debug, info, warning, error\n")
+    assert not (tmp_path / "c.csv").exists()
+
+
+# every subcommand that writes a CSV, and the entry point it would call
+WRITERS = [(["solve-reference"], harness, "run_reference"),
+           (["solve-galerkin", "-N", "2"], harness, "run_galerkin"),
+           (["solve-closure"], cli, "solve_closure"),
+           (["simulate"], harness, "run_simulation"),
+           (["table"], harness, "run_table"),
+           (["figures"], harness, "run_figures")]
+
+
+@pytest.mark.parametrize("args,owner,entry", WRITERS,
+                         ids=[w[0][0] for w in WRITERS])
+@pytest.mark.parametrize("where,problem", [
+    ("missing/dir/x.csv", "is in a missing directory"),
+    ("", "is a directory"),
+], ids=["missing_directory", "directory"])
+def test_unwritable_output_exits_2_before_any_solve(
+        cfg_path, tmp_path, monkeypatch, caplog, args, owner, entry, where,
+        problem):
+    def never(*a, **k):
+        raise AssertionError(f"{entry} ran")
+    monkeypatch.setattr(owner, entry, never)
+    out = str(tmp_path / where)
+    with caplog.at_level(logging.INFO, logger="charlierbd"):
+        assert main([args[0], str(cfg_path), *args[1:], "-o", out]) == 2
+    assert [r.getMessage() for r in caplog.records] == [
+        f"config error: output path {out} {problem}"]
+
+
 def test_closed_stdout_prints_no_traceback():
     argv, env = cli_command(["validate"])
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
@@ -409,3 +461,33 @@ def test_closed_stdout_prints_no_traceback():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert err == b""
+
+
+# sha256 of each CSV that output_hashes.RUNS writes on output_hashes.SMALL;
+# a change that moves any printed digit of these outputs fails here
+SMALL_HASHES = {
+    "table": "3100209ff051b9dc2185512301f316b3c5b821d073dbcf53f28273812fdb5ef4",
+    "figures":
+        "a216c97b659ad6f655acf9a5d0adff885871f2883cf1ebbf24b8c6eccee2c4b5",
+    "solve-reference":
+        "cc37728f650b416a0f26e1f9d5e0ec97e9d042ddfe740fc6bfac059c5f965129",
+    "solve-closure-zeroth":
+        "97626bfd363031d0256e3996e1e7da4a4b7464196dc36b90b5d021fe9fdc9a6f",
+    "solve-closure-first":
+        "e912590c3730a0f75b2e68791244890fd33aef73820dc7e7318deaba1cbcea77",
+    "solve-galerkin-3":
+        "4d868630ba2e08b60b5437d0b0fb4e1e6835323c5a19ba3bcad0b8388345b427",
+    "simulate":
+        "4e81faf44371863c27ea7eedf6e681bdbc5c1aee22be0624ab31b8d134bf31bb",
+}
+
+
+def test_small_config_outputs_are_pinned(tmp_path):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(output_hashes.SMALL))
+    got = {}
+    for run, args in output_hashes.RUNS.items():
+        out = tmp_path / f"{run}.csv"
+        assert main([args[0], str(path), *args[1:], "-o", str(out)]) == 0
+        got[run] = output_hashes.sha256(out)
+    assert got == SMALL_HASHES

@@ -110,27 +110,27 @@ class TestClosedFormsAgainstBruteSums:
 
 class TestMomentMatch:
     def test_zeroth(self):
-        s = moment_match(3.2, None, "zeroth")
+        s = moment_match(3.2, None)
         assert s.q == 3.2 and s.a1 == 0.0 and not s.over_dispersed
+        assert s.order == "zeroth"
 
     def test_first_reproduces_targets(self):
         for mean, var in [(5.0, 3.0), (10.0, 9.5), (2.0, 2.0), (40.0, 12.0)]:
-            s = moment_match(mean, var, "first")
+            s = moment_match(mean, var)
+            assert s.order == "first"
             got_mean = surrogate_moment(s, 1)
             got_var = surrogate_moment(s, 2) - got_mean**2
             assert got_mean == pytest.approx(mean, rel=1e-12)
             assert got_var == pytest.approx(var, rel=1e-10)
 
     def test_over_dispersed_fallback(self):
-        s = moment_match(3.0, 5.0, "first")
-        assert s.over_dispersed
+        s = moment_match(3.0, 5.0)
+        assert s.over_dispersed and s.order == "first"
         assert s.q == 3.0 and s.a1 == 0.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            moment_match(0.0, None, "zeroth")
-        with pytest.raises(ValueError):
-            moment_match(1.0, None, "first")
+            moment_match(0.0, None)
 
 
 class TestSurrogateParams:

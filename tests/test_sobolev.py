@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from charlierbd.basis import CharlierBasis
-from charlierbd.sobolev import (DivergenceError, SobolevSpec,
-                                isometry_residual, poisson_norm_closed_form,
-                                seq_norm, weak_error_bound_check)
+from charlierbd.sobolev import (DivergenceError, isometry_residual,
+                                poisson_norm_closed_form, seq_norm,
+                                weak_error_bound_check)
 from charlierbd.special import (adaptive_support_bound, falling_factorial,
                                 poisson_pmf, poisson_weight)
 
@@ -32,7 +32,7 @@ class TestSeqNorm:
         q = rng.standard_normal(30) * np.exp(-0.3 * np.arange(30))
         a = 4.0
         want = math.sqrt(brute_norm_sq(q, a, m, mode))
-        assert seq_norm(q, SobolevSpec(m=m, a=a, weight_mode=mode)) == \
+        assert seq_norm(q, a, m, inverse=mode == "w_inverse") == \
             pytest.approx(want, rel=1e-10)
 
     def test_divergence_detection(self):
@@ -40,16 +40,15 @@ class TestSeqNorm:
         xs = np.arange(120, dtype=float)
         q = 1.0 / (1.0 + xs) ** 2
         with pytest.raises(DivergenceError):
-            seq_norm(q, SobolevSpec(m=0, a=1.0, weight_mode="w_inverse"))
+            seq_norm(q, 1.0, 0, inverse=True)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SobolevSpec(m=0, a=0.0, weight_mode="w")
-        with pytest.raises(ValueError):
-            SobolevSpec(m=-1, a=1.0, weight_mode="w")
-        for mode in ("both", "none"):
-            with pytest.raises(ValueError):
-                SobolevSpec(m=0, a=1.0, weight_mode=mode)
+        q = np.ones(5)
+        for inverse in (False, True):
+            with pytest.raises(ValueError, match="must be positive"):
+                seq_norm(q, 0.0, 0, inverse=inverse)
+            with pytest.raises(ValueError, match="nonnegative"):
+                seq_norm(q, 1.0, -1, inverse=inverse)
 
 
 class TestPoissonClosedForm:

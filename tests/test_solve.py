@@ -184,7 +184,7 @@ class TestIntegrate:
 
         def run(dt):
             g = TimeGrid(t0=0.0, T=2.0, dt_out=0.5, dt_int=dt)
-            return solve_reference(model, x_max, p0, g, None).mean
+            return solve_reference(model, p0, g, None).mean
 
         fine = run(6.25e-4)
         e1 = np.max(np.abs(run(1e-2) - fine))
@@ -269,7 +269,7 @@ class TestReference:
         p0 = np.zeros(x_max + 1)
         p0[0] = 1.0
         g = TimeGrid(t0=0.0, T=6.0, dt_out=0.01, dt_int=0.01)
-        tr = solve_reference(model, x_max, p0, g, None)
+        tr = solve_reference(model, p0, g, None)
         # oracle: m' = lam(t) - m, solved with the same fixed-step scheme
         m = np.zeros_like(tr.times)
         h = 1e-4
@@ -289,7 +289,7 @@ class TestReference:
     def test_mass_and_positivity(self):
         model = small_erlang_a()
         x_max = 40
-        tr = solve_reference(model, x_max, poisson_pmf(3.0, x_max),
+        tr = solve_reference(model, poisson_pmf(3.0, x_max),
                              TimeGrid(t0=0.0, T=4.0, dt_out=0.01, dt_int=0.001),
                              3)
         assert tr.meta["mass_residual"] < 1e-10
@@ -302,7 +302,7 @@ class TestReference:
         p0 = poisson_pmf(3.0, x_max)
         # 101 output times: more than one block of the reduction
         g = TimeGrid(t0=0.0, T=1.0, dt_out=0.01, dt_int=0.01)
-        tr = solve_reference(model, x_max, p0, g, SERVERS.get(model.label))
+        tr = solve_reference(model, p0, g, SERVERS.get(model.label))
         oracle = integrate(lambda t, p: stencil_oracle(model, t, p), p0, g)
         assert_reference_matches(tr, oracle.values, p0,
                                  SERVERS.get(model.label))
@@ -317,8 +317,7 @@ class TestReference:
     def test_meta_and_debug_line(self, caplog):
         caplog.set_level(logging.DEBUG, logger="charlierbd")
         g = TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01)
-        tr = solve_reference(small_erlang_a(), 30, poisson_pmf(3.0, 30), g,
-                             3)
+        tr = solve_reference(small_erlang_a(), poisson_pmf(3.0, 30), g, 3)
         assert tr.meta["n_steps"] == 100 and tr.meta["n_rhs"] == 400
         assert tr.meta["wall_s"] > 0.0
         lines = [r.getMessage() for r in caplog.records]
@@ -333,7 +332,7 @@ class TestReference:
         # a negative drive makes every kind's birth rate negative
         p = KINDS[kind](lam=SineDrive(-2.0, 0.0), **KIND_FIELDS[kind])
         with pytest.raises(ValueError, match="lam reaches -2 < 0"):
-            solve_reference(make_model(p), 30, np.eye(31)[3],
+            solve_reference(make_model(p), np.eye(31)[3],
                             TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01),
                             None)
 
@@ -343,7 +342,7 @@ class TestReference:
         g = TimeGrid(t0=0.0, T=20.0, dt_out=1e-3, dt_int=1e-3)
         tracemalloc.start()
         try:
-            tr = solve_reference(model, 200, np.eye(201)[1], g, 2)
+            tr = solve_reference(model, np.eye(201)[1], g, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -355,8 +354,8 @@ class TestReference:
         p0 = np.zeros(11)
         p0[0] = 1.0
         with pytest.raises(SolverError):
-            solve_reference(model, 10, p0, TimeGrid(t0=0.0, T=2.0, dt_out=0.1,
-                                                    dt_int=0.01), None)
+            solve_reference(model, p0, TimeGrid(t0=0.0, T=2.0, dt_out=0.1,
+                                                dt_int=0.01), None)
 
 
 class TestGalerkin:
@@ -385,7 +384,7 @@ class TestGalerkin:
         p0 = poisson_pmf(3.0, x_max)
         p0 /= p0.sum()
         g = TimeGrid(t0=0.0, T=2.0, dt_out=0.05, dt_int=0.005)
-        ref = solve_reference(model, x_max, p0, g, None)
+        ref = solve_reference(model, p0, g, None)
         basis = CharlierBasis(a=4.0, N=x_max, X_max=x_max)
         gal, = solve_galerkin(model, [project_density(p0, basis)], g)
         assert np.max(np.abs(gal.mean - ref.mean)) < 1e-7
@@ -510,7 +509,7 @@ class TestGalerkin:
         g = TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01)
         basis = CharlierBasis(a=4.0, N=3, X_max=x_max)
         with pytest.raises(ValueError, match="death rate depends on t"):
-            solve_reference(model, x_max, p0, g, None)
+            solve_reference(model, p0, g, None)
         with pytest.raises(ValueError, match="death rate depends on t"):
             solve_galerkin(model, [project_density(p0, basis)], g)
 
@@ -523,7 +522,7 @@ class TestGalerkin:
         g = TimeGrid(t0=0.0, T=2.0, dt_out=0.1, dt_int=0.01)
         basis = CharlierBasis(a=2.0, N=4, X_max=x_max)
         with np.errstate(all="raise"):
-            ref = solve_reference(model, x_max, p0, g, None)
+            ref = solve_reference(model, p0, g, None)
             gal, = solve_galerkin(model, [project_density(p0, basis)], g)
         oracle = integrate(lambda t, p: stencil_oracle(model, t, p), p0, g)
         assert_reference_matches(ref, oracle.values, p0, None)
@@ -590,7 +589,7 @@ class TestGalerkin:
         x_max = 50
         p0 = poisson_pmf(4.0, x_max)
         g = TimeGrid(t0=0.0, T=4.0, dt_out=0.01, dt_int=0.01)
-        ref = solve_reference(model, x_max, p0, g, None)
+        ref = solve_reference(model, p0, g, None)
 
         def err(N):
             basis = CharlierBasis(a=4.0, N=N, X_max=x_max)
@@ -761,7 +760,7 @@ class TestSimulate:
         model = infinite_server(SineDrive(6.0, 3.0))
         g = TimeGrid(t0=0.0, T=5.0, dt_out=0.5, dt_int=0.5)
         tr = simulate_paths(model, 20_000, 5, g, x0=2, x0_dist="point")
-        ref = solve_reference(model, 40, np.eye(41)[2],
+        ref = solve_reference(model, np.eye(41)[2],
                               TimeGrid(t0=0.0, T=5.0, dt_out=0.5, dt_int=1e-3),
                               None)
         z = np.abs(tr.mean[1:] - ref.mean[1:]) / tr.se_mean[1:]
@@ -784,7 +783,7 @@ class TestSimulate:
         g = TimeGrid(t0=0.0, T=4.0, dt_out=0.5, dt_int=0.5)
         tr = simulate_paths(model, 4000, 7, g, x0=0, x0_dist="point")
         assert tables[:5] == [2, 4, 8, 16, 32]
-        ref = solve_reference(model, 150, np.eye(151)[0],
+        ref = solve_reference(model, np.eye(151)[0],
                               TimeGrid(t0=0.0, T=4.0, dt_out=0.5, dt_int=1e-3),
                               None)
         z = np.abs(tr.mean[1:] - ref.mean[1:]) / tr.se_mean[1:]

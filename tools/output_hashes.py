@@ -1,0 +1,73 @@
+"""sha256 of every CSV that seven CLI runs write, on three configs.
+
+    python3 tools/output_hashes.py CHECKOUT OUTDIR
+
+Runs the CLI of the checkout at CHECKOUT (its `src`, in a fresh
+interpreter per run) on both shipped configs and on the small config of
+perfbench's tests, and writes OUTDIR/hashes.json, mapping
+"<config>/<run>" to the sha256 of that run's CSV. Run it on two
+checkouts and diff the two files: a change that keeps every output
+byte-identical leaves them equal. Takes about 30 s on 2 vCPUs.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+# the config `SMALL` of perfbench/test_perfbench.py
+SMALL = {
+    "model": {"kind": "erlang_a", "lambda": {"base": 10.0, "amplitude": 2.0},
+              "mu": 1.0, "beta": 0.5, "c": 10},
+    "T": 1.0, "dt_out": 0.01, "dt_int": 0.01, "X_max": 60,
+    "init": {"kind": "poisson", "value": 10.0},
+    "orders": [1, 2, 3], "basis": {"mode": "tuned"}, "seed": 7,
+    "n_paths": 2000,
+}
+
+# run name -> CLI arguments before the config
+RUNS = {
+    "table": ["table"],
+    "figures": ["figures"],
+    "solve-reference": ["solve-reference"],
+    "solve-closure-zeroth": ["solve-closure", "--order", "zeroth"],
+    "solve-closure-first": ["solve-closure", "--order", "first"],
+    "solve-galerkin-3": ["solve-galerkin", "-N", "3"],
+    "simulate": ["simulate", "--paths", "2000"],
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/output_hashes.py CHECKOUT OUTDIR",
+              file=sys.stderr)
+        return 2
+    checkout, outdir = Path(argv[0]).resolve(), Path(argv[1])
+    outdir.mkdir(parents=True, exist_ok=True)
+    small = outdir / "small.json"
+    small.write_text(json.dumps(SMALL))
+    configs = {"erlang_a": checkout / "configs" / "erlang_a_benchmark.json",
+               "quadratic": checkout / "configs" / "quadratic_benchmark.json",
+               "small": small}
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+               CHARLIER_LOG="warning")
+    hashes = {}
+    for name, cfg in configs.items():
+        for run, args in RUNS.items():
+            csv = outdir / f"{name}-{run}.csv"
+            subprocess.run([sys.executable, "-m", "charlierbd.cli", args[0],
+                            str(cfg), *args[1:], "-o", str(csv)],
+                           env=env, check=True)
+            hashes[f"{name}/{run}"] = sha256(csv)
+    (outdir / "hashes.json").write_text(json.dumps(hashes, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
