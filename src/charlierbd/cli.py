@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -204,6 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_validate)
     return p
 
+
+# a blow-up is reported by the one `numerical failure` line, not by
+# numpy's overflow warnings on the way to it; filtered once at import, so
+# no command spends time on it and numpy's error state stays as it is
+warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered",
+                        RuntimeWarning)
 
 # built once per process: every main() call parses with the same parser
 _PARSER = build_parser()

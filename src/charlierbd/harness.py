@@ -341,7 +341,8 @@ def tune_basis_parameter(cfg: ExperimentConfig, N: int,
     serves as the truth proxy for the order-N run, and the parameter
     minimizing their time-averaged mean discrepancy wins. Coarse grid
     first, then a local refinement around the coarse optimum; each stage
-    is one batched Galerkin solve over all its candidates and both orders.
+    is two batched Galerkin solves over all its candidates, one per order,
+    so the order-N members are not padded to the proxy's order.
     Every (a, objective) pair scored is appended to `curve`. If
     every candidate scores inf, the zeroth-closure value is returned with
     a warning.
@@ -354,16 +355,16 @@ def tune_basis_parameter(cfg: ExperimentConfig, N: int,
     model = cfg.build_model()
 
     def objectives(cands):
-        bases = [CharlierBasis(a=a, N=n, X_max=p0.size - 1)
-                 for a in cands for n in (N, 2 * N + 2)]
         # exploratory runs at extreme a may lose conservation or blow up;
         # treat those as unusable rather than warning or raising
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            trajs = solve_galerkin(
-                model, [project_density(p0, b) for b in bases], coarse)
+            low, high = (solve_galerkin(
+                model, [project_density(p0, CharlierBasis(
+                    a=a, N=n, X_max=p0.size - 1)) for a in cands], coarse)
+                for n in (N, 2 * N + 2))
         vals = []
-        for lo, hi in zip(trajs[::2], trajs[1::2]):
+        for lo, hi in zip(low, high):
             try:
                 v = rel_error(lo.mean, hi.mean, coarse.times)
             except ValueError:
@@ -398,7 +399,7 @@ def run_galerkin(cfg: ExperimentConfig, N: int, a: float | None = None):
     c0 = project_density(p0, basis)
     traj, = solve_galerkin(model, [c0], cfg.grid())
     if traj.meta["failed"]:
-        t_bad = traj.times[np.argmax(np.isnan(traj.coeffs[:, 0]))]
+        t_bad = traj.times[np.argmax(np.isnan(traj.mean))]
         raise IntegrationError(f"non-finite state at t={t_bad:.6g}")
     return traj
 

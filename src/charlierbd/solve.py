@@ -104,7 +104,6 @@ class Trajectory:
     times: np.ndarray
     meta: dict
     values: np.ndarray | None = None
-    coeffs: np.ndarray | None = None
     mean: np.ndarray | None = None
     variance: np.ndarray | None = None
     cum3: np.ndarray | None = None
@@ -184,69 +183,83 @@ _WORDS = [w for k in range(1, 5) for w in itertools.product((0, 1), repeat=k)]
 # steps per propagator GEMM; the chunk's propagators are held at once, so
 # 64 steps raised the Erlang-A table's peak RSS by about 3 MB
 _CHUNK = 16
+# most steps whose word coefficients are built and held at once, a
+# multiple of _CHUNK: building them takes a few hundred array operations
+_SEGMENT = 1024
 
 
-def _rk4_word_coeffs(lam3: np.ndarray, h: float) -> np.ndarray:
-    """(n_steps, 30) coefficients a_w with D = sum_w a_w W_w, from the drive
-    at the three stage times of each step, lam3 (3, n_steps)."""
-    cols = []
-    for w in _WORDS:
-        a = np.zeros(lam3.shape[1])
+def _rk4_word_coeffs(lam, t: np.ndarray, h: float) -> np.ndarray:
+    """(steps, 30) coefficients a_w with D = sum_w a_w W_w of the RK4 steps
+    from times t, from the drive at the three stage times of each step."""
+    ts = np.concatenate([t, t + 0.5 * h, t + h])
+    lam3 = np.broadcast_to(np.asarray(lam(ts), dtype=float),
+                           ts.shape).reshape(3, -1)
+    a = np.zeros((t.size, len(_WORDS)))
+    for i, w in enumerate(_WORDS):
         for coef, stages in _RK4_TERMS:
             if len(stages) == len(w):
                 term = coef * h ** len(w)
                 for bit, s in zip(w, stages):
                     if bit:
                         term = term * lam3[s]
-                a = a + term
-        cols.append(a)
-    return np.stack(cols, axis=1)
+                a[:, i] += term
+    return a
 
 
 def _rk4_words(M0: np.ndarray, M1: np.ndarray) -> np.ndarray:
     """(30, members, n, n) products W_w = M_w1 ... M_wk of the
-    (members, n, n) stacks M0 and M1, in `_WORDS` order."""
-    words = [M0, M1]
-    start = 0
-    for _ in range(3):
-        prev = words[start:]
-        start = len(words)
-        words += [W @ M for W in prev for M in (M0, M1)]
-    return np.stack(words)
+    (members, n, n) stacks M0 and M1, in `_WORDS` order: word i >= 2 is
+    word i // 2 - 1 times M_(i % 2)."""
+    words = np.empty((len(_WORDS),) + M0.shape)
+    words[0], words[1] = M0, M1
+    for i in range(2, len(_WORDS)):
+        np.matmul(words[i // 2 - 1], words[i % 2], out=words[i])
+    return words
 
 
-def _step_linear(M0, M1, lam, y0: np.ndarray, grid: TimeGrid):
+def _step_linear(M0, M1, lam, y0: np.ndarray, grid: TimeGrid, reduce):
     """RK4 for the members' independent systems y' = y (M0 + lam(t) M1),
     each step y <- y + y D_k with a precomputed increment propagator.
 
     The drive is sampled once at every stage time, with the float
-    expressions `integrate` uses. The D_k of each _CHUNK steps come from
-    one GEMM of their word coefficients with the word stack. Adding y D_k
-    to y, rather than forming I + D_k, keeps the increment's low bits, as
-    stagewise RK4 does. A member whose state goes non-finite reads NaN
-    from that output time on and leaves the loop at the end of the chunk;
-    the loop ends with the chunk in which the last member failed. Returns
-    (values, n_steps, propagator_s), n_steps counting the steps taken.
+    expressions `integrate` uses, and turned into word coefficients
+    _SEGMENT steps at a time. The D_k of each _CHUNK steps come from one
+    GEMM of their word coefficients with the word stack. Adding y D_k to
+    y, rather than forming I + D_k, keeps the increment's low bits, as
+    stagewise RK4 does.
+
+    As in `integrate`, no stack of states is kept: the output states are
+    handed to reduce in stacks of at least _BLOCK, (rows, members, n)
+    each, and replaced by reduce(stack), one row per output time; values
+    stacks the reduced rows. Memory is O(30 members n^2 + _CHUNK members
+    n^2 + _SEGMENT + (_BLOCK + _CHUNK) members n + n_times reduced row
+    size). A member whose state goes non-finite reads NaN from that
+    output time on and leaves the loop at the end of the chunk; the loop
+    ends with the chunk in which the last member failed, and the rows
+    after it read NaN. Returns (values, n_steps, propagator_s), n_steps
+    counting the steps taken.
     """
     times = grid.times
     n_sub, h = grid.substeps, grid.dt_int
     start = time.perf_counter()
-    t = (times[:-1, None] + np.arange(n_sub) * h).ravel()
-    ts = np.concatenate([t, t + 0.5 * h, t + h])
-    lam3 = np.broadcast_to(np.asarray(lam(ts), dtype=float), ts.shape)
-    coeffs = _rk4_word_coeffs(lam3.reshape(3, -1), h)
     words = _rk4_words(M0, M1)
     propagator_s = time.perf_counter() - start
     m, n = y0.shape
-    out = np.full((times.size, m, n), np.nan)
-    out[0] = y0
+    # rows after the last member failed stay NaN
+    out = np.full((times.size,) + reduce(y0[None]).shape[1:], np.nan)
+    pending, held, pos = [y0[None]], 1, 0   # states not yet reduced
     live = np.arange(m)
     y = y0[:, None, :]
     W = words.reshape(len(_WORDS), -1)
-    n_steps = t.size
-    for c in range(0, t.size, _CHUNK):
+    n_steps = (times.size - 1) * n_sub
+    for c in range(0, n_steps, _CHUNK):
         start = time.perf_counter()
-        D = (coeffs[c:c + _CHUNK] @ W).reshape(-1, live.size, n, n)
+        if c % _SEGMENT == 0:
+            s = np.arange(c, min(c + _SEGMENT, n_steps))
+            coeffs = _rk4_word_coeffs(lam, times[s // n_sub] + s % n_sub * h,
+                                      h)
+        D = (coeffs[c % _SEGMENT:c % _SEGMENT + _CHUNK] @ W).reshape(
+            -1, live.size, n, n)
         propagator_s += time.perf_counter() - start
         Y = np.empty((len(D) + 1,) + y.shape)   # Y[j]: after step c + j
         Y[0] = y
@@ -257,17 +270,26 @@ def _step_linear(M0, M1, lam, y0: np.ndarray, grid: TimeGrid):
         y = Y[-1]
         k = np.arange(c + 1, c + len(D) + 1)
         at = np.nonzero(k % n_sub == 0)[0]
+        if not at.size:
+            continue
         rows = Y[at + 1, :, 0]
         dead = np.logical_or.accumulate(~np.isfinite(rows).all(axis=2),
                                         axis=0)
         rows[dead] = np.nan
-        out[k[at, None] // n_sub, live] = rows
-        if at.size and dead[-1].any():
+        pending.append(np.full((at.size, m, n), np.nan))
+        pending[-1][:, live] = rows
+        held += at.size
+        if held >= _BLOCK:
+            out[pos:pos + held] = reduce(np.concatenate(pending))
+            pending, held, pos = [], 0, pos + held
+        if dead[-1].any():
             live, y = live[~dead[-1]], y[~dead[-1]]
             if not live.size:
                 n_steps = int(k[-1])
                 break
             W = words[:, live].reshape(len(_WORDS), -1)
+    if held:
+        out[pos:pos + held] = reduce(np.concatenate(pending))
     return out, n_steps, propagator_s
 
 
@@ -352,51 +374,55 @@ def solve_galerkin(model: BirthDeathModel, coeffs: list[CoeffVector],
     coeffs holds the initial coefficients of each member, each against
     its own basis, all on one X_max; one Trajectory comes back per member.
     All members are zero-padded to the largest order and stepped together;
-    they never mix. A member whose state goes non-finite comes back with
-    meta["failed"] set and NaN values from then on. meta carries the steps
-    taken (n_steps) and where the time went: assembly_s (the two matrices,
-    rate evaluation included), propagator_s (drive samples, words and
-    propagator GEMMs), loop_s (the step products) and wall_s (the whole
-    call).
+    they never mix. No coefficient stack is kept: each chunk's output
+    rows are reduced to every member's c0 and raw moments 1-4 from its own
+    unpadded coefficients, so memory is O(30 members n^2 + the chunk's
+    propagators + 5 members n_times), n being the largest order plus one.
+    A member whose state goes non-finite comes back with meta["failed"]
+    set and NaN values from then on. meta carries the steps taken
+    (n_steps) and where the time went: assembly_s (the two matrices, rate
+    evaluation included), propagator_s (drive samples, words and
+    propagator GEMMs), loop_s (the step products and reductions) and
+    wall_s (the whole call).
     """
     start = time.perf_counter()
+    M0, M1, y0 = _galerkin_system(model, coeffs, grid)
+    assembly_s = time.perf_counter() - start
     bases = [cv.basis for cv in coeffs]
-    x_max = bases[0].X_max
-    if any(b.X_max != x_max for b in bases):
-        raise ValueError("all bases of one batch must share X_max")
-    n = max(b.N for b in bases) + 1
-    Phi = np.zeros((len(bases), n, x_max + 1))   # zero rows pad low orders
-    y0 = np.zeros((len(bases), n))
-    for k, (b, cv) in enumerate(zip(bases, coeffs)):
-        Phi[k, :b.N + 1] = b.table
-        y0[k, :b.N + 1] = cv.c
-    Cw = Phi * np.stack([b.weights for b in bases])[:, None, :]
-    t_asm = time.perf_counter()
-    M0, M1 = galerkin_matrices(*affine_rates(model, grid.times, x_max),
-                               Phi, Cw)
-    assembly_s = time.perf_counter() - t_asm
+    xs = np.arange(bases[0].X_max + 1, dtype=float)
+    # moment row vectors: E[x^m] = (x^m w Phi^T) . c
+    R = [np.stack([(xs**m * b.weights) @ b.table.T for m in (1, 2, 3, 4)])
+         for b in bases]
+
+    def reduce(block):
+        # per member: c0 and raw moments 1-4 of its unpadded rows
+        out = np.empty(block.shape[:2] + (5,))
+        for k, (b, R_k) in enumerate(zip(bases, R)):
+            rows = block[:, k, :b.N + 1]
+            out[:, k, 0] = rows[:, 0]
+            out[:, k, 1:] = rows @ R_k.T
+        return out
+
     t_loop = time.perf_counter()
     values, n_steps, propagator_s = _step_linear(
-        M0, M1, model.lam, y0, grid)
+        M0, M1, model.lam, y0, grid, reduce)
     loop_s = time.perf_counter() - t_loop - propagator_s
-    xs = np.arange(x_max + 1, dtype=float)
+    c0 = values[:, :, 0]
+    moments = np.moveaxis(values[:, :, 1:], -1, 0)
+    _, moments[1], moments[2], moments[3] = _raw_to_cumulants(*moments)
     times = grid.times
     out = []
     for k, b in enumerate(bases):
-        C = values[:, k, :b.N + 1]
-        failed = bool(np.isnan(C[-1, 0]))
-        drift = float(np.max(np.abs(C[:, 0] - C[0, 0])))
+        failed = bool(np.isnan(c0[-1, k]))
+        drift = float(np.max(np.abs(c0[:, k] - c0[0, k])))
         if drift > 1e-9:
             warnings.warn(f"zeroth coefficient drift {drift:.3e} above 1e-9",
                           RuntimeWarning, stacklevel=2)
-        # moment row vectors: E[x^m] = (x^m w Phi^T) . c
-        R = np.stack([(xs**m * b.weights) @ b.table.T for m in (1, 2, 3, 4)])
-        m1, m2, m3, m4 = (C @ R.T).T
-        mean, var, c3, c4 = _raw_to_cumulants(m1, m2, m3, m4)
-        out.append(Trajectory(times=times, coeffs=C, mean=mean,
-                              variance=var, cum3=c3, cum4=c4,
+        mean, var, c3, c4 = moments[:, :, k]
+        out.append(Trajectory(times=times, mean=mean, variance=var,
+                              cum3=c3, cum4=c4,
                               meta={"solver": "galerkin", "N": b.N, "a": b.a,
-                                    "X_max": x_max, "c0_drift": drift,
+                                    "X_max": b.X_max, "c0_drift": drift,
                                     "failed": failed,
                                     "dt_int": grid.dt_int,
                                     "n_steps": n_steps,
@@ -410,6 +436,27 @@ def solve_galerkin(model: BirthDeathModel, coeffs: list[CoeffVector],
               "propagators %.3f s, step loop %.3f s, %.3f s", len(bases),
               [b.N for b in bases], n_steps, propagator_s, loop_s, wall)
     return out
+
+
+def _galerkin_system(model: BirthDeathModel, coeffs: list[CoeffVector],
+                     grid: TimeGrid):
+    """(M0, M1, y0) of `solve_galerkin`'s batch: the (members, n, n)
+    matrices and the (members, n) initial coefficients, every member
+    zero-padded to n, the largest order plus one."""
+    bases = [cv.basis for cv in coeffs]
+    x_max = bases[0].X_max
+    if any(b.X_max != x_max for b in bases):
+        raise ValueError("all bases of one batch must share X_max")
+    n = max(b.N for b in bases) + 1
+    Phi = np.zeros((len(bases), n, x_max + 1))   # zero rows pad low orders
+    y0 = np.zeros((len(bases), n))
+    for k, (b, cv) in enumerate(zip(bases, coeffs)):
+        Phi[k, :b.N + 1] = b.table
+        y0[k, :b.N + 1] = cv.c
+    Cw = Phi * np.stack([b.weights for b in bases])[:, None, :]
+    M0, M1 = galerkin_matrices(*affine_rates(model, grid.times, x_max),
+                               Phi, Cw)
+    return M0, M1, y0
 
 
 def galerkin_matrices(g, d, Phi, Cw) -> tuple[np.ndarray, np.ndarray]:

@@ -404,6 +404,24 @@ def test_table_on_a_short_horizon_exits_1_with_one_line(tmp_path, lam, T):
     assert proc.stderr.count("\n") == 1
 
 
+# explicit RK4 at the default 1e-3 step is unstable for this queue
+STIFF = {"model": {"kind": "erlang_a",
+                   "lambda": {"base": 600.0, "amplitude": 50.0},
+                   "mu": 150.0, "beta": 100.0, "c": 4},
+         "T": 2.0, "init": {"kind": "point", "value": 0}}
+
+
+@pytest.mark.parametrize("cmd", ["solve-reference", "figures", "table"])
+def test_blow_up_exits_1_with_one_line(tmp_path, cmd):
+    # numpy's overflow warnings on the way to it are not printed
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps(STIFF))
+    proc = run_cli([cmd, str(path), "-o", str(tmp_path / "out.csv")])
+    assert proc.returncode == 1
+    assert proc.stderr == ("ERROR charlierbd: numerical failure: non-finite "
+                           "state at t=0.125\n")
+
+
 @pytest.mark.parametrize("level", ["error", "ERROR"])
 def test_log_level_error_silences_info(cfg_path, tmp_path, level):
     argv, env = cli_command(["solve-closure", str(cfg_path),

@@ -12,8 +12,10 @@ from charlierbd.models import (KINDS, BirthDeathModel, ErlangAParams,
                                ErlangLossParams, InfiniteServerParams,
                                QuadraticParams, SineDrive, affine_rates,
                                generator_apply, make_model)
+from charlierbd import solve
 from charlierbd.solve import (_BLOCK, IntegrationError, RateBoundError,
-                              SolverError, TimeGrid, _raw_to_cumulants,
+                              SolverError, TimeGrid, _galerkin_system,
+                              _raw_to_cumulants, _step_linear,
                               galerkin_matrices, integrate, simulate_paths,
                               solve_closure, solve_galerkin, solve_reference)
 from charlierbd.special import poisson_pmf
@@ -103,6 +105,17 @@ def stagewise(model, coeffs, grid):
         out.append(integrate(lambda t, c: c @ (M0 + model.lam(t) * M1),
                              cv.c, grid).values)
     return out
+
+
+def galerkin_rows(model, coeffs, grid):
+    """Each member's (n_times, N+1) coefficient rows, and the steps taken,
+    from `_step_linear` on `solve_galerkin`'s system with an identity
+    reduce."""
+    M0, M1, y0 = _galerkin_system(model, coeffs, grid)
+    values, n_steps, _ = _step_linear(M0, M1, model.lam, y0, grid,
+                                      lambda b: b)
+    return [values[:, k, :cv.basis.N + 1]
+            for k, cv in enumerate(coeffs)], n_steps
 
 
 def oracle_models():
@@ -409,8 +422,8 @@ class TestGalerkin:
         oracle = integrate(
             lambda t, c: c @ ((Cw @ dense_generator(t).T) @ basis.table.T),
             c0.c, g)
-        tr, = solve_galerkin(model, [c0], g)
-        assert np.max(np.abs(tr.coeffs - oracle.values)) < 1e-12
+        (rows,), _ = galerkin_rows(model, [c0], g)
+        assert np.max(np.abs(rows - oracle.values)) < 1e-12
 
     def test_batch_matches_single_solves(self):
         # 28 members: four mixed ones plus a tuning-shaped search, twelve
@@ -429,7 +442,7 @@ class TestGalerkin:
         assert len({tr.meta["wall_s"] for tr in batch}) == 1
         for b, c, tr in zip(bases, c0, batch):
             one, = solve_galerkin(model, [c], g)
-            assert tr.coeffs.shape == one.coeffs.shape
+            assert tr.mean.shape == one.mean.shape == g.times.shape
             assert np.max(np.abs(tr.mean - one.mean) / np.abs(one.mean)) \
                 <= 1e-12
             assert tr.meta["c0_drift"] == pytest.approx(
@@ -449,11 +462,13 @@ class TestGalerkin:
         c0 = [project_density(p0, b) for b in bases]
         with np.errstate(all="raise"):
             batch = solve_galerkin(model, c0, g)
-        for tr, want in zip(batch, stagewise(model, c0, g)):
-            assert tr.coeffs.shape == want.shape == (24, tr.meta["N"] + 1)
-            assert np.max(np.abs(tr.coeffs - want)) \
-                <= 1e-12 * np.max(np.abs(want))
-            assert tr.meta["n_steps"] == 230 and not tr.meta["failed"]
+            rows, n_steps = galerkin_rows(model, c0, g)
+        for b, got, want in zip(bases, rows, stagewise(model, c0, g)):
+            assert got.shape == want.shape == (24, b.N + 1)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert n_steps == 230
+        assert all(tr.meta["n_steps"] == 230 and not tr.meta["failed"]
+                   for tr in batch)
 
     def test_blown_up_member_leaves_the_others(self):
         # RK4 at dt=0.5 is unstable for the stiff order-12 system only
@@ -551,13 +566,14 @@ class TestGalerkin:
               for a, N in ((4.0, 12), (3.0, 1))]
         with np.errstate(all="ignore"):
             bad, good = solve_galerkin(model, c0, g)
-        one, = solve_galerkin(model, c0[1:], g)
+            (bad_c, good_c), _ = galerkin_rows(model, c0, g)
+        (one,), _ = galerkin_rows(model, c0[1:], g)
         assert bad.meta["failed"] and not good.meta["failed"]
-        i = int(np.argmax(np.isnan(bad.coeffs).any(axis=1)))
-        assert 0 < i < 100 and np.isnan(bad.coeffs[i:]).all()
-        assert np.all(np.isfinite(bad.coeffs[:i]))
-        assert np.max(np.abs(good.coeffs - one.coeffs)) \
-            <= 1e-12 * np.max(np.abs(one.coeffs))
+        i = int(np.argmax(np.isnan(bad_c).any(axis=1)))
+        assert 0 < i < 100 and np.isnan(bad_c[i:]).all()
+        assert np.all(np.isfinite(bad_c[:i]))
+        assert np.isnan(bad.mean[i:]).all() and np.isfinite(bad.mean[:i]).all()
+        assert np.max(np.abs(good_c - one)) <= 1e-12 * np.max(np.abs(one))
         assert good.meta["n_steps"] == bad.meta["n_steps"] == 100
 
     def test_stops_once_every_member_is_dead(self):
@@ -574,7 +590,60 @@ class TestGalerkin:
         # the loop ends with the 16-step chunk in which the last one failed
         assert 0 < last < 100
         assert batch[0].meta["n_steps"] == 16 * -(-last // 16) < 100
-        assert all(np.isnan(tr.coeffs[last:]).all() for tr in batch)
+        assert all(np.isnan(getattr(tr, k)[last:]).all() for tr in batch
+                   for k in ("mean", "variance", "cum3", "cum4"))
+
+    def test_short_chunks_segments_and_blocks(self, monkeypatch):
+        # 7-step chunks, 21-step segments and 5-row blocks put every edge
+        # of the stepper inside the horizon
+        monkeypatch.setattr(solve, "_CHUNK", 7)
+        monkeypatch.setattr(solve, "_SEGMENT", 21)
+        monkeypatch.setattr(solve, "_BLOCK", 5)
+        model = small_erlang_a()
+        x_max = 40
+        p0 = poisson_pmf(3.0, x_max)
+        g = TimeGrid(t0=0.0, T=2.3, dt_out=0.1, dt_int=0.01)
+        c0 = [project_density(p0, CharlierBasis(a=a, N=N, X_max=x_max))
+              for a, N in ((4.0, 6), (2.5, 3))]
+        with np.errstate(all="raise"):
+            rows, n_steps = galerkin_rows(model, c0, g)
+        assert n_steps == 230
+        for got, want in zip(rows, stagewise(model, c0, g)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # a member that fails mid-horizon leaves the others, which go on
+        # in the chunks after its own
+        g = TimeGrid(t0=0.0, T=400.0, dt_out=4.0, dt_int=4.0)
+        c0 = [project_density(p0, CharlierBasis(a=a, N=N, X_max=x_max))
+              for a, N in ((4.0, 12), (3.0, 1))]
+        with np.errstate(all="ignore"):
+            (bad, good), n_steps = galerkin_rows(model, c0, g)
+        (one,), _ = galerkin_rows(model, c0[1:], g)
+        i = int(np.argmax(np.isnan(bad).any(axis=1)))
+        assert 0 < i < 90 and np.isnan(bad[i:]).all()
+        assert np.all(np.isfinite(bad[:i])) and n_steps == 100
+        assert np.max(np.abs(good - one)) <= 1e-12 * np.max(np.abs(one))
+
+    def test_memory_does_not_scale_with_times_by_members(self):
+        # a tuning-shaped batch: 14 candidates at the order-16 proxy
+        model = small_erlang_a()
+        x_max = 60
+        p0 = poisson_pmf(4.0, x_max)
+        c0 = [project_density(p0, CharlierBasis(a=a, N=16, X_max=x_max))
+              for a in np.linspace(2.5, 5.5, 14)]
+        peaks = []
+        for T in (10.0, 40.0):
+            g = TimeGrid(t0=0.0, T=T, dt_out=5e-3, dt_int=5e-3)
+            tracemalloc.start()
+            try:
+                batch = solve_galerkin(model, c0, g)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert not any(tr.meta["failed"] for tr in batch)
+        # 6000 more output times cost the (times, members, 5) c0 and
+        # moments and the cumulants' temporaries, under 10 floats per
+        # member and time, not the 17 of a coefficient stack
+        assert peaks[1] - peaks[0] < 6000 * 14 * 10 * 8
 
     def test_batch_needs_one_support(self):
         model = small_erlang_a()
