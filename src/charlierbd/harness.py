@@ -400,7 +400,8 @@ def run_galerkin(cfg: ExperimentConfig, N: int, a: float | None = None):
     traj, = solve_galerkin(model, [c0], cfg.grid())
     if traj.meta["failed"]:
         t_bad = traj.times[np.argmax(np.isnan(traj.mean))]
-        raise IntegrationError(f"non-finite state at t={t_bad:.6g}")
+        raise IntegrationError(f"Galerkin row N={N}: non-finite state at "
+                               f"t={t_bad:.6g}")
     return traj
 
 
@@ -455,11 +456,10 @@ def run_figures(cfg: ExperimentConfig) -> tuple[dict, dict]:
               "ref_variance": ref.variance}
     if ref.delay is not None:
         series["ref_delay"] = ref.delay
-    params = cfg.params()
+    params, init, grid = cfg.params(), cfg.initial_state(), cfg.grid()
     closure_meta = {}
     for order in ("zeroth", "first"):
-        traj = solve_closure(cfg.kind, params, order,
-                             cfg.initial_state(), cfg.grid())
+        traj = solve_closure(cfg.kind, params, order, init, grid)
         series[f"{order}_mean"] = traj.mean
         series[f"{order}_variance"] = traj.variance
         if traj.delay is not None:
@@ -485,9 +485,12 @@ def write_table_csv(table: ErrorTable, path) -> None:
 
 
 def write_series_csv(series: dict, path) -> None:
+    """A header of the column names, then one row per output time with
+    every cell "%.6e"; the columns, of equal length, are read as Python
+    floats and each row is formatted in one operation."""
     cols = list(series)
+    row = ",".join(["%.6e"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        n = len(series["t"])
-        for i in range(n):
-            fh.write(",".join("%.6e" % series[c][i] for c in cols) + "\n")
+        fh.writelines(row % cells for cells in zip(
+            *(np.asarray(series[c]).tolist() for c in cols), strict=True))

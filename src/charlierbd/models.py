@@ -334,14 +334,16 @@ def generator_apply(b, d, p) -> np.ndarray:
     """(A p)(x) on the truncated state space {0..X_max} for rate vectors.
 
     b(x-1)p(x-1) + d(x+1)p(x+1) - (b(x)+d(x))p(x), with b and d the birth
-    and death rates on {0..X_max}. b[X_max] is ignored: births out of
-    X_max are suppressed so the truncated generator conserves total mass
-    (reflecting upper boundary). p may be an (..., X_max+1) stack; the
-    generator acts on its last axis.
+    and death rates on {0..X_max}, summed in that order. b[X_max] is
+    ignored: births out of X_max are suppressed so the truncated
+    generator conserves total mass (reflecting upper boundary). p may be
+    an (..., X_max+1) stack; the generator acts on its last axis. The
+    result is a fresh array; b, d and p are only read.
     """
     p = np.asarray(p, dtype=float)
-    out = -(b + d) * p
-    out[..., -1] = -d[-1] * p[..., -1]
+    diag = b + d
+    diag[-1] = d[-1]
+    out = np.negative(diag, out=diag) * p
     out[..., 1:] += b[:-1] * p[..., :-1]
     out[..., :-1] += d[1:] * p[..., 1:]
     return out

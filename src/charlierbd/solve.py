@@ -118,11 +118,24 @@ _BLOCK = 64
 
 
 def _rk4_step(rhs, t, y, h):
+    """One classical RK4 step of y' = rhs(t, y) from (t, y). Every stage
+    state and the new state are fresh arrays: y and the rhs values are
+    read, never written."""
+    hh = 0.5 * h
     k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+    k2 = rhs(t + hh, y + hh * k1)
+    k3 = rhs(t + hh, y + hh * k2)
     k4 = rhs(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _check_finite(block, times):
+    """IntegrationError naming the first of `times` whose state, a row of
+    block, is not finite."""
+    if not np.isfinite(block).all():
+        ok = np.isfinite(block.reshape(len(block), -1)).all(axis=1)
+        raise IntegrationError(
+            f"non-finite state at t={times[np.argmin(ok)]:.6g}")
 
 
 def integrate(rhs, y0, grid: TimeGrid, reduce=lambda b: b) -> Trajectory:
@@ -136,7 +149,10 @@ def integrate(rhs, y0, grid: TimeGrid, reduce=lambda b: b) -> Trajectory:
     (n_times,) + y0.shape; one that reduces each state to a few sums keeps
     memory at O(_BLOCK y0.size + n_times row size), not O(n_times y0.size).
     meta records the steps taken (n_steps) and the right-hand-side
-    evaluations (n_rhs). A non-finite state raises IntegrationError.
+    evaluations (n_rhs). The stepped states of a block are checked just
+    before it is reduced: a non-finite one raises IntegrationError at its
+    output time, the first such time of the run. The steps of the block
+    after it are taken and dropped.
     """
     y0 = np.asarray(y0, dtype=float)
     times = grid.times
@@ -144,21 +160,27 @@ def integrate(rhs, y0, grid: TimeGrid, reduce=lambda b: b) -> Trajectory:
     block = np.empty((_BLOCK,) + y0.shape)
     block[0] = y0
     k = 1   # states held in block
+    start = 0   # output index of block[0]
     done = []
     y = y0.copy()
     h = grid.dt_int
+
+    def reduced(rows):
+        # the initial state is not a stepped one and is not checked
+        skip = int(start == 0)
+        _check_finite(rows[skip:], times[start + skip:start + len(rows)])
+        return reduce(rows)
+
     for i in range(times.size - 1):
         t = times[i]
         for j in range(n_sub):
             y = _rk4_step(rhs, t + j * h, y, h)
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"non-finite state at t={times[i + 1]:.6g}")
         if k == _BLOCK:
-            done.append(reduce(block))
-            block, k = np.empty_like(block), 0
+            done.append(reduced(block))
+            block, k, start = np.empty_like(block), 0, start + _BLOCK
         block[k] = y
         k += 1
-    out = np.concatenate([*done, reduce(block[:k])])
+    out = np.concatenate([*done, reduced(block[:k])])
     n_steps = (times.size - 1) * n_sub
     return Trajectory(times=times, values=out,
                       meta={"dt_int": h, "n_steps": n_steps,
@@ -314,7 +336,8 @@ def solve_reference(model: BirthDeathModel, p0, grid: TimeGrid,
     conservation and the probability mass parked at the truncation
     boundary (warning above 1e-8, error above 1e-6); meta carries both,
     the smallest entry of any output pmf (pmf_min) and the wall time of
-    the whole call (wall_s).
+    the whole call (wall_s). A blow-up raises IntegrationError naming the
+    reference.
     """
     start = time.perf_counter()
     p0 = np.asarray(p0, dtype=float)
@@ -335,7 +358,10 @@ def solve_reference(model: BirthDeathModel, p0, grid: TimeGrid,
             cols.append(block[:, c:].sum(axis=1))
         return np.stack(cols, axis=1)
 
-    traj = integrate(rhs, p0, grid, reduce)
+    try:
+        traj = integrate(rhs, p0, grid, reduce)
+    except IntegrationError as exc:
+        raise IntegrationError(f"reference: {exc}") from None
     mass, bound, low, m1, m2, m3, m4, *delay = traj.values.T
     mass_resid = float(np.max(np.abs(mass - p0.sum())))
     boundary = float(np.max(bound))
@@ -472,25 +498,32 @@ def galerkin_matrices(g, d, Phi, Cw) -> tuple[np.ndarray, np.ndarray]:
             generator_apply(g, zero, Cw) @ phi_t)
 
 
-def _closure_rhs(params, order: str, flags: dict):
+def _closure_rhs(params, order: str, counts: dict):
     """Mean(/variance) vector field for the explicit closure solver: with
     the params record's `closure_terms` under the matched surrogate,
     mean' = lam E[g] - E[d] and
-    var' = lam E[g] + E[d] + 2 (lam Cov[Q, g] - Cov[Q, d])."""
-    first = order == "first"
+    var' = lam E[g] + E[d] + 2 (lam Cov[Q, g] - Cov[Q, d]).
+
+    The zeroth-order state is the mean alone, a scalar, so its RK4 steps
+    are scalar arithmetic; the first-order state is the array (mean,
+    variance), and counts["over_dispersed"] counts its evaluations whose
+    target was over dispersed."""
     lam = params.lam
+    closure_terms = params.closure_terms
+    if order == "zeroth":
+        def rhs(t, m):
+            s = moment_match(max(m, _Q_FLOOR), None)
+            e_g, e_d, _, _ = closure_terms(s, False)
+            return lam(t) * e_g - e_d
+        return rhs
 
     def rhs(t, y):
-        s = moment_match(max(y[0], _Q_FLOOR), y[1] if first else None)
-        flags["evals"] += 1
+        s = moment_match(max(y[0], _Q_FLOOR), y[1])
         if s.over_dispersed:
-            flags["over_dispersed"] += 1
-        e_g, e_d, cov_g, cov_d = params.closure_terms(s, first)
+            counts["over_dispersed"] += 1
+        e_g, e_d, cov_g, cov_d = closure_terms(s, True)
         lam_t = lam(t)
-        dmean = lam_t * e_g - e_d
-        if not first:
-            return np.array([dmean])
-        return np.array([dmean,
+        return np.array([lam_t * e_g - e_d,
                          lam_t * e_g + e_d + 2 * (lam_t * cov_g - cov_d)])
     return rhs
 
@@ -504,6 +537,7 @@ def solve_closure(kind: str, params, order: str, init: MomentState,
     params record with `c`) also emits the delay probability per output
     time; the over-dispersion fallback fraction and the wall time of the
     whole call (wall_s) are carried in meta. `kind` must be the record's.
+    A blow-up raises IntegrationError naming the closure's order.
     """
     start = time.perf_counter()
     if kind != params.kind:
@@ -511,13 +545,18 @@ def solve_closure(kind: str, params, order: str, init: MomentState,
                          f"{params.kind!r} params record")
     if order not in ("zeroth", "first"):
         raise ValueError(f"unknown closure order {order!r}")
-    flags = {"evals": 0, "over_dispersed": 0}
-    rhs = _closure_rhs(params, order, flags)
-    y0 = np.array([init.mean] if order == "zeroth"
-                  else [init.mean, init.variance], dtype=float)
-    traj = integrate(rhs, y0, grid)
-    mean = traj.values[:, 0]
-    var = traj.values[:, 1] if order == "first" else mean.copy()
+    counts = {"over_dispersed": 0}
+    rhs = _closure_rhs(params, order, counts)
+    y0 = (init.mean if order == "zeroth"
+          else np.array([init.mean, init.variance], dtype=float))
+    try:
+        traj = integrate(rhs, y0, grid)
+    except IntegrationError as exc:
+        raise IntegrationError(f"{order}-order closure: {exc}") from None
+    if order == "zeroth":
+        mean, var = traj.values, traj.values.copy()
+    else:
+        mean, var = traj.values.T
     delay = None
     if hasattr(params, "c"):
         delay = np.empty_like(mean)
@@ -525,7 +564,7 @@ def solve_closure(kind: str, params, order: str, init: MomentState,
             s = moment_match(max(m, _Q_FLOOR),
                              v if order == "first" else None)
             delay[i] = _closure.delay_probability(s, params.c)
-    frac = flags["over_dispersed"] / max(flags["evals"], 1)
+    frac = counts["over_dispersed"] / traj.meta["n_rhs"]
     wall = time.perf_counter() - start
     log.debug("closure %s/%s: %d steps, %.3f s", kind, order,
               traj.meta["n_steps"], wall)

@@ -98,8 +98,11 @@ def stirling2(n: int, j: int) -> int:
 def touchard(k: int, q: float) -> float:
     """Touchard polynomial T_k(q) = sum_j S(k, j) q^j = E[X^k], X ~ Poisson(q).
 
-    Always evaluated from Stirling numbers; the hard-coded low-order
-    polynomials exist only in tests as cross-checks.
+    The `math.fsum` of the terms S(k, j) q^j. For k = 1 and 2 it is
+    written out: the fsum of one term is that term (with -0.0 read as
+    0.0) and of two terms their rounded sum, so T_1 = q and T_2 = q + q**2
+    equal the fsum bit for bit. The hard-coded low-order polynomials exist
+    only in tests as cross-checks.
     """
     if k < 0:
         raise ValueError("touchard order must be nonnegative")
@@ -107,6 +110,10 @@ def touchard(k: int, q: float) -> float:
         raise ValueError(f"Poisson rate must be nonnegative, got q={q}")
     if k == 0:
         return 1.0
+    if k == 1:
+        return float(q) + 0.0
+    if k == 2:
+        return float(q) + float(q**2)
     return math.fsum(stirling2(k, j) * q**j for j in range(1, k + 1))
 
 

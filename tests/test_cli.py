@@ -413,13 +413,14 @@ STIFF = {"model": {"kind": "erlang_a",
 
 @pytest.mark.parametrize("cmd", ["solve-reference", "figures", "table"])
 def test_blow_up_exits_1_with_one_line(tmp_path, cmd):
-    # numpy's overflow warnings on the way to it are not printed
+    # numpy's overflow warnings on the way to it are not printed; each
+    # command runs the reference first, and the line names it
     path = tmp_path / "stiff.json"
     path.write_text(json.dumps(STIFF))
     proc = run_cli([cmd, str(path), "-o", str(tmp_path / "out.csv")])
     assert proc.returncode == 1
-    assert proc.stderr == ("ERROR charlierbd: numerical failure: non-finite "
-                           "state at t=0.125\n")
+    assert proc.stderr == ("ERROR charlierbd: numerical failure: reference: "
+                           "non-finite state at t=0.125\n")
 
 
 @pytest.mark.parametrize("level", ["error", "ERROR"])

@@ -186,7 +186,8 @@ class TestRunGalerkin:
                          init={"kind": "poisson", "value": 3.0})
         with np.errstate(all="ignore"):
             assert not run_galerkin(cfg, 2, a=4.0).meta["failed"]
-            with pytest.raises(IntegrationError, match="non-finite state"):
+            with pytest.raises(IntegrationError,
+                               match="^Galerkin row N=12: non-finite state"):
                 run_galerkin(cfg, 12, a=4.0)
 
 
@@ -257,6 +258,18 @@ class TestRunFigures:
         write_series_csv(series, out)
         lines = out.read_text().splitlines()
         assert len(lines) == len(series["t"]) + 1
+
+    def test_series_csv_is_each_cell_in_e_format(self, tmp_path):
+        rng = np.random.default_rng(4)
+        series = {"t": np.linspace(0.0, 1.0, 7),
+                  "a": rng.standard_normal(7) * 1e5,
+                  "b": np.array([np.inf, -np.inf, np.nan, 0.0, -0.0,
+                                 1e-300, 2.5])}
+        out = tmp_path / "s.csv"
+        write_series_csv(series, out)
+        want = ["t,a,b"] + [",".join("%.6e" % series[c][i] for c in series)
+                            for i in range(7)]
+        assert out.read_text() == "\n".join(want) + "\n"
 
     def test_infinite_server_zeroth_matches_reference(self):
         cfg = ExperimentConfig(model={"kind": "infinite_server",

@@ -234,6 +234,38 @@ class TestGeneratorApply:
         assert out[3] == pytest.approx(-5.0)
 
 
+    @staticmethod
+    def textbook(b, d, p):
+        # each state's three terms written out, summed in the order of
+        # the docstring; no births out of X_max
+        n = p.shape[-1]
+        out = np.empty_like(p)
+        for x in range(n):
+            v = -((b[x] if x < n - 1 else 0.0) + d[x]) * p[..., x]
+            if x > 0:
+                v = v + b[x - 1] * p[..., x - 1]
+            if x < n - 1:
+                v = v + d[x + 1] * p[..., x + 1]
+            out[..., x] = v
+        return out
+
+    @pytest.mark.parametrize("shape", [(41,), (3, 41)],
+                             ids=["vector", "stack"])
+    def test_is_the_textbook_stencil_bit_for_bit(self, shape):
+        rng = np.random.default_rng(23)
+        b, d = rng.random(41) * 7.0, rng.random(41) * 3.0
+        b[rng.random(41) < 0.3] = 0.0
+        d[rng.random(41) < 0.3] = 0.0
+        b[-1] = 2.5   # ignored: no births out of X_max
+        p = rng.random(shape)
+        p[..., rng.random(41) < 0.2] = 0.0
+        kept = [b.copy(), d.copy(), p.copy()]
+        for rates in ((b, d), (np.zeros(41), d), (b, np.zeros(41))):
+            assert np.array_equal(generator_apply(*rates, p),
+                                  self.textbook(*rates, p))
+        assert all(np.array_equal(u, v) for u, v in zip((b, d, p), kept))
+
+
 class TestAffineRates:
     TIMES = np.linspace(0.0, 3.0, 31)
 

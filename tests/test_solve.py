@@ -275,6 +275,79 @@ class TestIntegrate:
         assert seen == [_BLOCK]
 
 
+    @pytest.mark.parametrize("shape", [(251,), (1,), ()],
+                             ids=["251_states", "1_state", "scalar"])
+    def test_rk4_step_is_the_textbook_step(self, shape):
+        rng = np.random.default_rng(17)
+        w = rng.random(shape) + 0.5
+        y = rng.random(shape)
+        y_before = np.copy(y)
+        calls = []
+
+        def rhs(t, u):
+            k = np.cos(t) - w * u
+            calls.append((t, np.copy(u), k, np.copy(k)))
+            return k
+
+        t, h = 0.37, 1e-3
+        got = solve._rk4_step(rhs, t, y, h)
+        (t1, u1, k1, _), (t2, u2, k2, _), (t3, u3, k3, _), \
+            (t4, u4, k4, _) = calls
+        assert (t1, t2, t3, t4) == (t, t + 0.5 * h, t + 0.5 * h, t + h)
+        assert np.array_equal(u1, y)
+        assert np.array_equal(u2, y + 0.5 * h * k1)
+        assert np.array_equal(u3, y + 0.5 * h * k2)
+        assert np.array_equal(u4, y + h * k3)
+        assert np.array_equal(
+            got, y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        # neither the state nor the rhs values were written to
+        assert np.array_equal(y, y_before)
+        assert all(np.array_equal(k, kept) for *_, k, kept in calls)
+
+    # an rhs that turns state `col` infinite from the RK4 step ending at
+    # output `at`: its last stage sits at that output time, the stages
+    # before it at least h / 2 earlier
+    @staticmethod
+    def blow_up(g, col, at):
+        def rhs(t, y):
+            k = np.zeros_like(y)
+            if t >= g.times[at] - 0.25 * g.dt_int:
+                k[col] = np.inf
+            return k
+        return rhs
+
+    # _BLOCK rows per block: output 84 is inside the second block, 127 its
+    # last row and 140 in the partial third block of the 150 outputs
+    @pytest.mark.parametrize("at", [84, 2 * _BLOCK - 1, 140])
+    def test_block_check_reports_the_first_nonfinite_output(self, at):
+        g = TimeGrid(t0=0.0, T=1.49, dt_out=0.01, dt_int=0.01)
+        assert g.times.size == 150 and _BLOCK == 64
+        seen = []
+
+        def reduce(block):
+            seen.append(len(block))
+            return block
+
+        # state 1 goes first, state 0 two outputs later in the same block
+        first, second = self.blow_up(g, 1, at), self.blow_up(g, 0, at + 2)
+
+        def rhs(t, y):
+            return first(t, y) + second(t, y)
+
+        with pytest.raises(IntegrationError) as err:
+            integrate(rhs, np.ones(2), g, reduce)
+        assert str(err.value) == f"non-finite state at t={g.times[at]:.6g}"
+        # the blocks before the bad one were reduced, the bad one not
+        assert seen == [_BLOCK] * (at // _BLOCK)
+
+    def test_nonfinite_initial_state_reports_the_first_step(self):
+        # the initial state is not a stepped one; its first step is
+        g = TimeGrid(t0=0.0, T=0.5, dt_out=0.1, dt_int=0.05)
+        with pytest.raises(IntegrationError,
+                           match=r"^non-finite state at t=0\.1$"):
+            integrate(lambda t, y: -y, [np.nan, 1.0], g)
+
+
 class TestReference:
     def test_infinite_server_scalar_ode(self):
         model = infinite_server(lambda t: 5.0 + np.sin(t))
@@ -721,6 +794,19 @@ class TestClosure:
                            MomentState(mean=20.0, variance=20.0),
                            TimeGrid(t0=0.0, T=10.0, dt_out=0.1, dt_int=0.01))
         assert tr.meta["over_dispersed_fraction"] > 0.5
+
+
+    @pytest.mark.parametrize("order", ["zeroth", "first"])
+    def test_blow_up_names_the_closure(self, order):
+        # the drive overflows to inf once sin(t) > 0
+        p = InfiniteServerParams(lam=SineDrive(1e308, 1e308), mu=1.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(IntegrationError) as err:
+            solve_closure("infinite_server", p, order,
+                          MomentState(mean=1.0, variance=1.0),
+                          TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01))
+        assert str(err.value) == (f"{order}-order closure: non-finite "
+                                  "state at t=0.1")
 
 
 class TestSimulate:

@@ -86,6 +86,19 @@ class TestStirlingTouchard:
         assert touchard(3, 2.0) == pytest.approx(want, rel=1e-12)
         assert touchard(3, 2.0) == pytest.approx(22.0)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_low_orders_equal_the_stirling_fsum(self, k):
+        rng = np.random.default_rng(k)
+        qs = [*(rng.random(500) * 10.0 ** rng.integers(-8, 150, 500)),
+              *np.float64(rng.random(50) * 300.0), 0.0, -0.0, 3, math.inf]
+        for q in qs:
+            want = math.fsum(stirling2(k, j) * q**j for j in range(1, k + 1))
+            got = touchard(k, q)
+            assert type(got) is float
+            assert got == want and math.copysign(1.0, got) \
+                == math.copysign(1.0, want), q
+        assert math.isnan(touchard(k, math.nan))
+
     @pytest.mark.parametrize("k", range(7))
     @pytest.mark.parametrize("q", [0.5, 5.0, 50.0])
     def test_touchard_matches_sums(self, k, q):

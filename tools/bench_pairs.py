@@ -10,15 +10,17 @@ change first when i is odd. The JSON
 written to --out holds, per workload and end-to-end metric, each side's
 median and quartiles over the per-run medians that perfbench reports,
 the number of pairs in which the change read lower (ties count for
-neither side), and every pair's results, in the layout of the committed
-BENCH_*.json files. A run that exits non-zero or prints no result counts
-as one failed call. Takes about 2 x PAIRS x (SECONDS + 5) s per workload.
+neither side), a verdict (see `verdict`) and every pair's results, in
+the layout of the committed BENCH_*.json files. A run that exits
+non-zero or prints no result counts as one failed call. Takes about
+2 x PAIRS x (SECONDS + 5) s per workload.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import subprocess
@@ -67,16 +69,47 @@ def spread(values: list) -> dict:
             "iqr": float(q3 - q1), "n": len(values)}
 
 
+def verdict(stats: dict, better_in: int, metric: dict) -> str:
+    """One metric's reading by the choosing-metrics guide, from its
+    `summarise` entry, the pairs in which the change read better (ties
+    count for neither side) and its BENCHMARK.json entry: "gain" when
+    the change read better in at least nine tenths of the pairs and its
+    median beats the parent's by more than the parent's IQR; otherwise
+    "regression" when its median is worse than the parent's by more than
+    the metric's bound, a fraction of the parent's median; otherwise
+    "unresolved" when the parent's IQR is wider than that bound; and
+    "within bound" when none of these holds."""
+    parent, change = stats["parent"], stats["change"]
+    ahead = parent["median"] - change["median"]   # > 0: the change is better
+    if metric["better"] == "higher":
+        ahead = -ahead
+    allowed = metric["bound"] * abs(parent["median"])
+    if better_in >= math.ceil(0.9 * parent["n"]) and ahead > parent["iqr"]:
+        return "gain"
+    if -ahead > allowed:
+        return "regression"
+    if parent["iqr"] > allowed:
+        return "unresolved"
+    return "within bound"
+
+
 def summarise(pairs: list, metrics: list) -> dict:
+    """Per end-to-end metric of BENCHMARK.json (`metrics`, its entries):
+    each side's spread, change_lower_in and the verdict."""
     summary = {}
-    for name in metrics:
+    for metric in metrics:
+        name = metric["name"]
         ok = [p for p in pairs if all(name in p[side] for side in SIDES)]
         if not ok:
             continue
         vals = {side: [p[side][name] for p in ok] for side in SIDES}
-        summary[name] = {side: spread(vals[side]) for side in SIDES}
-        summary[name]["change_lower_in"] = sum(
-            c < p for p, c in zip(vals["parent"], vals["change"]))
+        stats = {side: spread(vals[side]) for side in SIDES}
+        pc = list(zip(vals["parent"], vals["change"]))
+        stats["change_lower_in"] = sum(c < p for p, c in pc)
+        better_in = (stats["change_lower_in"] if metric["better"] == "lower"
+                     else sum(c > p for p, c in pc))
+        stats["verdict"] = verdict(stats, better_in, metric)
+        summary[name] = stats
     return summary
 
 
@@ -91,7 +124,7 @@ def main(argv=None) -> int:
     with open(roots["change"] / "BENCHMARK.json") as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
-    metrics = [m["name"] for m in bench["end_to_end"]]
+    metrics = bench["end_to_end"]
     label = args.out.stem.removeprefix("BENCH_")
     command = (f"python3 perfbench/run.py --workload W --seed S --seconds "
                f"{seconds:g} --trace 0, run from the root of each checkout")
