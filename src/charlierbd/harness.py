@@ -98,6 +98,12 @@ def _number_fields(kind: str) -> dict:
             for f in dataclasses.fields(KINDS[kind]) if f.name != "lam"}
 
 
+def _config_hash(d: dict) -> str:
+    """First 16 hex digits of the sha256 of a config dict's sorted JSON."""
+    blob = json.dumps(d, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
 @dataclass
 class ExperimentConfig:
     """Validated declarative run description."""
@@ -197,8 +203,7 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return _config_hash(self.to_dict())
 
     # --- derived run objects -------------------------------------------
 
@@ -430,9 +435,10 @@ def run_table(cfg: ExperimentConfig, reference=None) -> ErrorTable:
             err_skewness=rel_error(skew, ref_skew, ref.times),
             err_kurtosis=rel_error(kurt, ref_kurt, ref.times),
         ))
+    config = cfg.to_dict()
     provenance = {
-        "config": cfg.to_dict(),
-        "config_hash": cfg.hash(),
+        "config": config,
+        "config_hash": _config_hash(config),
         "version": __version__,
         "T": cfg.T,
         "dt_out": cfg.dt_out,

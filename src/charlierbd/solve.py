@@ -152,7 +152,9 @@ def integrate(rhs, y0, grid: TimeGrid, reduce=lambda b: b) -> Trajectory:
     evaluations (n_rhs). The stepped states of a block are checked just
     before it is reduced: a non-finite one raises IntegrationError at its
     output time, the first such time of the run. The steps of the block
-    after it are taken and dropped.
+    after it are taken and dropped, so numpy may warn of invalid values
+    on the way; a FloatingPointError that they raise (numpy's "raise"
+    error mode) becomes that same IntegrationError.
     """
     y0 = np.asarray(y0, dtype=float)
     times = grid.times
@@ -165,22 +167,28 @@ def integrate(rhs, y0, grid: TimeGrid, reduce=lambda b: b) -> Trajectory:
     y = y0.copy()
     h = grid.dt_int
 
-    def reduced(rows):
+    def check(rows):
         # the initial state is not a stepped one and is not checked
         skip = int(start == 0)
         _check_finite(rows[skip:], times[start + skip:start + len(rows)])
-        return reduce(rows)
 
-    for i in range(times.size - 1):
-        t = times[i]
-        for j in range(n_sub):
-            y = _rk4_step(rhs, t + j * h, y, h)
-        if k == _BLOCK:
-            done.append(reduced(block))
-            block, k, start = np.empty_like(block), 0, start + _BLOCK
-        block[k] = y
-        k += 1
-    out = np.concatenate([*done, reduced(block[:k])])
+    try:
+        for i in range(times.size - 1):
+            t = times[i]
+            for j in range(n_sub):
+                y = _rk4_step(rhs, t + j * h, y, h)
+            if k == _BLOCK:
+                check(block)
+                done.append(reduce(block))
+                block, k, start = np.empty_like(block), 0, start + _BLOCK
+            block[k] = y
+            k += 1
+    except FloatingPointError:
+        # a step after a blow-up held in the block: report the blow-up
+        check(block[:k])
+        raise
+    check(block[:k])
+    out = np.concatenate([*done, reduce(block[:k])])
     n_steps = (times.size - 1) * n_sub
     return Trajectory(times=times, values=out,
                       meta={"dt_int": h, "n_steps": n_steps,

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -124,15 +125,16 @@ def test_figures_logs_the_over_dispersion_fallback(cfg_path, tmp_path,
     out = tmp_path / "f.csv"
     with caplog.at_level(logging.INFO, logger="charlierbd"):
         assert main(["figures", str(cfg_path), "-o", str(out)]) == 0
-    lines = [r.getMessage() for r in caplog.records
+    line, = [r.getMessage() for r in caplog.records
              if "over_dispersed_fraction" in r.getMessage()]
-    assert [line.split(":")[0] for line in lines] == [
-        "zeroth-order closure", "first-order closure"]
+    assert line.startswith(f"figure series written to {out}; "
+                           "over_dispersed_fraction (right-hand-side "
+                           "evaluations that saw variance > mean and used "
+                           "the zeroth-order surrogate): ")
     # 2000 RK4 steps of four right-hand-side evaluations per closure
-    assert lines[0].startswith("zeroth-order closure: over_dispersed_fraction"
-                               " 0 (0 of 8000 right-hand-side evaluations")
-    assert "of 8000 right-hand-side evaluations saw variance > mean" \
-        in lines[1]
+    zeroth, first = line.split(": ", 1)[1].split(", ")
+    assert zeroth == "zeroth-order closure 0 (0 of 8000)"
+    assert re.fullmatch(r"first-order closure \S+ \(\d+ of 8000\)", first)
 
 
 def test_debug_log_reports_galerkin_batches(cfg_path, tmp_path):

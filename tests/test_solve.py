@@ -1,3 +1,4 @@
+import contextlib
 import logging
 import tracemalloc
 from fractions import Fraction
@@ -339,6 +340,27 @@ class TestIntegrate:
         assert str(err.value) == f"non-finite state at t={g.times[at]:.6g}"
         # the blocks before the bad one were reduced, the bad one not
         assert seen == [_BLOCK] * (at // _BLOCK)
+
+    @pytest.mark.parametrize("mode", ["raise", "warn"])
+    def test_steps_after_a_blow_up_report_the_blow_up(self, mode):
+        # state 0 turns infinite at output 84, mid-block, with no FP flag;
+        # the next stage computes -y + inf = -inf + inf, an invalid value
+        g = TimeGrid(t0=0.0, T=1.49, dt_out=0.01, dt_int=0.01)
+        bump = self.blow_up(g, 0, 84)
+
+        def rhs(t, y):
+            return bump(t, y) - y
+
+        # numpy's default mode warns of it; "raise" raises it
+        warns = (pytest.warns(RuntimeWarning, match="invalid value")
+                 if mode == "warn" else contextlib.nullcontext())
+        with np.errstate(all=mode), warns, \
+                pytest.raises(IntegrationError) as err:
+            integrate(rhs, np.ones(2), g)
+        assert str(err.value) == f"non-finite state at t={g.times[84]:.6g}"
+        assert isinstance(err.value.__context__,
+                          FloatingPointError if mode == "raise"
+                          else type(None))
 
     def test_nonfinite_initial_state_reports_the_first_step(self):
         # the initial state is not a stepped one; its first step is

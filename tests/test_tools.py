@@ -37,9 +37,3 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     summary = bench_pairs.summarise(pairs(parent, [1.6] * 10), [WALL])
     assert summary["wall_s"]["verdict"] == "unresolved"
 
-
-def test_a_higher_is_better_metric_counts_higher_as_better():
-    metric = {"name": "wall_s", "better": "higher", "bound": 0.25}
-    up = bench_pairs.summarise(pairs(PARENT, [p + 0.5 for p in PARENT]),
-                               [metric])["wall_s"]
-    assert (up["change_lower_in"], up["verdict"]) == (0, "gain")

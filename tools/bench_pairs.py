@@ -69,22 +69,20 @@ def spread(values: list) -> dict:
             "iqr": float(q3 - q1), "n": len(values)}
 
 
-def verdict(stats: dict, better_in: int, metric: dict) -> str:
-    """One metric's reading by the choosing-metrics guide, from its
-    `summarise` entry, the pairs in which the change read better (ties
-    count for neither side) and its BENCHMARK.json entry: "gain" when
-    the change read better in at least nine tenths of the pairs and its
-    median beats the parent's by more than the parent's IQR; otherwise
-    "regression" when its median is worse than the parent's by more than
-    the metric's bound, a fraction of the parent's median; otherwise
-    "unresolved" when the parent's IQR is wider than that bound; and
-    "within bound" when none of these holds."""
+def verdict(stats: dict, bound: float) -> str:
+    """One lower-is-better metric's reading by the choosing-metrics guide,
+    from its `summarise` entry and its BENCHMARK.json bound: "gain" when
+    the change read lower in at least nine tenths of the pairs and its
+    median is below the parent's by more than the parent's IQR; otherwise
+    "regression" when its median is above the parent's by more than the
+    bound, a fraction of the parent's median; otherwise "unresolved" when
+    the parent's IQR is wider than that bound; and "within bound" when
+    none of these holds."""
     parent, change = stats["parent"], stats["change"]
-    ahead = parent["median"] - change["median"]   # > 0: the change is better
-    if metric["better"] == "higher":
-        ahead = -ahead
-    allowed = metric["bound"] * abs(parent["median"])
-    if better_in >= math.ceil(0.9 * parent["n"]) and ahead > parent["iqr"]:
+    ahead = parent["median"] - change["median"]   # > 0: the change is lower
+    allowed = bound * abs(parent["median"])
+    if (stats["change_lower_in"] >= math.ceil(0.9 * parent["n"])
+            and ahead > parent["iqr"]):
         return "gain"
     if -ahead > allowed:
         return "regression"
@@ -94,21 +92,22 @@ def verdict(stats: dict, better_in: int, metric: dict) -> str:
 
 
 def summarise(pairs: list, metrics: list) -> dict:
-    """Per end-to-end metric of BENCHMARK.json (`metrics`, its entries):
-    each side's spread, change_lower_in and the verdict."""
+    """Per end-to-end metric of BENCHMARK.json (`metrics`, its entries,
+    all lower-is-better): each side's spread, change_lower_in and the
+    verdict."""
     summary = {}
     for metric in metrics:
         name = metric["name"]
+        if metric["better"] != "lower":
+            raise ValueError(f"{name} is not lower-is-better")
         ok = [p for p in pairs if all(name in p[side] for side in SIDES)]
         if not ok:
             continue
         vals = {side: [p[side][name] for p in ok] for side in SIDES}
         stats = {side: spread(vals[side]) for side in SIDES}
-        pc = list(zip(vals["parent"], vals["change"]))
-        stats["change_lower_in"] = sum(c < p for p, c in pc)
-        better_in = (stats["change_lower_in"] if metric["better"] == "lower"
-                     else sum(c > p for p, c in pc))
-        stats["verdict"] = verdict(stats, better_in, metric)
+        stats["change_lower_in"] = sum(
+            c < p for p, c in zip(vals["parent"], vals["change"]))
+        stats["verdict"] = verdict(stats, metric["bound"])
         summary[name] = stats
     return summary
 
