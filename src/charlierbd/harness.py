@@ -364,14 +364,17 @@ def tune_basis_parameter(cfg: ExperimentConfig, N: int,
         # treat those as unusable rather than warning or raising
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            low, high = (solve_galerkin(
+            # each member's mean alone: a Trajectory's mean is a view
+            # that would keep its batch's whole output stack alive while
+            # the next order runs
+            low, high = ([tr.mean.copy() for tr in solve_galerkin(
                 model, [project_density(p0, CharlierBasis(
-                    a=a, N=n, X_max=p0.size - 1)) for a in cands], coarse)
+                    a=a, N=n, X_max=p0.size - 1)) for a in cands], coarse)]
                 for n in (N, 2 * N + 2))
         vals = []
         for lo, hi in zip(low, high):
             try:
-                v = rel_error(lo.mean, hi.mean, coarse.times)
+                v = rel_error(lo, hi, coarse.times)
             except ValueError:
                 v = np.inf
             vals.append(v if np.isfinite(v) else np.inf)
@@ -492,11 +495,19 @@ def write_table_csv(table: ErrorTable, path) -> None:
 
 def write_series_csv(series: dict, path) -> None:
     """A header of the column names, then one row per output time with
-    every cell "%.6e"; the columns, of equal length, are read as Python
-    floats and each row is formatted in one operation."""
+    every cell "%.6e"; the columns must be of equal length (ValueError
+    otherwise). Rows are formatted 1024 at a time, each in one operation
+    on Python floats from `tolist()` of the columns' slices, so no list of
+    every cell is held."""
     cols = list(series)
+    data = [np.asarray(series[c]) for c in cols]
+    n_rows = len(data[0])
+    if any(len(x) != n_rows for x in data):
+        raise ValueError("series columns differ in length: "
+                         f"{dict(zip(cols, map(len, data)))}")
     row = ",".join(["%.6e"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        fh.writelines(row % cells for cells in zip(
-            *(np.asarray(series[c]).tolist() for c in cols), strict=True))
+        for i in range(0, n_rows, 1024):
+            fh.writelines(row % cells for cells in zip(
+                *(x[i:i + 1024].tolist() for x in data)))

@@ -268,6 +268,14 @@ def _step_linear(M0, M1, lam, y0: np.ndarray, grid: TimeGrid, reduce):
     ends with the chunk in which the last member failed, and the rows
     after it read NaN. Returns (values, n_steps, propagator_s), n_steps
     counting the steps taken.
+
+    A lone member (every table row and `solve-galerkin`) steps with
+    np.dot on 1-D views, which costs about half a (1, 1, n) @ (1, n, n)
+    matmul, and hands over a chunk whose last state is finite as one
+    strided view of its output rows, with no index, copy or NaN fill; a
+    chunk that ends non-finite takes the batch path. Batches (tuning)
+    keep the matmul loop: the same fast path there gained `table` nothing
+    and cut the small traced runs that perfbench gates on coverage.
     """
     times = grid.times
     n_sub, h = grid.substeps, grid.dt_int
@@ -293,26 +301,40 @@ def _step_linear(M0, M1, lam, y0: np.ndarray, grid: TimeGrid, reduce):
         propagator_s += time.perf_counter() - start
         Y = np.empty((len(D) + 1,) + y.shape)   # Y[j]: after step c + j
         Y[0] = y
-        Ys = list(Y)
-        for y_j, D_j, y_next in zip(Ys, D, Ys[1:]):
-            np.matmul(y_j, D_j, out=y_next)
-            y_next += y_j
+        if m == 1:
+            Ys = list(Y[:, 0, 0])
+            for y_j, D_j, y_next in zip(Ys, D[:, 0], Ys[1:]):
+                np.dot(y_j, D_j, out=y_next)
+                y_next += y_j
+        else:
+            Ys = list(Y)
+            for y_j, D_j, y_next in zip(Ys, D, Ys[1:]):
+                np.matmul(y_j, D_j, out=y_next)
+                y_next += y_j
         y = Y[-1]
-        k = np.arange(c + 1, c + len(D) + 1)
-        at = np.nonzero(k % n_sub == 0)[0]
-        if not at.size:
-            continue
-        rows = Y[at + 1, :, 0]
-        dead = np.logical_or.accumulate(~np.isfinite(rows).all(axis=2),
-                                        axis=0)
-        rows[dead] = np.nan
-        pending.append(np.full((at.size, m, n), np.nan))
-        pending[-1][:, live] = rows
-        held += at.size
+        dead = None
+        if m == 1 and np.isfinite(y).all():
+            # a non-finite state stays non-finite, so every state of the
+            # chunk is finite: its output rows, after the steps c + j with
+            # (c + j) % n_sub == 0, are one strided view
+            rows = Y[(-(c + 1)) % n_sub + 1::n_sub, :, 0]
+        else:
+            k = np.arange(c + 1, c + len(D) + 1)
+            at = np.nonzero(k % n_sub == 0)[0]
+            if not at.size:
+                continue
+            stepped = Y[at + 1, :, 0]
+            dead = np.logical_or.accumulate(
+                ~np.isfinite(stepped).all(axis=2), axis=0)
+            stepped[dead] = np.nan
+            rows = np.full((at.size, m, n), np.nan)
+            rows[:, live] = stepped
+        pending.append(rows)
+        held += len(rows)
         if held >= _BLOCK:
             out[pos:pos + held] = reduce(np.concatenate(pending))
             pending, held, pos = [], 0, pos + held
-        if dead[-1].any():
+        if dead is not None and dead[-1].any():
             live, y = live[~dead[-1]], y[~dead[-1]]
             if not live.size:
                 n_steps = int(k[-1])
@@ -413,7 +435,8 @@ def solve_galerkin(model: BirthDeathModel, coeffs: list[CoeffVector],
     unpadded coefficients, so memory is O(30 members n^2 + the chunk's
     propagators + 5 members n_times), n being the largest order plus one.
     A member whose state goes non-finite comes back with meta["failed"]
-    set and NaN values from then on. meta carries the steps taken
+    set and NaN values from then on. A one-member call steps on 1-D views
+    with the batch's arithmetic (see `_step_linear`). meta carries the steps taken
     (n_steps) and where the time went: assembly_s (the two matrices, rate
     evaluation included), propagator_s (drive samples, words and
     propagator GEMMs), loop_s (the step products and reductions) and

@@ -8,7 +8,7 @@ import pytest
 
 from charlierbd.basis import CharlierBasis, CoeffVector, project_density
 from charlierbd.closure import MomentState
-from charlierbd.harness import _make_lambda
+from charlierbd.harness import ExperimentConfig, _make_lambda, run_galerkin
 from charlierbd.models import (KINDS, BirthDeathModel, ErlangAParams,
                                ErlangLossParams, InfiniteServerParams,
                                QuadraticParams, SineDrive, affine_rates,
@@ -717,6 +717,74 @@ class TestGalerkin:
         assert 0 < i < 90 and np.isnan(bad[i:]).all()
         assert np.all(np.isfinite(bad[:i])) and n_steps == 100
         assert np.max(np.abs(good - one)) <= 1e-12 * np.max(np.abs(one))
+
+    @staticmethod
+    def short_lone_chunks(monkeypatch):
+        # 7-step chunks at 3 steps per output start the chunks' output rows
+        # at every offset, and 5-row blocks put block seams inside chunks
+        monkeypatch.setattr(solve, "_CHUNK", 7)
+        monkeypatch.setattr(solve, "_SEGMENT", 21)
+        monkeypatch.setattr(solve, "_BLOCK", 5)
+        x_max = 40
+        p0 = poisson_pmf(3.0, x_max)
+        # the order-7 member of a two-member batch: 64 propagator entries
+        # a member keep the GEMM's blocking of each member's entries the
+        # same for one member and two
+        return [project_density(p0, CharlierBasis(a=a, N=N, X_max=x_max))
+                for a, N in ((4.0, 7), (2.5, 3))]
+
+    def test_lone_member_equals_its_batch_twin(self, monkeypatch):
+        c0 = self.short_lone_chunks(monkeypatch)
+        model = small_erlang_a()
+        g = TimeGrid(t0=0.0, T=2.4, dt_out=0.03, dt_int=0.01)
+        with np.errstate(all="raise"):
+            one, = solve_galerkin(model, c0[:1], g)
+            twin, _ = solve_galerkin(model, c0, g)
+        for k in ("mean", "variance", "cum3", "cum4"):
+            assert getattr(one, k).shape == g.times.shape
+            assert np.array_equal(getattr(one, k), getattr(twin, k)), k
+        assert one.meta["c0_drift"] == twin.meta["c0_drift"]
+        assert one.meta["n_steps"] == twin.meta["n_steps"] == 240
+        assert not one.meta["failed"]
+
+    def test_lone_member_matches_stagewise_rk4(self, monkeypatch):
+        c0 = self.short_lone_chunks(monkeypatch)[:1]
+        model = small_erlang_a()
+        g = TimeGrid(t0=0.0, T=2.4, dt_out=0.03, dt_int=0.01)
+        with np.errstate(all="raise"):
+            (rows,), n_steps = galerkin_rows(model, c0, g)
+        want, = stagewise(model, c0, g)
+        assert rows.shape == want.shape == (81, 8) and n_steps == 240
+        assert np.max(np.abs(rows - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_lone_member_blow_up_mid_chunk(self, monkeypatch):
+        # RK4 at dt=1.5 is unstable for order 7: the state goes non-finite
+        # by step 150, output row 50, inside the chunk of steps 148-154
+        self.short_lone_chunks(monkeypatch)
+        cfg = ExperimentConfig(
+            model={"kind": "erlang_a",
+                   "lambda": {"base": 4.0, "amplitude": 1.0},
+                   "mu": 1.0, "beta": 0.4, "c": 3},
+            T=450.0, dt_out=4.5, dt_int=1.5, X_max=40, orders=[7],
+            init={"kind": "poisson", "value": 3.0})
+        model, p0, g = cfg.build_model(), cfg.initial_pmf(), cfg.grid()
+        c0 = [project_density(p0, CharlierBasis(a=a, N=N, X_max=40))
+              for a, N in ((4.0, 7), (3.0, 1))]
+        with np.errstate(all="ignore"):
+            (one,), n_steps = galerkin_rows(model, c0[:1], g)
+            (twin, _), _ = galerkin_rows(model, c0, g)
+            tr, = solve_galerkin(model, c0[:1], g)
+            with pytest.raises(IntegrationError, match=r"^Galerkin row N=7: "
+                               r"non-finite state at t=225$"):
+                run_galerkin(cfg, 7, a=4.0)
+        i = int(np.argmax(~np.isfinite(twin).all(axis=1)))
+        assert i == 50
+        assert np.isnan(one[i:]).all() and np.isnan(twin[i:]).all()
+        assert np.array_equal(one[:i], twin[:i])
+        # the loop stops at the end of the chunk in which the member failed
+        assert n_steps == tr.meta["n_steps"] == 154
+        assert tr.meta["failed"]
+        assert np.isnan(tr.mean[i:]).all() and not np.isnan(tr.mean[:i]).any()
 
     def test_memory_does_not_scale_with_times_by_members(self):
         # a tuning-shaped batch: 14 candidates at the order-16 proxy

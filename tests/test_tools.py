@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import bench_pairs  # noqa: E402
+import coverage_pairs  # noqa: E402
 
 WALL = {"name": "wall_s", "better": "lower", "bound": 0.25}
 
@@ -37,3 +38,14 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     summary = bench_pairs.summarise(pairs(parent, [1.6] * 10), [WALL])
     assert summary["wall_s"]["verdict"] == "unresolved"
 
+
+
+def test_coverage_summary_counts_the_runs_below_the_gate():
+    runs = [{"coverage": c, "correct": ok} for c, ok in
+            [(0.96, True), (0.949, False), (0.97, True), (0.95, True),
+             (0.955, False)]]
+    summary = coverage_pairs.summarise(runs, 0.95)
+    assert (summary["q1"], summary["median"], summary["q3"]) \
+        == (0.95, 0.955, 0.96)
+    # a run at the gate passes it; one failed another check
+    assert (summary["n"], summary["below"], summary["incorrect"]) == (5, 1, 2)
