@@ -270,7 +270,7 @@ def _step_linear(M0, M1, lam, y0: np.ndarray, grid: TimeGrid, reduce):
     counting the steps taken.
 
     A lone member (every table row and `solve-galerkin`) steps with
-    np.dot on 1-D views, about 0.8 us a step against 1.4 us for the
+    np.dot on 1-D views, about 40% cheaper a step than the
     (1, 1, n) @ (1, n, n) matmul, and hands over a chunk whose last state
     is finite as one strided view of its output rows, with no index, copy
     or NaN fill; a chunk that ends non-finite takes the batch path.
