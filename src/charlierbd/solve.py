@@ -273,10 +273,11 @@ def _step_linear(M0, M1, lam, y0: np.ndarray, grid: TimeGrid, reduce):
     np.dot on 1-D views, about 40% cheaper a step than the
     (1, 1, n) @ (1, n, n) matmul, and hands over a chunk whose last state
     is finite as one strided view of its output rows, with no index, copy
-    or NaN fill; a chunk that ends non-finite takes the batch path.
-    Batches (tuning) keep the matmul loop: the same fast path there
-    gained `table` nothing and shortened the small traced runs that
-    perfbench gates on top-level coverage.
+    or NaN fill; a chunk that ends non-finite takes the per-row path.
+    Batches (tuning) keep the matmul loop and the per-row path: the
+    strided hand-over would serve any all-live batch whose chunk ends
+    finite, but there it gained `table` nothing and shortened the small
+    traced runs that perfbench gates on top-level coverage.
     """
     times = grid.times
     n_sub, h = grid.substeps, grid.dt_int
@@ -291,6 +292,7 @@ def _step_linear(M0, M1, lam, y0: np.ndarray, grid: TimeGrid, reduce):
     y = y0[:, None, :]
     W = words.reshape(len(_WORDS), -1)
     n_steps = (times.size - 1) * n_sub
+    lone = m == 1
     for c in range(0, n_steps, _CHUNK):
         start = time.perf_counter()
         if c % _SEGMENT == 0:
@@ -302,7 +304,7 @@ def _step_linear(M0, M1, lam, y0: np.ndarray, grid: TimeGrid, reduce):
         propagator_s += time.perf_counter() - start
         Y = np.empty((len(D) + 1,) + y.shape)   # Y[j]: after step c + j
         Y[0] = y
-        if m == 1:
+        if lone:
             Ys, Ds, product = list(Y[:, 0, 0]), D[:, 0], np.dot
         else:
             Ys, Ds, product = list(Y), D, np.matmul
@@ -311,7 +313,7 @@ def _step_linear(M0, M1, lam, y0: np.ndarray, grid: TimeGrid, reduce):
             y_next += y_j
         y = Y[-1]
         dead = None
-        if m == 1 and np.isfinite(y).all():
+        if lone and np.isfinite(y).all():
             # a non-finite state stays non-finite, so every state of the
             # chunk is finite: its output rows, after the steps c + j with
             # (c + j) % n_sub == 0, are one strided view

@@ -272,7 +272,6 @@ class TestRunFigures:
         assert out.read_text() == "\n".join(want) + "\n"
 
     def test_long_series_csv_is_the_row_by_row_format(self, tmp_path):
-        # 2500 rows: two whole 1024-row blocks and a partial one
         rng = np.random.default_rng(5)
         series = {"t": np.linspace(0.0, 25.0, 2500),
                   "a": rng.standard_normal(2500) * 1e3,
@@ -284,14 +283,13 @@ class TestRunFigures:
                                   series["b"][i]) for i in range(2500))
         assert out.read_bytes() == want.encode()
 
-    @pytest.mark.parametrize("n_t,n_a", [(1500, 1024), (1024, 1500),
-                                         (3000, 1024)])
+    @pytest.mark.parametrize("n_t,n_a", [(1500, 1024), (1024, 1500)])
     def test_series_csv_refuses_columns_of_unequal_length(self, tmp_path,
                                                           n_t, n_a):
-        # a 1024-row column ends on a block edge of the longer one
         series = {"t": np.zeros(n_t), "a": np.zeros(n_a)}
         with pytest.raises(ValueError, match="differ in length"):
             write_series_csv(series, tmp_path / "s.csv")
+        assert not (tmp_path / "s.csv").exists()
 
     def test_infinite_server_zeroth_matches_reference(self):
         cfg = ExperimentConfig(model={"kind": "infinite_server",

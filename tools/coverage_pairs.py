@@ -5,9 +5,10 @@
 A run is what `perfbench/test_perfbench.py::
 test_traced_run_is_correct_and_fires_its_wrappers` does: for table,
 figures and simulate, `run.run_workload(root, workload, 3, 0, True,
-workdir)` on the small config `test_perfbench.SMALL`, one untraced and
-one traced CLI call each. Every run takes place in a fresh interpreter
-that imports the checkout's own perfbench. Run i (from 0) runs the
+workdir)` on the workloads that the test's `small` fixture builds (the
+fixture's own function is called), one untraced and one traced CLI call
+each. Every run takes place in a fresh interpreter that imports the
+checkout's own perfbench. Run i (from 0) runs the
 parent first when i is even and the change first when i is odd. Each
 run's record goes to stderr as one JSON line; stdout gets, per command
 and side, the median and quartiles of `trace.top_level_coverage`, the
@@ -33,16 +34,22 @@ CHILD = r"""
 import json, sys, tempfile
 from pathlib import Path
 import run, test_perfbench
+
+
+class Factory:
+    # what the fixture uses of pytest's tmp_path_factory
+    def __init__(self, root):
+        self.root = root
+
+    def mktemp(self, name):
+        (self.root / name).mkdir()
+        return self.root / name
+
+
 out = {"gate": run.TOP_LEVEL_COVERAGE_MIN, "runs": {}}
 with tempfile.TemporaryDirectory() as tmp:
-    cfg = Path(tmp) / "small.json"
-    cfg.write_text(json.dumps(test_perfbench.SMALL))
-    # the workloads of test_perfbench's `small` fixture
-    extra = {"simulate": ["--paths", "2000"]}
-    small = {wl.command: run.Workload(f"small-{wl.command}", wl.command,
-                                      str(cfg), extra.get(wl.command, []),
-                                      wl.expected)
-             for wl in run.WORKLOADS.values()}
+    # the workloads of test_perfbench's `small` fixture, built by its code
+    small = test_perfbench.small.__wrapped__(Factory(Path(tmp)))
     for cmd in sys.argv[1:]:
         res = run.run_workload(run.HERE.parent, small[cmd], 3, 0, True,
                                Path(tmp) / cmd)
