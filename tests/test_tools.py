@@ -39,7 +39,6 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     assert summary["wall_s"]["verdict"] == "unresolved"
 
 
-
 def test_coverage_summary_counts_the_runs_below_the_gate():
     runs = [{"coverage": c, "correct": ok} for c, ok in
             [(0.96, True), (0.949, False), (0.97, True), (0.95, True),
