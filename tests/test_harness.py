@@ -31,6 +31,17 @@ class TestConfig:
         again = ExperimentConfig.from_file(path)
         assert again.hash() == cfg.hash()
 
+    def test_to_dict_is_a_deep_copy(self):
+        cfg = erlang_cfg(model={"kind": "erlang_a", "lambda": {"samples": {
+            "t": [0.0, 3.0], "value": [6.0, 7.0]}}, "mu": 1.0, "beta": 0.5,
+            "c": 4})
+        d = cfg.to_dict()
+        assert d == dataclasses.asdict(cfg)
+        d["model"]["lambda"]["samples"]["t"][1] = 9.0
+        d["orders"].append(5)
+        assert cfg.model["lambda"]["samples"]["t"] == [0.0, 3.0]
+        assert cfg.orders == [1, 3]
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(model={"kind": "mm1", "lambda": {"base": 1.0}})
