@@ -62,9 +62,8 @@ def cmd_solve_reference(args, cfg):
 
 
 def cmd_solve_galerkin(args, cfg):
-    if args.order < 0:
-        raise ConfigError(f"order -N {args.order} is negative")
-    cfg.check_order(args.order)
+    # the same rule as the config's orders
+    cfg.check_order(harness._number("order -N", args.order, 1, count=True))
     traj = harness.run_galerkin(cfg, args.order)
     _write_traj_csv(traj, args.output)
     log.info("order-%d spectral run written to %s (basis a=%.6g)",

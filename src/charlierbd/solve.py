@@ -256,28 +256,26 @@ def _step_linear(M0, M1, lam, y0: np.ndarray, grid: TimeGrid, reduce):
     _SEGMENT steps at a time. The D_k of each _CHUNK steps come from one
     GEMM of their word coefficients with the word stack. Adding y D_k to
     y, rather than forming I + D_k, keeps the increment's low bits, as
-    stagewise RK4 does.
+    stagewise RK4 does. A lone member (every table row and
+    `solve-galerkin`) makes the step product with np.dot on 1-D views,
+    about 40% cheaper a step than the (1, 1, n) @ (1, n, n) matmul.
 
-    As in `integrate`, no stack of states is kept: the output states are
-    handed to reduce in stacks of at least _BLOCK, (rows, members, n)
-    each, and replaced by reduce(stack), one row per output time; values
-    stacks the reduced rows. Memory is O(30 members n^2 + _CHUNK members
-    n^2 + _SEGMENT + (_BLOCK + _CHUNK) members n + n_times reduced row
-    size). A member whose state goes non-finite reads NaN from that
-    output time on and leaves the loop at the end of the chunk; the loop
-    ends with the chunk in which the last member failed, and the rows
-    after it read NaN. Returns (values, n_steps, propagator_s), n_steps
-    counting the steps taken.
+    As in `integrate`, no stack of states is kept: each chunk's output
+    states, after the steps that land on an output time, go to a pending
+    stack as one strided view of the chunk, and are handed to reduce in
+    stacks of at least _BLOCK rows, (rows, members, n) each, and replaced
+    by reduce(stack), one row per output time; values stacks the reduced
+    rows. A pending view pins its whole chunk of _CHUNK + 1 states, so
+    memory is O(30 members n^2 + _CHUNK members n^2 + _SEGMENT
+    + _BLOCK _CHUNK members n + n_times reduced row size).
 
-    A lone member (every table row and `solve-galerkin`) steps with
-    np.dot on 1-D views, about 40% cheaper a step than the
-    (1, 1, n) @ (1, n, n) matmul, and hands over a chunk whose last state
-    is finite as one strided view of its output rows, with no index, copy
-    or NaN fill; a chunk that ends non-finite takes the per-row path.
-    Batches (tuning) keep the matmul loop and the per-row path: the
-    strided hand-over would serve any all-live batch whose chunk ends
-    finite, but there it gained `table` nothing and shortened the small
-    traced runs that perfbench gates on top-level coverage.
+    Members never mix, so a member whose state goes non-finite keeps
+    stepping as a non-finite state without moving the others' bits; the
+    loop ends with the chunk in which the last member failed. After the
+    last reduce, each member reads NaN from its first non-finite reduced
+    row on, so a finite state that reduces to a non-finite value counts
+    as failed too; the rows after the loop ended read NaN. Returns
+    (values, n_steps, propagator_s), n_steps counting the steps taken.
     """
     times = grid.times
     n_sub, h = grid.substeps, grid.dt_int
@@ -288,11 +286,9 @@ def _step_linear(M0, M1, lam, y0: np.ndarray, grid: TimeGrid, reduce):
     # rows after the last member failed stay NaN
     out = np.full((times.size,) + reduce(y0[None]).shape[1:], np.nan)
     pending, held, pos = [y0[None]], 1, 0   # states not yet reduced
-    live = np.arange(m)
     y = y0[:, None, :]
     W = words.reshape(len(_WORDS), -1)
     n_steps = (times.size - 1) * n_sub
-    lone = m == 1
     for c in range(0, n_steps, _CHUNK):
         start = time.perf_counter()
         if c % _SEGMENT == 0:
@@ -300,11 +296,11 @@ def _step_linear(M0, M1, lam, y0: np.ndarray, grid: TimeGrid, reduce):
             coeffs = _rk4_word_coeffs(lam, times[s // n_sub] + s % n_sub * h,
                                       h)
         D = (coeffs[c % _SEGMENT:c % _SEGMENT + _CHUNK] @ W).reshape(
-            -1, live.size, n, n)
+            -1, m, n, n)
         propagator_s += time.perf_counter() - start
         Y = np.empty((len(D) + 1,) + y.shape)   # Y[j]: after step c + j
         Y[0] = y
-        if lone:
+        if m == 1:
             Ys, Ds, product = list(Y[:, 0, 0]), D[:, 0], np.dot
         else:
             Ys, Ds, product = list(Y), D, np.matmul
@@ -312,36 +308,21 @@ def _step_linear(M0, M1, lam, y0: np.ndarray, grid: TimeGrid, reduce):
             product(y_j, D_j, out=y_next)
             y_next += y_j
         y = Y[-1]
-        dead = None
-        if lone and np.isfinite(y).all():
-            # a non-finite state stays non-finite, so every state of the
-            # chunk is finite: its output rows, after the steps c + j with
-            # (c + j) % n_sub == 0, are one strided view
-            rows = Y[(-(c + 1)) % n_sub + 1::n_sub, :, 0]
-        else:
-            k = np.arange(c + 1, c + len(D) + 1)
-            at = np.nonzero(k % n_sub == 0)[0]
-            if not at.size:
-                continue
-            stepped = Y[at + 1, :, 0]
-            dead = np.logical_or.accumulate(
-                ~np.isfinite(stepped).all(axis=2), axis=0)
-            stepped[dead] = np.nan
-            rows = np.full((at.size, m, n), np.nan)
-            rows[:, live] = stepped
-        pending.append(rows)
-        held += len(rows)
-        if held >= _BLOCK:
-            out[pos:pos + held] = reduce(np.concatenate(pending))
-            pending, held, pos = [], 0, pos + held
-        if dead is not None and dead[-1].any():
-            live, y = live[~dead[-1]], y[~dead[-1]]
-            if not live.size:
-                n_steps = int(k[-1])
-                break
-            W = words[:, live].reshape(len(_WORDS), -1)
+        # the output rows, after the steps c + j with (c + j) % n_sub == 0
+        rows = Y[(-(c + 1)) % n_sub + 1::n_sub, :, 0]
+        if len(rows):
+            pending.append(rows)
+            held += len(rows)
+            if held >= _BLOCK:
+                out[pos:pos + held] = reduce(np.concatenate(pending))
+                pending, held, pos = [], 0, pos + held
+        if not np.isfinite(y).all(axis=-1).any():
+            n_steps = c + len(D)
+            break
     if held:
         out[pos:pos + held] = reduce(np.concatenate(pending))
+    ok = np.isfinite(out.reshape(times.size, m, -1)).all(2)
+    out[np.logical_or.accumulate(~ok, 0)] = np.nan
     return out, n_steps, propagator_s
 
 
@@ -433,10 +414,13 @@ def solve_galerkin(model: BirthDeathModel, coeffs: list[CoeffVector],
     they never mix. No coefficient stack is kept: each chunk's output
     rows are reduced to every member's c0 and raw moments 1-4 from its own
     unpadded coefficients, so memory is O(30 members n^2 + the chunk's
-    propagators + 5 members n_times), n being the largest order plus one.
-    A member whose state goes non-finite comes back with meta["failed"]
-    set and NaN values from then on. A one-member call steps on 1-D views
-    with the batch's arithmetic (see `_step_linear`). meta carries the steps taken
+    propagators + the chunks that pending output rows pin + 5 members
+    n_times), n being the largest order plus one. Failed members are
+    masked after the reduction: a member comes back with meta["failed"]
+    set and NaN values from its first output time whose state, c0 or raw
+    moment is non-finite, so a finite state whose moments overflow counts
+    as failed too. A one-member call steps on 1-D views with the batch's
+    arithmetic (see `_step_linear`). meta carries the steps taken
     (n_steps) and where the time went: assembly_s (the two matrices, rate
     evaluation included), propagator_s (drive samples, words and
     propagator GEMMs), loop_s (the step products and reductions) and

@@ -302,6 +302,7 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
     ({"orders": [30], "basis": {"mode": "tuned"}}, ["table"]),
     ({"basis": {"mode": "tuned"}}, ["solve-galerkin", "-N", "40"]),
     ({}, ["solve-galerkin", "-N", "-1"]),
+    ({}, ["solve-galerkin", "-N", "0"]),
     ({"T": float("inf")}, ["solve-reference"]),
     ({"T": True}, ["solve-reference"]),
     ({"t0": float("-inf")}, ["solve-reference"]),
@@ -340,6 +341,7 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
         "dt_out_flag_not_whole_steps_of_a_unit_horizon",
         "order_beyond_X_max_in_config", "tuned_proxy_beyond_X_max",
         "tuned_proxy_of_order_flag_beyond_X_max", "negative_order_flag",
+        "zero_order_flag",
         "infinite_horizon", "boolean_horizon", "infinite_t0",
         "infinite_dt_out", "nan_dt_int", "infinite_dt_out_flag",
         "nan_dt_out_flag", "nan_lambda_sample", "nan_lambda_knot_time",

@@ -241,6 +241,19 @@ class TestTuning:
         assert table.provenance["basis_tuning_fallback"] is True
         assert table.provenance["basis_a"] == a
 
+    def test_some_candidates_blow_up(self):
+        # the low-a candidates blow up at the search's 5e-3 RK4 step, the
+        # others score finite: the failed ones score inf and lose
+        cfg = erlang_cfg(model={"kind": "erlang_a",
+                                "lambda": {"base": 450.0, "amplitude": 37.5},
+                                "mu": 100.0, "beta": 60.0, "c": 4},
+                         T=4.0, init={"kind": "poisson", "value": 4.0},
+                         dt_out=1e-2, dt_int=1e-4, orders=[3])
+        curve = []
+        assert tune_basis_parameter(cfg, 3, curve) == 6.620065804682482
+        assert len(curve) == 22
+        assert sum(v == np.inf for _, v in curve) == 6
+
     def test_caller_reference_is_kept(self):
         cfg = erlang_cfg()
         ref = run_reference(cfg)

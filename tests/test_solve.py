@@ -671,6 +671,26 @@ class TestGalerkin:
         assert np.max(np.abs(good_c - one)) <= 1e-12 * np.max(np.abs(one))
         assert good.meta["n_steps"] == bad.meta["n_steps"] == 100
 
+    def test_blow_up_leaves_the_others_bits(self):
+        # the same batch with the order-12 member held at a zero state,
+        # which never goes non-finite: the order-1 member reads the same
+        # bits whether its neighbour blows up or not
+        model = small_erlang_a()
+        x_max = 40
+        p0 = poisson_pmf(3.0, x_max)
+        g = TimeGrid(t0=0.0, T=400.0, dt_out=4.0, dt_int=4.0)
+        bases = [CharlierBasis(a=a, N=N, X_max=x_max)
+                 for a, N in ((4.0, 12), (3.0, 1))]
+        c0 = [project_density(p0, b) for b in bases]
+        with np.errstate(all="ignore"):
+            bad, good = solve_galerkin(model, c0, g)
+            zero, calm = solve_galerkin(
+                model, [CoeffVector(np.zeros(13), bases[0]), c0[1]], g)
+        assert bad.meta["failed"] and not zero.meta["failed"]
+        for k in ("mean", "variance", "cum3", "cum4"):
+            assert np.array_equal(getattr(good, k), getattr(calm, k)), k
+        assert good.meta["c0_drift"] == calm.meta["c0_drift"]
+
     def test_stops_once_every_member_is_dead(self):
         model = small_erlang_a()
         x_max = 40

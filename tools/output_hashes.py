@@ -1,13 +1,15 @@
-"""sha256 of every CSV that seven CLI runs write, on three configs.
+"""sha256 of every CSV that 22 CLI runs write: seven runs on each of three
+configs, and `table` on a fourth.
 
     python3 tools/output_hashes.py CHECKOUT OUTDIR
 
 Runs the CLI of the checkout at CHECKOUT (its `src`, in a fresh
 interpreter per run) on both shipped configs and on the small config of
-perfbench's tests, and writes OUTDIR/hashes.json, mapping
+perfbench's tests, runs `table` on a config whose basis search loses 6
+of its 22 candidates to blow-ups, and writes OUTDIR/hashes.json, mapping
 "<config>/<run>" to the sha256 of that run's CSV. Run it on two
 checkouts and diff the two files: a change that keeps every output
-byte-identical leaves them equal. Takes about 30 s on 2 vCPUs.
+byte-identical leaves them equal. Takes about 35 s on 2 vCPUs.
 """
 
 import hashlib
@@ -25,6 +27,15 @@ SMALL = {
     "init": {"kind": "poisson", "value": 10.0},
     "orders": [1, 2, 3], "basis": {"mode": "tuned"}, "seed": 7,
     "n_paths": 2000,
+}
+
+# the config of tests/test_harness.py's partial-failure tuning test
+PARTIAL = {
+    "model": {"kind": "erlang_a", "lambda": {"base": 450.0, "amplitude": 37.5},
+              "mu": 100.0, "beta": 60.0, "c": 4},
+    "T": 4.0, "dt_out": 1e-2, "dt_int": 1e-4, "X_max": 60,
+    "init": {"kind": "poisson", "value": 4.0},
+    "orders": [3], "basis": {"mode": "tuned"},
 }
 
 # run name -> CLI arguments before the config
@@ -50,16 +61,22 @@ def main(argv) -> int:
         return 2
     checkout, outdir = Path(argv[0]).resolve(), Path(argv[1])
     outdir.mkdir(parents=True, exist_ok=True)
-    small = outdir / "small.json"
+    small, partial = outdir / "small.json", outdir / "partial.json"
     small.write_text(json.dumps(SMALL))
-    configs = {"erlang_a": checkout / "configs" / "erlang_a_benchmark.json",
-               "quadratic": checkout / "configs" / "quadratic_benchmark.json",
-               "small": small}
+    partial.write_text(json.dumps(PARTIAL))
+    # config name -> (path, runs)
+    configs = {
+        "erlang_a": (checkout / "configs" / "erlang_a_benchmark.json", RUNS),
+        "quadratic": (checkout / "configs" / "quadratic_benchmark.json",
+                      RUNS),
+        "small": (small, RUNS),
+        "partial": (partial, {"table": RUNS["table"]}),
+    }
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                CHARLIER_LOG="warning")
     hashes = {}
-    for name, cfg in configs.items():
-        for run, args in RUNS.items():
+    for name, (cfg, runs) in configs.items():
+        for run, args in runs.items():
             csv = outdir / f"{name}-{run}.csv"
             subprocess.run([sys.executable, "-m", "charlierbd.cli", args[0],
                             str(cfg), *args[1:], "-o", str(csv)],
