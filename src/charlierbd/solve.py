@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -524,18 +525,21 @@ def _closure_rhs(params, order: str, counts: dict):
 
     The zeroth-order state is the mean alone, a scalar, so its RK4 steps
     are scalar arithmetic; the first-order state is the array (mean,
-    variance), and counts["over_dispersed"] counts its evaluations whose
-    target was over dispersed."""
+    variance). counts["calls"] counts the evaluations and
+    counts["over_dispersed"] those whose first-order target was over
+    dispersed."""
     lam = params.lam
     closure_terms = params.closure_terms
     if order == "zeroth":
         def rhs(t, m):
+            counts["calls"] += 1
             s = moment_match(max(m, _Q_FLOOR), None)
             e_g, e_d, _, _ = closure_terms(s, False)
             return lam(t) * e_g - e_d
         return rhs
 
     def rhs(t, y):
+        counts["calls"] += 1
         s = moment_match(max(y[0], _Q_FLOOR), y[1])
         if s.over_dispersed:
             counts["over_dispersed"] += 1
@@ -546,16 +550,116 @@ def _closure_rhs(params, order: str, counts: dict):
     return rhs
 
 
+# closure node steps: the longest tried, and the step-doubling difference,
+# relative to the largest |mean|, below which a node step is taken
+_NODE_STEP_MAX = 1e-2
+_NODE_TOL = 1e-11
+
+
+def _node_run(rhs, y0, grid: TimeGrid, every: int):
+    """RK4 through `integrate` with one step between every `every`-th
+    output time of grid: the (n + 1,) + y0.shape node states and the rhs
+    values at every node but the last, as a list. Each value is the
+    first of a step's four evaluations, k1 = rhs(t_i, y_i)."""
+    h = every * grid.dt_out
+    slopes, calls = [], itertools.count()
+
+    def node_rhs(t, y):
+        f = rhs(t, y)
+        if next(calls) % 4 == 0:
+            slopes.append(f)
+        return f
+    traj = integrate(node_rhs, y0, TimeGrid(grid.t0, grid.T, h, h))
+    return traj.values, slopes
+
+
+def _node_spacing(rhs, y0, grid: TimeGrid):
+    """Output steps per node step for a closure on grid, and the
+    zeroth-order run at that spacing (None for 1): the largest k >= 2
+    with k dt_out <= _NODE_STEP_MAX and 2k dividing the output steps
+    whose step-doubling difference, between the zeroth-order runs (rhs,
+    y0) on every k-th and every 2k-th output time, is below _NODE_TOL of
+    the k run's largest |mean|; 1 when no k passes. As RK4's error goes
+    as the step to the fourth power, the difference is about 15 times the
+    k run's own error, and a k at which the last measured difference,
+    scaled by that power, reaches the tolerance is skipped unmeasured. A
+    run that blows up (IntegrationError, or an ArithmeticError from rhs)
+    fails its k and measures nothing."""
+    n_out = grid.times.size - 1
+    runs = {}   # _node_run result by spacing, None for a failed run
+
+    def run(k):
+        if k not in runs:
+            try:
+                with np.errstate(all="ignore"):
+                    runs[k] = _node_run(rhs, y0, grid, k)
+            except (IntegrationError, ArithmeticError):
+                runs[k] = None
+        return runs[k]
+
+    # the largest k with k dt_out <= _NODE_STEP_MAX, up to rounding
+    top = math.floor(_NODE_STEP_MAX / grid.dt_out * (1 + 1e-9))
+    per_k4 = 0.0   # the last measured difference over its k^4
+    for k in range(top, 1, -1):
+        if (n_out % (2 * k) or per_k4 * k ** 4 >= _NODE_TOL
+                or run(2 * k) is None or run(k) is None):
+            continue
+        fine, coarse = runs[k][0], runs[2 * k][0]
+        scale = np.max(np.abs(fine))
+        diff = np.max(np.abs(fine[::2] - coarse)) / scale if scale else np.inf
+        if diff < _NODE_TOL:
+            return k, runs[k]
+        per_k4 = diff / k ** 4
+    return 1, None
+
+
+def _hermite(y: np.ndarray, f: np.ndarray, h: float,
+             every: int) -> np.ndarray:
+    """Cubic Hermite interpolation of node states y with slopes f (each
+    (n + 1,) + shape, node step h) at `every` evenly spaced times per
+    interval: (every n + 1,) + shape, every `every`-th row a node state,
+    exactly."""
+    out = np.empty(((len(y) - 1) * every + 1,) + y.shape[1:])
+    out[::every] = y
+    hf = h * f
+    for r in range(1, every):
+        s = r / every
+        out[r::every] = (((2 * s - 3) * s * s + 1) * y[:-1]
+                         + ((s - 2) * s + 1) * s * hf[:-1]
+                         + (3 - 2 * s) * s * s * y[1:]
+                         + (s - 1) * s * s * hf[1:])
+    return out
+
+
 def solve_closure(kind: str, params, order: str, init: MomentState,
-                  grid: TimeGrid) -> Trajectory:
+                  grid: TimeGrid, node_every: int | None = None
+                  ) -> Trajectory:
     """Explicit zeroth/first-order moment-closure trajectories.
 
     Zeroth order evolves the mean (variance reported as the surrogate's
     q); first order evolves (mean, variance). A model with servers (a
     params record with `c`) also emits the delay probability per output
-    time; the over-dispersion fallback fraction and the wall time of the
-    whole call (wall_s) are carried in meta. `kind` must be the record's.
-    A blow-up raises IntegrationError naming the closure's order.
+    time. `kind` must be the record's.
+
+    The closure takes RK4 steps between nodes, every `node_every`-th
+    output time, and fills the output times between them by cubic
+    Hermite interpolation from the node states and their rhs values.
+    RK4's first stage evaluates the rhs at each node, so only the last
+    node costs one more evaluation. node_every = 1 steps on grid itself,
+    at dt_int; None picks the spacing by the rule of `_node_spacing`,
+    measured on the zeroth-order closure, whose run at the chosen
+    spacing then serves as the zeroth-order result. A grid with dt_out
+    above _NODE_STEP_MAX / 2 has no node spacing to try, so it steps at
+    dt_int as given; for every other grid dt_int is the step used only
+    when no spacing passes. A node_every that does not divide the output
+    steps raises ValueError, as the grid of its nodes does.
+
+    meta carries node_every, the step (dt_int) and step count (n_steps)
+    of the run that gave the output, every rhs evaluation of the call,
+    the probe's included (n_rhs), the share of those that met an
+    over-dispersed first-order target (over_dispersed_fraction) and the
+    wall time of the whole call (wall_s). A blow-up raises
+    IntegrationError naming the closure's order.
     """
     start = time.perf_counter()
     if kind != params.kind:
@@ -563,18 +667,33 @@ def solve_closure(kind: str, params, order: str, init: MomentState,
                          f"{params.kind!r} params record")
     if order not in ("zeroth", "first"):
         raise ValueError(f"unknown closure order {order!r}")
-    counts = {"over_dispersed": 0}
+    counts = {"calls": 0, "over_dispersed": 0}
     rhs = _closure_rhs(params, order, counts)
     y0 = (init.mean if order == "zeroth"
           else np.array([init.mean, init.variance], dtype=float))
+    run = None   # the probe's run at the chosen spacing
+    if node_every is None and order == "zeroth":
+        node_every, run = _node_spacing(rhs, y0, grid)
+    elif node_every is None:
+        node_every, _ = _node_spacing(
+            _closure_rhs(params, "zeroth", counts), init.mean, grid)
     try:
-        traj = integrate(rhs, y0, grid)
+        if node_every == 1:
+            traj = integrate(rhs, y0, grid)
+            values, h, n_steps = (traj.values, traj.meta["dt_int"],
+                                  traj.meta["n_steps"])
+        else:
+            h = node_every * grid.dt_out
+            states, slopes = run or _node_run(rhs, y0, grid, node_every)
+            slopes.append(rhs(grid.times[-1], states[-1]))
+            values = _hermite(states, np.array(slopes), h, node_every)
+            n_steps = len(states) - 1
     except IntegrationError as exc:
         raise IntegrationError(f"{order}-order closure: {exc}") from None
     if order == "zeroth":
-        mean, var = traj.values, traj.values.copy()
+        mean, var = values, values.copy()
     else:
-        mean, var = traj.values.T
+        mean, var = values.T
     delay = None
     if hasattr(params, "c"):
         delay = np.empty_like(mean)
@@ -582,14 +701,14 @@ def solve_closure(kind: str, params, order: str, init: MomentState,
             s = moment_match(max(m, _Q_FLOOR),
                              v if order == "first" else None)
             delay[i] = _closure.delay_probability(s, params.c)
-    frac = counts["over_dispersed"] / traj.meta["n_rhs"]
+    frac = counts["over_dispersed"] / counts["calls"]
     wall = time.perf_counter() - start
-    log.debug("closure %s/%s: %d steps, %.3f s", kind, order,
-              traj.meta["n_steps"], wall)
-    return Trajectory(times=traj.times, mean=mean, variance=var, delay=delay,
+    log.debug("closure %s/%s: %d steps, %.3f s", kind, order, n_steps, wall)
+    return Trajectory(times=grid.times, mean=mean, variance=var, delay=delay,
                       meta={"solver": "closure", "kind": kind, "order": order,
                             "over_dispersed_fraction": frac, "wall_s": wall,
-                            **traj.meta})
+                            "node_every": node_every, "dt_int": h,
+                            "n_steps": n_steps, "n_rhs": counts["calls"]})
 
 
 def basis_parameter_prepass(params, init: MomentState,
@@ -601,7 +720,8 @@ def basis_parameter_prepass(params, init: MomentState,
     span = grid.T - grid.t0
     coarse = grid.coarsened(max(grid.dt_out, span / 200),
                             max(grid.dt_int, span / 2000))
-    traj = solve_closure(params.kind, params, "zeroth", init, coarse)
+    traj = solve_closure(params.kind, params, "zeroth", init, coarse,
+                         node_every=1)
     a = float(np.mean(traj.mean))
     return max(a, _Q_FLOOR)
 

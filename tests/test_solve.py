@@ -15,8 +15,9 @@ from charlierbd.models import (KINDS, BirthDeathModel, ErlangAParams,
                                generator_apply, make_model)
 from charlierbd import solve
 from charlierbd.solve import (_BLOCK, IntegrationError, RateBoundError,
-                              SolverError, TimeGrid, _galerkin_system,
-                              _raw_to_cumulants, _step_linear,
+                              SolverError, TimeGrid, _closure_rhs,
+                              _galerkin_system, _raw_to_cumulants,
+                              _step_linear,
                               galerkin_matrices, integrate, simulate_paths,
                               solve_closure, solve_galerkin, solve_reference)
 from charlierbd.special import poisson_pmf
@@ -907,16 +908,116 @@ class TestClosure:
 
 
     @pytest.mark.parametrize("order", ["zeroth", "first"])
-    def test_blow_up_names_the_closure(self, order):
-        # the drive overflows to inf once sin(t) > 0
+    @pytest.mark.parametrize("dt_out,dt_int", [(0.1, 0.01), (1e-3, 1e-3)])
+    def test_blow_up_names_the_closure(self, order, dt_out, dt_int):
+        # the drive overflows to inf once sin(t) > 0; on the fine grid every
+        # node spacing's probe run fails too, and the error names the
+        # first output time, as on the grid's own steps
         p = InfiniteServerParams(lam=SineDrive(1e308, 1e308), mu=1.0)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(IntegrationError) as err:
             solve_closure("infinite_server", p, order,
                           MomentState(mean=1.0, variance=1.0),
-                          TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01))
+                          TimeGrid(t0=0.0, T=1.0, dt_out=dt_out,
+                                   dt_int=dt_int))
         assert str(err.value) == (f"{order}-order closure: non-finite "
-                                  "state at t=0.1")
+                                  f"state at t={dt_out:g}")
+
+
+# the models and initial states of the two shipped configs
+SHIPPED = {
+    "erlang_a": (ErlangAParams(lam=SineDrive(100.0, 20.0), mu=1.0, beta=0.5,
+                               c=100), MomentState(mean=100.0, variance=100.0)),
+    "quadratic": (QuadraticParams(lam=SineDrive(0.1, 0.02), Qtilde=50,
+                                  beta=1.0), MomentState(mean=20.0,
+                                                         variance=0.0)),
+}
+
+
+class TestClosureNodes:
+    @pytest.mark.parametrize("kind,order,every,want", [
+        ("erlang_a", "zeroth", None, 5),
+        ("erlang_a", "first", None, 5),
+        # the rule keeps the quadratic on the grid's own steps ...
+        ("quadratic", "zeroth", None, 1),
+        ("quadratic", "first", None, 1),
+        # ... so its interpolation is checked at a spacing given
+        ("quadratic", "zeroth", 4, 4),
+    ])
+    def test_series_match_a_fine_stagewise_run(self, kind, order, every,
+                                               want):
+        p, init = SHIPPED[kind]
+        grid = TimeGrid(t0=0.0, T=2.0, dt_out=1e-3, dt_int=1e-3)
+        tr = solve_closure(kind, p, order, init, grid, node_every=every)
+        fine = solve_closure(kind, p, order, init,
+                             TimeGrid(t0=0.0, T=2.0, dt_out=1e-3,
+                                      dt_int=5e-4), node_every=1)
+        assert tr.meta["node_every"] == want
+        for col in ("mean", "variance", "delay"):
+            got, ref = getattr(tr, col), getattr(fine, col)
+            if ref is None:
+                continue
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("order", ["zeroth", "first"])
+    def test_coarse_output_grid_steps_stagewise(self, order):
+        # dt_out 1e-2 leaves no node spacing k >= 2 with k dt_out <= 1e-2
+        p, init = SHIPPED["erlang_a"]
+        grid = TimeGrid(t0=0.0, T=2.0, dt_out=1e-2, dt_int=2.5e-3)
+        tr = solve_closure("erlang_a", p, order, init, grid)
+        counts = {"calls": 0, "over_dispersed": 0}
+        y0 = (init.mean if order == "zeroth"
+              else np.array([init.mean, init.variance]))
+        want = integrate(_closure_rhs(p, order, counts), y0, grid).values
+        if order == "zeroth":
+            want = np.stack([want, want], axis=1)
+        assert np.array_equal(np.stack([tr.mean, tr.variance], axis=1), want)
+        assert (tr.meta["node_every"], tr.meta["n_steps"],
+                tr.meta["n_rhs"]) == (1, 800, 3200)
+
+    @pytest.mark.parametrize("order", ["zeroth", "first"])
+    def test_unstable_probe_falls_back_to_the_grid(self, order):
+        # lam Qtilde = 5000 makes the mean's relaxation rate about 4900, so
+        # RK4 is unstable at every node step tried; the true mean stays
+        # below Qtilde = 50
+        p = QuadraticParams(lam=SineDrive(100.0, 20.0), Qtilde=50, beta=1.0)
+        init = MomentState(mean=20.0, variance=0.0)
+        grid = TimeGrid(t0=0.0, T=2.0, dt_out=1e-3, dt_int=1e-3)
+        wild = solve_closure("quadratic", p, "zeroth", init, grid,
+                             node_every=20)
+        assert np.abs(wild.mean).max() > 1e4
+        tr = solve_closure("quadratic", p, order, init, grid)
+        stepped = solve_closure("quadratic", p, order, init, grid,
+                                node_every=1)
+        assert tr.meta["node_every"] == 1
+        assert np.array_equal(tr.mean, stepped.mean)
+        assert np.array_equal(tr.variance, stepped.variance)
+
+    @pytest.mark.parametrize("order", ["zeroth", "first"])
+    def test_n_rhs_counts_every_evaluation(self, order, monkeypatch):
+        # beta << mu makes the Erlang-A state over-dispersed
+        terms = ErlangAParams.closure_terms
+        calls = []
+
+        def counted(self, s, first):
+            calls.append((first, s.over_dispersed))
+            return terms(self, s, first)
+        monkeypatch.setattr(ErlangAParams, "closure_terms", counted)
+        p = ErlangAParams(lam=lam_const(20.0), mu=1.0, beta=0.1, c=10)
+        tr = solve_closure("erlang_a", p, order,
+                           MomentState(mean=20.0, variance=20.0),
+                           TimeGrid(t0=0.0, T=2.0, dt_out=1e-3,
+                                    dt_int=1e-3))
+        every = tr.meta["node_every"]
+        assert every > 1 and tr.meta["n_steps"] == 2000 // every
+        # the zeroth-order probe's evaluations count in both orders
+        first = [over for is_first, over in calls if is_first]
+        assert tr.meta["n_rhs"] == len(calls) > len(first)
+        assert len(first) == (4 * tr.meta["n_steps"] + 1
+                              if order == "first" else 0)
+        frac = tr.meta["over_dispersed_fraction"]
+        assert frac == sum(first) / len(calls)
+        assert (frac == 0.0) if order == "zeroth" else (0.0 < frac <= 1.0)
 
 
 class TestSimulate:

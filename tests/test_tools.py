@@ -48,3 +48,14 @@ def test_coverage_summary_counts_the_runs_below_the_gate():
         == (0.95, 0.955, 0.96)
     # a run at the gate passes it; one failed another check
     assert (summary["n"], summary["below"], summary["incorrect"]) == (5, 1, 2)
+
+
+def test_commits_fall_back_to_the_given_names(tmp_path):
+    # a `git archive` copy has no git metadata, so `git describe` fails
+    roots = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for root in roots.values():
+        root.mkdir()
+    assert bench_pairs.commits(roots, ["abc", "def"]) \
+        == {"parent": "abc", "change": "def"}
+    assert bench_pairs.commits(roots, None) \
+        == {"parent": None, "change": None}

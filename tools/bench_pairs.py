@@ -1,6 +1,7 @@
 """Alternating pairs of perfbench end-to-end runs on two checkouts.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --pairs 10 --out BENCH_<label>.json
+    python3 tools/bench_pairs.py PARENT CHANGE --pairs 10 --out BENCH_<label>.json \
+        [--commits PARENT_SHA CHANGE_SHA]
 
 For every workload in CHANGE's BENCHMARK.json, runs each checkout's own
 `perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0` from
@@ -11,9 +12,11 @@ written to --out holds, per workload and end-to-end metric, each side's
 median and quartiles over the per-run medians that perfbench reports,
 the number of pairs in which the change read lower (ties count for
 neither side), a verdict (see `verdict`) and every pair's results, in
-the layout of the committed BENCH_*.json files. A run that exits
-non-zero or prints no result counts as one failed call. Takes about
-2 x PAIRS x (SECONDS + 5) s per workload.
+the layout of the committed BENCH_*.json files. Its `commits` names
+each checkout by `git describe`; a checkout that is no git work tree,
+such as a `git archive` copy, takes its --commits entry instead. A run
+that exits non-zero or prints no result counts as one failed call.
+Takes about 2 x PAIRS x (SECONDS + 5) s per workload.
 """
 
 from __future__ import annotations
@@ -38,6 +41,14 @@ def describe(root: Path) -> str | None:
                            "--dirty", "--abbrev=40"],
                           capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def commits(roots: dict, given: list | None) -> dict:
+    """Each side's `describe`, or where that fails its entry of `given`
+    (parent, change), or None without one."""
+    given = dict(zip(SIDES, given or (None, None)))
+    return {side: describe(root) or given[side]
+            for side, root in roots.items()}
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -118,6 +129,8 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--commits", nargs=2, metavar=("PARENT", "CHANGE"),
+                    help="commit names for checkouts without git metadata")
     args = ap.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     with open(roots["change"] / "BENCHMARK.json") as fh:
@@ -136,7 +149,7 @@ def main(argv=None) -> int:
                      "the change first when i is odd"),
         "quartiles": "numpy.percentile 25/50/75 (linear) over the per-run "
                      "medians that perfbench reports",
-        "commits": {side: describe(root) for side, root in roots.items()},
+        "commits": commits(roots, args.commits),
         "machine": {"nproc": os.cpu_count(),
                     "python": platform.python_version(),
                     "numpy": np.__version__,
