@@ -167,6 +167,8 @@ def _oracle_suites():
 
 def cmd_validate(args, cfg):
     if cfg is not None:
+        # the solvers' initial pmf: ConfigError if there is none
+        cfg.initial_pmf()
         print(json.dumps({"config_ok": True, "hash": cfg.hash(),
                           "kind": cfg.kind, "X_max": cfg.x_max()}))
     failures = 0

@@ -151,11 +151,18 @@ def expected_min(s: SurrogateParams, c: int) -> float:
 
 
 def expected_indicator_below(s: SurrogateParams, z: int) -> float:
-    """E_s[1{Q < z}]; the Erlang-loss admission probability at cap z."""
+    """E_s[1{Q < z}]; the Erlang-loss admission probability at cap z.
+
+    With a1 = 0 the Q-weighted tail is not read, as in `queue_terms`: for
+    a finite q its term a1 (E_P[Q 1{Q < z}] - q E_P[1{Q < z}]) is then
+    exactly zero, so E_P[1{Q < z}] alone is the value bit for bit.
+    """
     if z < 0:
         raise ValueError("cap z must be nonnegative")
-    return _surrogate_value(s, _pois_ind_below(s.q, z),
-                            _pois_q_ind_below(s.q, z))
+    e0 = _pois_ind_below(s.q, z)
+    if s.a1 == 0.0:
+        return e0
+    return _surrogate_value(s, e0, _pois_q_ind_below(s.q, z))
 
 
 def expected_q_times_overflow(s: SurrogateParams, c: int) -> float:

@@ -250,14 +250,22 @@ class ExperimentConfig:
         return max(rule, _tail_cover(x0)) if mass > 1e-12 else rule
 
     def initial_pmf(self) -> np.ndarray:
-        """The init's pmf on {0..x_max()}."""
+        """The init's pmf on {0..x_max()}. A Poisson init whose weights on
+        {0..x_max()} all underflow to zero raises ConfigError: there is no
+        mass to normalise."""
         x_max = self.x_max()
         p0 = np.zeros(x_max + 1)
         if self.init["kind"] == "point":
             p0[int(self.init["value"])] = 1.0
         else:
-            p0 = poisson_pmf(float(self.init["value"]), x_max)
-            p0 /= p0.sum()
+            value = float(self.init["value"])
+            p0 = poisson_pmf(value, x_max)
+            mass = p0.sum()
+            if not mass > 0:
+                raise ConfigError(f"poisson init value {value!r} has no mass "
+                                  f"representable in floats on {{0..X_max="
+                                  f"{x_max}}}")
+            p0 /= mass
         return p0
 
     def initial_state(self) -> MomentState:

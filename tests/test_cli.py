@@ -329,6 +329,8 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
     ({"init": {"kind": "point"}}, ["solve-reference"]),
     ({"schema_version": True}, ["solve-reference"]),
     ({"T": 10**400}, ["solve-reference"]),
+    ({"init": {"kind": "poisson", "value": 2000.0}}, ["solve-reference"]),
+    ({"init": {"kind": "poisson", "value": 2000.0}}, ["table"]),
 ], ids=["point_init_beyond_X_max", "fixed_basis_without_a",
         "dt_out_not_a_multiple", "non_numeric_model_field", "one_path",
         "negative_paths", "zero_dt_out", "negative_dt_out",
@@ -350,7 +352,8 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
         "nan_dt_out_flag", "nan_lambda_sample", "nan_lambda_knot_time",
         "unknown_init_key", "misspelt_basis_key", "a_with_auto_basis",
         "a_with_tuned_basis", "init_without_value", "boolean_schema_version",
-        "horizon_beyond_float_range"])
+        "horizon_beyond_float_range", "poisson_init_beyond_X_max",
+        "poisson_init_beyond_X_max_table"])
 def test_bad_config_exits_2_without_traceback(cfg_path, tmp_path, patch,
                                               args):
     cfg = json.loads(cfg_path.read_text())
@@ -363,6 +366,19 @@ def test_bad_config_exits_2_without_traceback(cfg_path, tmp_path, patch,
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("ERROR charlierbd: config error: ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_validate_refuses_a_poisson_init_without_mass(cfg_path, capsys,
+                                                      caplog):
+    # Poisson(2000) underflows to zero on all of {0..60}: no pmf to run
+    cfg = json.loads(cfg_path.read_text())
+    cfg["init"] = {"kind": "poisson", "value": 2000.0}
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["validate", str(cfg_path)]) == 2
+    assert capsys.readouterr().out == ""
+    assert [r.getMessage() for r in caplog.records] == [
+        "config error: poisson init value 2000.0 has no mass representable "
+        "in floats on {0..X_max=60}"]
 
 
 @pytest.mark.parametrize("kind", [["erlang_a"], {"name": "erlang_a"},

@@ -108,6 +108,27 @@ class TestClosedFormsAgainstBruteSums:
                 check(delay_probability(s, c), brute(s, lambda x: (x >= c) * 1.0))
 
 
+@pytest.mark.parametrize("q", [1e-9, 0.3, 4.5, 100.3, 600.0])
+@pytest.mark.parametrize("z", [0, 1, 5, 100, 700])
+def test_indicator_below_at_zero_a1_skips_the_weighted_tail(monkeypatch,
+                                                             q, z):
+    # the a1 term a1 (e1 - q e0) is exactly zero at a1 = 0, so only the
+    # unweighted tail is read and the value is bit for bit that of the
+    # full closed form
+    e0 = closure._pois_ind_below(q, z)
+    want = e0 + 0.0 * (closure._pois_q_ind_below(q, z) - q * e0)
+    calls = []
+    tail = closure.lower_tail
+    monkeypatch.setattr(closure, "lower_tail",
+                        lambda *args: calls.append(args) or tail(*args))
+    for s in (SurrogateParams(q=q, order="zeroth"),
+              SurrogateParams(q=q, order="first", over_dispersed=True)):
+        calls.clear()
+        assert expected_indicator_below(s, z) == want
+        assert calls == [(q, z - 1)]
+        assert delay_probability(s, z) == 1.0 - want
+
+
 class TestMomentMatch:
     def test_zeroth(self):
         s = moment_match(3.2, None)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from charlierbd.special import (adaptive_support_bound, chen_stein_gap,
                                 falling_factorial, lower_tail, poisson_pmf,
@@ -65,6 +66,41 @@ class TestTails:
     def test_domain(self):
         with pytest.raises(ValueError):
             upper_tail(-0.5, 1)
+
+    def test_equal_the_scipy_ufuncs_bit_for_bit(self):
+        # the tails call cython_special's pdtrc/pdtr: the same cephes code
+        # as the ufuncs, so every value is the ufunc's, bit for bit
+        rng = np.random.default_rng(2014)
+        qs = np.concatenate([rng.uniform(0.0, 600.0, 3000),
+                             rng.exponential(3.0, 500)])
+        cs = rng.integers(0, 801, qs.size)
+        for q, c in zip(qs.tolist(), cs.tolist()):
+            for got, want in ((upper_tail(q, c), sp.pdtrc(c, q)),
+                              (lower_tail(q, c), sp.pdtr(c, q))):
+                assert type(got) is float
+                assert got == float(want), (q, c)
+        # NumPy scalars and 0-d arrays, as a caller may hold them
+        for q, c in ((np.float64(37.5), np.int64(40)),
+                     (np.array(37.5), 40), (math.inf, 3), (5.0, 2 ** 40)):
+            assert upper_tail(q, c) == float(sp.pdtrc(c, q))
+            assert lower_tail(q, c) == float(sp.pdtr(c, q))
+        assert math.isnan(upper_tail(math.nan, 3))
+        assert math.isnan(lower_tail(math.nan, 3))
+
+    @pytest.mark.parametrize("c", [-1, -2, -700])
+    def test_threshold_below_zero(self, c):
+        for q in (0.0, 2.5, 600.0):
+            assert upper_tail(q, c) == 1.0 and lower_tail(q, c) == 0.0
+
+    @pytest.mark.parametrize("c", [0, 3, 800])
+    def test_zero_rate(self, c):
+        assert upper_tail(0.0, c) == 0.0 and lower_tail(0.0, c) == 1.0
+
+    @pytest.mark.parametrize("tail", [upper_tail, lower_tail])
+    def test_negative_rate_raises(self, tail):
+        for c in (-1, 0, 5):
+            with pytest.raises(ValueError, match="nonnegative"):
+                tail(-1e-300, c)
 
 
 class TestStirlingTouchard:
