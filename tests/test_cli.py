@@ -352,8 +352,8 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
         "nan_dt_out_flag", "nan_lambda_sample", "nan_lambda_knot_time",
         "unknown_init_key", "misspelt_basis_key", "a_with_auto_basis",
         "a_with_tuned_basis", "init_without_value", "boolean_schema_version",
-        "horizon_beyond_float_range", "poisson_init_beyond_X_max",
-        "poisson_init_beyond_X_max_table"])
+        "horizon_beyond_float_range", "poisson_init_without_mass",
+        "poisson_init_without_mass_table"])
 def test_bad_config_exits_2_without_traceback(cfg_path, tmp_path, patch,
                                               args):
     cfg = json.loads(cfg_path.read_text())
