@@ -373,11 +373,11 @@ def tune_basis_parameter(cfg: ExperimentConfig, N: int,
     every candidate scores inf, the zeroth-closure value is returned with
     a warning.
     """
+    p0 = cfg.initial_pmf()   # ConfigError before any solve if it has none
     state = cfg.initial_state()
     grid = cfg.grid()
     m_bar = basis_parameter_prepass(cfg.params(), state, grid)
     coarse = grid.coarsened(5e-3, 5e-3)
-    p0 = cfg.initial_pmf()
     model = cfg.build_model()
 
     def objectives(cands):
@@ -420,9 +420,9 @@ def tune_basis_parameter(cfg: ExperimentConfig, N: int,
 
 
 def run_galerkin(cfg: ExperimentConfig, N: int, a: float | None = None):
+    p0 = cfg.initial_pmf()   # ConfigError before any solve if it has none
     if a is None:
         a = galerkin_basis_parameter(cfg, N)
-    p0 = cfg.initial_pmf()
     basis = CharlierBasis(a=a, N=N, X_max=p0.size - 1)
     model = cfg.build_model()
     c0 = project_density(p0, basis)

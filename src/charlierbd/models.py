@@ -1,5 +1,5 @@
 """Birth-death process definitions: the model record, the built-in
-model kinds, and the truncated generator's stencil and its application.
+model kinds, and truncated generator application.
 
 Every model has a birth rate lam(t) * g(x) and a death rate d(x): the
 drive lam carries all the time dependence. Each built-in kind is one
@@ -35,7 +35,6 @@ __all__ = [
     "KINDS",
     "make_model",
     "affine_rates",
-    "generator_stencil",
     "generator_apply",
 ]
 
@@ -331,38 +330,20 @@ def affine_rates(model: BirthDeathModel, times,
     return g, d
 
 
-def generator_stencil(b, d) -> np.ndarray:
-    """The truncated generator on {0..X_max} of the rate vectors b (births)
-    and d (deaths), as a (3, X_max+1) stencil: row x of the generator's
-    lower, diagonal and upper entries, C[0, x] = b(x-1), C[1, x] =
-    -(b(x) + d(x)) and C[2, x] = d(x+1), with zeros where a neighbour is
-    missing (C[0, 0] and C[2, X_max]). b[X_max] is ignored: births out of
-    X_max are suppressed, so C[1, X_max] = -d(X_max) and the truncated
-    generator conserves total mass (reflecting upper boundary).
+def generator_apply(b, d, p) -> np.ndarray:
+    """(A p)(x) on the truncated state space {0..X_max} for rate vectors.
 
-    The stencil is linear in (b, d) entry by entry. In IEEE arithmetic
-    C(0, d) + lam C(g, 0) therefore equals C(lam g, d) exactly:
-    -d + lam (-g) = -(lam g + d), 0 + lam g = lam g and d + lam 0 = d.
-    """
-    n = len(d)
-    C = np.zeros((3, n))
-    C[0, 1:] = b[:-1]
-    diag = np.add(b, d, out=C[1])
-    diag[-1] = d[-1]
-    np.negative(diag, out=diag)
-    C[2, :-1] = d[1:]
-    return C
-
-
-def generator_apply(C, p) -> np.ndarray:
-    """(A p)(x) on the truncated state space {0..X_max} for a
-    `generator_stencil` C: C[1, x] p(x) + C[0, x] p(x-1) + C[2, x] p(x+1),
-    summed in that order (diagonal, lower, upper). p may be an
-    (..., X_max+1) stack; the generator acts on its last axis. The result
-    is a fresh array; C and p are only read.
+    b(x-1)p(x-1) + d(x+1)p(x+1) - (b(x)+d(x))p(x), with b and d the birth
+    and death rates on {0..X_max}, summed in that order. b[X_max] is
+    ignored: births out of X_max are suppressed so the truncated
+    generator conserves total mass (reflecting upper boundary). p may be
+    an (..., X_max+1) stack; the generator acts on its last axis. The
+    result is a fresh array; b, d and p are only read.
     """
     p = np.asarray(p, dtype=float)
-    out = C[1] * p
-    out[..., 1:] += C[0, 1:] * p[..., :-1]
-    out[..., :-1] += C[2, :-1] * p[..., 1:]
+    diag = b + d
+    diag[-1] = d[-1]
+    out = np.negative(diag, out=diag) * p
+    out[..., 1:] += b[:-1] * p[..., :-1]
+    out[..., :-1] += d[1:] * p[..., 1:]
     return out

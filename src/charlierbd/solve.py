@@ -21,8 +21,7 @@ from . import closure as _closure
 from .basis import CoeffVector
 from .basis import project_density  # unused here; perfbench/tracer.py wraps it
 from .closure import MomentState, moment_match
-from .models import (BirthDeathModel, affine_rates, generator_apply,
-                     generator_stencil)
+from .models import BirthDeathModel, affine_rates, generator_apply
 
 __all__ = [
     "TimeGrid",
@@ -343,10 +342,7 @@ def solve_reference(model: BirthDeathModel, p0, grid: TimeGrid,
     being the length of the initial pmf p0, as numerical ground truth.
 
     A(t) is the generator of the rate vectors (lam(t) g, d) from
-    `affine_rates`, so no rate callable runs inside the step loop. Its
-    stencil C0 + lam(t) C1, from the `generator_stencil`s C0 of (0, d) and
-    C1 of (g, 0), is built once per distinct stage time (RK4's two middle
-    stages share one) and equals that of (lam(t) g, d) bit for bit. Emits
+    `affine_rates`, so no rate callable runs inside the step loop. Emits
     direct-sum cumulants at each output time and, for a model with `c`
     servers (c not None), the delay probability P(X >= c). No pmf stack
     is kept: `integrate` reduces each block of output pmfs to these sums,
@@ -364,15 +360,8 @@ def solve_reference(model: BirthDeathModel, p0, grid: TimeGrid,
     lam = model.lam
     powers = [np.arange(X_max + 1, dtype=float) ** k for k in (1, 2, 3, 4)]
 
-    zero = np.zeros_like(g)
-    C0, C1 = generator_stencil(zero, d), generator_stencil(g, zero)
-    stage = [None, None]   # the last stage time and its stencil
-
     def rhs(t, p):
-        # RK4's two middle stages share t + h/2: build once per time
-        if t != stage[0]:
-            stage[:] = t, C0 + lam(t) * C1
-        return generator_apply(stage[1], p)
+        return generator_apply(lam(t) * g, d, p)
 
     def reduce(block):
         # per pmf: mass, boundary mass, smallest entry, raw moments 1-4
@@ -524,8 +513,8 @@ def galerkin_matrices(g, d, Phi, Cw) -> tuple[np.ndarray, np.ndarray]:
     """
     zero = np.zeros_like(d)
     phi_t = np.swapaxes(Phi, -1, -2)
-    return (generator_apply(generator_stencil(zero, d), Cw) @ phi_t,
-            generator_apply(generator_stencil(g, zero), Cw) @ phi_t)
+    return (generator_apply(zero, d, Cw) @ phi_t,
+            generator_apply(g, zero, Cw) @ phi_t)
 
 
 def _closure_rhs(params, order: str, counts: dict):

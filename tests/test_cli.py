@@ -331,6 +331,9 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
     ({"T": 10**400}, ["solve-reference"]),
     ({"init": {"kind": "poisson", "value": 2000.0}}, ["solve-reference"]),
     ({"init": {"kind": "poisson", "value": 2000.0}}, ["table"]),
+    ({"init": {"kind": "poisson", "value": 2000.0}}, GALERKIN),
+    ({"init": {"kind": "poisson", "value": 2000.0},
+      "basis": {"mode": "tuned"}}, GALERKIN),
 ], ids=["point_init_beyond_X_max", "fixed_basis_without_a",
         "dt_out_not_a_multiple", "non_numeric_model_field", "one_path",
         "negative_paths", "zero_dt_out", "negative_dt_out",
@@ -353,7 +356,9 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
         "unknown_init_key", "misspelt_basis_key", "a_with_auto_basis",
         "a_with_tuned_basis", "init_without_value", "boolean_schema_version",
         "horizon_beyond_float_range", "poisson_init_without_mass",
-        "poisson_init_without_mass_table"])
+        "poisson_init_without_mass_table",
+        "poisson_init_without_mass_galerkin",
+        "poisson_init_without_mass_tuned_galerkin"])
 def test_bad_config_exits_2_without_traceback(cfg_path, tmp_path, patch,
                                               args):
     cfg = json.loads(cfg_path.read_text())

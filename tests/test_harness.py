@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from charlierbd import harness
 from charlierbd.harness import (ConfigError, ExperimentConfig, rel_error,
                                 run_figures, run_galerkin, run_reference,
                                 run_table, tune_basis_parameter,
@@ -200,6 +201,23 @@ class TestRunGalerkin:
             with pytest.raises(IntegrationError,
                                match="^Galerkin row N=12: non-finite state"):
                 run_galerkin(cfg, 12, a=4.0)
+
+    @pytest.mark.parametrize("mode", ["auto", "tuned"])
+    def test_init_without_mass_raises_before_any_solve(self, monkeypatch,
+                                                       mode):
+        # Poisson(2000) underflows to zero on all of {0..60}
+        cfg = erlang_cfg(init={"kind": "poisson", "value": 2000.0},
+                         basis={"mode": mode})
+
+        def solve(*args):
+            raise AssertionError("solved before the init was checked")
+        monkeypatch.setattr(harness, "basis_parameter_prepass", solve)
+        monkeypatch.setattr(harness, "solve_galerkin", solve)
+        with pytest.raises(ConfigError, match="no mass representable"):
+            run_galerkin(cfg, 1)
+        if mode == "tuned":
+            with pytest.raises(ConfigError, match="no mass representable"):
+                tune_basis_parameter(cfg, 1, [])
 
 
 class TestTuning:

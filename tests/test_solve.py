@@ -12,8 +12,7 @@ from charlierbd.harness import ExperimentConfig, _make_lambda, run_galerkin
 from charlierbd.models import (KINDS, BirthDeathModel, ErlangAParams,
                                ErlangLossParams, InfiniteServerParams,
                                QuadraticParams, SineDrive, affine_rates,
-                               generator_apply, generator_stencil,
-                               make_model)
+                               generator_apply, make_model)
 from charlierbd import solve
 from charlierbd.solve import (_BLOCK, IntegrationError, RateBoundError,
                               SolverError, TimeGrid, _closure_rhs,
@@ -421,49 +420,8 @@ class TestReference:
         P = rng.random((3, x_max + 1))
         for t in (0.0, 0.37, 1.0):
             want = stencil_oracle(model, t, P)
-            got = generator_apply(generator_stencil(model.lam(t) * gv, dv),
-                                  P)
+            got = generator_apply(model.lam(t) * gv, dv, P)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("model", four_models(),
-                             ids=lambda m: m.label)
-    def test_affine_stencil_is_exact(self, model):
-        # C0 + lam C1 is the stencil of (lam g, d) byte for byte, at any
-        # drive value, a zero drive included
-        x_max = 40
-        g, d = affine_rates(model, np.linspace(0.0, 2.0, 21), x_max)
-        zero = np.zeros_like(g)
-        C0, C1 = generator_stencil(zero, d), generator_stencil(g, zero)
-        rng = np.random.default_rng(8)
-        P = rng.random((3, x_max + 1))
-        for lam in [*(model.lam(t) for t in (0.0, 0.37, 1.0, 2.0)), 0.0]:
-            C = generator_stencil(lam * g, d)
-            assert (C0 + lam * C1).tobytes() == C.tobytes()
-            for p in (P[0], P):
-                assert np.array_equal(generator_apply(C0 + lam * C1, p),
-                                      generator_apply(C, p))
-
-    @pytest.mark.parametrize("model", four_models(),
-                             ids=lambda m: m.label)
-    def test_states_equal_the_uncached_stencil_run(self, model,
-                                                   monkeypatch):
-        # the reference steps through solve's `integrate`; its pmfs are
-        # those of the stencil of (lam(t) g, d) built at every rhs call
-        x_max = 40
-        p0 = poisson_pmf(3.0, x_max)
-        grid = TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01)
-        states = []
-
-        def spy(rhs, y0, grid, reduce):
-            states.append(integrate(rhs, y0, grid).values)
-            return integrate(rhs, y0, grid, reduce)
-        monkeypatch.setattr(solve, "integrate", spy)
-        solve_reference(model, p0, grid, SERVERS.get(model.label))
-        g, d = affine_rates(model, grid.times, x_max)
-        want = integrate(lambda t, p: generator_apply(
-            generator_stencil(model.lam(t) * g, d), p), p0, grid)
-        assert len(states) == 1
-        assert np.array_equal(states[0], want.values)
 
     def test_meta_and_debug_line(self, caplog):
         caplog.set_level(logging.DEBUG, logger="charlierbd")
