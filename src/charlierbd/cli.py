@@ -80,8 +80,8 @@ def cmd_solve_closure(args, cfg):
 
 
 def cmd_simulate(args, cfg):
-    if args.paths is not None and args.paths < 2:
-        raise ConfigError(f"--paths {args.paths} is below 2")
+    if args.paths is not None and not 2 <= args.paths < 2**63:
+        raise ConfigError(f"--paths {args.paths} is not in [2, 2**63)")
     try:
         grid = TimeGrid(cfg.t0, cfg.T, args.dt_out, args.dt_out)
     except ValueError as exc:

@@ -8,14 +8,14 @@ Every closed form here is derived by linearity from Poisson expectations,
 
 with the Q-weighted Poisson expectations reduced through the Chen-Stein
 identity E_P[Q g(Q)] = q E_P[g(Q+1)]. The unit tests pin each form against
-a brute-force surrogate-sum oracle.
+a brute-force surrogate-sum oracle; `closure_evaluator` repeats them for a
+closure's terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ __all__ = [
     "expected_q_times_indicator_below",
     "CovarianceTerms",
     "covariance_terms",
-    "QueueTerms",
-    "queue_terms",
+    "closure_evaluator",
     "delay_probability",
     "moment_match",
 ]
@@ -153,8 +152,8 @@ def expected_min(s: SurrogateParams, c: int) -> float:
 def expected_indicator_below(s: SurrogateParams, z: int) -> float:
     """E_s[1{Q < z}]; the Erlang-loss admission probability at cap z.
 
-    With a1 = 0 the Q-weighted tail is not read, as in `queue_terms`: for
-    a finite q its term a1 (E_P[Q 1{Q < z}] - q E_P[1{Q < z}]) is then
+    With a1 = 0 the Q-weighted tail is not read, as in `closure_evaluator`:
+    for a finite q its term a1 (E_P[Q 1{Q < z}] - q E_P[1{Q < z}]) is then
     exactly zero, so E_P[1{Q < z}] alone is the value bit for bit.
     """
     if z < 0:
@@ -207,77 +206,73 @@ def covariance_terms(s: SurrogateParams, c: int,
     return CovarianceTerms(overflow=cov_ovf, minimum=cov_min, below=cov_below)
 
 
-class QueueTerms(NamedTuple):
-    """The queue closures' expectations under one surrogate; without a cap
-    `admit` is 1 and `cov_below` 0, and the covariances are None at
-    zeroth order."""
-
-    mean: float
-    minimum: float
-    overflow: float
-    admit: float
-    cov_overflow: float | None
-    cov_minimum: float | None
-    cov_below: float | None
+# per closure functional: its highest power of Q in E_s[f], and its
+# [E_s[f], E_s[Q f]] from m = [1, E_s[Q], E_s[Q^2], ...] and its `_block` o
+_FUNCTIONALS = {
+    "1": (0, lambda m, o: m),
+    "x": (1, lambda m, o: m[1:]),
+    "x2": (2, lambda m, o: m[2:]),
+    "min": (1, lambda m, o: [mj - oj for mj, oj in zip(m[1:], o)]),
+    "over": (0, lambda m, o: o),
+    "below": (0, lambda m, o: o),
+}
 
 
-def queue_terms(s: SurrogateParams, c: int, z: int | None,
-                first: bool) -> QueueTerms:
-    """One-block evaluation of what a queue closure's right-hand side needs:
-    E_s[Q], E_s[Q ^ c], E_s[(Q - c)^+], the admission probability
-    E_s[1{Q < z}] and, when `first`, Cov[Q, .] of the last three.
-
-    Each distinct Poisson value is read once: the upper tails
-    G(q, c-j) for j = 0..3, the Touchard moments T_1..T_3 and the lower
-    tails at z-1..z-3 with covariances, one fewer of each without. A
-    surrogate with a1 = 0 (every zeroth-order one, and the over-dispersed
-    first-order fallback) needs one fewer again: its a1 terms are exactly
-    zero, so the Q-weighted values that feed only them are not read. The
-    assembly repeats the float operations of the single closed forms above
-    in the same order, the a1 terms aside when a1 = 0, so every field
-    equals its closed form exactly.
-    """
-    if c < 0:
-        raise ValueError("threshold c must be nonnegative")
-    if z is not None and z < 0:
-        raise ValueError("cap z must be nonnegative")
+def _block(s: SurrogateParams, below: bool, c: int, width: int) -> list:
+    """[E_s[Q^j f] for j < width <= 2] of f = 1{Q < c} (below) or
+    (Q - c)^+, each Poisson value in the closed forms' float operations
+    and each tail, P(Q <= c - 1 - j) or G(q, c - j), read once."""
     q, a1 = s.q, s.a1
-    corr = a1 != 0.0  # the a1 (first-order correction) terms count
-    # Q-weighting levels the blocks need; g[j] = G(q, c - j)
-    depth = 1 + first + corr
-    g = [upper_tail(q, c - j) for j in range(depth + 1)]
-    moments = surrogate_moments(s, 1 + first)
-    mean = moments[0]
-    pois_ovf = q * g[1] - c * g[0]
-    if depth > 1:
-        pois_q_ovf = q * q * g[2] - q * (c - 1) * g[1]
-    overflow = pois_ovf
-    if corr:
-        overflow += a1 * (pois_q_ovf - q * pois_ovf)
-    minimum = mean - overflow
-    admit = 1.0
-    if z is not None:
-        low = [lower_tail(q, z - 1 - j) for j in range(depth)]
-        admit = low[0]
-        if corr:
-            admit += a1 * (q * low[1] - q * low[0])
-    if not first:
-        return QueueTerms(mean, minimum, overflow, admit, None, None, None)
-    q_ovf = pois_q_ovf
-    if corr:
-        pois_q2_ovf = q * ((q * q * g[3] - q * (c - 2) * g[2])
-                           + (q * g[2] - (c - 1) * g[1]))
-        q_ovf += a1 * (pois_q2_ovf - q * pois_q_ovf)
-    q_min = moments[1] - q_ovf
-    cov_below = 0.0
-    if z is not None:
-        q_below = q * low[1]
-        if corr:
-            q_below += a1 * (q * (q * low[2] + low[1]) - q * (q * low[1]))
-        cov_below = q_below - mean * admit
-    return QueueTerms(mean, minimum, overflow, admit,
-                      q_ovf - mean * overflow, q_min - mean * minimum,
-                      cov_below)
+    depth = width + (a1 != 0.0)   # E_P[Q^j f] for j < depth
+    if below:
+        t = [lower_tail(q, c - 1 - j) for j in range(depth)]
+        p = [t[0]]
+        if depth > 1:
+            p.append(q * t[1])
+        if depth > 2:
+            p.append(q * (q * t[2] + t[1]))
+    else:
+        t = [upper_tail(q, c - j) for j in range(depth + 1)]
+        p = [q * t[1] - c * t[0]]
+        if depth > 1:
+            p.append(q * q * t[2] - q * (c - 1) * t[1])
+        if depth > 2:
+            p.append(q * ((q * q * t[3] - q * (c - 2) * t[2])
+                          + (q * t[2] - (c - 1) * t[1])))
+    return p if a1 == 0.0 else [lo + a1 * (hi - q * lo)
+                                for lo, hi in zip(p, p[1:])]
+
+
+def closure_evaluator(g: tuple, d: tuple, first: bool):
+    """s -> (E_s[g], E_s[d], Cov_s[Q, g], Cov_s[Q, d]) under a surrogate s,
+    the covariances None unless `first`, for rates g and d given as
+    (functional, coefficient) terms: ("1",), ("x",), ("x2",), ("min", c)
+    for x ^ c, ("over", c) for (x - c)^+ or ("below", z) for 1{x < z}.
+    Each Poisson value it needs is read once, none that feeds only a1
+    terms when a1 = 0, and combined as the closed forms combine it."""
+    terms = (*g, *d)
+    if any(f[0] not in _FUNCTIONALS or f[1:] and f[1] < 0 for f, _ in terms):
+        raise ValueError(f"closure terms {terms!r} leave the vocabulary")
+    n = max(_FUNCTIONALS[f[0]][0] for f, _ in terms) + first
+
+    def key(f):   # f's Poisson block, "min" sharing "over"'s; () if none
+        return f[1:] and (f[0] == "below", f[1])
+    keys = dict.fromkeys(key(f) for f, _ in terms if f[1:])
+    # (0 for g or 1 for d, coefficient, source, block key) per term
+    flat = [(r, coef, _FUNCTIONALS[f[0]][1], key(f))
+            for r, rate in enumerate((g, d)) for f, coef in rate]
+
+    def evaluate(s: SurrogateParams):
+        m = [1.0, *(surrogate_moments(s, n) if n else [])]
+        b = {k: _block(s, *k, 1 + first) for k in keys}
+        e = [-0.0] * 4   # -0.0 + x is x, bit for bit
+        for r, coef, source, k in flat:
+            v = source(m, b.get(k))
+            e[r] += coef * v[0]
+            if first:
+                e[r + 2] += coef * (v[1] - m[1] * v[0])
+        return tuple(e) if first else (e[0], e[1], None, None)
+    return evaluate
 
 
 def delay_probability(s: SurrogateParams, c: int) -> float:

@@ -169,6 +169,9 @@ class ExperimentConfig:
             x_max = self.x_max()
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
+        for what, v in (("X_max", x_max), ("n_paths", self.n_paths)):
+            if v >= 2**63:   # the solvers hold them in int64
+                raise ConfigError(f"{what} {v} is not below 2**63")
         lam_min = float(drive.inf(self.t0, self.T))
         if lam_min < 0:
             raise ConfigError(f"lambda reaches {lam_min:.6g} < 0 on "

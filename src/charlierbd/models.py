@@ -4,14 +4,16 @@ model kinds, and truncated generator application.
 Every model has a birth rate lam(t) * g(x) and a death rate d(x): the
 drive lam carries all the time dependence. Each built-in kind is one
 frozen params record in `KINDS`: its fields are the config's model
-fields, and it gives g, d, the default X_max and the moment closure's
-terms. `make_model` turns a record into a `BirthDeathModel`. The config
-drives, `SineDrive` and `TableDrive`, also give their exact maximum over
-an interval (`sup`), which the thinning simulator's rate bound needs,
-and their exact minimum (`inf`), which config validation checks for a
-negative arrival rate. Rate callables take (t, x), broadcast over array
-arguments in either slot, and must be pure; models are immutable after
-construction and safe to share across threads.
+fields, and it gives g, d, the default X_max and, as data, the g and d
+of its moment closure (`g_terms`, `d_terms`: (functional, coefficient)
+terms, see `closure.closure_evaluator`). This module imports no other
+charlierbd module. `make_model` turns a record into a `BirthDeathModel`.
+The config drives, `SineDrive` and `TableDrive`, also give their exact
+maximum over an interval (`sup`), which the thinning simulator's rate
+bound needs, and their exact minimum (`inf`), which config validation
+checks for a negative arrival rate. Rate callables take (t, x),
+broadcast over array arguments in either slot, and must be pure; models
+are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .closure import SurrogateParams, queue_terms, surrogate_moments
 
 __all__ = [
     "SineDrive",
@@ -154,13 +154,11 @@ class InfiniteServerParams:
         """Default X_max of a run from level x0 over [t0, T]."""
         return _tail_cover(float(self.lam.sup(t0, T)) / min(self.mu, 1.0))
 
-    def closure_terms(self, s: SurrogateParams, first: bool):
-        """(E_s[g], E_s[d], Cov_s[Q, g], Cov_s[Q, d]) under the surrogate
-        s; the covariances are None unless `first`."""
-        m = surrogate_moments(s, 1 + first)
-        if not first:
-            return 1.0, self.mu * m[0], None, None
-        return 1.0, self.mu * m[0], 0.0, self.mu * (m[1] - m[0] * m[0])
+    g_terms = ((("1",), 1.0),)
+
+    @property
+    def d_terms(self) -> tuple:
+        return ((("x",), self.mu),)
 
 
 @dataclass(frozen=True)
@@ -170,7 +168,6 @@ class ErlangAParams(InfiniteServerParams):
     d(x) = mu (x ^ c) + beta (x - c)+."""
 
     kind = "erlang_a"
-    cap = None  # no cap on arrivals
     beta: float
     c: int
 
@@ -200,13 +197,9 @@ class ErlangAParams(InfiniteServerParams):
         return _tail_cover(max(lam_max / min(mu, 1.0),
                                min(max(fluid, x0), x0 + lam_max * (T - t0))))
 
-    def closure_terms(self, s: SurrogateParams, first: bool):
-        e = queue_terms(s, self.c, self.cap, first)
-        death = self.mu * e.minimum + self.beta * e.overflow
-        if not first:
-            return e.admit, death, None, None
-        return e.admit, death, e.cov_below, \
-            self.mu * e.cov_minimum + self.beta * e.cov_overflow
+    @property
+    def d_terms(self) -> tuple:
+        return ((("min", self.c), self.mu), (("over", self.c), self.beta))
 
 
 @dataclass(frozen=True)
@@ -222,15 +215,15 @@ class ErlangLossParams(ErlangAParams):
         if self.k < 0:
             raise ValueError("waiting spaces k must be nonnegative")
 
-    @property
-    def cap(self) -> int:
-        return self.c + self.k
-
     def g(self, x):
-        return (np.asarray(x) < self.cap).astype(float)
+        return (np.asarray(x) < self.c + self.k).astype(float)
+
+    @property
+    def g_terms(self) -> tuple:
+        return ((("below", self.c + self.k), 1.0),)
 
     def x_max(self, t0: float, T: float, x0: float) -> int:
-        return self.cap + 1
+        return self.c + self.k + 1
 
 
 @dataclass(frozen=True)
@@ -258,18 +251,14 @@ class QuadraticParams:
     def x_max(self, t0: float, T: float, x0: float) -> int:
         return int(1.4 * self.Qtilde) + 10
 
-    def closure_terms(self, s: SurrogateParams, first: bool):
-        """As for the other kinds, but with g unclamped: the terms are those
-        of x (Qtilde - x), not x (Qtilde - x)+, so each is a polynomial in
-        the surrogate's moments E_s[Q^k]. The model, and so every other
-        solver, uses the clamped g."""
-        m = surrogate_moments(s, 2 + first)
-        e_g, e_d = self.Qtilde * m[0] - m[1], self.beta * m[0]
-        if not first:
-            return e_g, e_d, None, None
-        cov_q = m[1] - m[0] * m[0]
-        return e_g, e_d, self.Qtilde * cov_q - (m[2] - m[0] * m[1]), \
-            self.beta * cov_q
+    @property
+    def g_terms(self) -> tuple:
+        # unclamped, x (Qtilde - x); the model and other solvers clamp it
+        return ((("x",), self.Qtilde), (("x2",), -1.0))
+
+    @property
+    def d_terms(self) -> tuple:
+        return ((("x",), self.beta),)
 
 
 KINDS = {p.kind: p for p in (InfiniteServerParams, ErlangAParams,

@@ -20,7 +20,7 @@ import numpy as np
 from . import closure as _closure
 from .basis import CoeffVector
 from .basis import project_density  # unused here; perfbench/tracer.py wraps it
-from .closure import MomentState, moment_match
+from .closure import MomentState, closure_evaluator, moment_match
 from .models import BirthDeathModel, affine_rates, generator_apply
 
 __all__ = [
@@ -519,7 +519,7 @@ def galerkin_matrices(g, d, Phi, Cw) -> tuple[np.ndarray, np.ndarray]:
 
 def _closure_rhs(params, order: str, counts: dict):
     """Mean(/variance) vector field for the explicit closure solver: with
-    the params record's `closure_terms` under the matched surrogate,
+    the record's `closure_evaluator` terms under the matched surrogate,
     mean' = lam E[g] - E[d] and
     var' = lam E[g] + E[d] + 2 (lam Cov[Q, g] - Cov[Q, d]).
 
@@ -529,12 +529,13 @@ def _closure_rhs(params, order: str, counts: dict):
     counts["over_dispersed"] those whose first-order target was over
     dispersed."""
     lam = params.lam
-    closure_terms = params.closure_terms
+    terms = closure_evaluator(params.g_terms, params.d_terms,
+                              order == "first")
     if order == "zeroth":
         def rhs(t, m):
             counts["calls"] += 1
             s = moment_match(max(m, _Q_FLOOR), None)
-            e_g, e_d, _, _ = closure_terms(s, False)
+            e_g, e_d, _, _ = terms(s)
             return lam(t) * e_g - e_d
         return rhs
 
@@ -543,7 +544,7 @@ def _closure_rhs(params, order: str, counts: dict):
         s = moment_match(max(y[0], _Q_FLOOR), y[1])
         if s.over_dispersed:
             counts["over_dispersed"] += 1
-        e_g, e_d, cov_g, cov_d = closure_terms(s, True)
+        e_g, e_d, cov_g, cov_d = terms(s)
         lam_t = lam(t)
         return np.array([lam_t * e_g - e_d,
                          lam_t * e_g + e_d + 2 * (lam_t * cov_g - cov_d)])

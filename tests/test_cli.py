@@ -334,6 +334,18 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
     ({"init": {"kind": "poisson", "value": 2000.0}}, GALERKIN),
     ({"init": {"kind": "poisson", "value": 2000.0},
       "basis": {"mode": "tuned"}}, GALERKIN),
+    # counts the solvers would hold in int64, given or derived
+    ({"X_max": None, "init": {"kind": "point", "value": 10**30}},
+     ["simulate"]),
+    ({"X_max": 10**30}, ["solve-reference"]),
+    ({"X_max": 2**63}, ["solve-reference"]),
+    ({"X_max": None, "model": {"kind": "quadratic",
+                               "lambda": {"base": 0.1}, "Qtilde": 10**20,
+                               "beta": 1.0}}, ["solve-reference"]),
+    ({"n_paths": 2**70}, ["simulate"]),
+    ({"n_paths": 2**63}, ["simulate"]),
+    ({}, ["simulate", "--paths", str(10**20)]),
+    ({}, ["simulate", "--paths", str(2**63)]),
 ], ids=["point_init_beyond_X_max", "fixed_basis_without_a",
         "dt_out_not_a_multiple", "non_numeric_model_field", "one_path",
         "negative_paths", "zero_dt_out", "negative_dt_out",
@@ -358,7 +370,11 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
         "horizon_beyond_float_range", "poisson_init_without_mass",
         "poisson_init_without_mass_table",
         "poisson_init_without_mass_galerkin",
-        "poisson_init_without_mass_tuned_galerkin"])
+        "poisson_init_without_mass_tuned_galerkin",
+        "point_init_beyond_int64", "X_max_beyond_int64", "X_max_at_2_63",
+        "derived_X_max_beyond_int64", "n_paths_beyond_int64",
+        "n_paths_at_2_63", "paths_flag_beyond_int64",
+        "paths_flag_at_2_63"])
 def test_bad_config_exits_2_without_traceback(cfg_path, tmp_path, patch,
                                               args):
     cfg = json.loads(cfg_path.read_text())

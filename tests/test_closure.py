@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from charlierbd import closure
-from charlierbd.closure import (SurrogateParams, covariance_terms,
-                                delay_probability, expected_indicator_below,
-                                expected_min, expected_overflow,
+from charlierbd import closure, solve
+from charlierbd.closure import (SurrogateParams, closure_evaluator,
+                                covariance_terms, delay_probability,
+                                expected_indicator_below, expected_min,
+                                expected_overflow,
                                 expected_q_times_indicator_below,
                                 expected_q_times_min,
                                 expected_q_times_overflow, moment_match,
-                                queue_terms, surrogate_moment,
-                                surrogate_moments, surrogate_pmf)
+                                surrogate_moment, surrogate_moments,
+                                surrogate_pmf)
 from charlierbd.harness import ExperimentConfig
 from charlierbd.solve import TimeGrid, solve_closure
 from charlierbd.special import adaptive_support_bound
@@ -164,9 +165,19 @@ class TestSurrogateParams:
             SurrogateParams(q=1.0, order="second")
 
 
+def single(f, s, first):
+    """(E_s[f], Cov_s[Q, f]) of one functional, through the evaluator
+    with g = d = f: a coefficient of 1.0 changes no bit."""
+    e_f, e_d, cov_f, cov_d = closure_evaluator(((f, 1.0),), ((f, 1.0),),
+                                               first)(s)
+    assert (e_f, cov_f) == (e_d, cov_d)
+    return e_f, cov_f
+
+
 class TestQueueTermsBlock:
-    """The one-block evaluation behind the queue closures equals the
-    single closed forms exactly, and reads each Poisson value once."""
+    """The closure evaluator's queue functionals equal the single closed
+    forms exactly, and each rhs evaluation reads each Poisson value it
+    needs once, and no other."""
 
     @pytest.mark.parametrize("q", [1e-9, 0.8, 30.0, 100.3])
     @pytest.mark.parametrize("a1", [0.0, 0.3])
@@ -175,27 +186,34 @@ class TestQueueTermsBlock:
     def test_equals_single_closed_forms(self, q, a1, first, z):
         s = SurrogateParams(q=q, a1=a1,
                             order="zeroth" if a1 == 0.0 else "first")
+        admit = ("1",) if z is None else ("below", z)
         for c in (0, 1, 2, 3, 9, 100):
-            got = queue_terms(s, c, z=z, first=first)
-            assert got.mean == surrogate_moment(s, 1)
-            assert got.minimum == expected_min(s, c)
-            assert got.overflow == expected_overflow(s, c)
-            assert got.admit == (1.0 if z is None
-                                 else expected_indicator_below(s, z))
+            mean, _ = single(("x",), s, first)
+            minimum, cov_minimum = single(("min", c), s, first)
+            overflow, cov_overflow = single(("over", c), s, first)
+            assert mean == surrogate_moment(s, 1)
+            assert minimum == expected_min(s, c)
+            assert overflow == expected_overflow(s, c)
+            e_admit, cov_below = single(admit, s, first)
+            assert e_admit == (1.0 if z is None
+                               else expected_indicator_below(s, z))
             if not first:
-                assert got[4:] == (None, None, None)
+                assert (cov_overflow, cov_minimum, cov_below) \
+                    == (None, None, None)
                 continue
             cov = covariance_terms(s, c, z=z)
-            assert got.cov_overflow == cov.overflow
-            assert got.cov_minimum == cov.minimum
-            assert got.cov_below == (0.0 if z is None else cov.below)
+            assert cov_overflow == cov.overflow
+            assert cov_minimum == cov.minimum
+            assert cov_below == (0.0 if z is None else cov.below)
 
     def test_domain(self):
-        s = SurrogateParams(q=2.0, order="zeroth")
         with pytest.raises(ValueError):
-            queue_terms(s, -1, None, True)
+            closure_evaluator(((("over", -1), 1.0),), ((("x",), 1.0),), True)
         with pytest.raises(ValueError):
-            queue_terms(s, 2, -1, True)
+            closure_evaluator(((("below", -1), 1.0),), ((("min", 2), 1.0),),
+                              True)
+        with pytest.raises(ValueError):
+            closure_evaluator(((("x3",), 1.0),), ((("x",), 1.0),), True)
 
     @pytest.mark.parametrize("a1", [0.0, 0.3])
     def test_surrogate_moments_equal_single_moments(self, a1):
@@ -205,10 +223,27 @@ class TestQueueTermsBlock:
             assert surrogate_moments(s, 4) == [surrogate_moment(s, k)
                                                for k in range(1, 5)]
 
-    @pytest.mark.parametrize("order,tails,touchards",
-                             [("zeroth", 3, 2), ("first", 4, 3)])
-    def test_call_counts_per_rhs(self, monkeypatch, order, tails, touchards):
-        counts = {"upper_tail": 0, "touchard": 0}
+    # Poisson values one rhs evaluation reads when its surrogate has
+    # a1 != 0, as (upper tails, lower tails, Touchard values); with
+    # a1 = 0 it reads one fewer of each kind it reads
+    READS = {
+        "erlang_a": {"zeroth": (3, 0, 2), "first": (4, 0, 3)},
+        "erlang_loss": {"zeroth": (3, 2, 2), "first": (4, 3, 3)},
+        "infinite_server": {"zeroth": (0, 0, 2), "first": (0, 0, 3)},
+        "quadratic": {"zeroth": (0, 0, 3), "first": (0, 0, 4)},
+    }
+    MODELS = {
+        "erlang_a": {"mu": 1.0, "beta": 0.5, "c": 10},
+        "erlang_loss": {"mu": 1.0, "beta": 0.5, "c": 10, "k": 3},
+        "infinite_server": {"mu": 1.0},
+        "quadratic": {"Qtilde": 30, "beta": 1.0},
+    }
+
+    @pytest.mark.parametrize("order", ["zeroth", "first"])
+    @pytest.mark.parametrize("kind", sorted(READS))
+    def test_call_counts_per_rhs(self, monkeypatch, kind, order):
+        names = ("upper_tail", "lower_tail", "touchard")
+        counts = dict.fromkeys(names, 0)
 
         def counted(name):
             fn = getattr(closure, name)
@@ -218,17 +253,35 @@ class TestQueueTermsBlock:
                 return fn(*args)
             return wrapper
 
-        for name in counts:
+        for name in names:
             monkeypatch.setattr(closure, name, counted(name))
+        seen = []   # (first, a1 != 0, reads) per rhs evaluation
+        build = solve.closure_evaluator
+
+        def watched(g, d, first):
+            evaluate = build(g, d, first)
+
+            def wrapper(s):
+                before = [counts[name] for name in names]
+                out = evaluate(s)
+                seen.append((first, s.a1 != 0.0,
+                             tuple(counts[name] - b
+                                   for name, b in zip(names, before))))
+                return out
+            return wrapper
+        monkeypatch.setattr(solve, "closure_evaluator", watched)
+        drive = {"base": 0.4 if kind == "quadratic" else 12.0,
+                 "amplitude": 0.1 if kind == "quadratic" else 2.0}
         cfg = ExperimentConfig(
-            model={"kind": "erlang_a", "lambda": {"base": 12.0,
-                                                  "amplitude": 2.0},
-                   "mu": 1.0, "beta": 0.5, "c": 10},
-            T=1.0, init={"kind": "poisson", "value": 10.0})
+            model={"kind": kind, "lambda": drive, **self.MODELS[kind]},
+            T=1.0, init={"kind": "point", "value": 10})
         grid = TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01)
         traj = solve_closure(cfg.kind, cfg.params(), order,
                              cfg.initial_state(), grid)
         n_rhs = traj.meta["n_rhs"]
-        assert n_rhs == 400
-        assert counts["upper_tail"] <= tails * n_rhs
-        assert counts["touchard"] <= touchards * n_rhs
+        assert n_rhs == 400 == len(seen)
+        for first, corr, reads in seen:
+            want = self.READS[kind]["first" if first else "zeroth"]
+            assert reads == tuple(n - (n > 0 and not corr) for n in want)
+        # every first-order run meets a surrogate with a1 terms
+        assert any(corr for _, corr, _ in seen) == (order == "first")

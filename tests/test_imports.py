@@ -218,3 +218,29 @@ def test_kind_names_are_data_of_models_only():
                        if isinstance(n, ast.Constant)}
             assert strings & set(KINDS) == set(), path.stem
 
+
+
+def library_imports(source: str) -> list:
+    """The charlierbd modules that `source` imports, relative or by name."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "charlierbd"):
+            out.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            out += [a.name for a in node.names
+                    if a.name.split(".")[0] == "charlierbd"]
+    return out
+
+
+def test_the_check_sees_a_library_import():
+    src = ("import numpy as np\nfrom . import basis\nfrom .closure import x\n"
+           "import charlierbd.special\nfrom charlierbd import solve\n")
+    assert library_imports(src) == [".", ".closure", "charlierbd.special",
+                                    "charlierbd"]
+
+
+def test_models_imports_no_other_library_module():
+    # the params records are data: the closure's surrogate algebra lives
+    # in closure.py, which reads the records' g_terms and d_terms
+    assert library_imports((SRC / "models.py").read_text()) == []

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from charlierbd.closure import SurrogateParams, surrogate_pmf
+from charlierbd.closure import (SurrogateParams, closure_evaluator,
+                                surrogate_pmf)
 from charlierbd.models import (BirthDeathModel, ErlangAParams,
                                ErlangLossParams, InfiniteServerParams,
                                QuadraticParams, SineDrive, TableDrive,
@@ -340,8 +341,9 @@ class TestAffineRates:
 
 
 class TestClosureTerms:
-    """Each record's (E_s[g], E_s[d], Cov_s[Q, g], Cov_s[Q, d]) against
-    direct sums over the tabulated surrogate density."""
+    """Each record's (E_s[g], E_s[d], Cov_s[Q, g], Cov_s[Q, d]), from its
+    g_terms and d_terms, against direct sums over the tabulated surrogate
+    density."""
 
     RECORDS = [InfiniteServerParams(lam_const(5.0), 1.5),
                ErlangAParams(lam_const(5.0), 1.0, 0.4, 6),
@@ -362,7 +364,7 @@ class TestClosureTerms:
         want = [w @ g, w @ d, w @ (xs * g) - mean * (w @ g),
                 w @ (xs * d) - mean * (w @ d)]
         first = s.order == "first"
-        got = p.closure_terms(s, first)
+        got = closure_evaluator(p.g_terms, p.d_terms, first)(s)
         assert got[:2] == pytest.approx(want[:2], rel=1e-12, abs=1e-12)
         if not first:
             assert got[2:] == (None, None)

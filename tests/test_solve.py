@@ -999,13 +999,17 @@ class TestClosureNodes:
     @pytest.mark.parametrize("order", ["zeroth", "first"])
     def test_n_rhs_counts_every_evaluation(self, order, monkeypatch):
         # beta << mu makes the Erlang-A state over-dispersed
-        terms = ErlangAParams.closure_terms
+        build = solve.closure_evaluator
         calls = []
 
-        def counted(self, s, first):
-            calls.append((first, s.over_dispersed))
-            return terms(self, s, first)
-        monkeypatch.setattr(ErlangAParams, "closure_terms", counted)
+        def counted(g, d, first):
+            evaluate = build(g, d, first)
+
+            def wrapper(s):
+                calls.append((first, s.over_dispersed))
+                return evaluate(s)
+            return wrapper
+        monkeypatch.setattr(solve, "closure_evaluator", counted)
         p = ErlangAParams(lam=lam_const(20.0), mu=1.0, beta=0.1, c=10)
         tr = solve_closure("erlang_a", p, order,
                            MomentState(mean=20.0, variance=20.0),

@@ -1,15 +1,17 @@
-"""sha256 of every CSV that 22 CLI runs write: seven runs on each of three
-configs, and `table` on a fourth.
+"""sha256 of every CSV that 36 CLI runs write: seven runs on each of five
+configs, and `table` on a sixth.
 
     python3 tools/output_hashes.py CHECKOUT OUTDIR
 
 Runs the CLI of the checkout at CHECKOUT (its `src`, in a fresh
-interpreter per run) on both shipped configs and on the small config of
-perfbench's tests, runs `table` on a config whose basis search loses 6
-of its 22 candidates to blow-ups, and writes OUTDIR/hashes.json, mapping
-"<config>/<run>" to the sha256 of that run's CSV. Run it on two
-checkouts and diff the two files: a change that keeps every output
-byte-identical leaves them equal. Takes about 35 s on 2 vCPUs.
+interpreter per run) on both shipped configs, on the small config of
+perfbench's tests and on small infinite-server and Erlang-loss configs,
+so that every model kind's closure runs; runs `table` on a config whose
+basis search loses 6 of its 22 candidates to blow-ups; and writes
+OUTDIR/hashes.json, mapping "<config>/<run>" to the sha256 of that run's
+CSV. Run it on two checkouts and diff the two files: a change that keeps
+every output byte-identical leaves them equal. Takes about 40 s on 2
+vCPUs.
 """
 
 import hashlib
@@ -38,6 +40,23 @@ PARTIAL = {
     "orders": [3], "basis": {"mode": "tuned"},
 }
 
+# small configs of the other two kinds; the first-order Erlang-loss
+# closure meets an over-dispersed target in about 29% of its rhs
+# evaluations, the infinite-server one, started from a point, in none
+INFINITE = {
+    "model": {"kind": "infinite_server",
+              "lambda": {"base": 20.0, "amplitude": 5.0}, "mu": 2.0},
+    "T": 2.0, "init": {"kind": "point", "value": 5},
+    "orders": [1, 2, 3], "basis": {"mode": "tuned"}, "seed": 7,
+}
+LOSS = {
+    "model": {"kind": "erlang_loss",
+              "lambda": {"base": 14.0, "amplitude": 3.0},
+              "mu": 1.0, "beta": 0.1, "c": 10, "k": 8},
+    "T": 2.0, "init": {"kind": "poisson", "value": 10.0},
+    "orders": [1, 2, 3], "basis": {"mode": "tuned"}, "seed": 7,
+}
+
 # run name -> CLI arguments before the config
 RUNS = {
     "table": ["table"],
@@ -61,16 +80,20 @@ def main(argv) -> int:
         return 2
     checkout, outdir = Path(argv[0]).resolve(), Path(argv[1])
     outdir.mkdir(parents=True, exist_ok=True)
-    small, partial = outdir / "small.json", outdir / "partial.json"
-    small.write_text(json.dumps(SMALL))
-    partial.write_text(json.dumps(PARTIAL))
+    written = {}
+    for name, cfg in (("small", SMALL), ("partial", PARTIAL),
+                      ("infinite_server", INFINITE), ("erlang_loss", LOSS)):
+        written[name] = outdir / f"{name}.json"
+        written[name].write_text(json.dumps(cfg))
     # config name -> (path, runs)
     configs = {
         "erlang_a": (checkout / "configs" / "erlang_a_benchmark.json", RUNS),
         "quadratic": (checkout / "configs" / "quadratic_benchmark.json",
                       RUNS),
-        "small": (small, RUNS),
-        "partial": (partial, {"table": RUNS["table"]}),
+        "small": (written["small"], RUNS),
+        "partial": (written["partial"], {"table": RUNS["table"]}),
+        "infinite_server": (written["infinite_server"], RUNS),
+        "erlang_loss": (written["erlang_loss"], RUNS),
     }
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                CHARLIER_LOG="warning")
