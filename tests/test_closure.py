@@ -206,6 +206,28 @@ class TestQueueTermsBlock:
             assert cov_minimum == cov.minimum
             assert cov_below == (0.0 if z is None else cov.below)
 
+    @pytest.mark.parametrize("s", [SurrogateParams(q=4.5, order="zeroth"),
+                                   SurrogateParams(q=30.0, a1=0.3,
+                                                   order="first")])
+    def test_rates_add_their_terms_left_to_right(self, s):
+        # the Erlang-A death rate and the unclamped quadratic birth rate,
+        # bit for bit as the per-kind algebra wrote them
+        mu, beta, c, Qtilde = 1.5, 0.4, 9, 50
+        erlang_a = closure_evaluator(
+            ((("1",), 1.0),), ((("min", c), mu), (("over", c), beta)),
+            True)(s)
+        cov = covariance_terms(s, c, z=None)
+        assert erlang_a == (1.0, mu * expected_min(s, c)
+                            + beta * expected_overflow(s, c), 0.0,
+                            mu * cov.minimum + beta * cov.overflow)
+        quadratic = closure_evaluator(
+            ((("x",), Qtilde), (("x2",), -1.0)), ((("x",), beta),), True)(s)
+        m = surrogate_moments(s, 3)
+        assert quadratic == (Qtilde * m[0] - m[1], beta * m[0],
+                             Qtilde * (m[1] - m[0] * m[0])
+                             - (m[2] - m[0] * m[1]),
+                             beta * (m[1] - m[0] * m[0]))
+
     def test_domain(self):
         with pytest.raises(ValueError):
             closure_evaluator(((("over", -1), 1.0),), ((("x",), 1.0),), True)
