@@ -248,8 +248,8 @@ def closure_evaluator(g: tuple, d: tuple, first: bool):
     the covariances None unless `first`, for rates g and d given as
     (functional, coefficient) terms: ("1",), ("x",), ("x2",), ("min", c)
     for x ^ c, ("over", c) for (x - c)^+ or ("below", z) for 1{x < z}.
-    Each Poisson value it needs is read once, none that feeds only a1
-    terms when a1 = 0, and combined as the closed forms combine it."""
+    Each Poisson value it needs is read once (none that feeds only a1
+    terms when a1 = 0) and combined as the closed forms combine it."""
     terms = (*g, *d)
     if any(f[0] not in _FUNCTIONALS or f[1:] and f[1] < 0 for f, _ in terms):
         raise ValueError(f"closure terms {terms!r} leave the vocabulary")
