@@ -187,11 +187,11 @@ class TestQueueTermsBlock:
         s = SurrogateParams(q=q, a1=a1,
                             order="zeroth" if a1 == 0.0 else "first")
         admit = ("1",) if z is None else ("below", z)
+        mean, _ = single(("x",), s, first)
+        assert mean == surrogate_moment(s, 1)
         for c in (0, 1, 2, 3, 9, 100):
-            mean, _ = single(("x",), s, first)
             minimum, cov_minimum = single(("min", c), s, first)
             overflow, cov_overflow = single(("over", c), s, first)
-            assert mean == surrogate_moment(s, 1)
             assert minimum == expected_min(s, c)
             assert overflow == expected_overflow(s, c)
             e_admit, cov_below = single(admit, s, first)
@@ -210,8 +210,8 @@ class TestQueueTermsBlock:
                                    SurrogateParams(q=30.0, a1=0.3,
                                                    order="first")])
     def test_rates_add_their_terms_left_to_right(self, s):
-        # the Erlang-A death rate and the unclamped quadratic birth rate,
-        # bit for bit as the per-kind algebra wrote them
+        # the Erlang-A death rate and the unclamped quadratic birth rate:
+        # each term's coefficient product, added left to right, bit for bit
         mu, beta, c, Qtilde = 1.5, 0.4, 9, 50
         erlang_a = closure_evaluator(
             ((("1",), 1.0),), ((("min", c), mu), (("over", c), beta)),
