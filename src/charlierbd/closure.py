@@ -1,15 +1,16 @@
-"""Moment-closure engine: closed-form expectations of queueing functionals
-under zeroth- and first-order Charlier surrogates, moment matching, and
-delay probability.
+"""Moment-closure engine: expectations of queueing functionals under
+zeroth- and first-order Charlier surrogates, moment matching, and delay
+probability.
 
-Every closed form here is derived by linearity from Poisson expectations,
+Every expectation here is derived by linearity from Poisson expectations,
 
     E_s[f] = E_P[f] + a1 (E_P[Q f] - q E_P[f]),
 
 with the Q-weighted Poisson expectations reduced through the Chen-Stein
-identity E_P[Q g(Q)] = q E_P[g(Q+1)]. The unit tests pin each form against
-a brute-force surrogate-sum oracle; `closure_evaluator` repeats them for a
-closure's terms.
+identity E_P[Q g(Q)] = q E_P[g(Q+1)] to the Poisson tails of `_block`
+and the Touchard values of `surrogate_moments`. The solver's
+`closure_evaluator` and the single closed forms (`expected_overflow`, ...)
+all read these two, so the oracles that test the forms test that code.
 """
 
 from __future__ import annotations
@@ -81,129 +82,21 @@ def surrogate_pmf(s: SurrogateParams, x_max: int) -> np.ndarray:
     return poisson_pmf(s.q, x_max) * (1.0 + s.a1 * (xs - s.q))
 
 
-def _surrogate_value(s: SurrogateParams, e0: float, e1: float) -> float:
-    """E_P[f] + a1 (E_P[Q f] - q E_P[f]) from the two Poisson blocks."""
-    return e0 + s.a1 * (e1 - s.q * e0)
-
-
-def surrogate_moment(s: SurrogateParams, k: int) -> float:
-    """E_s[Q^k] = T_k(q) + a1 (T_{k+1}(q) - q T_k(q))."""
-    return _surrogate_value(s, touchard(k, s.q), touchard(k + 1, s.q))
-
-
 def surrogate_moments(s: SurrogateParams, n: int) -> list[float]:
-    """[E_s[Q], ..., E_s[Q^n]], each T_k read once; entry k - 1 equals
-    surrogate_moment(s, k) exactly. Reads T_1..T_{n+1}, or T_1..T_n when
-    a1 = 0: there every a1 (T_{k+1} - q T_k) term is exactly zero."""
+    """[E_s[Q], ..., E_s[Q^n]], each T_k read once. Reads T_1..T_{n+1},
+    or T_1..T_n when a1 = 0: there every a1 (T_{k+1} - q T_k) term is
+    exactly zero."""
     t = [touchard(k, s.q) for k in range(1, n + 1 + (s.a1 != 0.0))]
     if s.a1 == 0.0:
         return t
-    return [_surrogate_value(s, lo, hi) for lo, hi in zip(t, t[1:])]
+    return [lo + s.a1 * (hi - s.q * lo) for lo, hi in zip(t, t[1:])]
 
 
-# Poisson(q) building blocks; tails written with argument order (rate q,
-# threshold c). Repeated Chen-Stein reduction supplies the Q- and
-# Q^2-weighted versions of each functional.
-
-def _pois_overflow(q: float, c: int) -> float:
-    """E_P[(Q - c)^+] = q G(q, c-1) - c G(q, c) with G the upper tail."""
-    return q * upper_tail(q, c - 1) - c * upper_tail(q, c)
-
-
-def _pois_q_overflow(q: float, c: int) -> float:
-    """E_P[Q (Q - c)^+] = q^2 G(q, c-2) - q (c-1) G(q, c-1)."""
-    return q * q * upper_tail(q, c - 2) - q * (c - 1) * upper_tail(q, c - 1)
-
-
-def _pois_q2_overflow(q: float, c: int) -> float:
-    """E_P[Q^2 (Q - c)^+] = q (E_P[Q (Q-(c-1))^+] + E_P[(Q-(c-1))^+])."""
-    return q * (_pois_q_overflow(q, c - 1) + _pois_overflow(q, c - 1))
-
-
-def _pois_ind_below(q: float, z: int) -> float:
-    """E_P[1{Q < z}]."""
-    return lower_tail(q, z - 1)
-
-
-def _pois_q_ind_below(q: float, z: int) -> float:
-    """E_P[Q 1{Q < z}] = q P(Q < z - 1)."""
-    return q * lower_tail(q, z - 2)
-
-
-def _pois_q2_ind_below(q: float, z: int) -> float:
-    """E_P[Q^2 1{Q < z}] = q (E_P[Q 1{Q < z-1}] + P(Q < z - 1))."""
-    return q * (_pois_q_ind_below(q, z - 1) + _pois_ind_below(q, z - 1))
-
-
-def expected_overflow(s: SurrogateParams, c: int) -> float:
-    """E_s[(Q - c)^+], the expected number of waiting customers."""
-    if c < 0:
-        raise ValueError("threshold c must be nonnegative")
-    return _surrogate_value(s, _pois_overflow(s.q, c), _pois_q_overflow(s.q, c))
-
-
-def expected_min(s: SurrogateParams, c: int) -> float:
-    """E_s[Q ^ c] via the identity Q ^ c = Q - (Q - c)^+."""
-    if c < 0:
-        raise ValueError("threshold c must be nonnegative")
-    return surrogate_moment(s, 1) - expected_overflow(s, c)
-
-
-def expected_indicator_below(s: SurrogateParams, z: int) -> float:
-    """E_s[1{Q < z}]; the Erlang-loss admission probability at cap z.
-
-    With a1 = 0 the Q-weighted tail is not read, as in `closure_evaluator`:
-    for a finite q its term a1 (E_P[Q 1{Q < z}] - q E_P[1{Q < z}]) is then
-    exactly zero, so E_P[1{Q < z}] alone is the value bit for bit.
-    """
-    if z < 0:
-        raise ValueError("cap z must be nonnegative")
-    e0 = _pois_ind_below(s.q, z)
-    if s.a1 == 0.0:
-        return e0
-    return _surrogate_value(s, e0, _pois_q_ind_below(s.q, z))
-
-
-def expected_q_times_overflow(s: SurrogateParams, c: int) -> float:
-    """E_s[Q (Q - c)^+]."""
-    if c < 0:
-        raise ValueError("threshold c must be nonnegative")
-    return _surrogate_value(s, _pois_q_overflow(s.q, c),
-                            _pois_q2_overflow(s.q, c))
-
-
-def expected_q_times_min(s: SurrogateParams, c: int) -> float:
-    """E_s[Q (Q ^ c)] = E_s[Q^2] - E_s[Q (Q - c)^+]."""
-    return surrogate_moment(s, 2) - expected_q_times_overflow(s, c)
-
-
-def expected_q_times_indicator_below(s: SurrogateParams, z: int) -> float:
-    """E_s[Q 1{Q < z}]."""
-    if z < 0:
-        raise ValueError("cap z must be nonnegative")
-    return _surrogate_value(s, _pois_q_ind_below(s.q, z),
-                            _pois_q2_ind_below(s.q, z))
-
-
-@dataclass
-class CovarianceTerms:
-    """Cov[Q, .] assemblies under one surrogate, as E[XY] - E[X]E[Y]."""
-
-    overflow: float
-    minimum: float
-    below: float | None
-
-
-def covariance_terms(s: SurrogateParams, c: int,
-                     z: int | None) -> CovarianceTerms:
-    mean = surrogate_moment(s, 1)
-    cov_ovf = expected_q_times_overflow(s, c) - mean * expected_overflow(s, c)
-    cov_min = expected_q_times_min(s, c) - mean * expected_min(s, c)
-    cov_below = None
-    if z is not None:
-        cov_below = expected_q_times_indicator_below(s, z) \
-            - mean * expected_indicator_below(s, z)
-    return CovarianceTerms(overflow=cov_ovf, minimum=cov_min, below=cov_below)
+def surrogate_moment(s: SurrogateParams, k: int) -> float:
+    """E_s[Q^k], the last entry of `surrogate_moments(s, k)`; 1.0 at k = 0."""
+    if k < 0:
+        raise ValueError("moment order must be nonnegative")
+    return surrogate_moments(s, k)[-1] if k else 1.0
 
 
 # per closure functional: its highest power of Q in E_s[f], and its
@@ -220,25 +113,27 @@ _FUNCTIONALS = {
 
 def _block(s: SurrogateParams, below: bool, c: int, width: int) -> list:
     """[E_s[Q^j f] for j < width <= 2] of f = 1{Q < c} (below) or
-    (Q - c)^+, each Poisson value in the closed forms' float operations
-    and each tail, P(Q <= c - 1 - j) or G(q, c - j), read once."""
+    (Q - c)^+. Chen-Stein reduces each Poisson block E_P[Q^j f] to the
+    tails t_j, P(Q <= c - 1 - j) or G(q, c - j); each is read once, and
+    none that feeds only the a1 terms, exactly zero, when a1 = 0."""
     q, a1 = s.q, s.a1
     depth = width + (a1 != 0.0)   # E_P[Q^j f] for j < depth
     if below:
-        t = [lower_tail(q, c - 1 - j) for j in range(depth)]
-        p = [t[0]]
+        p = [lower_tail(q, c - 1)]
         if depth > 1:
-            p.append(q * t[1])
+            t1 = lower_tail(q, c - 2)
+            p.append(q * t1)
         if depth > 2:
-            p.append(q * (q * t[2] + t[1]))
+            p.append(q * (q * lower_tail(q, c - 3) + t1))
     else:
-        t = [upper_tail(q, c - j) for j in range(depth + 1)]
-        p = [q * t[1] - c * t[0]]
+        t0, t1 = upper_tail(q, c), upper_tail(q, c - 1)
+        p = [q * t1 - c * t0]
         if depth > 1:
-            p.append(q * q * t[2] - q * (c - 1) * t[1])
+            t2 = upper_tail(q, c - 2)
+            p.append(q * q * t2 - q * (c - 1) * t1)
         if depth > 2:
-            p.append(q * ((q * q * t[3] - q * (c - 2) * t[2])
-                          + (q * t[2] - (c - 1) * t[1])))
+            p.append(q * ((q * q * upper_tail(q, c - 3) - q * (c - 2) * t2)
+                          + (q * t2 - (c - 1) * t1)))
     return p if a1 == 0.0 else [lo + a1 * (hi - q * lo)
                                 for lo, hi in zip(p, p[1:])]
 
@@ -248,8 +143,7 @@ def closure_evaluator(g: tuple, d: tuple, first: bool):
     the covariances None unless `first`, for rates g and d given as
     (functional, coefficient) terms: ("1",), ("x",), ("x2",), ("min", c)
     for x ^ c, ("over", c) for (x - c)^+ or ("below", z) for 1{x < z}.
-    Each Poisson value it needs is read once (none that feeds only a1
-    terms when a1 = 0) and combined as the closed forms combine it."""
+    Each Poisson value it needs is read once."""
     terms = (*g, *d)
     if any(f[0] not in _FUNCTIONALS or f[1:] and f[1] < 0 for f, _ in terms):
         raise ValueError(f"closure terms {terms!r} leave the vocabulary")
@@ -273,6 +167,62 @@ def closure_evaluator(g: tuple, d: tuple, first: bool):
                 e[r + 2] += coef * (v[1] - m[1] * v[0])
         return tuple(e) if first else (e[0], e[1], None, None)
     return evaluate
+
+
+def expected_overflow(s: SurrogateParams, c: int) -> float:
+    """E_s[(Q - c)^+], the expected number of waiting customers."""
+    if c < 0:
+        raise ValueError("threshold c must be nonnegative")
+    return _block(s, False, c, 1)[0]
+
+
+def expected_min(s: SurrogateParams, c: int) -> float:
+    """E_s[Q ^ c] via the identity Q ^ c = Q - (Q - c)^+."""
+    return surrogate_moment(s, 1) - expected_overflow(s, c)
+
+
+def expected_indicator_below(s: SurrogateParams, z: int) -> float:
+    """E_s[1{Q < z}]; the Erlang-loss admission probability at cap z."""
+    if z < 0:
+        raise ValueError("cap z must be nonnegative")
+    return _block(s, True, z, 1)[0]
+
+
+def expected_q_times_overflow(s: SurrogateParams, c: int) -> float:
+    """E_s[Q (Q - c)^+]."""
+    if c < 0:
+        raise ValueError("threshold c must be nonnegative")
+    return _block(s, False, c, 2)[1]
+
+
+def expected_q_times_min(s: SurrogateParams, c: int) -> float:
+    """E_s[Q (Q ^ c)] = E_s[Q^2] - E_s[Q (Q - c)^+]."""
+    return surrogate_moment(s, 2) - expected_q_times_overflow(s, c)
+
+
+def expected_q_times_indicator_below(s: SurrogateParams, z: int) -> float:
+    """E_s[Q 1{Q < z}]."""
+    if z < 0:
+        raise ValueError("cap z must be nonnegative")
+    return _block(s, True, z, 2)[1]
+
+
+@dataclass
+class CovarianceTerms:
+    """Cov[Q, .] assemblies under one surrogate, as E[XY] - E[X]E[Y]."""
+
+    overflow: float
+    minimum: float
+    below: float | None
+
+
+def covariance_terms(s: SurrogateParams, c: int,
+                     z: int | None) -> CovarianceTerms:
+    """Cov_s[Q, f] for f = (Q - c)^+, Q ^ c and, given z, 1{Q < z}."""
+    return CovarianceTerms(*(
+        None if f[1] is None
+        else closure_evaluator(((f, 1.0),), (), True)(s)[2]
+        for f in (("over", c), ("min", c), ("below", z))))
 
 
 def delay_probability(s: SurrogateParams, c: int) -> float:

@@ -255,9 +255,13 @@ class ExperimentConfig:
     def initial_pmf(self) -> np.ndarray:
         """The init's pmf on {0..x_max()}. A Poisson init whose weights on
         {0..x_max()} all underflow to zero raises ConfigError: there is no
-        mass to normalise."""
+        mass to normalise. An X_max past numpy's array size limit raises
+        MemoryError, as one past the machine's memory does."""
         x_max = self.x_max()
-        p0 = np.zeros(x_max + 1)
+        try:
+            p0 = np.zeros(x_max + 1)
+        except ValueError as exc:   # "array is too big" and the like
+            raise MemoryError(f"pmf on {{0..X_max={x_max}}}: {exc}") from None
         if self.init["kind"] == "point":
             p0[int(self.init["value"])] = 1.0
         else:

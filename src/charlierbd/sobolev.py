@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
-from .special import falling_factorial_vec
+from .special import falling_factorial_vec, poisson_log_weight
 
 __all__ = [
     "DivergenceError",
@@ -32,16 +31,12 @@ class DivergenceError(ValueError):
     """Inverse-weighted norm summand fails to decay at the truncation bound."""
 
 
-def _log_weight(a: float, xs: np.ndarray) -> np.ndarray:
-    return xs * math.log(a) - a - _sp.gammaln(xs + 1)
-
-
 def _summand(q: np.ndarray, a: float, k: int, inverse: bool) -> np.ndarray:
     """Termwise a^{-k} ff(x,k) q(x)^2 omega(x), computed safely in log space
     for the inverse weight."""
     xs = np.arange(q.size, dtype=float)
     ff = falling_factorial_vec(xs, k)
-    logw = _log_weight(a, xs)
+    logw = poisson_log_weight(a, xs)
     if not inverse:
         return a ** (-k) * ff * q * q * np.exp(logw)
     # q(x)^2 / w(x) via logs to dodge overflow of 1/w alone
@@ -111,7 +106,7 @@ def isometry_residual(p, a: float, m: int) -> float:
     """| ||w p||_{h^m(w^-1)} - ||p||_{h^m(w)} |; zero when p lies in h^m(w)."""
     p = np.asarray(p, dtype=float)
     xs = np.arange(p.size, dtype=float)
-    w = np.exp(_log_weight(a, xs))
+    w = np.exp(poisson_log_weight(a, xs))
     lhs = seq_norm(w * p, a, m, inverse=True)
     rhs = seq_norm(p, a, m, inverse=False)
     return abs(lhs - rhs)

@@ -18,6 +18,7 @@ from scipy.special import cython_special as _cs
 
 __all__ = [
     "poisson_weight",
+    "poisson_log_weight",
     "poisson_pmf",
     "upper_tail",
     "lower_tail",
@@ -39,6 +40,11 @@ def poisson_weight(a: float, x: int) -> float:
     return math.exp(x * math.log(a) - a - math.lgamma(x + 1))
 
 
+def poisson_log_weight(a: float, xs: np.ndarray) -> np.ndarray:
+    """log w(xs; a) = xs log a - a - log Gamma(xs + 1) elementwise, a > 0."""
+    return xs * math.log(a) - a - _sp.gammaln(xs + 1)
+
+
 def poisson_pmf(a: float, x_max: int) -> np.ndarray:
     """Poisson weights on {0..x_max} as an array."""
     if a < 0:
@@ -48,7 +54,7 @@ def poisson_pmf(a: float, x_max: int) -> np.ndarray:
         p = np.zeros(x_max + 1)
         p[0] = 1.0
         return p
-    return np.exp(xs * math.log(a) - a - _sp.gammaln(xs + 1))
+    return np.exp(poisson_log_weight(a, xs))
 
 
 def upper_tail(q: float, c: int) -> float:

@@ -120,6 +120,27 @@ def test_out_of_memory_exits_1(cfg_path, tmp_path, monkeypatch, caplog):
     assert errors == ["out of memory: Unable to allocate 72.8 TiB"]
 
 
+@pytest.mark.parametrize("cmd", ["solve-reference", "validate", "table",
+                                 "figures"])
+@pytest.mark.parametrize("x_max", [2 ** 60, 2 ** 63 - 1],
+                         ids=["2_60", "2_63_minus_1"])
+def test_x_max_past_numpys_size_limit_is_out_of_memory(cfg_path, tmp_path,
+                                                       capsys, caplog, cmd,
+                                                       x_max):
+    # numpy refuses these sizes with a ValueError of its own, where 2^40
+    # already fails to allocate: both are the one out-of-memory line
+    cfg = json.loads(cfg_path.read_text())
+    cfg["X_max"] = x_max
+    cfg_path.write_text(json.dumps(cfg))
+    out = [] if cmd == "validate" else ["-o", str(tmp_path / "out.csv")]
+    with caplog.at_level(logging.INFO, logger="charlierbd"):
+        assert main([cmd, str(cfg_path), *out]) == 1
+    error, = [r.getMessage() for r in caplog.records
+              if r.levelname == "ERROR"]
+    assert error.startswith(f"out of memory: pmf on {{0..X_max={x_max}}}: ")
+    assert capsys.readouterr().out == ""
+
+
 def test_figures_logs_the_over_dispersion_fallback(cfg_path, tmp_path,
                                                    caplog):
     out = tmp_path / "f.csv"

@@ -15,7 +15,7 @@ from charlierbd.closure import (SurrogateParams, closure_evaluator,
                                 surrogate_pmf)
 from charlierbd.harness import ExperimentConfig
 from charlierbd.solve import TimeGrid, solve_closure
-from charlierbd.special import adaptive_support_bound
+from charlierbd.special import adaptive_support_bound, lower_tail
 
 Q_GRID = [0.3, 1.0, 4.5, 20.0, 75.0]
 C_GRID = [0, 1, 3, 10, 40]
@@ -41,6 +41,14 @@ def check(got, want):
         assert got == pytest.approx(want, abs=1e-9)
     else:
         assert got == pytest.approx(want, rel=1e-9)
+
+
+def check_cov(got, exy, ex, ey):
+    # covariances cancel two like-sized products, so the achievable
+    # float64 accuracy is 1e-9 of the gross (pre-cancellation) scale
+    want = exy - ex * ey
+    scale = max(abs(exy), abs(ex * ey), 1.0)
+    assert got == pytest.approx(want, abs=1e-9 * scale)
 
 
 class TestClosedFormsAgainstBruteSums:
@@ -82,13 +90,6 @@ class TestClosedFormsAgainstBruteSums:
                       brute(s, lambda x: x * (x < c) * 1.0))
 
     def test_covariances(self):
-        # covariances cancel two like-sized products, so the achievable
-        # float64 accuracy is 1e-9 of the gross (pre-cancellation) scale
-        def check_cov(got, exy, ex, ey):
-            want = exy - ex * ey
-            scale = max(abs(exy), abs(ex * ey), 1.0)
-            assert got == pytest.approx(want, abs=1e-9 * scale)
-
         for s in surrogates():
             for c in C_GRID:
                 terms = covariance_terms(s, c, z=c)
@@ -108,6 +109,30 @@ class TestClosedFormsAgainstBruteSums:
             for c in C_GRID:
                 check(delay_probability(s, c), brute(s, lambda x: (x >= c) * 1.0))
 
+    # the evaluator's six functionals, each a coefficient-1.0 rate on its
+    # own, so that (E_s[f], Cov_s[Q, f]) come from the code the closure
+    # solver runs
+    FUNCTIONALS = [(("1",), lambda x: 1.0 + 0.0 * x),
+                   (("x",), lambda x: x * 1.0),
+                   (("x2",), lambda x: x * x * 1.0)] + [
+        (f, fx) for c in C_GRID for f, fx in (
+            (("min", c), lambda x, c=c: np.minimum(x, c) * 1.0),
+            (("over", c), lambda x, c=c: np.maximum(x - c, 0.0)),
+            (("below", c), lambda x, c=c: (x < c) * 1.0))]
+
+    @pytest.mark.parametrize("first", [False, True])
+    def test_evaluator_functionals(self, first):
+        for s in surrogates():
+            mean = brute(s, lambda x: x * 1.0)
+            for f, fx in self.FUNCTIONALS:
+                e, _, cov, _ = closure_evaluator(((f, 1.0),), (), first)(s)
+                ef = brute(s, fx)
+                check(e, ef)
+                if not first:
+                    assert cov is None
+                    continue
+                check_cov(cov, brute(s, lambda x: x * fx(x)), mean, ef)
+
 
 @pytest.mark.parametrize("q", [1e-9, 0.3, 4.5, 100.3, 600.0])
 @pytest.mark.parametrize("z", [0, 1, 5, 100, 700])
@@ -115,9 +140,9 @@ def test_indicator_below_at_zero_a1_skips_the_weighted_tail(monkeypatch,
                                                              q, z):
     # the a1 term a1 (e1 - q e0) is exactly zero at a1 = 0, so only the
     # unweighted tail is read and the value is bit for bit that of the
-    # full closed form
-    e0 = closure._pois_ind_below(q, z)
-    want = e0 + 0.0 * (closure._pois_q_ind_below(q, z) - q * e0)
+    # full closed form, e0 = P(Q <= z - 1) and e1 = q P(Q <= z - 2)
+    e0 = lower_tail(q, z - 1)
+    want = e0 + 0.0 * (q * lower_tail(q, z - 2) - q * e0)
     calls = []
     tail = closure.lower_tail
     monkeypatch.setattr(closure, "lower_tail",

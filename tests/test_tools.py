@@ -1,11 +1,16 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from charlierbd.cli import _write_traj_csv
+from charlierbd.solve import Trajectory
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import bench_pairs  # noqa: E402
 import coverage_pairs  # noqa: E402
+import output_hashes  # noqa: E402
 
 WALL = {"name": "wall_s", "better": "lower", "bound": 0.25}
 
@@ -59,3 +64,23 @@ def test_commits_fall_back_to_the_given_names(tmp_path):
         == {"parent": "abc", "change": "def"}
     assert bench_pairs.commits(roots, None) \
         == {"parent": None, "change": None}
+
+
+def test_full_precision_digest_sees_what_the_csv_rounds_away(tmp_path):
+    # two series one ulp apart print the same %.6e cells
+    times = np.linspace(0.0, 1.0, 11)
+    mean = 10.0 + np.sin(times)
+    twins = [Trajectory(times=times, meta={"n_steps": 10}, mean=m,
+                        variance=mean.copy())
+             for m in (mean, np.nextafter(mean, np.inf))]
+    csvs = []
+    for i, traj in enumerate(twins):
+        _write_traj_csv(traj, tmp_path / f"{i}.csv", cols=("mean",
+                                                           "variance"))
+        csvs.append(output_hashes.sha256(tmp_path / f"{i}.csv"))
+    assert csvs[0] == csvs[1]
+    digests = [output_hashes.digest(traj) for traj in twins]
+    assert digests[0] != digests[1]
+    assert digests[0] == output_hashes.digest(Trajectory(
+        times=times.copy(), meta={"n_steps": 10, "wall_s": 0.5},
+        mean=mean.copy(), variance=mean.copy()))

@@ -1,5 +1,6 @@
 """sha256 of every CSV that 36 CLI runs write: seven runs on each of five
-configs, and `table` on a sixth.
+configs, and `table` on a sixth; and of the solves behind them at full
+precision.
 
     python3 tools/output_hashes.py CHECKOUT OUTDIR
 
@@ -9,8 +10,12 @@ perfbench's tests and on small infinite-server and Erlang-loss configs,
 so that every model kind's closure runs; runs `table` on a config whose
 basis search loses 6 of its 22 candidates to blow-ups; and writes
 OUTDIR/hashes.json, mapping "<config>/<run>" to the sha256 of that run's
-CSV. Run it on two checkouts and diff the two files: a change that keeps
-every output byte-identical leaves them equal. Takes about 40 s on 2
+CSV. A CSV cell keeps 7 significant digits, so for each config a fresh
+interpreter also runs the reference, both closures, `run_galerkin` at
+N=3 and a 2000-path simulation, and "<config>/full/<solve>" maps to the
+`digest` of each result: its float arrays byte for byte and its integer
+meta. Run it on two checkouts and diff the two files: a change that keeps
+every output bit-identical leaves them equal. Takes about 60 s on 2
 vCPUs.
 """
 
@@ -20,6 +25,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 # the config `SMALL` of perfbench/test_perfbench.py
 SMALL = {
@@ -73,7 +80,43 @@ def sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def digest(traj) -> str:
+    """sha256 of a solver result's float arrays, each named, shaped and
+    byte for byte, and of its integer meta (its float meta holds wall
+    times)."""
+    h = hashlib.sha256()
+    for name, v in vars(traj).items():
+        if isinstance(v, np.ndarray) and v.dtype.kind == "f":
+            h.update(f"{name} {v.dtype} {v.shape}".encode())
+            h.update(v.tobytes())
+    h.update(json.dumps({k: int(v) for k, v in traj.meta.items()
+                         if isinstance(v, (int, np.integer))},
+                        sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def full_precision(cfg_path) -> dict:
+    """Solve name -> `digest` of the solves behind one config's CSVs, run
+    as the CLI runs them; imports the charlierbd on the path."""
+    from charlierbd import harness
+    from charlierbd.solve import TimeGrid, solve_closure
+
+    cfg = harness.ExperimentConfig.from_file(cfg_path)
+    out = {"reference": harness.run_reference(cfg)}
+    for order in ("zeroth", "first"):
+        out[f"closure-{order}"] = solve_closure(
+            cfg.kind, cfg.params(), order, cfg.initial_state(), cfg.grid())
+    out["galerkin-3"] = harness.run_galerkin(cfg, 3)
+    cfg.n_paths = 2000
+    out["simulation"] = harness.run_simulation(
+        cfg, TimeGrid(cfg.t0, cfg.T, 0.01, 0.01))
+    return {name: digest(traj) for name, traj in out.items()}
+
+
 def main(argv) -> int:
+    if argv[:1] == ["--full"]:   # the child run of one config
+        print(json.dumps(full_precision(argv[1])))
+        return 0
     if len(argv) != 2:
         print("usage: python3 tools/output_hashes.py CHECKOUT OUTDIR",
               file=sys.stderr)
@@ -105,6 +148,11 @@ def main(argv) -> int:
                             str(cfg), *args[1:], "-o", str(csv)],
                            env=env, check=True)
             hashes[f"{name}/{run}"] = sha256(csv)
+        full = subprocess.run([sys.executable, __file__, "--full", str(cfg)],
+                              env=env, check=True, stdout=subprocess.PIPE,
+                              text=True).stdout
+        for solve, h in json.loads(full).items():
+            hashes[f"{name}/full/{solve}"] = h
     (outdir / "hashes.json").write_text(json.dumps(hashes, indent=1) + "\n")
     return 0
 
