@@ -17,12 +17,18 @@ import os
 import sys
 import warnings
 
-import numpy as np
+# One BLAS thread unless the caller set a count: the CLI's matrices are
+# small, and with two threads basis tuning stalled for over a second in
+# some processes. OpenBLAS reads this once, when numpy first loads it, so
+# it is set before the first import that loads numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__, harness
-from .harness import ConfigError, ExperimentConfig
-from .solve import (IntegrationError, RateBoundError, SolverError,
-                    TimeGrid, solve_closure)
+import numpy as np  # noqa: E402
+
+from . import __version__, harness  # noqa: E402
+from .harness import ConfigError, ExperimentConfig  # noqa: E402
+from .solve import (IntegrationError, RateBoundError,  # noqa: E402
+                    SolverError, TimeGrid, solve_closure)
 
 log = logging.getLogger("charlierbd")
 

@@ -8,6 +8,7 @@ bit-identical trajectories.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -58,8 +59,9 @@ class RateBoundError(RuntimeError):
 @dataclass(frozen=True)
 class TimeGrid:
     """Output times every dt_out on [t0, T], each output step split into
-    `substeps` RK4 steps of dt_int. Construction sets the read-only
-    `times` and raises ValueError for any other layout."""
+    `substeps` RK4 steps of dt_int. Construction checks the layout and
+    raises ValueError for any other; the read-only `times` are built on
+    first use, so a grid made only to validate a layout builds none."""
 
     t0: float
     T: float
@@ -80,9 +82,13 @@ class TimeGrid:
         if abs(n_sub * self.dt_int - self.dt_out) > 1e-9 * self.dt_out:
             raise ValueError("dt_out must be an integer multiple of dt_int")
         object.__setattr__(self, "substeps", n_sub)
-        object.__setattr__(self, "times",
-                           self.t0 + self.dt_out * np.arange(n_out + 1))
-        self.times.flags.writeable = False
+        object.__setattr__(self, "n_out", n_out)
+
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        times = self.t0 + self.dt_out * np.arange(self.n_out + 1)
+        times.flags.writeable = False
+        return times
 
     def coarsened(self, dt_out: float, dt_int: float) -> "TimeGrid":
         """The grid on [t0, T] with these steps if valid, else the nearest
@@ -139,25 +145,40 @@ def _check_finite(block, times):
             f"non-finite state at t={times[np.argmin(ok)]:.6g}")
 
 
-def integrate(rhs, y0, grid: TimeGrid, reduce=lambda b: b) -> Trajectory:
-    """Integrate y' = rhs(t, y) with fixed-step RK4 at dt_int, aligned with
-    the output grid.
+def integrate(rhs, y0, grid: TimeGrid, reduce=lambda b: b, h_max=None,
+              watch=None) -> Trajectory:
+    """Integrate y' = rhs(t, y) with RK4 on the output grid: fixed steps
+    of dt_int aligned with the output times or, when h_max exceeds
+    dt_int, error-controlled steps between dt_int and h_max whose node
+    states fill the output times by cubic Hermite interpolation.
 
-    y0 may have any shape. At most _BLOCK output states are held at once:
-    each block of consecutive states, a (rows,) + y0.shape stack, is
-    replaced by reduce(block), one row per state, and values stacks the
-    reduced rows. The default reduce keeps the states, so values has shape
+    y0 may have any shape. At most _BLOCK states are held at once: each
+    block of consecutive states, a (rows,) + y0.shape stack, is replaced
+    by reduce(block), one row per state, and values stacks the reduced
+    rows. The default reduce keeps the states, so values has shape
     (n_times,) + y0.shape; one that reduces each state to a few sums keeps
     memory at O(_BLOCK y0.size + n_times row size), not O(n_times y0.size).
-    meta records the steps taken (n_steps) and the right-hand-side
-    evaluations (n_rhs). The stepped states of a block are checked just
-    before it is reduced: a non-finite one raises IntegrationError at its
-    output time, the first such time of the run. The steps of the block
-    after it are taken and dropped, so numpy may warn of invalid values
-    on the way; a FloatingPointError that they raise (numpy's "raise"
-    error mode) becomes that same IntegrationError.
+    watch, if given, sees every block of states just before reduce does,
+    the initial state included; its return value is dropped. The stepped
+    states of a block are checked first: a non-finite one raises
+    IntegrationError at its time, the first such time of the run. The
+    steps of the block after it are taken and dropped, so numpy may warn
+    of invalid values on the way; a FloatingPointError that they raise
+    (numpy's "raise" error mode) becomes that same IntegrationError.
+
+    At fixed step the states are the output states. Under error control
+    (see `_integrate_controlled`) they are the node states, and reduce
+    also maps each block of node slopes, so it must be linear for the
+    interpolated rows to mean anything. meta records the steps taken
+    (n_steps), the right-hand-side evaluations (n_rhs), the largest step
+    allowed (h_max: dt_int at fixed step), the steps rejected (n_rejected)
+    and taken at dt_int although rejected (n_floor), and the sum of the
+    taken steps' error estimates (err_l1); the last three read 0 at fixed
+    step, which estimates nothing.
     """
     y0 = np.asarray(y0, dtype=float)
+    if h_max is not None and h_max > grid.dt_int:
+        return _integrate_controlled(rhs, y0, grid, reduce, watch, h_max)
     times = grid.times
     n_sub = grid.substeps
     block = np.empty((_BLOCK,) + y0.shape)
@@ -172,6 +193,8 @@ def integrate(rhs, y0, grid: TimeGrid, reduce=lambda b: b) -> Trajectory:
         # the initial state is not a stepped one and is not checked
         skip = int(start == 0)
         _check_finite(rows[skip:], times[start + skip:start + len(rows)])
+        if watch is not None:
+            watch(rows)
 
     try:
         for i in range(times.size - 1):
@@ -193,7 +216,117 @@ def integrate(rhs, y0, grid: TimeGrid, reduce=lambda b: b) -> Trajectory:
     n_steps = (times.size - 1) * n_sub
     return Trajectory(times=times, values=out,
                       meta={"dt_int": h, "n_steps": n_steps,
-                            "n_rhs": 4 * n_steps})
+                            "n_rhs": 4 * n_steps, "h_max": h,
+                            "n_rejected": 0, "n_floor": 0, "err_l1": 0.0})
+
+
+# error-controlled RK4: the estimate allowed per unit step, relative to the
+# l1 norm of the initial state
+_STEP_TOL = 3e-9
+# RK4's stability interval on the negative real axis is [-2.785, 0]
+_RK4_STABLE = 2.785
+
+
+def _integrate_controlled(rhs, y0, grid: TimeGrid, reduce, watch,
+                          h_max: float) -> Trajectory:
+    """`integrate` with error-controlled RK4 steps from grid.t0 to grid.T
+    (Hairer, Norsett and Wanner, Solving ODEs I, II.4).
+
+    Each step is a classical RK4 step. Its local error estimate is the
+    order-3 one that comes free with RK4, h/6 ||k4 - k5||_1, where
+    k5 = rhs(t + h, y_new) serves as the next step's k1. A step is taken
+    when the estimate is at most _STEP_TOL h ||y0||_1. The next step is
+    h (0.9 (bound / estimate)^(1/3)), moved by at most a factor of 5 and
+    kept within [dt_int, h_max]; a step at dt_int is taken even when it
+    fails the test. The last step ends on grid.T.
+
+    The node states and their slopes k1 go to reduce in blocks of
+    _BLOCK, and each block's reduced rows fill the output times up to its
+    last node by cubic Hermite interpolation, so memory stays
+    O(_BLOCK y0.size + n_times row size)."""
+    times = grid.times
+    t_end, floor = times[-1], grid.dt_int
+    tol = _STEP_TOL * float(np.abs(y0).sum())
+    states = np.empty((_BLOCK,) + y0.shape)
+    slopes = np.empty_like(states)
+    t, y, f = times[0], y0, rhs(times[0], y0)
+    node_t, states[0], slopes[0] = [t], y0, f
+    prev = None   # (time, reduced state, reduced slope) of the last node
+    done = []
+    filled = 0   # output times interpolated so far
+    h = floor
+    n_steps = n_rejected = n_floor = 0
+    n_rhs, err_l1 = 1, 0.0
+
+    def check(k):
+        # the initial state is not a stepped one and is not checked
+        skip = int(prev is None)
+        _check_finite(states[skip:k], node_t[skip:k])
+
+    def flush(k):
+        nonlocal prev, filled
+        check(k)
+        if watch is not None:
+            watch(states[:k])
+        ts, ys, fs = np.array(node_t[:k]), reduce(states[:k]), \
+            reduce(slopes[:k])
+        if prev is not None:
+            ts = np.concatenate([[prev[0]], ts])
+            ys = np.concatenate([prev[1][None], ys])
+            fs = np.concatenate([prev[2][None], fs])
+        prev = ts[-1], ys[-1].copy(), fs[-1].copy()
+        upto = np.searchsorted(times, ts[-1], side="right")
+        out = times[filled:upto]
+        i = np.maximum(np.searchsorted(ts, out) - 1, 0)
+        dt = (ts[i + 1] - ts[i]).reshape((-1,) + (1,) * (ys.ndim - 1))
+        s = (out - ts[i]).reshape(dt.shape) / dt
+        done.append(_cubic(s, ys[i], dt * fs[i], ys[i + 1], dt * fs[i + 1]))
+        filled = upto
+
+    k = 1   # nodes held in states
+    try:
+        while t < t_end:
+            last = h >= t_end - t
+            step = t_end - t if last else h
+            t_new = t_end if last else t + step
+            half = 0.5 * step
+            k2 = rhs(t + half, y + half * f)
+            k3 = rhs(t + half, y + half * k2)
+            k4 = rhs(t_new, y + step * k3)
+            y_new = y + (step / 6.0) * (f + 2.0 * k2 + 2.0 * k3 + k4)
+            k5 = rhs(t_new, y_new)
+            n_rhs += 4
+            err = step / 6.0 * float(np.abs(k4 - k5).sum())
+            bound = tol * step
+            ok = err <= bound
+            if ok or step <= floor:
+                n_steps += 1
+                n_floor += not ok
+                err_l1 += err
+                if k == _BLOCK:
+                    flush(k)
+                    states, slopes = np.empty_like(states), \
+                        np.empty_like(slopes)
+                    node_t, k = [], 0
+                t, y, f = t_new, y_new, k5
+                node_t.append(t)
+                states[k], slopes[k] = y, f
+                k += 1
+            else:
+                n_rejected += 1
+            # a non-finite estimate shrinks the step by the largest factor
+            grow = 0.9 * (bound / err) ** (1 / 3) if err else 5.0
+            h = min(h_max, max(floor, step * min(5.0, max(0.2, grow))))
+    except FloatingPointError:
+        # a step after a blow-up held in the block: report the blow-up
+        check(k)
+        raise
+    flush(k)
+    return Trajectory(times=times, values=np.concatenate(done),
+                      meta={"dt_int": floor, "n_steps": n_steps,
+                            "n_rhs": n_rhs, "h_max": float(h_max),
+                            "n_rejected": n_rejected, "n_floor": n_floor,
+                            "err_l1": float(err_l1)})
 
 
 # RK4 on y' = y A(t) with A = M0 + lam(t) M1 is one step y <- y + y D
@@ -344,14 +477,25 @@ def solve_reference(model: BirthDeathModel, p0, grid: TimeGrid,
     A(t) is the generator of the rate vectors (lam(t) g, d) from
     `affine_rates`, so no rate callable runs inside the step loop. Emits
     direct-sum cumulants at each output time and, for a model with `c`
-    servers (c not None), the delay probability P(X >= c). No pmf stack
-    is kept: `integrate` reduces each block of output pmfs to these sums,
-    so memory is O(_BLOCK (X_max+1) + n_times). Diagnoses mass
-    conservation and the probability mass parked at the truncation
-    boundary (warning above 1e-8, error above 1e-6); meta carries both,
-    the smallest entry of any output pmf (pmf_min) and the wall time of
-    the whole call (wall_s). A blow-up raises IntegrationError naming the
-    reference.
+    servers (c not None), the delay probability P(X >= c).
+
+    `integrate` steps under error control, between dt_int and a cap of
+    min(_NODE_STEP_MAX, 2.785 / rho), rho = 2 max_x(lam_bar g(x) + d(x))
+    being the Gershgorin bound of every A(t) on [t0, T] with lam_bar =
+    lam.sup(t0, T): RK4 is stable for h rho <= 2.785 on the real
+    spectrum of a birth-death generator. A cap at or below dt_int, or a
+    drive without `sup`, steps at dt_int on the output grid as before.
+    No pmf stack is kept: `integrate` reduces each block of node pmfs and
+    of their slopes to the mass, raw moments 1-4 and delay, all linear in
+    p, and interpolates those, so memory is O(_BLOCK (X_max+1) + n_times).
+    Diagnoses mass conservation and the probability mass parked at the
+    truncation boundary (warning above 1e-8, error above 1e-6); meta
+    carries both, the smallest entry of any pmf (pmf_min), the step
+    control's counts from `integrate` and the wall time of the whole call
+    (wall_s). The boundary mass and pmf_min, which are not linear in p,
+    are taken at the states stepped to only: the output times at fixed
+    step, the nodes under error control. A blow-up raises
+    IntegrationError naming the reference.
     """
     start = time.perf_counter()
     p0 = np.asarray(p0, dtype=float)
@@ -359,27 +503,36 @@ def solve_reference(model: BirthDeathModel, p0, grid: TimeGrid,
     g, d = affine_rates(model, grid.times, X_max)
     lam = model.lam
     powers = [np.arange(X_max + 1, dtype=float) ** k for k in (1, 2, 3, 4)]
+    h_max = None
+    if hasattr(lam, "sup"):
+        rho = 2 * float(np.max(float(lam.sup(grid.t0, grid.T)) * g + d))
+        h_max = (_RK4_STABLE / rho if rho * _NODE_STEP_MAX > _RK4_STABLE
+                 else _NODE_STEP_MAX)
 
     def rhs(t, p):
         return generator_apply(lam(t) * g, d, p)
 
     def reduce(block):
-        # per pmf: mass, boundary mass, smallest entry, raw moments 1-4
-        # and, with servers, the delay probability
-        cols = [block.sum(axis=1), np.abs(block[:, -1]), block.min(axis=1),
-                *(block @ x for x in powers)]
+        # per pmf: mass, raw moments 1-4 and, with servers, the delay
+        # probability
+        cols = [block.sum(axis=1), *(block @ x for x in powers)]
         if c is not None:
             cols.append(block[:, c:].sum(axis=1))
         return np.stack(cols, axis=1)
 
+    seen = [0.0, np.inf]   # largest boundary mass, smallest entry
+
+    def watch(block):
+        seen[0] = max(seen[0], float(np.max(np.abs(block[:, -1]))))
+        seen[1] = min(seen[1], float(np.min(block)))
+
     try:
-        traj = integrate(rhs, p0, grid, reduce)
+        traj = integrate(rhs, p0, grid, reduce, h_max, watch)
     except IntegrationError as exc:
         raise IntegrationError(f"reference: {exc}") from None
-    mass, bound, low, m1, m2, m3, m4, *delay = traj.values.T
+    mass, m1, m2, m3, m4, *delay = traj.values.T
     mass_resid = float(np.max(np.abs(mass - p0.sum())))
-    boundary = float(np.max(bound))
-    pmf_min = float(np.min(low))
+    boundary, pmf_min = seen
     if boundary > 1e-6:
         raise SolverError(
             f"boundary mass {boundary:.3e} exceeds 1e-6; increase X_max")
@@ -388,15 +541,17 @@ def solve_reference(model: BirthDeathModel, p0, grid: TimeGrid,
                       RuntimeWarning, stacklevel=2)
     m1, var, c3, c4 = _raw_to_cumulants(m1, m2, m3, m4)
     wall = time.perf_counter() - start
-    log.debug("reference: X_max %d, %d steps, mass_residual %.3e, "
-              "boundary_mass %.3e, pmf_min %.3e, %.3f s", X_max,
-              traj.meta["n_steps"], mass_resid, boundary, pmf_min, wall)
+    m = traj.meta
+    log.debug("reference: X_max %d, %d steps, %d rejected, %d at the floor, "
+              "%d rhs calls, mass_residual %.3e, boundary_mass %.3e, "
+              "pmf_min %.3e, %.3f s", X_max, m["n_steps"], m["n_rejected"],
+              m["n_floor"], m["n_rhs"], mass_resid, boundary, pmf_min, wall)
     return Trajectory(times=traj.times, mean=m1, variance=var, cum3=c3,
                       cum4=c4, delay=delay[0] if delay else None,
                       meta={"solver": "reference", "X_max": X_max,
                             "mass_residual": mass_resid,
                             "boundary_mass": boundary, "pmf_min": pmf_min,
-                            "wall_s": wall, **traj.meta})
+                            "wall_s": wall, **m})
 
 
 def solve_galerkin(model: BirthDeathModel, coeffs: list[CoeffVector],
@@ -552,7 +707,8 @@ def _closure_rhs(params, order: str, counts: dict):
 
 
 # closure node steps: the longest tried, and the step-doubling difference,
-# relative to the largest |mean|, below which a node step is taken
+# relative to the largest |mean|, below which a node step is taken; the
+# reference's error-controlled steps share the longest
 _NODE_STEP_MAX = 1e-2
 _NODE_TOL = 1e-11
 
@@ -614,6 +770,13 @@ def _node_spacing(rhs, y0, grid: TimeGrid):
     return 1, None
 
 
+def _cubic(s, y0, hf0, y1, hf1):
+    """The cubic Hermite interpolant at s in [0, 1] of an interval from
+    state y0 to y1 whose end slopes, times its length, are hf0 and hf1."""
+    return (((2 * s - 3) * s * s + 1) * y0 + ((s - 2) * s + 1) * s * hf0
+            + (3 - 2 * s) * s * s * y1 + (s - 1) * s * s * hf1)
+
+
 def _hermite(y: np.ndarray, f: np.ndarray, h: float,
              every: int) -> np.ndarray:
     """Cubic Hermite interpolation of node states y with slopes f (each
@@ -624,11 +787,7 @@ def _hermite(y: np.ndarray, f: np.ndarray, h: float,
     out[::every] = y
     hf = h * f
     for r in range(1, every):
-        s = r / every
-        out[r::every] = (((2 * s - 3) * s * s + 1) * y[:-1]
-                         + ((s - 2) * s + 1) * s * hf[:-1]
-                         + (3 - 2 * s) * s * s * y[1:]
-                         + (s - 1) * s * s * hf[1:])
+        out[r::every] = _cubic(r / every, y[:-1], hf[:-1], y[1:], hf[1:])
     return out
 
 

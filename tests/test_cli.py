@@ -161,6 +161,26 @@ def test_figures_logs_the_over_dispersion_fallback(cfg_path, tmp_path,
     assert re.fullmatch(r"first-order closure \S+ \(\d+ of 1001\)", first)
 
 
+@pytest.mark.parametrize("preset,want", [(None, "1"), ("2", "2")])
+def test_cli_takes_one_blas_thread_unless_told_otherwise(preset, want):
+    # OpenBLAS reads the count when numpy first loads it, so it must be
+    # set before any import of the CLI's loads numpy: the thread count
+    # that OpenBLAS reports (-1 where it cannot be read) shows it was
+    argv, env = cli_command([])
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    code = ("import os, sys, charlierbd.cli; sys.path.insert(0, sys.argv[1]);"
+            " from child import _blas_threads;"
+            " print(os.environ['OPENBLAS_NUM_THREADS'], _blas_threads())")
+    proc = subprocess.run([sys.executable, "-c", code, perfbench], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    variable, threads = proc.stdout.split()
+    assert variable == want and threads in (want, "-1")
+
+
 def test_debug_log_reports_galerkin_batches(cfg_path, tmp_path):
     src = str(Path(charlierbd.__file__).resolve().parents[1])
     env = dict(os.environ, CHARLIER_LOG="debug",

@@ -163,6 +163,13 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             g.times[0] = 1.0
 
+    def test_times_are_built_on_first_use(self):
+        # a config validates its layout with a grid it then drops
+        g = TimeGrid(t0=0.0, T=1.0, dt_out=0.25, dt_int=0.05)
+        assert "times" not in vars(g)
+        times = g.times
+        assert vars(g)["times"] is times
+
     def test_coarsened_keeps_a_valid_layout(self):
         g = TimeGrid(t0=0.0, T=10.0, dt_out=1e-3, dt_int=1e-3)
         c = g.coarsened(0.05, 5e-3)
@@ -185,6 +192,15 @@ class TestTimeGrid:
                                                                   rel=1e-12)
 
 
+def fixed_step(monkeypatch):
+    """Make `solve_reference` step at dt_int whatever its cap: the
+    fixed-step run on the same rhs."""
+    step = solve.integrate
+    monkeypatch.setattr(
+        solve, "integrate", lambda rhs, y0, grid, reduce, h_max, watch:
+        step(rhs, y0, grid, reduce, None, watch))
+
+
 class TestIntegrate:
     def test_exact_on_linear_ode(self):
         # y' = -y, rk4 local error ~ h^5
@@ -193,13 +209,18 @@ class TestIntegrate:
         assert np.max(np.abs(tr.values[:, 0] - np.exp(-tr.times))) < 1e-9
 
     def test_fourth_order_convergence(self):
+        # the reference's rhs and mean, stepped at fixed dt
         model = small_erlang_a()
         x_max = 40
         p0 = poisson_pmf(3.0, x_max)
+        xs = np.arange(x_max + 1, dtype=float)
 
         def run(dt):
             g = TimeGrid(t0=0.0, T=2.0, dt_out=0.5, dt_int=dt)
-            return solve_reference(model, p0, g, None).mean
+            gv, dv = affine_rates(model, g.times, x_max)
+            return integrate(
+                lambda t, p: generator_apply(model.lam(t) * gv, dv, p), p0,
+                g, lambda b: b @ xs).values
 
         fine = run(6.25e-4)
         e1 = np.max(np.abs(run(1e-2) - fine))
@@ -371,6 +392,63 @@ class TestIntegrate:
             integrate(lambda t, y: -y, [np.nan, 1.0], g)
 
 
+class TestControlledIntegrate:
+    """`integrate` with h_max above dt_int: error-controlled RK4 steps
+    whose nodes fill the output times by cubic Hermite interpolation."""
+
+    def test_fills_the_output_times(self):
+        g = TimeGrid(t0=0.0, T=2.0, dt_out=0.01, dt_int=1e-3)
+        tr = integrate(lambda t, y: -y, [1.0], g, h_max=0.05)
+        m = tr.meta
+        assert tr.values.shape == (201, 1) and tr.values[0, 0] == 1.0
+        assert np.max(np.abs(tr.values[:, 0] - np.exp(-g.times))) < 1e-8
+        assert m["h_max"] == 0.05 and m["dt_int"] == 1e-3
+        # a quarter of the 2,000 fixed steps would do
+        assert m["n_steps"] < 500 and m["n_floor"] == 0
+        assert m["n_rhs"] == 1 + 4 * (m["n_steps"] + m["n_rejected"])
+        assert 0.0 < m["err_l1"] <= solve._STEP_TOL * 2.0
+
+    def test_a_pulse_rejects_steps_and_keeps_the_accuracy(self):
+        # y' = -(1 + 5 sech^2((t - 1) / 0.05)) y: steps grown on the calm
+        # before the pulse overshoot it
+        def rhs(t, y):
+            return -(1.0 + 5.0 / np.cosh((t - 1.0) / 0.05) ** 2) * y
+        g = TimeGrid(t0=0.0, T=2.0, dt_out=0.01, dt_int=1e-4)
+        tr = integrate(rhs, [1.0], g, h_max=0.05)
+        t = g.times
+        exact = np.exp(-t - 0.25 * (np.tanh((t - 1.0) / 0.05)
+                                    + np.tanh(20.0)))
+        m = tr.meta
+        assert m["n_rejected"] > 0 and m["n_floor"] == 0
+        assert m["n_rhs"] == 1 + 4 * (m["n_steps"] + m["n_rejected"])
+        assert np.max(np.abs(tr.values[:, 0] - exact)) < 1e-8
+
+    def test_a_step_that_fails_at_the_floor_is_taken_and_counted(self):
+        # stable at dt_int (h lambda = 2 < 2.785) but, tracking sin(50 t),
+        # far from the tolerance at every step
+        g = TimeGrid(t0=0.0, T=0.5, dt_out=0.05, dt_int=0.01)
+        tr = integrate(lambda t, y: -200.0 * (y - np.sin(50.0 * t)), [0.0],
+                       g, h_max=0.013)
+        assert tr.meta["n_steps"] == tr.meta["n_floor"] == 50
+        assert tr.meta["n_rejected"] == 0
+        assert np.all(np.abs(tr.values) <= 1.0)
+
+    def test_blow_up_names_the_first_nonfinite_node(self):
+        # y' = y^2 from 10 leaves every float just after t = 0.1
+        g = TimeGrid(t0=0.0, T=1.0, dt_out=0.5, dt_int=1e-3)
+        with np.errstate(all="ignore"), pytest.raises(IntegrationError,
+                              match=r"^non-finite state at t=0\.10"):
+            integrate(lambda t, y: y * y, [10.0], g, h_max=0.01)
+
+    def test_a_cap_at_dt_int_is_the_fixed_step_run(self):
+        g = TimeGrid(t0=0.0, T=1.0, dt_out=0.1, dt_int=0.01)
+        fixed = integrate(lambda t, y: -y * np.sin(t), [1.0, 2.0], g)
+        capped = integrate(lambda t, y: -y * np.sin(t), [1.0, 2.0], g,
+                           h_max=0.01)
+        assert np.array_equal(capped.values, fixed.values)
+        assert capped.meta == fixed.meta
+
+
 class TestReference:
     def test_infinite_server_scalar_ode(self):
         model = infinite_server(lambda t: 5.0 + np.sin(t))
@@ -429,9 +507,13 @@ class TestReference:
         tr = solve_reference(small_erlang_a(), poisson_pmf(3.0, 30), g, 3)
         assert tr.meta["n_steps"] == 100 and tr.meta["n_rhs"] == 400
         assert tr.meta["wall_s"] > 0.0
+        # the cap 2.785 / 38.8 is above dt_int, so no step is controlled
+        assert tr.meta["h_max"] == 0.01 and tr.meta["err_l1"] == 0.0
+        assert tr.meta["n_rejected"] == tr.meta["n_floor"] == 0
         lines = [r.getMessage() for r in caplog.records]
         m = tr.meta
-        assert lines == ["reference: X_max 30, 100 steps, mass_residual "
+        assert lines == ["reference: X_max 30, 100 steps, 0 rejected, 0 at "
+                         "the floor, 400 rhs calls, mass_residual "
                          f"{m['mass_residual']:.3e}, boundary_mass "
                          f"{m['boundary_mass']:.3e}, pmf_min "
                          f"{m['pmf_min']:.3e}, {m['wall_s']:.3f} s"]
@@ -457,6 +539,62 @@ class TestReference:
             tracemalloc.stop()
         assert g.times.size == 20001 and tr.delay.shape == (20001,)
         assert peak < 4e6
+
+    def test_error_controlled_run_matches_a_fine_fixed_step_run(
+            self, monkeypatch):
+        # the shipped Erlang-A config over T = 2: rho = 2 (120 + 174.5)
+        p, _ = SHIPPED["erlang_a"]
+        p0 = poisson_pmf(100.0, 250)
+        p0 /= p0.sum()
+        grid = TimeGrid(t0=0.0, T=2.0, dt_out=1e-3, dt_int=1e-3)
+        tr = solve_reference(make_model(p), p0, grid, 100)
+        with monkeypatch.context() as m:
+            fixed_step(m)
+            fine = solve_reference(make_model(p), p0,
+                                   TimeGrid(0.0, 2.0, 1e-3, 2.5e-4), 100)
+        meta = tr.meta
+        assert meta["h_max"] == pytest.approx(2.785 / 589.0, rel=1e-12)
+        assert meta["n_steps"] < 1000 and meta["n_rejected"] == 0
+        assert meta["n_rhs"] == 1 + 4 * meta["n_steps"]
+        for name, tol in (("mean", 1e-9), ("variance", 1e-9),
+                          ("delay", 1e-9), ("cum4", 1e-8)):
+            want = getattr(fine, name)
+            assert (np.max(np.abs(getattr(tr, name) - want))
+                    <= tol * np.max(np.abs(want))), name
+        assert meta["mass_residual"] < 1e-10
+        assert meta["boundary_mass"] <= 1e-15 and meta["pmf_min"] >= 0.0
+
+    def test_a_cap_at_dt_int_is_the_fixed_step_run(self, monkeypatch):
+        # perfbench's small Erlang-A config: rho = 2 (12 + 34.5) leaves
+        # the cap at _NODE_STEP_MAX, the grid's own step
+        model = make_model(ErlangAParams(lam=SineDrive(10.0, 2.0), mu=1.0,
+                                         beta=0.5, c=10))
+        p0 = poisson_pmf(10.0, 60)
+        grid = TimeGrid(t0=0.0, T=1.0, dt_out=1e-2, dt_int=1e-2)
+        tr = solve_reference(model, p0, grid, 10)
+        with monkeypatch.context() as m:
+            fixed_step(m)
+            want = solve_reference(model, p0, grid, 10)
+        for name in ("mean", "variance", "cum3", "cum4", "delay"):
+            assert np.array_equal(getattr(tr, name), getattr(want, name))
+        del tr.meta["wall_s"], want.meta["wall_s"]
+        assert tr.meta == want.meta
+        assert tr.meta["h_max"] == 1e-2 and tr.meta["n_steps"] == 100
+
+    def test_drive_without_sup_steps_at_dt_int(self):
+        grid = TimeGrid(t0=0.0, T=1.0, dt_out=0.01, dt_int=1e-3)
+        p0 = poisson_pmf(3.0, 45)
+        plain = solve_reference(infinite_server(lambda t: 5.0 + np.sin(t)),
+                                p0, grid, None)
+        capped = solve_reference(infinite_server(SineDrive(5.0, 1.0)), p0,
+                                 grid, None)
+        assert plain.meta["n_steps"] == 1000
+        assert plain.meta["h_max"] == 1e-3
+        assert capped.meta["n_steps"] < 1000
+        for name in ("mean", "variance", "cum3", "cum4"):
+            want = getattr(plain, name)
+            assert (np.max(np.abs(getattr(capped, name) - want))
+                    <= 1e-9 * np.max(np.abs(want))), name
 
     def test_boundary_mass_error(self):
         model = infinite_server(lam_const(30.0))
