@@ -159,7 +159,8 @@ def integrate(rhs, y0, grid: TimeGrid, reduce=lambda b: b, h_max=None,
     (n_times,) + y0.shape; one that reduces each state to a few sums keeps
     memory at O(_BLOCK y0.size + n_times row size), not O(n_times y0.size).
     watch, if given, sees every block of states just before reduce does,
-    the initial state included; its return value is dropped. The stepped
+    the initial state included (under error control a block repeats the
+    last node of the one before); its return value is dropped. The stepped
     states of a block are checked first: a non-finite one raises
     IntegrationError at its time, the first such time of the run. The
     steps of the block after it are taken and dropped, so numpy may warn
@@ -241,8 +242,9 @@ def _integrate_controlled(rhs, y0, grid: TimeGrid, reduce, watch,
     fails the test. The last step ends on grid.T.
 
     The node states and their slopes k1 go to reduce in blocks of
-    _BLOCK, and each block's reduced rows fill the output times up to its
-    last node by cubic Hermite interpolation, so memory stays
+    _BLOCK, each block after the first starting on the last node of the
+    one before, and each block's reduced rows fill the output times up to
+    its last node by cubic Hermite interpolation, so memory stays
     O(_BLOCK y0.size + n_times row size)."""
     times = grid.times
     t_end, floor = times[-1], grid.dt_int
@@ -251,7 +253,6 @@ def _integrate_controlled(rhs, y0, grid: TimeGrid, reduce, watch,
     slopes = np.empty_like(states)
     t, y, f = times[0], y0, rhs(times[0], y0)
     node_t, states[0], slopes[0] = [t], y0, f
-    prev = None   # (time, reduced state, reduced slope) of the last node
     done = []
     filled = 0   # output times interpolated so far
     h = floor
@@ -259,22 +260,17 @@ def _integrate_controlled(rhs, y0, grid: TimeGrid, reduce, watch,
     n_rhs, err_l1 = 1, 0.0
 
     def check(k):
-        # the initial state is not a stepped one and is not checked
-        skip = int(prev is None)
-        _check_finite(states[skip:k], node_t[skip:k])
+        # row 0 is the initial state, not a stepped one, or the node that
+        # the block before ended on and checked
+        _check_finite(states[1:k], node_t[1:k])
 
     def flush(k):
-        nonlocal prev, filled
+        nonlocal filled
         check(k)
         if watch is not None:
             watch(states[:k])
         ts, ys, fs = np.array(node_t[:k]), reduce(states[:k]), \
             reduce(slopes[:k])
-        if prev is not None:
-            ts = np.concatenate([[prev[0]], ts])
-            ys = np.concatenate([prev[1][None], ys])
-            fs = np.concatenate([prev[2][None], fs])
-        prev = ts[-1], ys[-1].copy(), fs[-1].copy()
         upto = np.searchsorted(times, ts[-1], side="right")
         out = times[filled:upto]
         i = np.maximum(np.searchsorted(ts, out) - 1, 0)
@@ -305,9 +301,11 @@ def _integrate_controlled(rhs, y0, grid: TimeGrid, reduce, watch,
                 err_l1 += err
                 if k == _BLOCK:
                     flush(k)
+                    # the next block starts on this one's last node, the
+                    # left end of its first interval
                     states, slopes = np.empty_like(states), \
                         np.empty_like(slopes)
-                    node_t, k = [], 0
+                    states[0], slopes[0], node_t, k = y, f, [t], 1
                 t, y, f = t_new, y_new, k5
                 node_t.append(t)
                 states[k], slopes[k] = y, f
