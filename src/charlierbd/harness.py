@@ -495,11 +495,8 @@ def run_figures(cfg: ExperimentConfig) -> tuple[dict, dict]:
         series["ref_delay"] = ref.delay
     params, init, grid = cfg.params(), cfg.initial_state(), cfg.grid()
     closure_meta = {}
-    every = None   # the first order steps on the zeroth order's nodes
     for order in ("zeroth", "first"):
-        traj = solve_closure(cfg.kind, params, order, init, grid,
-                             node_every=every)
-        every = traj.meta["node_every"]
+        traj = solve_closure(cfg.kind, params, order, init, grid)
         series[f"{order}_mean"] = traj.mean
         series[f"{order}_variance"] = traj.variance
         if traj.delay is not None:

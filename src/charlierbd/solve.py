@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
-import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -145,12 +144,12 @@ def _check_finite(block, times):
             f"non-finite state at t={times[np.argmin(ok)]:.6g}")
 
 
-def integrate(rhs, y0, grid: TimeGrid, reduce=lambda b: b, h_max=None,
-              watch=None) -> Trajectory:
+def integrate(rhs, y0, grid: TimeGrid, h_max: float | None,
+              reduce=lambda b: b, watch=None) -> Trajectory:
     """Integrate y' = rhs(t, y) with RK4 on the output grid: fixed steps
-    of dt_int aligned with the output times or, when h_max exceeds
-    dt_int, error-controlled steps between dt_int and h_max whose node
-    states fill the output times by cubic Hermite interpolation.
+    of dt_int aligned with the output times when h_max is None or at most
+    dt_int, else error-controlled steps between dt_int and h_max whose
+    node states fill the output times by cubic Hermite interpolation.
 
     y0 may have any shape. At most _BLOCK states are held at once: each
     block of consecutive states, a (rows,) + y0.shape stack, is replaced
@@ -222,10 +221,21 @@ def integrate(rhs, y0, grid: TimeGrid, reduce=lambda b: b, h_max=None,
 
 
 # error-controlled RK4: the estimate allowed per unit step, relative to the
-# l1 norm of the initial state
+# l1 norm of the initial state taken as at least _STEP_SCALE_MIN, so that a
+# state started at 0 is allowed an error too; a pmf's norm is 1
 _STEP_TOL = 3e-9
+_STEP_SCALE_MIN = 0.5
+# the longest step the reference and the closures take
+_STEP_MAX = 1e-2
 # RK4's stability interval on the negative real axis is [-2.785, 0]
 _RK4_STABLE = 2.785
+
+
+def _cubic(s, y0, hf0, y1, hf1):
+    """The cubic Hermite interpolant at s in [0, 1] of an interval from
+    state y0 to y1 whose end slopes, times its length, are hf0 and hf1."""
+    return (((2 * s - 3) * s * s + 1) * y0 + ((s - 2) * s + 1) * s * hf0
+            + (3 - 2 * s) * s * s * y1 + (s - 1) * s * s * hf1)
 
 
 def _integrate_controlled(rhs, y0, grid: TimeGrid, reduce, watch,
@@ -236,10 +246,12 @@ def _integrate_controlled(rhs, y0, grid: TimeGrid, reduce, watch,
     Each step is a classical RK4 step. Its local error estimate is the
     order-3 one that comes free with RK4, h/6 ||k4 - k5||_1, where
     k5 = rhs(t + h, y_new) serves as the next step's k1. A step is taken
-    when the estimate is at most _STEP_TOL h ||y0||_1. The next step is
-    h (0.9 (bound / estimate)^(1/3)), moved by at most a factor of 5 and
-    kept within [dt_int, h_max]; a step at dt_int is taken even when it
-    fails the test. The last step ends on grid.T.
+    when the estimate is at most _STEP_TOL h max(||y0||_1, _STEP_SCALE_MIN).
+    The next step is h (0.9 (bound / estimate)^(1/3)), moved by at most a
+    factor of 5 and kept within [dt_int, h_max]; a step tried at dt_int is
+    taken even when it fails the test. The last step ends on grid.T, and
+    a step that falls short of it by no more than 1e-9 of the rest is
+    stretched to end there, so rounding in t + h leaves no sliver step.
 
     The node states and their slopes k1 go to reduce in blocks of
     _BLOCK, each block after the first starting on the last node of the
@@ -248,7 +260,7 @@ def _integrate_controlled(rhs, y0, grid: TimeGrid, reduce, watch,
     O(_BLOCK y0.size + n_times row size)."""
     times = grid.times
     t_end, floor = times[-1], grid.dt_int
-    tol = _STEP_TOL * float(np.abs(y0).sum())
+    tol = _STEP_TOL * max(float(np.abs(y0).sum()), _STEP_SCALE_MIN)
     states = np.empty((_BLOCK,) + y0.shape)
     slopes = np.empty_like(states)
     t, y, f = times[0], y0, rhs(times[0], y0)
@@ -282,7 +294,7 @@ def _integrate_controlled(rhs, y0, grid: TimeGrid, reduce, watch,
     k = 1   # nodes held in states
     try:
         while t < t_end:
-            last = h >= t_end - t
+            last = h >= (t_end - t) * (1 - 1e-9)
             step = t_end - t if last else h
             t_new = t_end if last else t + step
             half = 0.5 * step
@@ -295,7 +307,7 @@ def _integrate_controlled(rhs, y0, grid: TimeGrid, reduce, watch,
             err = step / 6.0 * float(np.abs(k4 - k5).sum())
             bound = tol * step
             ok = err <= bound
-            if ok or step <= floor:
+            if ok or h <= floor:
                 n_steps += 1
                 n_floor += not ok
                 err_l1 += err
@@ -478,7 +490,7 @@ def solve_reference(model: BirthDeathModel, p0, grid: TimeGrid,
     servers (c not None), the delay probability P(X >= c).
 
     `integrate` steps under error control, between dt_int and a cap of
-    min(_NODE_STEP_MAX, 2.785 / rho), rho = 2 max_x(lam_bar g(x) + d(x))
+    min(_STEP_MAX, 2.785 / rho), rho = 2 max_x(lam_bar g(x) + d(x))
     being the Gershgorin bound of every A(t) on [t0, T] with lam_bar =
     lam.sup(t0, T): RK4 is stable for h rho <= 2.785 on the real
     spectrum of a birth-death generator. A cap at or below dt_int, or a
@@ -504,8 +516,8 @@ def solve_reference(model: BirthDeathModel, p0, grid: TimeGrid,
     h_max = None
     if hasattr(lam, "sup"):
         rho = 2 * float(np.max(float(lam.sup(grid.t0, grid.T)) * g + d))
-        h_max = (_RK4_STABLE / rho if rho * _NODE_STEP_MAX > _RK4_STABLE
-                 else _NODE_STEP_MAX)
+        h_max = (_RK4_STABLE / rho if rho * _STEP_MAX > _RK4_STABLE
+                 else _STEP_MAX)
 
     def rhs(t, p):
         return generator_apply(lam(t) * g, d, p)
@@ -525,7 +537,7 @@ def solve_reference(model: BirthDeathModel, p0, grid: TimeGrid,
         seen[1] = min(seen[1], float(np.min(block)))
 
     try:
-        traj = integrate(rhs, p0, grid, reduce, h_max, watch)
+        traj = integrate(rhs, p0, grid, h_max, reduce, watch)
     except IntegrationError as exc:
         raise IntegrationError(f"reference: {exc}") from None
     mass, m1, m2, m3, m4, *delay = traj.values.T
@@ -678,22 +690,19 @@ def _closure_rhs(params, order: str, counts: dict):
 
     The zeroth-order state is the mean alone, a scalar, so its RK4 steps
     are scalar arithmetic; the first-order state is the array (mean,
-    variance). counts["calls"] counts the evaluations and
-    counts["over_dispersed"] those whose first-order target was over
-    dispersed."""
+    variance). counts["over_dispersed"] counts the evaluations whose
+    first-order target was over dispersed."""
     lam = params.lam
     terms = closure_evaluator(params.g_terms, params.d_terms,
                               order == "first")
     if order == "zeroth":
         def rhs(t, m):
-            counts["calls"] += 1
             s = moment_match(max(m, _Q_FLOOR), None)
             e_g, e_d, _, _ = terms(s)
             return lam(t) * e_g - e_d
         return rhs
 
     def rhs(t, y):
-        counts["calls"] += 1
         s = moment_match(max(y[0], _Q_FLOOR), y[1])
         if s.over_dispersed:
             counts["over_dispersed"] += 1
@@ -704,93 +713,8 @@ def _closure_rhs(params, order: str, counts: dict):
     return rhs
 
 
-# closure node steps: the longest tried, and the step-doubling difference,
-# relative to the largest |mean|, below which a node step is taken; the
-# reference's error-controlled steps share the longest
-_NODE_STEP_MAX = 1e-2
-_NODE_TOL = 1e-11
-
-
-def _node_run(rhs, y0, grid: TimeGrid, every: int):
-    """RK4 through `integrate` with one step between every `every`-th
-    output time of grid: the (n + 1,) + y0.shape node states and the rhs
-    values at every node but the last, as a list. Each value is the
-    first of a step's four evaluations, k1 = rhs(t_i, y_i)."""
-    h = every * grid.dt_out
-    slopes, calls = [], itertools.count()
-
-    def node_rhs(t, y):
-        f = rhs(t, y)
-        if next(calls) % 4 == 0:
-            slopes.append(f)
-        return f
-    traj = integrate(node_rhs, y0, TimeGrid(grid.t0, grid.T, h, h))
-    return traj.values, slopes
-
-
-def _node_spacing(rhs, y0, grid: TimeGrid):
-    """Output steps per node step for a closure on grid, and the
-    zeroth-order run at that spacing (None for 1): the largest k >= 2
-    with k dt_out <= _NODE_STEP_MAX and 2k dividing the output steps
-    whose step-doubling difference, between the zeroth-order runs (rhs,
-    y0) on every k-th and every 2k-th output time, is below _NODE_TOL of
-    the k run's largest |mean|; 1 when no k passes. As RK4's error goes
-    as the step to the fourth power, the difference is about 15 times the
-    k run's own error, and a k at which the last measured difference,
-    scaled by that power, reaches the tolerance is skipped unmeasured. A
-    run that blows up (IntegrationError, or an ArithmeticError from rhs)
-    fails its k and measures nothing."""
-    n_out = grid.times.size - 1
-    runs = {}   # _node_run result by spacing, None for a failed run
-
-    def run(k):
-        if k not in runs:
-            try:
-                with np.errstate(all="ignore"):
-                    runs[k] = _node_run(rhs, y0, grid, k)
-            except (IntegrationError, ArithmeticError):
-                runs[k] = None
-        return runs[k]
-
-    # the largest k with k dt_out <= _NODE_STEP_MAX, up to rounding
-    top = math.floor(_NODE_STEP_MAX / grid.dt_out * (1 + 1e-9))
-    per_k4 = 0.0   # the last measured difference over its k^4
-    for k in range(top, 1, -1):
-        if (n_out % (2 * k) or per_k4 * k ** 4 >= _NODE_TOL
-                or run(2 * k) is None or run(k) is None):
-            continue
-        fine, coarse = runs[k][0], runs[2 * k][0]
-        scale = np.max(np.abs(fine))
-        diff = np.max(np.abs(fine[::2] - coarse)) / scale if scale else np.inf
-        if diff < _NODE_TOL:
-            return k, runs[k]
-        per_k4 = diff / k ** 4
-    return 1, None
-
-
-def _cubic(s, y0, hf0, y1, hf1):
-    """The cubic Hermite interpolant at s in [0, 1] of an interval from
-    state y0 to y1 whose end slopes, times its length, are hf0 and hf1."""
-    return (((2 * s - 3) * s * s + 1) * y0 + ((s - 2) * s + 1) * s * hf0
-            + (3 - 2 * s) * s * s * y1 + (s - 1) * s * s * hf1)
-
-
-def _hermite(y: np.ndarray, f: np.ndarray, h: float,
-             every: int) -> np.ndarray:
-    """Cubic Hermite interpolation of node states y with slopes f (each
-    (n + 1,) + shape, node step h) at `every` evenly spaced times per
-    interval: (every n + 1,) + shape, every `every`-th row a node state,
-    exactly."""
-    out = np.empty(((len(y) - 1) * every + 1,) + y.shape[1:])
-    out[::every] = y
-    hf = h * f
-    for r in range(1, every):
-        out[r::every] = _cubic(r / every, y[:-1], hf[:-1], y[1:], hf[1:])
-    return out
-
-
 def solve_closure(kind: str, params, order: str, init: MomentState,
-                  grid: TimeGrid, node_every: int | None = None
+                  grid: TimeGrid, h_max: float | None = _STEP_MAX
                   ) -> Trajectory:
     """Explicit zeroth/first-order moment-closure trajectories.
 
@@ -799,24 +723,16 @@ def solve_closure(kind: str, params, order: str, init: MomentState,
     params record with `c`) also emits the delay probability per output
     time. `kind` must be the record's.
 
-    The closure takes RK4 steps between nodes, every `node_every`-th
-    output time, and fills the output times between them by cubic
-    Hermite interpolation from the node states and their rhs values.
-    RK4's first stage evaluates the rhs at each node, so only the last
-    node costs one more evaluation. node_every = 1 steps on grid itself,
-    at dt_int; None picks the spacing by the rule of `_node_spacing`,
-    measured on the zeroth-order closure, whose run at the chosen
-    spacing then serves as the zeroth-order result. A grid with dt_out
-    above _NODE_STEP_MAX / 2 has no node spacing to try, so it steps at
-    dt_int as given; for every other grid dt_int is the step used only
-    when no spacing passes. A node_every that does not divide the output
-    steps raises ValueError, as the grid of its nodes does.
+    The closure steps through `integrate` with h_max passed on, as the
+    reference does: error-controlled RK4 steps between dt_int and h_max,
+    whose node states fill the output times by cubic Hermite
+    interpolation, or fixed steps of dt_int on the output grid when h_max
+    is None or at most dt_int.
 
-    meta carries node_every, the step (dt_int) and step count (n_steps)
-    of the run that gave the output, every rhs evaluation of the call,
-    the probe's included (n_rhs), the share of those that met an
-    over-dispersed first-order target (over_dispersed_fraction) and the
-    wall time of the whole call (wall_s). A blow-up raises
+    meta carries `integrate`'s step keys (dt_int, n_steps, n_rhs, h_max,
+    n_rejected, n_floor, err_l1), the share of the rhs evaluations that
+    met an over-dispersed first-order target (over_dispersed_fraction)
+    and the wall time of the whole call (wall_s). A blow-up raises
     IntegrationError naming the closure's order.
     """
     start = time.perf_counter()
@@ -825,33 +741,18 @@ def solve_closure(kind: str, params, order: str, init: MomentState,
                          f"{params.kind!r} params record")
     if order not in ("zeroth", "first"):
         raise ValueError(f"unknown closure order {order!r}")
-    counts = {"calls": 0, "over_dispersed": 0}
+    counts = {"over_dispersed": 0}
     rhs = _closure_rhs(params, order, counts)
     y0 = (init.mean if order == "zeroth"
           else np.array([init.mean, init.variance], dtype=float))
-    run = None   # the probe's run at the chosen spacing
-    if node_every is None and order == "zeroth":
-        node_every, run = _node_spacing(rhs, y0, grid)
-    elif node_every is None:
-        node_every, _ = _node_spacing(
-            _closure_rhs(params, "zeroth", counts), init.mean, grid)
     try:
-        if node_every == 1:
-            traj = integrate(rhs, y0, grid)
-            values, h, n_steps = (traj.values, traj.meta["dt_int"],
-                                  traj.meta["n_steps"])
-        else:
-            h = node_every * grid.dt_out
-            states, slopes = run or _node_run(rhs, y0, grid, node_every)
-            slopes.append(rhs(grid.times[-1], states[-1]))
-            values = _hermite(states, np.array(slopes), h, node_every)
-            n_steps = len(states) - 1
+        traj = integrate(rhs, y0, grid, h_max)
     except IntegrationError as exc:
         raise IntegrationError(f"{order}-order closure: {exc}") from None
     if order == "zeroth":
-        mean, var = values, values.copy()
+        mean, var = traj.values, traj.values.copy()
     else:
-        mean, var = values.T
+        mean, var = traj.values.T
     delay = None
     if hasattr(params, "c"):
         delay = np.empty_like(mean)
@@ -859,14 +760,16 @@ def solve_closure(kind: str, params, order: str, init: MomentState,
             s = moment_match(max(m, _Q_FLOOR),
                              v if order == "first" else None)
             delay[i] = _closure.delay_probability(s, params.c)
-    frac = counts["over_dispersed"] / counts["calls"]
+    m = traj.meta
+    frac = counts["over_dispersed"] / m["n_rhs"]
     wall = time.perf_counter() - start
-    log.debug("closure %s/%s: %d steps, %.3f s", kind, order, n_steps, wall)
-    return Trajectory(times=grid.times, mean=mean, variance=var, delay=delay,
+    log.debug("closure %s/%s: %d steps, %d rejected, %d at the floor, "
+              "%d rhs calls, %.3f s", kind, order, m["n_steps"],
+              m["n_rejected"], m["n_floor"], m["n_rhs"], wall)
+    return Trajectory(times=traj.times, mean=mean, variance=var, delay=delay,
                       meta={"solver": "closure", "kind": kind, "order": order,
                             "over_dispersed_fraction": frac, "wall_s": wall,
-                            "node_every": node_every, "dt_int": h,
-                            "n_steps": n_steps, "n_rhs": counts["calls"]})
+                            **m})
 
 
 def basis_parameter_prepass(params, init: MomentState,
@@ -879,7 +782,7 @@ def basis_parameter_prepass(params, init: MomentState,
     coarse = grid.coarsened(max(grid.dt_out, span / 200),
                             max(grid.dt_int, span / 2000))
     traj = solve_closure(params.kind, params, "zeroth", init, coarse,
-                         node_every=1)
+                         h_max=None)
     a = float(np.mean(traj.mean))
     return max(a, _Q_FLOOR)
 

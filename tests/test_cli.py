@@ -152,13 +152,11 @@ def test_figures_logs_the_over_dispersion_fallback(cfg_path, tmp_path,
                            "over_dispersed_fraction (right-hand-side "
                            "evaluations that saw variance > mean and used "
                            "the zeroth-order surrogate): ")
-    # four right-hand-side evaluations per RK4 step: the zeroth order's
-    # probe runs 100 and 200 steps (spacing 10 fails), then 125 and 250
-    # (spacing 8 passes); each order steps on every 8th of the 2000 output
-    # times and evaluates once more at the last node
+    # each order steps under error control on its own: 202 steps of four
+    # right-hand-side evaluations, none rejected, and one more at t0
     zeroth, first = line.split(": ", 1)[1].split(", ")
-    assert zeroth == "zeroth-order closure 0 (0 of 2701)"
-    assert re.fullmatch(r"first-order closure \S+ \(\d+ of 1001\)", first)
+    assert zeroth == "zeroth-order closure 0 (0 of 809)"
+    assert re.fullmatch(r"first-order closure \S+ \(\d+ of 809\)", first)
 
 
 @pytest.mark.parametrize("preset,want", [(None, "1"), ("2", "2")])
