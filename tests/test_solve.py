@@ -569,7 +569,7 @@ class TestReference:
 
     def test_a_cap_at_dt_int_is_the_fixed_step_run(self, monkeypatch):
         # perfbench's small Erlang-A config: rho = 2 (12 + 34.5) leaves
-        # the cap at _NODE_STEP_MAX, the grid's own step
+        # the cap at _STEP_MAX, the grid's own step
         model = make_model(ErlangAParams(lam=SineDrive(10.0, 2.0), mu=1.0,
                                          beta=0.5, c=10))
         p0 = poisson_pmf(10.0, 60)
