@@ -23,9 +23,9 @@ from . import __version__
 from .basis import CharlierBasis, project_density
 from .closure import MomentState
 from .models import KINDS, SineDrive, TableDrive, _tail_cover, make_model
-from .solve import (IntegrationError, TimeGrid, basis_parameter_prepass,
-                    simulate_paths, solve_closure, solve_galerkin,
-                    solve_reference)
+from .solve import (_STEP_MAX, IntegrationError, TimeGrid,
+                    basis_parameter_prepass, simulate_paths, solve_closure,
+                    solve_galerkin, solve_reference)
 from .special import poisson_pmf, upper_tail
 
 __all__ = [
@@ -427,13 +427,17 @@ def tune_basis_parameter(cfg: ExperimentConfig, N: int,
 
 
 def run_galerkin(cfg: ExperimentConfig, N: int, a: float | None = None):
+    """The order-N row with basis parameter a (by default the config's),
+    its node step picked by step doubling under the shared cap
+    (`solve_galerkin` with h_max = _STEP_MAX); a failed row raises
+    IntegrationError at its first non-finite output time."""
     p0 = cfg.initial_pmf()   # ConfigError before any solve if it has none
     if a is None:
         a = galerkin_basis_parameter(cfg, N)
     basis = CharlierBasis(a=a, N=N, X_max=p0.size - 1)
     model = cfg.build_model()
     c0 = project_density(p0, basis)
-    traj, = solve_galerkin(model, [c0], cfg.grid())
+    traj, = solve_galerkin(model, [c0], cfg.grid(), h_max=_STEP_MAX)
     if traj.meta["failed"]:
         t_bad = traj.times[np.argmax(np.isnan(traj.mean))]
         raise IntegrationError(f"Galerkin row N={N}: non-finite state at "
@@ -446,8 +450,10 @@ def run_table(cfg: ExperimentConfig, reference=None) -> ErrorTable:
     time-averaged relative errors. The provenance records the basis
     parameter and, for a tuned one, the search curve (`basis_tuning`);
     the reference's mass residual and boundary mass (`reference`); and
-    each Galerkin row's order, c0 drift, steps and failure flag
-    (`galerkin_rows`). It holds no wall times, so it is deterministic."""
+    each Galerkin row's order, c0 drift, steps and failure flag, and for
+    a row whose step was probed its node step, probe steps and accepted
+    estimate (`galerkin_rows`). It holds no wall times, so it is
+    deterministic."""
     ref = reference if reference is not None else run_reference(cfg)
     ref_meta = {k: ref.meta[k] for k in ("mass_residual", "boundary_mass")}
     curve = []
@@ -457,7 +463,9 @@ def run_table(cfg: ExperimentConfig, reference=None) -> ErrorTable:
     for N in cfg.orders:
         gal = run_galerkin(cfg, N, a=a)
         gal_meta.append({k: gal.meta[k]
-                         for k in ("N", "c0_drift", "n_steps", "failed")})
+                         for k in ("N", "c0_drift", "n_steps", "failed", "h",
+                                   "n_probe_steps", "step_err")
+                         if k in gal.meta})
         skew, kurt = _skew_kurt(gal)
         rows.append(ErrorTableRow(
             N=N,

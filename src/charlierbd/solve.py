@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -238,6 +239,17 @@ def _cubic(s, y0, hf0, y1, hf1):
             + (3 - 2 * s) * s * s * y1 + (s - 1) * s * s * hf1)
 
 
+def _hermite(out, ts, ys, fs):
+    """Rows at the times `out` by cubic Hermite interpolation of the rows
+    ys, with slopes fs, at the increasing node times ts (at least two).
+    Each time of out lies within [ts[0], ts[-1]], or beyond it by
+    rounding only: it takes the first or the last interval."""
+    i = np.clip(np.searchsorted(ts, out) - 1, 0, ts.size - 2)
+    dt = (ts[i + 1] - ts[i]).reshape((-1,) + (1,) * (ys.ndim - 1))
+    s = (out - ts[i]).reshape(dt.shape) / dt
+    return _cubic(s, ys[i], dt * fs[i], ys[i + 1], dt * fs[i + 1])
+
+
 def _integrate_controlled(rhs, y0, grid: TimeGrid, reduce, watch,
                           h_max: float) -> Trajectory:
     """`integrate` with error-controlled RK4 steps from grid.t0 to grid.T
@@ -281,14 +293,10 @@ def _integrate_controlled(rhs, y0, grid: TimeGrid, reduce, watch,
         check(k)
         if watch is not None:
             watch(states[:k])
-        ts, ys, fs = np.array(node_t[:k]), reduce(states[:k]), \
-            reduce(slopes[:k])
+        ts = np.array(node_t[:k])
         upto = np.searchsorted(times, ts[-1], side="right")
-        out = times[filled:upto]
-        i = np.maximum(np.searchsorted(ts, out) - 1, 0)
-        dt = (ts[i + 1] - ts[i]).reshape((-1,) + (1,) * (ys.ndim - 1))
-        s = (out - ts[i]).reshape(dt.shape) / dt
-        done.append(_cubic(s, ys[i], dt * fs[i], ys[i + 1], dt * fs[i + 1]))
+        done.append(_hermite(times[filled:upto], ts, reduce(states[:k]),
+                             reduce(slopes[:k])))
         filled = upto
 
     k = 1   # nodes held in states
@@ -565,7 +573,8 @@ def solve_reference(model: BirthDeathModel, p0, grid: TimeGrid,
 
 
 def solve_galerkin(model: BirthDeathModel, coeffs: list[CoeffVector],
-                   grid: TimeGrid) -> list[Trajectory]:
+                   grid: TimeGrid, h_max: float | None = None
+                   ) -> list[Trajectory]:
     """Order-N spectral solver for the coefficient system c' = c M(t).
 
     M_ji(t) = (A(t) C~_j, C_i) projects the generator acting on the
@@ -576,24 +585,34 @@ def solve_galerkin(model: BirthDeathModel, coeffs: list[CoeffVector],
     propagator D_k precomputed from the drive at the step's stage times
     (`_step_linear`), so no right-hand side is evaluated.
 
+    h_max reads as in `integrate`. When it is None or h_max / 2 is at
+    most dt_int, the members step at dt_int on the output grid. Else the
+    batch's node step is picked by step doubling (`_doubled_rows`) and
+    the nodes fill the output times by cubic Hermite interpolation, or
+    the batch falls back to dt_int when no node step passes.
+
     coeffs holds the initial coefficients of each member, each against
     its own basis, all on one X_max; one Trajectory comes back per member.
     All members are zero-padded to the largest order and stepped together;
     they never mix. No coefficient stack is kept: each chunk's output
     rows are reduced to every member's c0 and raw moments 1-4 from its own
-    unpadded coefficients, so memory is O(30 members n^2 + the chunk's
-    propagators + the chunks that pending output rows pin + 5 members
-    n_times), n being the largest order plus one. Failed members are
-    masked after the reduction: a member comes back with meta["failed"]
-    set and NaN values from the first output time at which its c0 or a
-    raw moment is non-finite. A non-finite state always makes one so, and
-    a finite state whose moments overflow counts as failed too. A
-    one-member call steps on 1-D views with the batch's arithmetic (see
-    `_step_linear`). meta carries the steps taken
-    (n_steps) and where the time went: assembly_s (the two matrices, rate
-    evaluation included), propagator_s (drive samples, words and
-    propagator GEMMs), loop_s (the step products and reductions) and
-    wall_s (the whole call).
+    unpadded coefficients (at nodes, also those of the slope c M(t)), so
+    memory is O(30 members n^2 + the chunk's propagators + the chunks
+    that pending rows pin + 15 members (n_times + nodes)), n being the
+    largest order plus one. Failed members are masked after the
+    reduction: a member comes back with meta["failed"] set and NaN values
+    from the first output time at which its c0 or a raw moment is
+    non-finite. A non-finite state always makes one so, and a finite
+    state whose moments overflow counts as failed too. A one-member call
+    steps on 1-D views with the batch's arithmetic (see `_step_linear`).
+    meta carries the steps taken (n_steps) and where the time went:
+    assembly_s (the two matrices, rate evaluation included), propagator_s
+    (drive samples, words and propagator GEMMs), loop_s (the step
+    products, reductions and interpolation) and wall_s (the whole call);
+    the step-doubled runs' propagator_s and loop_s include the probes. A
+    step-doubled batch also carries its node step (h: dt_int after a
+    fall-back), the steps of its discarded runs (n_probe_steps) and the
+    member's accepted estimate (step_err, 0 after a fall-back).
     """
     start = time.perf_counter()
     M0, M1, y0 = _galerkin_system(model, coeffs, grid)
@@ -604,18 +623,34 @@ def solve_galerkin(model: BirthDeathModel, coeffs: list[CoeffVector],
     R = [np.stack([(xs**m * b.weights) @ b.table.T for m in (1, 2, 3, 4)])
          for b in bases]
 
-    def reduce(block):
-        # per member: c0 and raw moments 1-4 of its unpadded rows
-        out = np.empty(block.shape[:2] + (5,))
+    def reduce(block, S=None):
+        # per member: c0 and raw moments 1-4 of its unpadded rows, then
+        # with S those of the rows times M0 and times M1
+        out = np.empty(block.shape[:2] + (5 if S is None else 15,))
         for k, (b, R_k) in enumerate(zip(bases, R)):
             rows = block[:, k, :b.N + 1]
             out[:, k, 0] = rows[:, 0]
-            out[:, k, 1:] = rows @ R_k.T
+            out[:, k, 1:5] = rows @ R_k.T
+            if S is not None:
+                out[:, k, 5:] = rows @ S[k]
         return out
 
     t_loop = time.perf_counter()
-    values, n_steps, propagator_s = _step_linear(
-        M0, M1, model.lam, y0, grid, reduce)
+    probed = h_max is not None and h_max / 2 > grid.dt_int
+    if probed:
+        # [e0 | R^T] maps a member's rows to its reduced row
+        S = []
+        for k, (b, R_k) in enumerate(zip(bases, R)):
+            n = b.N + 1
+            L = np.concatenate([np.eye(n, 1), R_k.T], axis=1)
+            S.append(np.concatenate([M0[k, :n, :n] @ L, M1[k, :n, :n] @ L],
+                                    axis=1))
+        values, n_steps, propagator_s, probe = _doubled_rows(
+            M0, M1, model.lam, y0, grid, reduce,
+            functools.partial(reduce, S=S), h_max)
+    else:
+        values, n_steps, propagator_s = _step_linear(
+            M0, M1, model.lam, y0, grid, reduce)
     loop_s = time.perf_counter() - t_loop - propagator_s
     c0 = values[:, :, 0]
     moments = np.moveaxis(values[:, :, 1:], -1, 0)
@@ -629,23 +664,109 @@ def solve_galerkin(model: BirthDeathModel, coeffs: list[CoeffVector],
             warnings.warn(f"zeroth coefficient drift {drift:.3e} above 1e-9",
                           RuntimeWarning, stacklevel=2)
         mean, var, c3, c4 = moments[:, :, k]
+        meta = {"solver": "galerkin", "N": b.N, "a": b.a, "X_max": b.X_max,
+                "c0_drift": drift, "failed": failed, "dt_int": grid.dt_int,
+                "n_steps": n_steps, "assembly_s": assembly_s,
+                "propagator_s": propagator_s, "loop_s": loop_s}
+        if probed:
+            meta.update(h=probe["h"], n_probe_steps=probe["n_probe_steps"],
+                        step_err=float(probe["step_err"][k]))
         out.append(Trajectory(times=times, mean=mean, variance=var,
-                              cum3=c3, cum4=c4,
-                              meta={"solver": "galerkin", "N": b.N, "a": b.a,
-                                    "X_max": b.X_max, "c0_drift": drift,
-                                    "failed": failed,
-                                    "dt_int": grid.dt_int,
-                                    "n_steps": n_steps,
-                                    "assembly_s": assembly_s,
-                                    "propagator_s": propagator_s,
-                                    "loop_s": loop_s}))
+                              cum3=c3, cum4=c4, meta=meta))
     wall = time.perf_counter() - start
     for tr in out:
         tr.meta["wall_s"] = wall
-    log.debug("galerkin batch: %d member(s), orders %s, %d steps, "
-              "propagators %.3f s, step loop %.3f s, %.3f s", len(bases),
-              [b.N for b in bases], n_steps, propagator_s, loop_s, wall)
+    h, n_probe, err = ((probe["h"], probe["n_probe_steps"],
+                        float(np.max(probe["step_err"]))) if probed
+                       else (grid.dt_int, 0, 0.0))
+    log.debug("galerkin batch: %d member(s), orders %s, %d steps at h %.4g, "
+              "%d probe steps, step_err %.3e, propagators %.3f s, step loop "
+              "%.3f s, %.3f s", len(bases), [b.N for b in bases], n_steps, h,
+              n_probe, err, propagator_s, loop_s, wall)
     return out
+
+
+# step doubling on the Galerkin rows: a node step H passes when, at every
+# node the runs at H and 2H share, each member's mean, variance, cum3 and
+# cum4 differ by at most 15 _ROW_TOL times that column's largest magnitude
+# (the Richardson estimate of the H run's error is the difference / 15).
+# On the shipped Erlang-A config every row passes H = 5e-3 with an
+# estimate of at most 4.7e-9 (see README, "Step control")
+_ROW_TOL = 1e-8
+
+
+def _node_grids(grid: TimeGrid, H: float) -> tuple[TimeGrid, TimeGrid]:
+    """The node grids of step H and 2H on [t0, T], H rounded down so
+    that T - t0 is an even number of steps."""
+    span = grid.T - grid.t0
+    n = max(1, math.ceil(span / (2 * H) - 1e-9))
+    return (TimeGrid(grid.t0, grid.T, span / (2 * n), span / (2 * n)),
+            TimeGrid(grid.t0, grid.T, span / n, span / n))
+
+
+def _doubled_rows(M0, M1, lam, y0: np.ndarray, grid: TimeGrid, reduce,
+                  slope_reduce, h_max: float):
+    """`_step_linear`'s (values, n_steps, propagator_s), plus a dict of the
+    node step (h), the discarded steps (n_probe_steps) and each member's
+    accepted estimate (step_err), for rows whose node step is picked by
+    step doubling (Hairer, Norsett and Wanner, Solving ODEs I, II.4).
+
+    The first node step H is h_max / 2, so the 2H run never exceeds h_max;
+    every H is rounded down to divide T - t0 into an even number of steps.
+    `_step_linear` runs on the node grids of step H, reduced by
+    slope_reduce to the rows of reduce followed by those of c M0 and
+    c M1, and of step 2H, reduced by reduce. The cumulants of the two
+    runs at their shared nodes give each member's estimate, the largest
+    over the four columns of max |y_H - y_2H| / 15 over that column's
+    largest |y_H|. H passes when every member's estimate is at most
+    _ROW_TOL and the H run is finite; its nodes' rows and their slopes,
+    c M0 + lam(t) c M1 reduced, fill the output times by cubic Hermite
+    interpolation. A failing H moves to the order-4 law's
+    H 0.9 (_ROW_TOL / estimate)^(1/4), rounded as above. The rows step
+    at dt_int on the output grid, as without h_max, once the law's step
+    is below 2 dt_int or a probe run is non-finite; h is then dt_int, each
+    step_err 0 and every probe step counts in n_probe_steps. The probes
+    run under np.errstate(all="ignore"): their blow-ups are discarded."""
+    fine, coarse = _node_grids(grid, h_max / 2)
+    n_probe, propagator_s = 0, 0.0
+    with np.errstate(all="ignore"):
+        while True:
+            v_fine, n_fine, p_fine = _step_linear(M0, M1, lam, y0, fine,
+                                                  slope_reduce)
+            v_coarse, n_coarse, p_coarse = _step_linear(M0, M1, lam, y0,
+                                                        coarse, reduce)
+            propagator_s += p_fine + p_coarse
+            if not (np.isfinite(v_fine).all()
+                    and np.isfinite(v_coarse).all()):
+                n_probe += n_fine + n_coarse
+                break
+            cum_fine, cum_coarse = (
+                np.stack(_raw_to_cumulants(*np.moveaxis(v[:, :, 1:5], -1, 0)))
+                for v in (v_fine[::2], v_coarse))
+            diff = np.max(np.abs(cum_fine - cum_coarse), axis=1) / 15
+            scale = np.max(np.abs(cum_fine), axis=1)
+            # (4, members); a column that is 0 throughout passes only
+            # with no difference
+            err = np.divide(diff, scale, out=np.zeros_like(diff),
+                            where=diff > 0).max(axis=0)
+            if err.max() <= _ROW_TOL:
+                ts = fine.times
+                lam_t = np.broadcast_to(np.asarray(lam(ts), dtype=float),
+                                        ts.shape)[:, None, None]
+                values = _hermite(grid.times, ts, v_fine[:, :, :5],
+                                  v_fine[:, :, 5:10] + lam_t * v_fine[:, :, 10:])
+                return values, n_fine, propagator_s, {
+                    "h": fine.dt_int, "n_probe_steps": n_probe + n_coarse,
+                    "step_err": err}
+            n_probe += n_fine + n_coarse
+            H = fine.dt_int * 0.9 * (_ROW_TOL / err.max()) ** 0.25
+            if H < 2 * grid.dt_int:
+                break
+            fine, coarse = _node_grids(grid, H)
+    values, n_steps, p_fixed = _step_linear(M0, M1, lam, y0, grid, reduce)
+    return values, n_steps, propagator_s + p_fixed, {
+        "h": grid.dt_int, "n_probe_steps": n_probe,
+        "step_err": np.zeros(y0.shape[0])}
 
 
 def _galerkin_system(model: BirthDeathModel, coeffs: list[CoeffVector],

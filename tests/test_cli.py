@@ -191,10 +191,12 @@ def test_debug_log_reports_galerkin_batches(cfg_path, tmp_path):
     assert proc.returncode == 0, proc.stderr
     batches = [line for line in proc.stderr.splitlines()
                if "galerkin batch" in line]
-    # one row solve per order
+    # one row solve per order; the row passes the first node step, 5e-3,
+    # over T = 2, and the 2H run of its probe is the discarded one
     assert len(batches) == 2
     assert batches[0].startswith("DEBUG charlierbd: galerkin batch: "
-                                 "1 member(s), orders [1], 2000 steps")
+                                 "1 member(s), orders [1], 400 steps at h "
+                                 "0.005, 200 probe steps, step_err ")
 
 
 def test_default_x_max_holds_an_abandonment_backlog(tmp_path):

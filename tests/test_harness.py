@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from charlierbd import harness
+from charlierbd import harness, solve
 from charlierbd.harness import (ConfigError, ExperimentConfig, rel_error,
                                 run_figures, run_galerkin, run_reference,
                                 run_table, tune_basis_parameter,
@@ -170,12 +170,45 @@ class TestRunTable:
         head = json.loads(out.read_text().splitlines()[0].split(":", 1)[1])
         rows = head["galerkin_rows"]
         assert [r["N"] for r in rows] == cfg.orders
-        assert all(r["c0_drift"] < 1e-9 and r["n_steps"] == 3000
-                   and r["failed"] is False for r in rows)
+        # every row passes the first node step, half the shared cap, and
+        # its 2H probe is the only discarded run
+        for r in rows:
+            assert set(r) == {"N", "c0_drift", "n_steps", "failed", "h",
+                              "n_probe_steps", "step_err"}
+            assert r["c0_drift"] < 1e-9 and r["failed"] is False
+            assert r["h"] == solve._STEP_MAX / 2
+            assert r["n_steps"] == round((cfg.T - cfg.t0) / r["h"]) == 600
+            assert r["n_probe_steps"] == r["n_steps"] // 2
+            assert 0 < r["step_err"] <= solve._ROW_TOL
         ref = head["reference"]
         assert set(ref) == {"mass_residual", "boundary_mass"}
         assert ref["mass_residual"] < 1e-10
         assert 0 <= ref["boundary_mass"] < 1e-8
+
+    def test_one_row_solve_per_order(self, monkeypatch):
+        # perfbench counts a table's rows by its run_galerkin calls; the
+        # step probe runs below solve_galerkin and never re-enters either
+        cfg = erlang_cfg(orders=[1, 2, 3])
+        calls, depth = [], [0]
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append((fn.__name__, depth[0]))
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+        for name in ("run_galerkin", "solve_galerkin"):
+            monkeypatch.setattr(harness, name,
+                                counted(getattr(harness, name)))
+        table = run_table(cfg)
+        # the auto basis tunes nothing: each row is one solve
+        assert calls == [("run_galerkin", 0), ("solve_galerkin", 1)] \
+            * len(cfg.orders)
+        assert all(r["h"] > cfg.dt_int
+                   for r in table.provenance["galerkin_rows"])
 
     def test_deterministic_csv(self, tmp_path):
         cfg = erlang_cfg()

@@ -2,6 +2,7 @@ import contextlib
 import logging
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from charlierbd.models import (KINDS, BirthDeathModel, ErlangAParams,
                                QuadraticParams, SineDrive, affine_rates,
                                generator_apply, make_model)
 from charlierbd import solve
-from charlierbd.solve import (_BLOCK, IntegrationError, RateBoundError,
-                              SolverError, TimeGrid, _closure_rhs,
-                              _galerkin_system, _raw_to_cumulants,
-                              _step_linear,
+from charlierbd.solve import (_BLOCK, _STEP_MAX, IntegrationError,
+                              RateBoundError, SolverError, TimeGrid,
+                              _closure_rhs, _galerkin_system,
+                              _raw_to_cumulants, _step_linear,
                               galerkin_matrices, integrate, simulate_paths,
                               solve_closure, solve_galerkin, solve_reference)
 from charlierbd.special import poisson_pmf
@@ -992,6 +993,128 @@ class TestGalerkin:
             return np.max(np.abs(gal.mean - ref.mean))
 
         assert err(7) < err(1)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+class TestGalerkinStepDoubling:
+    # the shipped configs at their tuned a; each column's largest change
+    # of the filled rows against the dt_int rows, as a share of its
+    # largest magnitude, was at most: Erlang-A mean 6e-13, variance
+    # 5e-11, cum3 9.4e-10, cum4 4.7e-9; quadratic mean 1.9e-10,
+    # variance 3.0e-9, cum3 6.4e-9, cum4 4.1e-9
+    SHIPPED = {
+        "erlang_a_benchmark.json": (109.94952194848524, {
+            "mean": 2e-12, "variance": 1e-10, "cum3": 2e-9, "cum4": 1e-8}),
+        "quadratic_benchmark.json": (29.217999478285087, {
+            "mean": 5e-10, "variance": 6e-9, "cum3": 1e-8, "cum4": 1e-8}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_filled_rows_match_the_dt_int_rows(self, name):
+        a, bounds = self.SHIPPED[name]
+        cfg = ExperimentConfig.from_file(CONFIGS / name)
+        model, p0, g = cfg.build_model(), cfg.initial_pmf(), cfg.grid()
+        steps = []
+        for N in cfg.orders:
+            c0 = [project_density(p0, CharlierBasis(a=a, N=N,
+                                                    X_max=p0.size - 1))]
+            with np.errstate(all="raise"):
+                fixed, = solve_galerkin(model, c0, g)
+                filled, = solve_galerkin(model, c0, g, h_max=_STEP_MAX)
+            for k, bound in bounds.items():
+                want, got = getattr(fixed, k), getattr(filled, k)
+                assert got.shape == want.shape == g.times.shape
+                assert np.max(np.abs(got - want)) \
+                    <= bound * np.max(np.abs(want)), (N, k)
+            m = filled.meta
+            assert not m["failed"] and m["c0_drift"] < 1e-9
+            assert m["n_steps"] == round((cfg.T - cfg.t0) / m["h"])
+            assert m["step_err"] <= solve._ROW_TOL
+            steps.append(m["h"])
+        if name.startswith("erlang_a"):
+            # every row passes the first node step, half the cap
+            assert steps == [_STEP_MAX / 2] * len(cfg.orders)
+        else:
+            assert all(g.dt_int <= h <= _STEP_MAX / 2 for h in steps)
+
+    def test_cap_within_twice_dt_int_is_the_fixed_path(self):
+        model = small_erlang_a()
+        x_max = 40
+        c0 = [project_density(poisson_pmf(3.0, x_max),
+                              CharlierBasis(a=a, N=N, X_max=x_max))
+              for a, N in ((4.0, 6), (2.5, 3))]
+        g = TimeGrid(t0=0.0, T=2.0, dt_out=0.01, dt_int=5e-3)
+        plain = solve_galerkin(model, c0, g)
+        for h_max in (1e-2, 5e-3, 1e-3):
+            for one, two in zip(plain, solve_galerkin(model, c0, g, h_max)):
+                for k in ("mean", "variance", "cum3", "cum4"):
+                    assert np.array_equal(getattr(one, k), getattr(two, k))
+                assert {k: v for k, v in one.meta.items() if k[-2:] != "_s"} \
+                    == {k: v for k, v in two.meta.items() if k[-2:] != "_s"}
+                assert "h" not in two.meta
+
+    def test_failing_probes_fall_back_to_the_fixed_path(self):
+        # the stiff config whose basis search loses candidates: the
+        # estimate at 5e-3 sends the law's step below 2 dt_int
+        cfg = ExperimentConfig(
+            model={"kind": "erlang_a",
+                   "lambda": {"base": 450.0, "amplitude": 37.5},
+                   "mu": 100.0, "beta": 60.0, "c": 4},
+            T=1.0, dt_out=1e-2, dt_int=1e-4, X_max=60, orders=[3],
+            init={"kind": "poisson", "value": 4.0})
+        model, p0, g = cfg.build_model(), cfg.initial_pmf(), cfg.grid()
+        c0 = [project_density(p0, CharlierBasis(a=6.62, N=3, X_max=60))]
+        fixed, = solve_galerkin(model, c0, g)
+        probed, = solve_galerkin(model, c0, g, h_max=_STEP_MAX)
+        for k in ("mean", "variance", "cum3", "cum4"):
+            assert np.array_equal(getattr(fixed, k), getattr(probed, k)), k
+        m = probed.meta
+        assert not m["failed"] and m["n_steps"] == fixed.meta["n_steps"]
+        assert m["h"] == g.dt_int and m["step_err"] == 0.0
+        # the one probe: 200 steps at H = 5e-3 and 100 at 2H
+        assert m["n_probe_steps"] == 300
+
+    def test_non_finite_row_fails_from_its_first_bad_time(self):
+        # RK4 at dt=4 is unstable for the order-12 system only; its
+        # probes at 8 and 16 blow up, so the batch steps at dt_int
+        model = small_erlang_a()
+        x_max = 40
+        p0 = poisson_pmf(3.0, x_max)
+        g = TimeGrid(t0=0.0, T=400.0, dt_out=4.0, dt_int=4.0)
+        c0 = [project_density(p0, CharlierBasis(a=a, N=N, X_max=x_max))
+              for a, N in ((4.0, 12), (3.0, 1))]
+        with np.errstate(all="ignore"):
+            fixed = solve_galerkin(model, c0, g)
+            probed = solve_galerkin(model, c0, g, h_max=16.0)
+        for one, two in zip(fixed, probed):
+            for k in ("mean", "variance", "cum3", "cum4"):
+                assert np.array_equal(getattr(one, k), getattr(two, k),
+                                      equal_nan=True), k
+            assert two.meta["h"] == 4.0 and two.meta["n_probe_steps"] > 0
+        bad, good = probed
+        assert bad.meta["failed"] and not good.meta["failed"]
+        i = int(np.argmax(np.isnan(bad.mean)))
+        assert 0 < i < 100 and np.isnan(bad.mean[i:]).all()
+        assert np.isfinite(bad.mean[:i]).all()
+        with pytest.raises(IntegrationError, match=r"^Galerkin row N=12: "
+                           rf"non-finite state at t={g.times[i]:.6g}$"):
+            with np.errstate(all="ignore"):
+                run_galerkin(ExperimentConfig(
+                    model={"kind": "erlang_a",
+                           "lambda": {"base": 4.0, "amplitude": 1.0},
+                           "mu": 1.0, "beta": 0.4, "c": 3},
+                    T=400.0, dt_out=4.0, dt_int=4.0, X_max=x_max,
+                    orders=[12], init={"kind": "poisson", "value": 3.0}),
+                    12, a=4.0)
+
+    def test_hermite_fill_is_exact_on_cubics(self):
+        ts = np.array([0.0, 0.3, 1.0, 1.2])
+        out = np.linspace(0.0, 1.2, 13)
+        y, f = ts**3 - 2 * ts, 3 * ts**2 - 2
+        got = solve._hermite(out, ts, y[:, None], f[:, None])[:, 0]
+        assert np.allclose(got, out**3 - 2 * out, rtol=0, atol=1e-14)
 
 
 class TestClosure:

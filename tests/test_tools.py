@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -84,3 +85,38 @@ def test_full_precision_digest_sees_what_the_csv_rounds_away(tmp_path):
     assert digests[0] == output_hashes.digest(Trajectory(
         times=times.copy(), meta={"n_steps": 10, "wall_s": 0.5},
         mean=mean.copy(), variance=mean.copy()))
+
+
+def test_diff_names_moved_keys_and_their_cells(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d in (old, new):
+        d.mkdir()
+    same = "N,err_mean\n1,1.000000e-01\n2,2.000000e-02\n"
+    (old / "a-table.csv").write_text("# provenance: {}\n" + same)
+    (new / "a-table.csv").write_text(
+        '# provenance: {"h": 0.005}\n' + same.replace("2.000000e-02",
+                                                       "2.000100e-02"))
+    for d in (old, new):
+        (d / "a-figures.csv").write_text("t,mean\n0.0,1.0\n1.0,inf\n")
+    (new / "a-figures.csv").write_text("t,mean\n0.0,1.0\n1.0,3.0\n")
+    hashes = {key: output_hashes.sha256(old / f"a-{key[2:]}.csv")
+              for key in ("a/table", "a/figures")}
+    (old / "hashes.json").write_text(json.dumps(
+        {**hashes, "a/full/reference": "x", "a/full/closure": "y"}))
+    (new / "hashes.json").write_text(json.dumps({
+        "a/table": output_hashes.sha256(new / "a-table.csv"),
+        "a/figures": output_hashes.sha256(new / "a-figures.csv"),
+        "a/full/reference": "z", "a/full/galerkin": "w"}))
+    assert output_hashes.main(["--diff", str(old), str(new)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "a/figures: 1 of 4 cells changed, largest relative inf, "
+        "absolute inf",
+        f"a/full/closure: only in {old}",
+        f"a/full/galerkin: only in {new}",
+        "a/full/reference: full-precision digest moved",
+        "a/table: 1 of 4 cells changed, largest relative 5e-05, "
+        "absolute 1e-06; comment lines moved",
+    ]
+    assert output_hashes.main(["--diff", str(old), str(old)]) == 0
+    assert capsys.readouterr().out == ""

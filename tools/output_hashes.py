@@ -17,6 +17,14 @@ N=3 and a 2000-path simulation, and "<config>/full/<solve>" maps to the
 meta. Run it on two checkouts and diff the two files: a change that keeps
 every output bit-identical leaves them equal. Takes about 60 s on 2
 vCPUs.
+
+    python3 tools/output_hashes.py --diff OLD_DIR NEW_DIR
+
+compares two such OUTDIRs: it prints each key whose hash moved (or that
+only one side has) and, for a moved CSV, the count of changed data
+cells and the largest relative and absolute change among them, and
+whether its comment lines (a table's provenance) moved. Exits 1 when a
+key moved, else 0.
 """
 
 import hashlib
@@ -113,12 +121,62 @@ def full_precision(cfg_path) -> dict:
     return {name: digest(traj) for name, traj in out.items()}
 
 
+def cell_changes(old_csv, new_csv) -> str:
+    """One line on how the data cells of two CSVs differ, cells compared
+    as text and their changes as floats (a change to or from a non-finite
+    value counts as infinite)."""
+    def read(path):
+        lines = Path(path).read_text().splitlines()
+        comments = [x for x in lines if x.startswith("#")]
+        rows = [x.split(",") for x in lines if not x.startswith("#")]
+        return comments, rows
+
+    (c_old, old), (c_new, new) = read(old_csv), read(new_csv)
+    tail = "; comment lines moved" if c_old != c_new else ""
+    if not old or old[0] != new[0] or [len(r) for r in old] \
+            != [len(r) for r in new]:
+        return "columns or rows differ" + tail
+    old, new = np.array(old[1:]), np.array(new[1:])
+    changed = old != new
+    if not changed.any():
+        return f"0 of {changed.size} cells changed" + tail
+    a, b = old[changed].astype(float), new[changed].astype(float)
+    with np.errstate(all="ignore"):
+        dif = np.abs(a - b)
+        rel = dif / np.abs(a)
+    dif, rel = (np.where(np.isnan(x), np.inf, x) for x in (dif, rel))
+    return (f"{changed.sum()} of {changed.size} cells changed, largest "
+            f"relative {rel.max():.3g}, absolute {dif.max():.3g}" + tail)
+
+
+def diff(old_dir, new_dir) -> int:
+    """Print the keys whose hashes differ between two OUTDIRs, each moved
+    CSV with its `cell_changes`; 1 if any moved, else 0."""
+    old_dir, new_dir = Path(old_dir), Path(new_dir)
+    old, new = (json.loads((d / "hashes.json").read_text())
+                for d in (old_dir, new_dir))
+    moved = sorted(k for k in old.keys() | new.keys()
+                   if old.get(k) != new.get(k))
+    for key in moved:
+        if key not in old or key not in new:
+            print(f"{key}: only in {old_dir if key in old else new_dir}")
+        elif "/full/" in key:
+            print(f"{key}: full-precision digest moved")
+        else:
+            csv = key.replace("/", "-", 1) + ".csv"
+            print(f"{key}: {cell_changes(old_dir / csv, new_dir / csv)}")
+    return int(bool(moved))
+
+
 def main(argv) -> int:
     if argv[:1] == ["--full"]:   # the child run of one config
         print(json.dumps(full_precision(argv[1])))
         return 0
+    if argv[:1] == ["--diff"] and len(argv) == 3:
+        return diff(argv[1], argv[2])
     if len(argv) != 2:
-        print("usage: python3 tools/output_hashes.py CHECKOUT OUTDIR",
+        print("usage: python3 tools/output_hashes.py CHECKOUT OUTDIR\n"
+              "       python3 tools/output_hashes.py --diff OLD_DIR NEW_DIR",
               file=sys.stderr)
         return 2
     checkout, outdir = Path(argv[0]).resolve(), Path(argv[1])
