@@ -651,6 +651,8 @@ def solve_galerkin(model: BirthDeathModel, coeffs: list[CoeffVector],
     else:
         values, n_steps, propagator_s = _step_linear(
             M0, M1, model.lam, y0, grid, reduce)
+        probe = {"h": grid.dt_int, "n_probe_steps": 0,
+                 "step_err": np.zeros(len(bases))}
     loop_s = time.perf_counter() - t_loop - propagator_s
     c0 = values[:, :, 0]
     moments = np.moveaxis(values[:, :, 1:], -1, 0)
@@ -676,13 +678,11 @@ def solve_galerkin(model: BirthDeathModel, coeffs: list[CoeffVector],
     wall = time.perf_counter() - start
     for tr in out:
         tr.meta["wall_s"] = wall
-    h, n_probe, err = ((probe["h"], probe["n_probe_steps"],
-                        float(np.max(probe["step_err"]))) if probed
-                       else (grid.dt_int, 0, 0.0))
     log.debug("galerkin batch: %d member(s), orders %s, %d steps at h %.4g, "
               "%d probe steps, step_err %.3e, propagators %.3f s, step loop "
-              "%.3f s, %.3f s", len(bases), [b.N for b in bases], n_steps, h,
-              n_probe, err, propagator_s, loop_s, wall)
+              "%.3f s, %.3f s", len(bases), [b.N for b in bases], n_steps,
+              probe["h"], probe["n_probe_steps"], np.max(probe["step_err"]),
+              propagator_s, loop_s, wall)
     return out
 
 
@@ -753,8 +753,8 @@ def _doubled_rows(M0, M1, lam, y0: np.ndarray, grid: TimeGrid, reduce,
                 ts = fine.times
                 lam_t = np.broadcast_to(np.asarray(lam(ts), dtype=float),
                                         ts.shape)[:, None, None]
-                values = _hermite(grid.times, ts, v_fine[:, :, :5],
-                                  v_fine[:, :, 5:10] + lam_t * v_fine[:, :, 10:])
+                slopes = v_fine[:, :, 5:10] + lam_t * v_fine[:, :, 10:]
+                values = _hermite(grid.times, ts, v_fine[:, :, :5], slopes)
                 return values, n_fine, propagator_s, {
                     "h": fine.dt_int, "n_probe_steps": n_probe + n_coarse,
                     "step_err": err}
