@@ -12,8 +12,8 @@ from charlierbd.closure import MomentState
 from charlierbd.harness import ExperimentConfig, _make_lambda, run_galerkin
 from charlierbd.models import (KINDS, BirthDeathModel, ErlangAParams,
                                ErlangLossParams, InfiniteServerParams,
-                               QuadraticParams, SineDrive, affine_rates,
-                               generator_apply, make_model)
+                               QuadraticParams, SineDrive, TableDrive,
+                               affine_rates, generator_apply, make_model)
 from charlierbd import solve
 from charlierbd.solve import (_BLOCK, _STEP_MAX, IntegrationError,
                               RateBoundError, SolverError, TimeGrid,
@@ -1394,6 +1394,78 @@ class TestSimulate:
         assert [v.hex() for v in tr.mean.tolist()] == mean
         assert [v.hex() for v in tr.se_mean.tolist()] == se
         assert (tr.meta["n_candidates"], tr.meta["n_jumps"]) == (10185, 9955)
+
+    @staticmethod
+    def branch_runs():
+        """One seeded run per branch of the thinning loop: (model, grid,
+        n_paths, seed, x0, x0_dist)."""
+        zero = lambda t, x: 0.0 * np.asarray(x, dtype=float)
+        table = TableDrive([0.0, 0.7, 1.3, 2.2, 3.0], [3.0, 6.5, 2.0, 5.0, 4.0])
+        return {
+            # from 0 under a constant drive: the tables double from top = 2
+            "outgrow": (infinite_server(lam_const(50.0)),
+                        TimeGrid(t0=0.0, T=4.0, dt_out=0.5, dt_int=0.5),
+                        4000, 7, 0, "point"),
+            # knots inside the output intervals set the bounds
+            "table_drive": (make_model(ErlangAParams(lam=table, mu=1.0,
+                                                     beta=0.4, c=3)),
+                            TimeGrid(t0=0.0, T=3.0, dt_out=0.5, dt_int=0.5),
+                            300, 13, 4, "poisson"),
+            # one start state; paths reach T on different passes
+            "point": (small_erlang_a(),
+                      TimeGrid(t0=0.0, T=2.0, dt_out=0.5, dt_int=0.5),
+                      200, 9, 3, "point"),
+            # B = 0: every candidate time is infinite
+            "zero": (BirthDeathModel(birth=zero, death=zero,
+                                     lam=SineDrive(0.0, 0.0), label="zero"),
+                     TimeGrid(t0=0.0, T=2.0, dt_out=0.5, dt_int=0.5),
+                     37, 17, 40, "poisson"),
+        }
+
+    # mean, SE and (n_candidates, n_jumps) of each branch run, recorded
+    # before the loop kept per-path interval ends and bounds
+    BRANCH_PINS = {
+        "outgrow": (
+            ["0x0.0p+0", "0x1.3cbd70a3d70a4p+4", "0x1.fa80000000000p+4",
+             "0x1.3750e56041893p+5", "0x1.59d26e978d4fep+5",
+             "0x1.6ea4dd2f1a9fcp+5", "0x1.7b9ba5e353f7dp+5",
+             "0x1.8349ba5e353f8p+5", "0x1.88072b020c49cp+5"],
+            ["0x0.0p+0", "0x1.14c34b00015dbp-4", "0x1.55795ee6562e2p-4",
+             "0x1.73183b6d6adebp-4", "0x1.88aeca70ed074p-4",
+             "0x1.b747039339efbp-4", "0x1.e38bf72e61684p-4",
+             "0x1.be74d72eb6bf1p-4", "0x1.7e8fe1c805562p-4"],
+            (1405888, 1405888)),
+        "table_drive": (
+            ["0x1.ec5f92c5f92c6p+1", "0x1.18bf258bf258cp+2",
+             "0x1.5a3d70a3d70a4p+2", "0x1.3e81b4e81b4e8p+2",
+             "0x1.3b17e4b17e4b1p+2", "0x1.66d3a06d3a06dp+2",
+             "0x1.7da740da740dap+2"],
+            ["0x1.bd3f918bb126ap-4", "0x1.f991f4cee2addp-4",
+             "0x1.42f5892fef63cp-3", "0x1.1d403c10ae6f1p-3",
+             "0x1.43afe5a55dc9dp-3", "0x1.5cf46d5a8dfd2p-3",
+             "0x1.6b6da1bbf8901p-3"],
+            (7798, 7033)),
+        "point": (
+            ["0x1.8000000000000p+1", "0x1.e7ae147ae147bp+1",
+             "0x1.2147ae147ae14p+2", "0x1.451eb851eb852p+2",
+             "0x1.7570a3d70a3d7p+2"],
+            ["0x0.0p+0", "0x1.14d589a612024p-3", "0x1.25f52c89084b2p-3",
+             "0x1.7469ccd1a6293p-3", "0x1.9319147bece19p-3"],
+            (3270, 3225)),
+        "zero": (
+            ["0x1.4183759f22983p+5"] * 5,
+            ["0x1.8db3d3698f884p-1"] * 5,
+            (0, 0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BRANCH_PINS))
+    def test_every_branch_is_pinned(self, name):
+        model, g, n, seed, x0, dist = self.branch_runs()[name]
+        tr = simulate_paths(model, n, seed, g, x0, dist)
+        mean, se, counts = self.BRANCH_PINS[name]
+        assert [v.hex() for v in tr.mean.tolist()] == mean
+        assert [v.hex() for v in tr.se_mean.tolist()] == se
+        assert (tr.meta["n_candidates"], tr.meta["n_jumps"]) == counts
 
     def test_memory_does_not_scale_with_times_by_paths(self):
         model = infinite_server(lam_const(1.0))
