@@ -281,8 +281,9 @@ def affine_rates(model: BirthDeathModel, times,
     divides. g[X_max] = 0: the truncated process has no births out of
     X_max. Each rate callable runs once, broadcasting over (t, x); the
     contract is checked at times[0] and times[-1]. A model whose rates
-    break it, or that has a negative rate (lam below zero on `times`, or
-    a negative entry of g or d), raises ValueError.
+    break it, that has a negative rate (lam below zero on `times`, or a
+    negative entry of g or d), or whose death rate d(0) is positive (a
+    death out of state 0 would leave the state space) raises ValueError.
     """
     times = np.asarray(times, dtype=float)
     lam = np.broadcast_to(np.asarray(model.lam(times), dtype=float),
@@ -315,6 +316,9 @@ def affine_rates(model: BirthDeathModel, times,
     if np.any(g < 0) or np.any(d < 0):
         raise ValueError(f"model {model.label!r}: negative rate on "
                          f"{{0..{X_max}}}; rates must be nonnegative")
+    if d[0] > 0:
+        raise ValueError(f"model {model.label!r}: death rate {d[0]:.6g} in "
+                         "state 0; a death there would leave {0, 1, ...}")
     g[-1] = 0.0
     return g, d
 

@@ -60,8 +60,10 @@ class RateBoundError(RuntimeError):
 class TimeGrid:
     """Output times every dt_out on [t0, T], each output step split into
     `substeps` RK4 steps of dt_int. Construction checks the layout and
-    raises ValueError for any other; the read-only `times` are built on
-    first use, so a grid made only to validate a layout builds none."""
+    raises ValueError for any other, steps too many to count included;
+    the read-only `times` are built on first use, so a grid made only to
+    validate a layout builds none. Output times past numpy's array size
+    limit raise MemoryError, as too many for the machine's memory do."""
 
     t0: float
     T: float
@@ -74,6 +76,11 @@ class TimeGrid:
             raise ValueError("horizon T must exceed t0, both finite")
         if not self.dt_out >= self.dt_int > 0:
             raise ValueError("need dt_out >= dt_int > 0")
+        if not (span / self.dt_out < np.inf
+                and self.dt_out / self.dt_int < np.inf):
+            raise ValueError(f"dt_out = {self.dt_out:g} and dt_int = "
+                             f"{self.dt_int:g} give more steps than a float "
+                             "can count")
         n_out = round(span / self.dt_out)
         if not abs(n_out * self.dt_out - span) <= 1e-9 * span:
             raise ValueError(f"horizon T - t0 = {span:g} is not a whole number"
@@ -86,7 +93,12 @@ class TimeGrid:
 
     @functools.cached_property
     def times(self) -> np.ndarray:
-        times = self.t0 + self.dt_out * np.arange(self.n_out + 1)
+        try:
+            steps = np.arange(self.n_out + 1)
+        except ValueError as exc:   # "Maximum allowed size exceeded"
+            raise MemoryError(f"{self.n_out + 1:.4g} output times: "
+                              f"{exc}") from None
+        times = self.t0 + self.dt_out * steps
         times.flags.writeable = False
         return times
 
@@ -928,12 +940,15 @@ def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
     (100 contiguous groups of paths, or one per path when fewer);
     deterministic for a fixed seed. No path history is kept: the state of
     each path at each output time is added into exact int64 sums at that
-    time, S1 of states, S2 of squared states and one state sum per group,
-    so memory is O(n_paths + 100 n_times). The mean is S1 / n_paths, the
-    variance the correctly rounded (n S2 - S1^2) / (n (n-1)); a table top
-    at which n_paths top^2 could reach 2^63 raises SolverError. meta
-    carries the thinning candidates (n_candidates), the accepted births
-    plus deaths (n_jumps) and the wall time of the whole call (wall_s).
+    time, S2 of squared states and one state sum per group, whose total
+    is S1, so memory is O(n_paths + 100 n_times). The mean is S1 / n_paths,
+    the variance the correctly rounded (n S2 - S1^2) / (n (n-1)); a table
+    top at which n_paths top^2 could reach 2^63 raises SolverError. Each
+    pass of the loop draws one candidate time for every live path, then
+    one uniform for every candidate before its path's interval end;
+    meta carries the thinning candidates (n_candidates), the accepted
+    births plus deaths (n_jumps), the passes (n_passes) and the wall time
+    of the whole call (wall_s).
     """
     start = time.perf_counter()
     if n_paths < 2:
@@ -965,61 +980,87 @@ def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
     sizes = np.array([len(c) for c in np.array_split(np.arange(n_paths),
                                                      min(100, n_paths))])
     n_groups = sizes.size
-    # per output time: the sums of states and of squared states, and the
-    # state sum of each jackknife group
-    s1 = np.zeros(times.size, dtype=np.int64)
+    # per output time: the sum of squared states, and the state sum of
+    # each jackknife group at flat index time * n_groups + group
     s2 = np.zeros(times.size, dtype=np.int64)
-    group_sums = np.zeros((times.size, n_groups), dtype=np.int64)
+    group_sums = np.zeros(times.size * n_groups, dtype=np.int64)
+    # per output interval: its end and drive bound, +inf and 0 past the
+    # last, so a path that reaches T needs no special case
+    ends = np.append(times[1:], np.inf)
+    bounds = np.append(lam_bar, 0.0)
 
-    def record(i, group, x):
-        # paths of jackknife groups `group` at output times i in states x
-        np.add.at(s1, i, x)
-        np.add.at(s2, i, x * x)
-        np.add.at(group_sums, (i, group), x)
-
-    # per live path: jackknife group, state, clock, output interval
-    grp = np.repeat(np.arange(n_groups), sizes)
+    # per live path: state, clock, the flat index k * n_groups + group of
+    # its last output time t_k, and the end and drive bound of its
+    # interval [t_k, t_{k+1}]
     ts = np.full(n_paths, times[0])
-    k = np.zeros(n_paths, dtype=np.intp)
-    record(k, grp, xs)
-    n_candidates = n_jumps = 0
-    while grp.size:
-        gx, dx = g[xs], d[xs]
-        B = lam_bar[k] * gx + dx
-        t_end = times[k + 1]
+    kg = np.repeat(np.arange(n_groups), sizes)
+    t_end = np.full(n_paths, ends[0])
+    lb = np.full(n_paths, bounds[0])
+    add_at = np.add.at
+    s2[0] = np.sum(xs * xs)
+    add_at(group_sums, kg, xs)
+    exponential, uniform = rng.standard_exponential, rng.random
+    n_candidates = n_jumps = n_passes = 0
+    while xs.size:
+        n_passes += 1
+        gx, dx = g.take(xs), d.take(xs)
+        B = lb * gx
+        B += dx
+        t_new = exponential(xs.size)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_new = ts + rng.standard_exponential(grp.size) / B
+            t_new /= B          # B = 0: no candidate, t_new = inf
+        t_new += ts
         hit = t_new <= t_end
-        h = np.nonzero(hit)[0]
+        h = np.flatnonzero(hit)
         if h.size:
             n_candidates += h.size
-            Bh = B[h]
-            b = lam(t_new[h]) * gx[h]
-            tot = b + dx[h]
+            Bh = B.take(h)
+            b = gx.take(h)
+            b *= lam(t_new.take(h))
+            tot = dx.take(h)
+            tot += b
             if np.any(tot > Bh * (1 + 1e-12)):
                 worst = float(np.max(tot - Bh))
                 raise RateBoundError(
                     f"thinning rate exceeds its bound by {worst:.3e}: a rate "
                     "is negative or the drive's sup under-reports its "
                     "maximum")
-            u = rng.random(h.size) * Bh
-            step = np.where(u < b, 1, np.where(u < tot, -1, 0))
-            xs[h] = np.maximum(xs[h] + step, 0)
-            n_jumps += np.count_nonzero(step)
-            if xs[h].max() == top:
+            u = uniform(h.size)
+            u *= Bh
+            # a birth when u < b, a death when b <= u < tot: d >= 0, so
+            # `down` holds every `up`, and d(0) = 0 keeps every state >= 0
+            up, down = u < b, u < tot
+            xh = xs.take(h)
+            xh += up
+            xh += up
+            xh -= down
+            xs[h] = xh
+            n_jumps += np.count_nonzero(down)
+            if xh.max() == top:
                 top *= 2
                 g, d = tables(top)
-            ts[h] = t_new[h]
-        # a path without a candidate before its interval end reaches it
-        m = np.nonzero(~hit)[0]
+        # a path without a candidate before its interval end reaches it;
+        # fmin also takes t_end over an infinite or NaN t_new
+        ts = np.fmin(t_new, t_end)
+        m = np.flatnonzero(~hit)
         if m.size:
-            ts[m] = t_end[m]
-            k[m] += 1
-            record(k[m], grp[m], xs[m])
-            if np.any(k[m] == n_int):
-                live = k < n_int
-                grp, xs, ts, k = (a[live] for a in (grp, xs, ts, k))
+            flat = kg.take(m)
+            flat += n_groups
+            kg[m] = flat
+            km = flat // n_groups
+            t_end[m] = ends.take(km)
+            lb[m] = bounds.take(km)
+            xm = xs.take(m)
+            add_at(s2, km, xm * xm)
+            add_at(group_sums, flat, xm)
+            if km.max() == n_int:
+                live = kg < n_int * n_groups
+                xs, ts, kg, t_end, lb = (
+                    a[live] for a in (xs, ts, kg, t_end, lb))
 
+    group_sums = group_sums.reshape(times.size, n_groups)
+    # the int64 sums are exact, so the group sums add up to S1
+    s1 = group_sums.sum(axis=1)
     m1 = s1 / n_paths
     # exact Python ints, one correctly rounded division per output time
     den = n_paths * (n_paths - 1)
@@ -1027,12 +1068,13 @@ def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
                     for s, q in zip(s1.tolist(), s2.tolist())])
     se = _jackknife_se_mean(group_sums, sizes)
     wall = time.perf_counter() - start
-    log.debug("simulate: %d paths, %d thinning candidates, %.3f s", n_paths,
-              n_candidates, wall)
+    log.debug("simulate: %d paths, %d thinning candidates, %d jumps, %d "
+              "passes, %.3f s", n_paths, n_candidates, n_jumps, n_passes, wall)
     return Trajectory(times=times, mean=m1, variance=var, se_mean=se,
                       meta={"solver": "simulate", "n_paths": n_paths,
                             "seed": seed, "n_candidates": n_candidates,
-                            "n_jumps": n_jumps, "wall_s": wall})
+                            "n_jumps": n_jumps, "n_passes": n_passes,
+                            "wall_s": wall})
 
 
 def _jackknife_se_mean(group_sums: np.ndarray,

@@ -141,6 +141,27 @@ def test_x_max_past_numpys_size_limit_is_out_of_memory(cfg_path, tmp_path,
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("cmd,patch,flags", [
+    ("solve-reference", {"dt_out": 1e-300, "dt_int": 1e-300}, []),
+    ("figures", {"dt_out": 1e-300, "dt_int": 1e-300}, []),
+    ("simulate", {}, ["--dt-out", "1e-300"]),
+], ids=["solve_reference", "figures", "simulate_flag"])
+def test_output_times_past_numpys_size_limit_are_out_of_memory(
+        cfg_path, tmp_path, capsys, caplog, cmd, patch, flags):
+    # 2e300 output times: numpy refuses the size with a ValueError of its
+    # own, which the grid reports as the one out-of-memory line
+    cfg = json.loads(cfg_path.read_text())
+    cfg.update(patch)
+    cfg_path.write_text(json.dumps(cfg))
+    with caplog.at_level(logging.INFO, logger="charlierbd"):
+        assert main([cmd, str(cfg_path), *flags,
+                     "-o", str(tmp_path / "out.csv")]) == 1
+    error, = [r.getMessage() for r in caplog.records
+              if r.levelname == "ERROR"]
+    assert error.startswith("out of memory: 2e+300 output times: ")
+    assert capsys.readouterr().out == ""
+
+
 def test_figures_logs_the_over_dispersion_fallback(cfg_path, tmp_path,
                                                    caplog):
     out = tmp_path / "f.csv"
@@ -354,6 +375,8 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
     ({"dt_int": float("nan")}, ["solve-reference"]),
     ({}, ["simulate", "--dt-out", "inf"]),
     ({}, ["simulate", "--dt-out", "nan"]),
+    ({"dt_out": 1e-310, "dt_int": 1e-310}, ["solve-reference"]),
+    ({}, ["simulate", "--dt-out", "1e-310"]),
     ({"model": {"kind": "erlang_a",
                 "lambda": {"samples": {"t": [0.0, 2.0],
                                        "value": [6.0, float("nan")]}},
@@ -405,7 +428,8 @@ GALERKIN = ["solve-galerkin", "-N", "2"]
         "zero_order_flag",
         "infinite_horizon", "boolean_horizon", "infinite_t0",
         "infinite_dt_out", "nan_dt_int", "infinite_dt_out_flag",
-        "nan_dt_out_flag", "nan_lambda_sample", "nan_lambda_knot_time",
+        "nan_dt_out_flag", "uncountable_steps", "uncountable_steps_flag",
+        "nan_lambda_sample", "nan_lambda_knot_time",
         "unknown_init_key", "misspelt_basis_key", "a_with_auto_basis",
         "a_with_tuned_basis", "init_without_value", "boolean_schema_version",
         "horizon_beyond_float_range", "poisson_init_without_mass",

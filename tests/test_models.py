@@ -339,6 +339,18 @@ class TestAffineRates:
         with pytest.raises(ValueError, match="negative rate"):
             affine_rates(shifted, self.TIMES, 5)
 
+    def test_death_out_of_state_zero_raises(self):
+        # birth 5, death 1 + x: a death from 0 would leave the state space,
+        # which the reference would lose as mass and the simulator clamp
+        lam = lam_const(5.0)
+        leaky = BirthDeathModel(
+            birth=lambda t, x: lam(t) + 0.0 * np.asarray(x, dtype=float),
+            death=lambda t, x: 1.0 + np.asarray(x, dtype=float),
+            lam=lam, label="leaky")
+        with pytest.raises(ValueError, match=r"'leaky': death rate 1 in "
+                                             r"state 0"):
+            affine_rates(leaky, self.TIMES, 10)
+
 
 class TestClosureTerms:
     """Each record's (E_s[g], E_s[d], Cov_s[Q, g], Cov_s[Q, d]), from its

@@ -1503,13 +1503,17 @@ class TestSimulate:
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.se_mean, b.se_mean)
         assert a.meta["wall_s"] > 0.0
-        # one line per run: paths, thinning candidates, wall time
+        # one line per run: paths, thinning candidates, jumps, passes of
+        # the thinning loop, wall time
         lines = [r.getMessage().rsplit(", ", 1) for r in caplog.records]
         assert len(lines) == 2 and lines[0][0] == lines[1][0]
         assert lines[0][1] == f"{a.meta['wall_s']:.3f} s"
-        paths, cands = lines[0][0].split(", ")
+        paths, cands, jumps, passes = lines[0][0].split(", ")
         assert paths == "simulate: 200 paths"
-        assert int(cands.split()[0]) > 0
+        assert cands == f"{a.meta['n_candidates']} thinning candidates"
+        assert jumps == f"{a.meta['n_jumps']} jumps"
+        assert passes == f"{a.meta['n_passes']} passes"
+        assert 0 < a.meta["n_passes"] <= a.meta["n_candidates"]
 
     def test_time_varying_mean_matches_reference(self):
         model = infinite_server(SineDrive(6.0, 3.0))
@@ -1569,6 +1573,17 @@ class TestSimulate:
         with pytest.raises(ValueError, match="death rate depends on t"):
             simulate_paths(model, 50, 0, TimeGrid(t0=0.0, T=1.0, dt_out=0.5,
                                                   dt_int=0.5), 3, "point")
+
+    def test_death_out_of_state_zero_is_refused(self):
+        # no path may die out of state 0, so the loop needs no clamp at 0
+        lam = lam_const(5.0)
+        model = BirthDeathModel(
+            birth=lambda t, x: lam(t) + 0.0 * np.asarray(x, dtype=float),
+            death=lambda t, x: 1.0 + np.asarray(x, dtype=float),
+            lam=lam, label="leaky")
+        with pytest.raises(ValueError, match="death rate 1 in state 0"):
+            simulate_paths(model, 50, 0, TimeGrid(t0=0.0, T=1.0, dt_out=0.5,
+                                                  dt_int=0.5), 0, "point")
 
     def test_needs_two_paths(self):
         model = small_erlang_a()

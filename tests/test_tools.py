@@ -67,6 +67,37 @@ def test_commits_fall_back_to_the_given_names(tmp_path):
         == {"parent": None, "change": None}
 
 
+def test_pairs_run_the_named_workloads_from_the_first_seed(tmp_path,
+                                                          monkeypatch):
+    bench = {"run_seconds": 10, "end_to_end": [WALL],
+             "workloads": [{"name": n} for n in ("table-x", "sim-x")]}
+    roots = [tmp_path / side for side in bench_pairs.SIDES]
+    for root in roots:
+        root.mkdir()
+        (root / "BENCHMARK.json").write_text(json.dumps(bench))
+    runs = []
+
+    def fake_run(root, workload, seed, seconds):
+        runs.append((root.name, workload, seed))
+        return {"wall_s": 1.0, "correct": True, "attempted": 1, "failed": 0}
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "BENCH_x.json"
+    assert bench_pairs.main([*map(str, roots), "--pairs", "3", "--out",
+                             str(out), "--workload", "sim-x",
+                             "--first-seed", "101"]) == 0
+    # the parent runs first in even pairs, the change in odd ones
+    assert runs == [("parent", "sim-x", 101), ("change", "sim-x", 101),
+                    ("change", "sim-x", 102), ("parent", "sim-x", 102),
+                    ("parent", "sim-x", 103), ("change", "sim-x", 103)]
+    doc = json.loads(out.read_text())
+    assert list(doc["workloads"]) == ["sim-x"]
+    assert doc["protocol"].startswith("3 pairs per workload of sim-x at "
+                                      "seeds 101..103; ")
+    with pytest.raises(SystemExit):
+        bench_pairs.main([*map(str, roots), "--out", str(out),
+                          "--workload", "nope"])
+
+
 def test_full_precision_digest_sees_what_the_csv_rounds_away(tmp_path):
     # two series one ulp apart print the same %.6e cells
     times = np.linspace(0.0, 1.0, 11)

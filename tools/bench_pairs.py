@@ -1,13 +1,15 @@
 """Alternating pairs of perfbench end-to-end runs on two checkouts.
 
     python3 tools/bench_pairs.py PARENT CHANGE --pairs 10 --out BENCH_<label>.json \
-        [--commits PARENT_SHA CHANGE_SHA]
+        [--commits PARENT_SHA CHANGE_SHA] [--workload W ...] [--first-seed N]
 
-For every workload in CHANGE's BENCHMARK.json, runs each checkout's own
+For every workload in CHANGE's BENCHMARK.json, or only those named by
+--workload (repeatable), runs each checkout's own
 `perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0` from
 that checkout's root, SECONDS being BENCHMARK.json's run_seconds. Pair i
-(from 0) uses seed i + 1 and runs the parent first when i is even and the
-change first when i is odd. The JSON
+(from 0) uses seed N + i, N being --first-seed (default 1), and runs the
+parent first when i is even and the change first when i is odd; seeds
+not used while writing a change re-check a claim on fresh runs. The JSON
 written to --out holds, per workload and end-to-end metric, each side's
 median and quartiles over the per-run medians that perfbench reports,
 the number of pairs in which the change read lower (ties count for
@@ -131,22 +133,35 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--commits", nargs=2, metavar=("PARENT", "CHANGE"),
                     help="commit names for checkouts without git metadata")
+    ap.add_argument("--workload", action="append", metavar="NAME",
+                    help="run only this workload (repeatable)")
+    ap.add_argument("--first-seed", type=int, default=1, metavar="N",
+                    help="seed of the first pair (default 1)")
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     with open(roots["change"] / "BENCHMARK.json") as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
     metrics = bench["end_to_end"]
+    names = [w["name"] for w in bench["workloads"]]
+    unknown = sorted(set(args.workload or ()) - set(names))
+    if unknown:
+        ap.error(f"unknown workload {', '.join(unknown)}; BENCHMARK.json "
+                 f"has {', '.join(names)}")
+    names = [n for n in names if n in (args.workload or names)]
+    seeds = range(args.first_seed, args.first_seed + args.pairs)
     label = args.out.stem.removeprefix("BENCH_")
     command = (f"python3 perfbench/run.py --workload W --seed S --seconds "
                f"{seconds:g} --trace 0, run from the root of each checkout")
     doc = {
         "label": label,
         "command": command,
-        "protocol": (f"{args.pairs} pairs per workload at seeds "
-                     f"1..{args.pairs}; in pair "
-                     "i (from 0) the parent runs first when i is even and "
-                     "the change first when i is odd"),
+        "protocol": (f"{args.pairs} pairs per workload of "
+                     f"{', '.join(names)} at seeds {seeds[0]}..{seeds[-1]}; "
+                     "in pair i (from 0) the parent runs first when i is "
+                     "even and the change first when i is odd"),
         "quartiles": "numpy.percentile 25/50/75 (linear) over the per-run "
                      "medians that perfbench reports",
         "commits": commits(roots, args.commits),
@@ -157,10 +172,9 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     blas = set()
-    for name in (w["name"] for w in bench["workloads"]):
+    for name in names:
         pairs = []
-        for i in range(args.pairs):
-            seed = i + 1
+        for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
