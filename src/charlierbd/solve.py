@@ -76,8 +76,7 @@ class TimeGrid:
             raise ValueError("horizon T must exceed t0, both finite")
         if not self.dt_out >= self.dt_int > 0:
             raise ValueError("need dt_out >= dt_int > 0")
-        if not (span / self.dt_out < np.inf
-                and self.dt_out / self.dt_int < np.inf):
+        if np.inf in (span / self.dt_out, self.dt_out / self.dt_int):
             raise ValueError(f"dt_out = {self.dt_out:g} and dt_int = "
                              f"{self.dt_int:g} give more steps than a float "
                              "can count")

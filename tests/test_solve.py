@@ -147,6 +147,8 @@ class TestTimeGrid:
         (0.0, 1.0, 0.3, 0.3, "not a whole number of output steps"),
         (0.0, 1.0, 0.25, 0.1, "integer multiple"),
         (0.0, 1.0, np.inf, np.inf, "not a whole number of output steps"),
+        (0.0, 1.0, 1e-310, 1e-310, "more steps than a float can count"),
+        (0.0, 1.0, 1.0, 1e-310, "more steps than a float can count"),
         (0.0, 1.0, np.nan, np.nan, "dt_out >= dt_int > 0"),
         (0.0, 1.0, 0.0, 0.0, "dt_out >= dt_int > 0"),
         (0.0, np.inf, 0.5, 0.5, "must exceed t0"),
@@ -1513,7 +1515,7 @@ class TestSimulate:
         assert cands == f"{a.meta['n_candidates']} thinning candidates"
         assert jumps == f"{a.meta['n_jumps']} jumps"
         assert passes == f"{a.meta['n_passes']} passes"
-        assert 0 < a.meta["n_passes"] <= a.meta["n_candidates"]
+        assert a.meta["n_passes"] > 0
 
     def test_time_varying_mean_matches_reference(self):
         model = infinite_server(SineDrive(6.0, 3.0))
