@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 numerical failure (divergence, rate-bound
-violation, boundary-mass overflow), out of memory or standard output
-closed early (as by `| head -1`), 2 bad input: config, arguments, an `-o`
-that is a directory or in a missing one (checked before any solve), or a
-CHARLIER_LOG other than debug (verbose progress), info (the default),
-warning or error, in any case.
+violation, boundary-mass overflow), out of memory, a failed write or
+standard output closed early (as by `| head -1`), 2 bad input: a config
+that is no readable UTF-8 JSON file or fails its schema, arguments, an
+`-o` that is empty, a directory, in a missing one or a name the system
+refuses (checked before any solve), or a CHARLIER_LOG other than debug
+(verbose progress), info (the default), warning or error, in any case.
 """
 
 from __future__ import annotations
@@ -44,14 +45,28 @@ def _load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc.reason}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}")
 
 
 def _check_output(path) -> None:
-    """ConfigError if `path` is a directory or its directory is missing."""
+    """ConfigError if `path` is empty, a directory or in a missing one, or
+    a name the system refuses (too long, or through a regular file)."""
+    if not path:
+        raise ConfigError("output path is empty")
     if os.path.isdir(path):
         raise ConfigError(f"output path {path} is a directory")
-    if not os.path.isdir(os.path.dirname(path) or "."):
-        raise ConfigError(f"output path {path} is in a missing directory")
+    try:
+        os.stat(path)
+    except FileNotFoundError:
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"output path {path} is in a missing "
+                              "directory") from None
+    except OSError as exc:
+        raise ConfigError(f"output path {path} cannot be written: "
+                          f"{exc.strerror}") from None
 
 
 def _write_traj_csv(traj, path, cols=("mean", "variance", "cum3", "cum4")):
@@ -265,6 +280,9 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as exc:
         log.error("out of memory: %s", exc)
+        return 1
+    except OSError as exc:
+        log.error("I/O failure: %s", exc)
         return 1
     except ValueError as exc:
         log.error("%s", exc)

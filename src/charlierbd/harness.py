@@ -209,7 +209,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:

@@ -2,18 +2,15 @@
 model kinds, and truncated generator application.
 
 Every model has a birth rate lam(t) * g(x) and a death rate d(x): the
-drive lam carries all the time dependence. Each built-in kind is one
-frozen params record in `KINDS`: its fields are the config's model
-fields, and it gives g, d, the default X_max and, as data, the g and d
-of its moment closure (`g_terms`, `d_terms`: (functional, coefficient)
-terms, see `closure.closure_evaluator`). This module imports no other
-charlierbd module. `make_model` turns a record into a `BirthDeathModel`.
-The config drives, `SineDrive` and `TableDrive`, also give their exact
-maximum over an interval (`sup`), which the thinning simulator's rate
-bound needs, and their exact minimum (`inf`), which config validation
-checks for a negative arrival rate. Rate callables take (t, x),
-broadcast over array arguments in either slot, and must be pure; models
-are immutable after construction and safe to share across threads.
+drive lam, a `SineDrive` or a `TableDrive`, carries all the time
+dependence and gives its exact maximum (`sup`) and minimum (`inf`) over
+an interval. Each built-in kind is one frozen params record in `KINDS`:
+the config's model fields, g and d as (functional, coefficient) terms
+(`g_terms`, `d_terms`) that `rate_values` evaluates and `closure` takes
+expectations of, and a default X_max. `make_model` turns a record into a
+`BirthDeathModel`; this module imports no other charlierbd module. Rate
+callables take (t, x), broadcast over arrays in either slot, and are
+pure; models are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -33,6 +30,7 @@ __all__ = [
     "ErlangLossParams",
     "QuadraticParams",
     "KINDS",
+    "rate_values",
     "make_model",
     "affine_rates",
     "generator_apply",
@@ -122,7 +120,7 @@ class BirthDeathModel:
 
     birth: RateFn
     death: RateFn
-    lam: Callable[[float], float]
+    lam: SineDrive | TableDrive
     label: str
 
 
@@ -137,28 +135,19 @@ class InfiniteServerParams:
     rate mu. g(x) = 1, d(x) = mu x."""
 
     kind = "infinite_server"
-    lam: Callable[[float], float]
+    lam: SineDrive | TableDrive
     mu: float
 
     def __post_init__(self):
         if self.mu <= 0:
             raise ValueError("service rate mu must be positive")
 
-    def g(self, x):
-        return np.ones(np.shape(x))
-
-    def d(self, x):
-        return self.mu * np.asarray(x, dtype=float)
-
     def x_max(self, t0: float, T: float, x0: float) -> int:
         """Default X_max of a run from level x0 over [t0, T]."""
         return _tail_cover(float(self.lam.sup(t0, T)) / min(self.mu, 1.0))
 
     g_terms = ((("1",), 1.0),)
-
-    @property
-    def d_terms(self) -> tuple:
-        return ((("x",), self.mu),)
+    d_terms = property(lambda p: ((("x",), p.mu),))
 
 
 @dataclass(frozen=True)
@@ -178,11 +167,6 @@ class ErlangAParams(InfiniteServerParams):
         if self.c < 1:
             raise ValueError("server count c must be at least 1")
 
-    def d(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.mu * np.minimum(x, self.c) \
-            + self.beta * np.maximum(x - self.c, 0.0)
-
     def x_max(self, t0: float, T: float, x0: float) -> int:
         # fluid level of the queue at the peak arrival rate, at least the
         # initial state and at most what arrivals add by T
@@ -197,9 +181,8 @@ class ErlangAParams(InfiniteServerParams):
         return _tail_cover(max(lam_max / min(mu, 1.0),
                                min(max(fluid, x0), x0 + lam_max * (T - t0))))
 
-    @property
-    def d_terms(self) -> tuple:
-        return ((("min", self.c), self.mu), (("over", self.c), self.beta))
+    d_terms = property(lambda p: ((("min", p.c), p.mu),
+                                  (("over", p.c), p.beta)))
 
 
 @dataclass(frozen=True)
@@ -215,12 +198,7 @@ class ErlangLossParams(ErlangAParams):
         if self.k < 0:
             raise ValueError("waiting spaces k must be nonnegative")
 
-    def g(self, x):
-        return (np.asarray(x) < self.c + self.k).astype(float)
-
-    @property
-    def g_terms(self) -> tuple:
-        return ((("below", self.c + self.k), 1.0),)
+    g_terms = property(lambda p: ((("below", p.c + p.k), 1.0),))
 
     def x_max(self, t0: float, T: float, x0: float) -> int:
         return self.c + self.k + 1
@@ -228,10 +206,12 @@ class ErlangLossParams(ErlangAParams):
 
 @dataclass(frozen=True)
 class QuadraticParams:
-    """Logistic quadratic model: g(x) = x (Qtilde - x)+, d(x) = beta x."""
+    """Logistic quadratic model: g(x) = x (Qtilde - x)+, d(x) = beta x.
+    Its g terms are x (Qtilde - x): `rate_values` clamps them, the
+    closure does not."""
 
     kind = "quadratic"
-    lam: Callable[[float], float]
+    lam: SineDrive | TableDrive
     Qtilde: int
     beta: float
 
@@ -241,35 +221,38 @@ class QuadraticParams:
         if self.beta <= 0:
             raise ValueError("death coefficient beta must be positive")
 
-    def g(self, x):
-        x = np.asarray(x, dtype=float)
-        return x * np.maximum(self.Qtilde - x, 0.0)
-
-    def d(self, x):
-        return self.beta * np.asarray(x, dtype=float)
-
     def x_max(self, t0: float, T: float, x0: float) -> int:
         return int(1.4 * self.Qtilde) + 10
 
-    @property
-    def g_terms(self) -> tuple:
-        # unclamped, x (Qtilde - x); the model and other solvers clamp it
-        return ((("x",), self.Qtilde), (("x2",), -1.0))
-
-    @property
-    def d_terms(self) -> tuple:
-        return ((("x",), self.beta),)
+    g_terms = property(lambda p: ((("x",), p.Qtilde), (("x2",), -1.0)))
+    d_terms = property(lambda p: ((("x",), p.beta),))
 
 
 KINDS = {p.kind: p for p in (InfiniteServerParams, ErlangAParams,
                              ErlangLossParams, QuadraticParams)}
 
 
+# the value at states x of each functional (name, *args) of the terms:
+# 1, x, x^2, x ^ c, (x - c)+ and 1{x < z}
+_VALUES = {"1": np.ones_like, "x": lambda x: x, "x2": lambda x: x * x,
+           "min": np.minimum, "over": lambda x, c: np.maximum(x - c, 0.0),
+           "below": lambda x, z: (x < z).astype(float)}
+
+
+def rate_values(terms: tuple, x) -> np.ndarray:
+    """The rate of (functional, coefficient) terms at states x: the terms
+    summed in order, clamped at 0."""
+    x = np.asarray(x, dtype=float)
+    return np.maximum(sum(coef * _VALUES[f[0]](x, *f[1:])
+                          for f, coef in terms), 0.0)
+
+
 def make_model(p) -> BirthDeathModel:
     """The model of a params record: birth lam(t) g(x), death d(x)."""
     return BirthDeathModel(
-        birth=lambda t, x: np.asarray(p.lam(t), dtype=float) * p.g(x),
-        death=lambda t, x: p.d(x), lam=p.lam, label=p.kind)
+        birth=lambda t, x: p.lam(t) * rate_values(p.g_terms, x),
+        death=lambda t, x: rate_values(p.d_terms, x), lam=p.lam,
+        label=p.kind)
 
 
 def affine_rates(model: BirthDeathModel, times,
@@ -286,8 +269,7 @@ def affine_rates(model: BirthDeathModel, times,
     death out of state 0 would leave the state space) raises ValueError.
     """
     times = np.asarray(times, dtype=float)
-    lam = np.broadcast_to(np.asarray(model.lam(times), dtype=float),
-                          times.shape)
+    lam = model.lam(times)
     if np.any(lam < 0):
         raise ValueError(f"model {model.label!r}: lam reaches "
                          f"{lam.min():.6g} < 0; rates must be nonnegative")
@@ -296,7 +278,7 @@ def affine_rates(model: BirthDeathModel, times,
     xs = np.arange(X_max + 1)
     # sample the drive on the array the birth callable receives, so g is
     # exact (1.0 for the queues) whichever numpy loop evaluates lam
-    lam3 = np.broadcast_to(np.asarray(model.lam(ts), dtype=float), ts.shape)
+    lam3 = model.lam(ts)
     B = np.broadcast_to(np.asarray(model.birth(ts, xs), dtype=float),
                         (3, X_max + 1))
     D = np.broadcast_to(np.asarray(model.death(ts[1:], xs), dtype=float),

@@ -384,9 +384,7 @@ _SEGMENT = 1024
 def _rk4_word_coeffs(lam, t: np.ndarray, h: float) -> np.ndarray:
     """(steps, 30) coefficients a_w with D = sum_w a_w W_w of the RK4 steps
     from times t, from the drive at the three stage times of each step."""
-    ts = np.concatenate([t, t + 0.5 * h, t + h])
-    lam3 = np.broadcast_to(np.asarray(lam(ts), dtype=float),
-                           ts.shape).reshape(3, -1)
+    lam3 = lam(np.concatenate([t, t + 0.5 * h, t + h])).reshape(3, -1)
     a = np.zeros((t.size, len(_WORDS)))
     for i, w in enumerate(_WORDS):
         for coef, stages in _RK4_TERMS:
@@ -512,11 +510,11 @@ def solve_reference(model: BirthDeathModel, p0, grid: TimeGrid,
     min(_STEP_MAX, 2.785 / rho), rho = 2 max_x(lam_bar g(x) + d(x))
     being the Gershgorin bound of every A(t) on [t0, T] with lam_bar =
     lam.sup(t0, T): RK4 is stable for h rho <= 2.785 on the real
-    spectrum of a birth-death generator. A cap at or below dt_int, or a
-    drive without `sup`, steps at dt_int on the output grid as before.
-    No pmf stack is kept: `integrate` reduces each block of node pmfs and
-    of their slopes to the mass, raw moments 1-4 and delay, all linear in
-    p, and interpolates those, so memory is O(_BLOCK (X_max+1) + n_times).
+    spectrum of a birth-death generator; a cap at or below dt_int steps
+    at dt_int. No pmf stack is kept: `integrate` reduces each block of
+    node pmfs and of their slopes to the mass, raw moments 1-4 and delay,
+    all linear in p, and interpolates those, so memory is
+    O(_BLOCK (X_max+1) + n_times).
     Diagnoses mass conservation and the probability mass parked at the
     truncation boundary (warning above 1e-8, error above 1e-6); meta
     carries both, the smallest entry of any pmf (pmf_min), the step
@@ -532,11 +530,8 @@ def solve_reference(model: BirthDeathModel, p0, grid: TimeGrid,
     g, d = affine_rates(model, grid.times, X_max)
     lam = model.lam
     powers = [np.arange(X_max + 1, dtype=float) ** k for k in (1, 2, 3, 4)]
-    h_max = None
-    if hasattr(lam, "sup"):
-        rho = 2 * float(np.max(float(lam.sup(grid.t0, grid.T)) * g + d))
-        h_max = (_RK4_STABLE / rho if rho * _STEP_MAX > _RK4_STABLE
-                 else _STEP_MAX)
+    rho = 2 * float(np.max(float(lam.sup(grid.t0, grid.T)) * g + d))
+    h_max = _RK4_STABLE / rho if rho * _STEP_MAX > _RK4_STABLE else _STEP_MAX
 
     def rhs(t, p):
         return generator_apply(lam(t) * g, d, p)
@@ -762,9 +757,8 @@ def _doubled_rows(M0, M1, lam, y0: np.ndarray, grid: TimeGrid, reduce,
                             where=diff > 0).max(axis=0)
             if err.max() <= _ROW_TOL:
                 ts = fine.times
-                lam_t = np.broadcast_to(np.asarray(lam(ts), dtype=float),
-                                        ts.shape)[:, None, None]
-                slopes = v_fine[:, :, 5:10] + lam_t * v_fine[:, :, 10:]
+                slopes = (v_fine[:, :, 5:10]
+                          + lam(ts)[:, None, None] * v_fine[:, :, 10:])
                 values = _hermite(grid.times, ts, v_fine[:, :, :5], slopes)
                 return values, n_fine, propagator_s, {
                     "h": fine.dt_int, "n_probe_steps": n_probe + n_coarse,
@@ -927,40 +921,34 @@ def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
     Between jumps a path's total rate lam(t) g(x) + d(x) moves only with
     the drive, so on output interval [t_i, t_{i+1}] it is at most
     B = lam_bar_i g(x) + d(x), with lam_bar_i = model.lam.sup(t_i, t_{i+1})
-    the drive's exact maximum there; a drive without `sup` raises
-    ValueError. Each path draws its next candidate from rate B and
-    accepts it as a birth or a death with probabilities lam(t) g(x) / B
-    and d(x) / B. Paths advance independently, each on its own interval,
-    and read g and d from `affine_rates` tables on {0..top} (ValueError
-    for a model it refuses); as g[top] is truncated to 0, the tables
-    double whenever a path reaches top. A candidate whose rate exceeds
-    its bound raises RateBoundError. Emits the empirical mean and
-    variance with delete-a-group jackknife standard errors for the mean
-    (100 contiguous groups of paths, or one per path when fewer);
-    deterministic for a fixed seed. No path history is kept: the state of
-    each path at each output time is added into exact int64 sums at that
-    time, S2 of squared states and one state sum per group, whose total
-    is S1, so memory is O(n_paths + 100 n_times). The mean is S1 / n_paths,
-    the variance the correctly rounded (n S2 - S1^2) / (n (n-1)); a table
-    top at which n_paths top^2 could reach 2^63 raises SolverError. Each
-    pass of the loop draws one candidate time for every live path, then
-    one uniform for every candidate before its path's interval end;
-    meta carries the thinning candidates (n_candidates), the accepted
-    births plus deaths (n_jumps), the passes (n_passes) and the wall time
-    of the whole call (wall_s).
+    the drive's exact maximum there. Each path draws its next candidate
+    from rate B and accepts it as a birth or a death with probabilities
+    lam(t) g(x) / B and d(x) / B. Paths advance independently, each on
+    its own interval, and read g and d from `affine_rates` tables on
+    {0..top} (ValueError for a model it refuses); as g[top] is truncated
+    to 0, the tables double whenever a path reaches top. A candidate
+    whose rate exceeds its bound raises RateBoundError. Emits the
+    empirical mean and variance with delete-a-group jackknife standard
+    errors for the mean (100 contiguous groups of paths, or one per path
+    when fewer); deterministic for a fixed seed. No path history is kept:
+    the state of each path at each output time is added into exact int64
+    sums at that time, S2 of squared states and one state sum per group,
+    whose total is S1, so memory is O(n_paths + 100 n_times). The mean is
+    S1 / n_paths, the variance the correctly rounded (n S2 - S1^2) /
+    (n (n-1)); a table top at which n_paths top^2 could reach 2^63 raises
+    SolverError. Each pass of the loop draws one candidate time for every
+    live path, then one uniform for every candidate before its path's
+    interval end; meta carries the thinning candidates (n_candidates),
+    the accepted births plus deaths (n_jumps), the passes (n_passes) and
+    the wall time of the whole call (wall_s).
     """
     start = time.perf_counter()
     if n_paths < 2:
         raise ValueError("need at least two paths")
     lam = model.lam
-    if not hasattr(lam, "sup"):
-        raise ValueError(f"model {model.label!r}: the drive has no sup(a, b) "
-                         "to bound the thinning rate")
     rng = np.random.default_rng(seed)
     times = grid.times
     n_int = times.size - 1
-    lam_bar = np.broadcast_to(np.asarray(lam.sup(times[:-1], times[1:]),
-                                         dtype=float), (n_int,))
     if x0_dist == "point":
         xs = np.full(n_paths, x0, dtype=np.int64)
     elif x0_dist == "poisson":
@@ -986,7 +974,7 @@ def simulate_paths(model: BirthDeathModel, n_paths: int, seed: int,
     # per output interval: its end and drive bound, +inf and 0 past the
     # last, so a path that reaches T needs no special case
     ends = np.append(times[1:], np.inf)
-    bounds = np.append(lam_bar, 0.0)
+    bounds = np.append(lam.sup(times[:-1], times[1:]), 0.0)
 
     # per live path: state, clock, the flat index k * n_groups + group of
     # its last output time t_k, and the end and drive bound of its

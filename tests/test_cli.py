@@ -55,6 +55,22 @@ def test_missing_file_exits_2(tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("name,problem", [
+    ("", "cannot read config {}: Is a directory"),
+    ("cfg.json/x.json", "cannot read config {}: Not a directory"),
+    ("c" * 300, "cannot read config {}: File name too long"),
+    ("latin1.json", "config {} is not UTF-8 text: invalid start byte"),
+], ids=["directory", "under_a_file", "name_too_long", "not_utf8"])
+def test_unreadable_config_exits_2_with_one_line(cfg_path, tmp_path, caplog,
+                                                 name, problem):
+    (tmp_path / "latin1.json").write_bytes(b'{"T": "\xff"}')
+    path = str(tmp_path / name)
+    with caplog.at_level(logging.INFO, logger="charlierbd"):
+        assert main(["validate", path]) == 2
+    assert [r.getMessage() for r in caplog.records] == [
+        "config error: " + problem.format(path)]
+
+
 def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == 2
 
@@ -567,7 +583,9 @@ WRITERS = [(["solve-reference"], harness, "run_reference"),
 @pytest.mark.parametrize("where,problem", [
     ("missing/dir/x.csv", "is in a missing directory"),
     ("", "is a directory"),
-], ids=["missing_directory", "directory"])
+    ("cfg.json/x.csv", "cannot be written: Not a directory"),
+    ("c" * 300 + ".csv", "cannot be written: File name too long"),
+], ids=["missing_directory", "directory", "under_a_file", "name_too_long"])
 def test_unwritable_output_exits_2_before_any_solve(
         cfg_path, tmp_path, monkeypatch, caplog, args, owner, entry, where,
         problem):
@@ -579,6 +597,25 @@ def test_unwritable_output_exits_2_before_any_solve(
         assert main([args[0], str(cfg_path), *args[1:], "-o", out]) == 2
     assert [r.getMessage() for r in caplog.records] == [
         f"config error: output path {out} {problem}"]
+
+
+def test_empty_output_path_exits_2(cfg_path, caplog):
+    with caplog.at_level(logging.INFO, logger="charlierbd"):
+        assert main(["table", str(cfg_path), "-o", ""]) == 2
+    assert [r.getMessage() for r in caplog.records] == [
+        "config error: output path is empty"]
+
+
+def test_failed_write_exits_1_with_one_line(cfg_path, tmp_path, monkeypatch,
+                                            caplog):
+    def full(*a, **k):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(cli, "solve_closure", full)
+    with caplog.at_level(logging.INFO, logger="charlierbd"):
+        assert main(["solve-closure", str(cfg_path),
+                     "-o", str(tmp_path / "c.csv")]) == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        "I/O failure: [Errno 28] No space left on device"]
 
 
 def test_closed_stdout_prints_no_traceback():

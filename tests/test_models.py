@@ -1,16 +1,29 @@
 import numpy as np
 import pytest
 
-from charlierbd.closure import (SurrogateParams, closure_evaluator,
-                                surrogate_pmf)
-from charlierbd.models import (BirthDeathModel, ErlangAParams,
-                               ErlangLossParams, InfiniteServerParams,
-                               QuadraticParams, SineDrive, TableDrive,
-                               affine_rates, generator_apply, make_model)
+from charlierbd.closure import (_FUNCTIONALS, SurrogateParams,
+                                closure_evaluator, surrogate_pmf)
+from charlierbd.models import (_VALUES, KINDS, BirthDeathModel,
+                               ErlangAParams, ErlangLossParams,
+                               InfiniteServerParams, QuadraticParams,
+                               SineDrive, TableDrive, affine_rates,
+                               generator_apply, make_model)
 
 
 def lam_const(v):
     return SineDrive(v, 0.0)
+
+
+def formula_rates(p, x):
+    """(g(x), d(x)) of params record p at one state x, each kind's rates
+    written out from its definition: a statement independent of the
+    module's terms."""
+    if p.kind == "quadratic":
+        return x * max(p.Qtilde - x, 0), p.beta * x
+    g = float(x < p.c + p.k) if p.kind == "erlang_loss" else 1.0
+    if p.kind == "infinite_server":
+        return g, p.mu * x
+    return g, p.mu * min(x, p.c) + p.beta * max(x - p.c, 0)
 
 
 def check_sup(drive, a, b, attained):
@@ -123,6 +136,23 @@ class TestDrives:
 
 
 class TestRateConstruction:
+    # a drive whose largest sample is 2.0, so affine_rates' division by it
+    # is exact; rates that are not integers; states 0..15 beyond every
+    # kink: c = 3, c + k = 5 and Qtilde = 7
+    DRIVE = TableDrive([0.0, 1.0], [1.0, 2.0])
+    PINNED = [InfiniteServerParams(DRIVE, 0.7),
+              ErlangAParams(DRIVE, 0.7, 0.3, 3),
+              ErlangLossParams(DRIVE, 0.7, 0.3, 3, 2),
+              QuadraticParams(DRIVE, 7, 0.3)]
+
+    @pytest.mark.parametrize("p", PINNED, ids=lambda p: p.kind)
+    def test_rates_are_each_kinds_formulas_bit_for_bit(self, p):
+        g, d = affine_rates(make_model(p), np.linspace(0.0, 1.0, 11), 15)
+        g_want, d_want = np.array([formula_rates(p, x)
+                                   for x in range(16)], dtype=float).T
+        g_want[-1] = 0.0   # no births out of X_max
+        assert np.array_equal(g, g_want) and np.array_equal(d, d_want)
+
     def test_infinite_server_rates(self):
         m = make_model(InfiniteServerParams(lam_const(5.0), 2.0))
         assert m.birth(0.0, 7) == pytest.approx(5.0)
@@ -155,7 +185,7 @@ class TestRateConstruction:
         assert m.death(0.0, 3) == pytest.approx(3.0)
 
     def test_array_broadcasting(self):
-        m = make_model(ErlangAParams(lam=lambda t: 2.0 + np.sin(t),
+        m = make_model(ErlangAParams(lam=SineDrive(2.0, 1.0),
                                      mu=1.0, beta=0.3, c=2))
         xs = np.arange(6)
         b = m.birth(0.5, xs)
@@ -177,6 +207,16 @@ class TestRateConstruction:
             ErlangLossParams(lam=lam_const(1.0), mu=1.0, beta=0.1, c=1, k=-1)
         with pytest.raises(ValueError):
             QuadraticParams(lam=lam_const(0.1), Qtilde=0, beta=1.0)
+
+
+def test_rates_and_closures_share_one_vocabulary():
+    # rate_values evaluates the functionals that closure_evaluator takes
+    # expectations of, and every kind's terms use only those
+    assert _VALUES.keys() == _FUNCTIONALS.keys()
+    records = TestRateConstruction.PINNED
+    assert sorted(p.kind for p in records) == sorted(KINDS)
+    for p in records:
+        assert {f[0] for f, _ in (*p.g_terms, *p.d_terms)} <= _VALUES.keys()
 
 
 def rates_at(m, t, x_max):
@@ -271,7 +311,7 @@ class TestAffineRates:
     TIMES = np.linspace(0.0, 3.0, 31)
 
     def test_built_in_shapes(self):
-        lam = lambda t: 2.0 + np.sin(t)
+        lam = SineDrive(2.0, 1.0)
         x = np.arange(31.0)
         cases = [
             (make_model(InfiniteServerParams(lam, 2.0)),
@@ -369,9 +409,9 @@ class TestClosureTerms:
     def test_terms_match_surrogate_sums(self, p, s):
         xs = np.arange(201)
         w = surrogate_pmf(s, 200)
-        # the quadratic record's closure takes g unclamped
-        g = xs * (p.Qtilde - xs) if p.kind == "quadratic" else p.g(xs)
-        d = p.d(xs)
+        g, d = np.array([formula_rates(p, x) for x in xs], dtype=float).T
+        if p.kind == "quadratic":   # its closure takes g unclamped
+            g = xs * (p.Qtilde - xs)
         mean = w @ xs
         want = [w @ g, w @ d, w @ (xs * g) - mean * (w @ g),
                 w @ (xs * d) - mean * (w @ d)]

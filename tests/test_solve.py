@@ -39,13 +39,13 @@ def small_erlang_a():
 
 def four_models():
     """One model of each built-in kind, all with a time-varying drive."""
-    lam = lambda t: 4.0 + np.sin(t)
+    lam = SineDrive(4.0, 1.0)
     return [
         infinite_server(lam),
         small_erlang_a(),
         make_model(ErlangLossParams(lam=lam, mu=1.0, beta=0.4, c=3, k=4)),
-        make_model(QuadraticParams(lam=lambda t: 0.1 + 0.02 * np.sin(t),
-                                   Qtilde=20, beta=1.0)),
+        make_model(QuadraticParams(lam=SineDrive(0.1, 0.02), Qtilde=20,
+                                   beta=1.0)),
     ]
 
 
@@ -122,12 +122,11 @@ def galerkin_rows(model, coeffs, grid):
 
 
 def oracle_models():
-    """(id, model): the four kinds, a drive that returns a scalar, and a
-    tabulated drive that is zero at t0."""
+    """(id, model): the four kinds and a tabulated drive that is zero at
+    t0."""
     table = _make_lambda({"samples": {"t": [0.0, 1.0, 2.0],
                                       "value": [0.0, 4.0, 2.0]}})
     return [*((m.label, m) for m in four_models()),
-            ("scalar_drive", infinite_server(lambda t: 3.0)),
             ("table_drive_zero_at_t0", infinite_server(table))]
 
 
@@ -456,7 +455,7 @@ class TestControlledIntegrate:
 
 class TestReference:
     def test_infinite_server_scalar_ode(self):
-        model = infinite_server(lambda t: 5.0 + np.sin(t))
+        model = infinite_server(SineDrive(5.0, 1.0))
         x_max = 45
         p0 = np.zeros(x_max + 1)
         p0[0] = 1.0
@@ -587,20 +586,23 @@ class TestReference:
         assert tr.meta == want.meta
         assert tr.meta["h_max"] == 1e-2 and tr.meta["n_steps"] == 100
 
-    def test_drive_without_sup_steps_at_dt_int(self):
+    def test_capped_run_matches_the_dt_int_run(self):
         grid = TimeGrid(t0=0.0, T=1.0, dt_out=0.01, dt_int=1e-3)
         p0 = poisson_pmf(3.0, 45)
-        plain = solve_reference(infinite_server(lambda t: 5.0 + np.sin(t)),
-                                p0, grid, None)
-        capped = solve_reference(infinite_server(SineDrive(5.0, 1.0)), p0,
-                                 grid, None)
+        model = infinite_server(SineDrive(5.0, 1.0))
+        capped = solve_reference(model, p0, grid, None)
+        # the fixed-step run of the same generator, at dt_int
+        g, d = affine_rates(model, grid.times, 45)
+        plain = integrate(lambda t, p: generator_apply(model.lam(t) * g, d, p),
+                          p0, grid, None)
         assert plain.meta["n_steps"] == 1000
         assert plain.meta["h_max"] == 1e-3
         assert capped.meta["n_steps"] < 1000
-        for name in ("mean", "variance", "cum3", "cum4"):
-            want = getattr(plain, name)
-            assert (np.max(np.abs(getattr(capped, name) - want))
-                    <= 1e-9 * np.max(np.abs(want))), name
+        xs = np.arange(46.0)
+        want = _raw_to_cumulants(*(plain.values @ xs**k for k in (1, 2, 3, 4)))
+        for name, w in zip(("mean", "variance", "cum3", "cum4"), want):
+            assert (np.max(np.abs(getattr(capped, name) - w))
+                    <= 1e-9 * np.max(np.abs(w))), name
 
     def test_boundary_mass_error(self):
         model = infinite_server(lam_const(30.0))
@@ -754,7 +756,7 @@ class TestGalerkin:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_time_dependent_death_is_refused(self):
-        lam = lambda t: 4.0 + np.sin(t)
+        lam = SineDrive(4.0, 1.0)
         model = BirthDeathModel(
             birth=lambda t, x: lam(t) + 0.0 * np.asarray(x, dtype=float),
             death=lambda t, x: (1.0 + 0.2 * t) * np.asarray(x, dtype=float),
@@ -1130,8 +1132,7 @@ class TestClosure:
         assert np.max(np.abs(tr.mean - want)) < 1e-8
 
     def test_erlang_a_beta_equal_mu_degenerates(self):
-        p = ErlangAParams(lam=lambda t: 6.0 + np.sin(t), mu=1.0, beta=1.0,
-                          c=4)
+        p = ErlangAParams(lam=SineDrive(6.0, 1.0), mu=1.0, beta=1.0, c=4)
         tr = solve_closure("erlang_a", p, "first",
                            MomentState(mean=3.0, variance=3.0),
                            TimeGrid(t0=0.0, T=4.0, dt_out=0.01, dt_int=0.005))
@@ -1557,12 +1558,6 @@ class TestSimulate:
 
         model = infinite_server(LowSup(6.0, 3.0))
         with pytest.raises(RateBoundError, match="sup under-reports"):
-            simulate_paths(model, 50, 0, TimeGrid(t0=0.0, T=1.0, dt_out=0.5,
-                                                  dt_int=0.5), 0, "point")
-
-    def test_drive_without_sup_is_refused(self):
-        model = infinite_server(lambda t: 6.0 + 0.0 * np.asarray(t))
-        with pytest.raises(ValueError, match="no sup"):
             simulate_paths(model, 50, 0, TimeGrid(t0=0.0, T=1.0, dt_out=0.5,
                                                   dt_int=0.5), 0, "point")
 
