@@ -63,10 +63,10 @@ def _check_output(path) -> None:
     except FileNotFoundError:
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"output path {path} is in a missing "
-                              "directory") from None
+                              "directory")
     except OSError as exc:
         raise ConfigError(f"output path {path} cannot be written: "
-                          f"{exc.strerror}") from None
+                          f"{exc.strerror}")
 
 
 def _write_traj_csv(traj, path, cols=("mean", "variance", "cum3", "cum4")):
