@@ -247,6 +247,11 @@ warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered",
 _PARSER = build_parser()
 _PARSER.parse_args(["table", "config.json", "-o", "table.csv"])
 
+# the stderr handler main() gives the root logger, also built once per
+# process (about 0.08 ms), as the parser is
+_HANDLER = logging.StreamHandler()
+_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
 
 def main(argv=None) -> int:
     level = os.environ.get("CHARLIER_LOG") or "info"
@@ -254,8 +259,7 @@ def main(argv=None) -> int:
         print(f"ERROR charlierbd: CHARLIER_LOG={level!r} is not one of "
               f"{', '.join(_LOG_LEVELS)}", file=sys.stderr)
         return 2
-    logging.basicConfig(level=level.upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(level=level.upper(), handlers=[_HANDLER])
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:

@@ -91,11 +91,13 @@ def _make_lambda(spec):
     return TableDrive(samples["t"], samples["value"])
 
 
-def _number_fields(kind: str) -> dict:
-    """{field: int or float} of a kind's params record, its drive `lam`
-    aside; the annotations are strings, as models.py postpones them."""
-    return {f.name: {"int": int, "float": float}[f.type]
-            for f in dataclasses.fields(KINDS[kind]) if f.name != "lam"}
+# {kind: {field: int or float}} of each params record, its drive `lam`
+# aside; the annotations are strings, as models.py postpones them. Read
+# once here: every config load and params() call looks a kind up
+_NUMBER_FIELDS = {
+    kind: {f.name: {"int": int, "float": float}[f.type]
+           for f in dataclasses.fields(p) if f.name != "lam"}
+    for kind, p in KINDS.items()}
 
 
 def _copy_json(v):
@@ -142,7 +144,7 @@ class ExperimentConfig:
         if not isinstance(kind, str) or kind not in KINDS:
             raise ConfigError(f"model kind {kind!r} is not one of "
                               f"{sorted(KINDS)}")
-        fields = _number_fields(kind)
+        fields = _NUMBER_FIELDS[kind]
         keys = {"kind", "lambda", *fields}
         _object(f"model {kind!r}", self.model, keys, keys)
         for k, t in fields.items():
@@ -232,7 +234,7 @@ class ExperimentConfig:
         return KINDS[self.kind](
             lam=_make_lambda(self.model["lambda"]),
             **{k: t(self.model[k])
-               for k, t in _number_fields(self.kind).items()})
+               for k, t in _NUMBER_FIELDS[self.kind].items()})
 
     def build_model(self):
         return make_model(self.params())
