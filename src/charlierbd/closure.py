@@ -19,6 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# a series of surrogates has ndarray fields; tested for by type, against
+# this module-level name, in the scalar hot path
+from numpy import ndarray
 
 from .special import lower_tail, poisson_pmf, touchard, upper_tail
 
@@ -45,7 +48,10 @@ __all__ = [
 @dataclass(slots=True)
 class SurrogateParams:
     """Charlier surrogate p(x) = w(x; q) (1 + a1 (x - q)), a probability
-    surrogate: its total mass is 1. Order "zeroth" forces a1 = 0.
+    surrogate: its total mass is 1. Order "zeroth" forces a1 = 0. q, a1
+    and over_dispersed may be arrays of one series of surrogates, as
+    `moment_match` makes them from a series of targets; `delay_probability`
+    takes such a series.
 
     Not frozen: the closure solver matches one per rhs evaluation, and
     frozen field setting made Erlang-A `figures` about 0.12 s (6%) slower
@@ -53,14 +59,16 @@ class SurrogateParams:
     set there and not reassigned.
     """
 
-    q: float
+    q: float | np.ndarray
     order: str
-    a1: float = 0.0
-    over_dispersed: bool = False
+    a1: float | np.ndarray = 0.0
+    over_dispersed: bool | np.ndarray = False
 
     def __post_init__(self):
-        if self.q <= 0:
-            raise ValueError(f"surrogate parameter must be positive, got q={self.q}")
+        q = self.q
+        if (q <= 0).any() if type(q) is ndarray else q <= 0:
+            raise ValueError(
+                f"surrogate parameter must be positive, got q={q}")
         if self.order not in ("zeroth", "first"):
             raise ValueError(f"unknown surrogate order {self.order!r}")
         if self.order == "zeroth" and self.a1 != 0.0:
@@ -111,13 +119,23 @@ _FUNCTIONALS = {
 }
 
 
-def _block(s: SurrogateParams, below: bool, c: int, width: int) -> list:
+def _tilted(s: SurrogateParams) -> bool:
+    """Whether `_block` must read the tails that feed s's a1 terms: a1 is
+    nonzero, or an array (a series, whose a1 terms add exactly zero at its
+    zero entries)."""
+    return type(s.a1) is ndarray or s.a1 != 0.0
+
+
+def _block(s: SurrogateParams, below: bool, c: int, width: int,
+           tilted: bool) -> list:
     """[E_s[Q^j f] for j < width <= 2] of f = 1{Q < c} (below) or
     (Q - c)^+. Chen-Stein reduces each Poisson block E_P[Q^j f] to the
     tails t_j, P(Q <= c - 1 - j) or G(q, c - j); each is read once, and
-    none that feeds only the a1 terms, exactly zero, when a1 = 0."""
+    none that feeds only the a1 terms, exactly zero, unless `tilted` (see
+    `_tilted`). A series of surrogates (`below` only) reads each tail
+    once for the whole series."""
     q, a1 = s.q, s.a1
-    depth = width + (a1 != 0.0)   # E_P[Q^j f] for j < depth
+    depth = width + tilted   # E_P[Q^j f] for j < depth
     if below:
         p = [lower_tail(q, c - 1)]
         if depth > 1:
@@ -134,8 +152,8 @@ def _block(s: SurrogateParams, below: bool, c: int, width: int) -> list:
         if depth > 2:
             p.append(q * ((q * q * upper_tail(q, c - 3) - q * (c - 2) * t2)
                           + (q * t2 - (c - 1) * t1)))
-    return p if a1 == 0.0 else [lo + a1 * (hi - q * lo)
-                                for lo, hi in zip(p, p[1:])]
+    return [lo + a1 * (hi - q * lo) for lo, hi in zip(p, p[1:])] \
+        if tilted else p
 
 
 def closure_evaluator(g: tuple, d: tuple, first: bool):
@@ -158,7 +176,8 @@ def closure_evaluator(g: tuple, d: tuple, first: bool):
 
     def evaluate(s: SurrogateParams):
         m = [1.0, *(surrogate_moments(s, n) if n else [])]
-        b = {k: _block(s, *k, 1 + first) for k in keys}
+        tilted = s.a1 != 0.0
+        b = {k: _block(s, *k, 1 + first, tilted) for k in keys}
         e = [-0.0] * 4   # -0.0 + x is x, bit for bit
         for r, coef, source, k in flat:
             v = source(m, b.get(k))
@@ -173,7 +192,7 @@ def expected_overflow(s: SurrogateParams, c: int) -> float:
     """E_s[(Q - c)^+], the expected number of waiting customers."""
     if c < 0:
         raise ValueError("threshold c must be nonnegative")
-    return _block(s, False, c, 1)[0]
+    return _block(s, False, c, 1, _tilted(s))[0]
 
 
 def expected_min(s: SurrogateParams, c: int) -> float:
@@ -185,14 +204,14 @@ def expected_indicator_below(s: SurrogateParams, z: int) -> float:
     """E_s[1{Q < z}]; the Erlang-loss admission probability at cap z."""
     if z < 0:
         raise ValueError("cap z must be nonnegative")
-    return _block(s, True, z, 1)[0]
+    return _block(s, True, z, 1, _tilted(s))[0]
 
 
 def expected_q_times_overflow(s: SurrogateParams, c: int) -> float:
     """E_s[Q (Q - c)^+]."""
     if c < 0:
         raise ValueError("threshold c must be nonnegative")
-    return _block(s, False, c, 2)[1]
+    return _block(s, False, c, 2, _tilted(s))[1]
 
 
 def expected_q_times_min(s: SurrogateParams, c: int) -> float:
@@ -204,7 +223,7 @@ def expected_q_times_indicator_below(s: SurrogateParams, z: int) -> float:
     """E_s[Q 1{Q < z}]."""
     if z < 0:
         raise ValueError("cap z must be nonnegative")
-    return _block(s, True, z, 2)[1]
+    return _block(s, True, z, 2, _tilted(s))[1]
 
 
 @dataclass
@@ -225,8 +244,8 @@ def covariance_terms(s: SurrogateParams, c: int,
         for f in (("over", c), ("min", c), ("below", z))))
 
 
-def delay_probability(s: SurrogateParams, c: int) -> float:
-    """P(Q >= c) under the surrogate."""
+def delay_probability(s: SurrogateParams, c: int):
+    """P(Q >= c) under the surrogate; an array of them under a series."""
     if c < 0:
         raise ValueError("threshold c must be nonnegative")
     return 1.0 - expected_indicator_below(s, c)
@@ -241,7 +260,23 @@ def moment_match(mean: float, variance: float | None) -> SurrogateParams:
     or the other root where that one is not positive. The family cannot
     represent variance > mean; such targets fall back to the zeroth-order
     point with the over-dispersion flag set.
+
+    mean and variance may also be arrays, a series of targets, matched
+    into one series of surrogates whose q, a1 and flags are arrays. Each
+    entry is the scalar match of its target bit for bit: an over-dispersed
+    target's root is 0, so its q is the mean and its a1 is exactly 0.
     """
+    if type(mean) is ndarray:
+        if (mean <= 0).any():
+            raise ValueError("surrogate means must be positive")
+        if variance is None:
+            return SurrogateParams(q=mean, order="zeroth")
+        gap = mean - variance
+        root = np.sqrt(np.maximum(gap, 0.0))
+        q = mean - root
+        q = np.where(q <= 0, mean + root, q)
+        return SurrogateParams(q=q, a1=mean / q - 1.0, order="first",
+                               over_dispersed=gap < 0)
     if mean <= 0:
         raise ValueError(f"surrogate mean must be positive, got {mean}")
     if variance is None:

@@ -1,5 +1,5 @@
 """Birth-death process definitions: the model record, the built-in
-model kinds, and truncated generator application.
+model kinds, and the truncated generator's stencil and its application.
 
 Every model has a birth rate lam(t) * g(x) and a death rate d(x): the
 drive lam, a `SineDrive` or a `TableDrive`, carries all the time
@@ -33,6 +33,7 @@ __all__ = [
     "rate_values",
     "make_model",
     "affine_rates",
+    "generator",
     "generator_apply",
 ]
 
@@ -305,20 +306,27 @@ def affine_rates(model: BirthDeathModel, times,
     return g, d
 
 
-def generator_apply(b, d, p) -> np.ndarray:
-    """(A p)(x) on the truncated state space {0..X_max} for rate vectors.
-
-    b(x-1)p(x-1) + d(x+1)p(x+1) - (b(x)+d(x))p(x), with b and d the birth
-    and death rates on {0..X_max}, summed in that order. b[X_max] is
-    ignored: births out of X_max are suppressed so the truncated
-    generator conserves total mass (reflecting upper boundary). p may be
-    an (..., X_max+1) stack; the generator acts on its last axis. The
-    result is a fresh array; b, d and p are only read.
-    """
-    p = np.asarray(p, dtype=float)
+def generator(b, d) -> tuple:
+    """The stencil of the truncated generator A on {0..X_max} for the
+    birth and death rate vectors b and d: its diagonals (-(b + d), b[:-1],
+    d[1:]). b[X_max] is ignored: births out of X_max are suppressed so the
+    truncated generator conserves total mass (reflecting upper boundary),
+    and the main diagonal ends in -d[X_max]. The main diagonal is a fresh
+    array and the others are views; b and d are only read."""
     diag = b + d
     diag[-1] = d[-1]
-    out = np.negative(diag, out=diag) * p
-    out[..., 1:] += b[:-1] * p[..., :-1]
-    out[..., :-1] += d[1:] * p[..., 1:]
+    return np.negative(diag, out=diag), b[:-1], d[1:]
+
+
+def generator_apply(stencil, p) -> np.ndarray:
+    """(A p)(x) for the `generator` stencil of A:
+    b(x-1)p(x-1) + d(x+1)p(x+1) - (b(x)+d(x))p(x), summed in the order
+    diagonal, birth, death. p may be an (..., X_max+1) stack; A acts on
+    its last axis. The result is a fresh array; the stencil and p are
+    only read."""
+    diag, birth, death = stencil
+    p = np.asarray(p, dtype=float)
+    out = diag * p
+    out[..., 1:] += birth * p[..., :-1]
+    out[..., :-1] += death * p[..., 1:]
     return out

@@ -22,7 +22,7 @@ from . import closure as _closure
 from .basis import CoeffVector
 from .basis import project_density  # unused here; perfbench/tracer.py wraps it
 from .closure import MomentState, closure_evaluator, moment_match
-from .models import BirthDeathModel, affine_rates, generator_apply
+from .models import BirthDeathModel, affine_rates, generator, generator_apply
 
 __all__ = [
     "TimeGrid",
@@ -502,7 +502,8 @@ def solve_reference(model: BirthDeathModel, p0, grid: TimeGrid,
     being the length of the initial pmf p0, as numerical ground truth.
 
     A(t) is the generator of the rate vectors (lam(t) g, d) from
-    `affine_rates`, so no rate callable runs inside the step loop. Emits
+    `affine_rates`, so no rate callable runs inside the step loop; its
+    stencil is built once per distinct stage time, twice per step. Emits
     direct-sum cumulants at each output time and, for a model with `c`
     servers (c not None), the delay probability P(X >= c).
 
@@ -533,8 +534,14 @@ def solve_reference(model: BirthDeathModel, p0, grid: TimeGrid,
     rho = 2 * float(np.max(float(lam.sup(grid.t0, grid.T)) * g + d))
     h_max = _RK4_STABLE / rho if rho * _STEP_MAX > _RK4_STABLE else _STEP_MAX
 
+    stage = [None, None]   # the last stage time and its stencil
+
     def rhs(t, p):
-        return generator_apply(lam(t) * g, d, p)
+        # RK4's k2 and k3 share a time, as do k4 and the next step's k1:
+        # two stencils per step
+        if t != stage[0]:
+            stage[:] = t, generator(lam(t) * g, d)
+        return generator_apply(stage[1], p)
 
     def reduce(block):
         # per pmf: mass, raw moments 1-4 and, with servers, the delay
@@ -804,8 +811,8 @@ def galerkin_matrices(g, d, Phi, Cw) -> tuple[np.ndarray, np.ndarray]:
     """
     zero = np.zeros_like(d)
     phi_t = np.swapaxes(Phi, -1, -2)
-    return (generator_apply(zero, d, Cw) @ phi_t,
-            generator_apply(g, zero, Cw) @ phi_t)
+    return (generator_apply(generator(zero, d), Cw) @ phi_t,
+            generator_apply(generator(g, zero), Cw) @ phi_t)
 
 
 def _closure_rhs(params, order: str, counts: dict):
@@ -881,11 +888,9 @@ def solve_closure(kind: str, params, order: str, init: MomentState,
         mean, var = traj.values.T
     delay = None
     if hasattr(params, "c"):
-        delay = np.empty_like(mean)
-        for i, (m, v) in enumerate(zip(mean.tolist(), var.tolist())):
-            s = moment_match(max(m, _Q_FLOOR),
-                             v if order == "first" else None)
-            delay[i] = _closure.delay_probability(s, params.c)
+        s = moment_match(np.maximum(mean, _Q_FLOOR),
+                         var if order == "first" else None)
+        delay = _closure.delay_probability(s, params.c)
     m = traj.meta
     frac = counts["over_dispersed"] / m["n_rhs"]
     wall = time.perf_counter() - start

@@ -13,6 +13,9 @@ import math
 from functools import lru_cache
 
 import numpy as np
+# a series of values is an ndarray; the scalar hot paths test for one by
+# type, against this module-level name
+from numpy import ndarray
 from scipy import special as _sp
 from scipy.special import cython_special as _cs
 
@@ -76,11 +79,18 @@ def upper_tail(q: float, c: int) -> float:
     return _cs.pdtrc(c, q)
 
 
-def lower_tail(q: float, c: int) -> float:
+def lower_tail(q, c: int):
     """P(Poisson(q) <= c) = sum_{m=0}^{c} e^{-q} q^m / m!; c <= -1 gives 0.
 
-    As `upper_tail`, by `scipy.special.cython_special.pdtr`.
+    As `upper_tail`, by `scipy.special.cython_special.pdtr`. q may also be
+    an array of rates: the tails then come from one call of the
+    `scipy.special.pdtr` ufunc, as an array whose entries equal the
+    scalar tails bit for bit.
     """
+    if type(q) is ndarray:
+        if (q < 0).any():
+            raise ValueError("Poisson rates must be nonnegative")
+        return _sp.pdtr(c, q) if c > -1 else np.zeros_like(q)
     if q < 0:
         raise ValueError(f"Poisson rate must be nonnegative, got q={q}")
     if c <= -1:

@@ -178,6 +178,25 @@ class TestMomentMatch:
     def test_domain(self):
         with pytest.raises(ValueError):
             moment_match(0.0, None)
+        with pytest.raises(ValueError, match="means must be positive"):
+            moment_match(np.array([1.0, 0.0]), None)
+
+    # under-dispersed, exact (gap 0), over-dispersed, and a mean below 1
+    # whose first root is not positive
+    TARGETS = [(5.0, 3.0), (2.0, 2.0), (3.0, 5.0), (0.5, 0.1), (1e-9, 0.0),
+               (100.3, 90.0), (40.0, 12.0)]
+
+    @pytest.mark.parametrize("first", [False, True])
+    def test_series_is_the_scalar_match_bit_for_bit(self, first):
+        mean, var = map(np.array, zip(*self.TARGETS))
+        series = moment_match(mean, var if first else None)
+        assert series.order == ("first" if first else "zeroth")
+        q, a1, over = (np.broadcast_to(x, mean.shape).tolist() for x in
+                       (series.q, series.a1, series.over_dispersed))
+        for i, (m, v) in enumerate(self.TARGETS):
+            one = moment_match(m, v if first else None)
+            assert (q[i].hex(), a1[i].hex(), over[i]) \
+                == (one.q.hex(), float(one.a1).hex(), one.over_dispersed)
 
 
 class TestSurrogateParams:
@@ -188,6 +207,20 @@ class TestSurrogateParams:
             SurrogateParams(q=1.0, a1=0.2, order="zeroth")
         with pytest.raises(ValueError):
             SurrogateParams(q=1.0, order="second")
+        with pytest.raises(ValueError, match="must be positive"):
+            SurrogateParams(q=np.array([2.0, -1.0]), order="zeroth")
+
+    @pytest.mark.parametrize("c", [0, 1, 3, 10, 40])
+    def test_delay_of_a_series_is_each_surrogates_bit_for_bit(self, c):
+        # a series mixing a1 = 0 and a1 != 0 entries
+        qs = [s.q for s in surrogates()]
+        a1s = [s.a1 for s in surrogates()]
+        series = SurrogateParams(q=np.array(qs), a1=np.array(a1s),
+                                 order="first")
+        want = [delay_probability(SurrogateParams(q=q, a1=a1,
+                                                  order="first"), c)
+                for q, a1 in zip(qs, a1s)]
+        assert np.array_equal(delay_probability(series, c), want)
 
 
 def single(f, s, first):

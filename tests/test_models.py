@@ -7,7 +7,7 @@ from charlierbd.models import (_VALUES, KINDS, BirthDeathModel,
                                ErlangAParams, ErlangLossParams,
                                InfiniteServerParams, QuadraticParams,
                                SineDrive, TableDrive, affine_rates,
-                               generator_apply, make_model)
+                               generator, generator_apply, make_model)
 
 
 def lam_const(v):
@@ -233,7 +233,7 @@ class TestGeneratorApply:
         p = rng.random(41)
         p /= p.sum()
         # a nonzero birth rate at X_max must not leak mass
-        out = generator_apply(*rates_at(m, 0.9, 40), p)
+        out = generator_apply(generator(*rates_at(m, 0.9, 40)), p)
         assert abs(out.sum()) < 1e-12
 
     def test_matches_dense_matrix(self):
@@ -252,24 +252,25 @@ class TestGeneratorApply:
                 A[x - 1, x] += d
         rng = np.random.default_rng(1)
         p = rng.random(x_max + 1)
-        assert np.allclose(generator_apply(*rates_at(m, t, x_max), p),
-                           A @ p, atol=1e-12)
+        stencil = generator(*rates_at(m, t, x_max))
+        assert np.allclose(generator_apply(stencil, p), A @ p, atol=1e-12)
 
     def test_acts_on_the_last_axis(self):
         m = make_model(ErlangAParams(lam=lam_const(6.0), mu=1.0,
                                      beta=0.4, c=3))
         P = np.random.default_rng(3).random((2, 4, 21))
         b, d = rates_at(m, 0.7, 20)
-        out = generator_apply(b, d, P)
+        stencil = generator(b, d)
+        out = generator_apply(stencil, P)
         assert out.shape == P.shape
         for i, j in np.ndindex(2, 4):
-            assert np.array_equal(out[i, j], generator_apply(b, d, P[i, j]))
+            assert np.array_equal(out[i, j], generator_apply(stencil, P[i, j]))
 
     def test_point_mass_flow(self):
         m = make_model(InfiniteServerParams(lam_const(2.0), 1.0))
         p = np.zeros(6)
         p[3] = 1.0
-        out = generator_apply(*rates_at(m, 0.0, 5), p)
+        out = generator_apply(generator(*rates_at(m, 0.0, 5)), p)
         assert out[4] == pytest.approx(2.0)   # birth into 4
         assert out[2] == pytest.approx(3.0)   # death into 2
         assert out[3] == pytest.approx(-5.0)
@@ -302,7 +303,7 @@ class TestGeneratorApply:
         p[..., rng.random(41) < 0.2] = 0.0
         kept = [b.copy(), d.copy(), p.copy()]
         for rates in ((b, d), (np.zeros(41), d), (b, np.zeros(41))):
-            assert np.array_equal(generator_apply(*rates, p),
+            assert np.array_equal(generator_apply(generator(*rates), p),
                                   self.textbook(*rates, p))
         assert all(np.array_equal(u, v) for u, v in zip((b, d, p), kept))
 

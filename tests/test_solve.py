@@ -3,17 +3,19 @@ import logging
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from charlierbd.basis import CharlierBasis, CoeffVector, project_density
-from charlierbd.closure import MomentState
+from charlierbd.closure import MomentState, delay_probability, moment_match
 from charlierbd.harness import ExperimentConfig, _make_lambda, run_galerkin
 from charlierbd.models import (KINDS, BirthDeathModel, ErlangAParams,
                                ErlangLossParams, InfiniteServerParams,
                                QuadraticParams, SineDrive, TableDrive,
-                               affine_rates, generator_apply, make_model)
+                               affine_rates, generator, generator_apply,
+                               make_model)
 from charlierbd import solve
 from charlierbd.solve import (_BLOCK, _STEP_MAX, IntegrationError,
                               RateBoundError, SolverError, TimeGrid,
@@ -84,17 +86,30 @@ KIND_FIELDS = {"infinite_server": {"mu": 1.0},
                "quadratic": {"Qtilde": 20, "beta": 1.0}}
 
 
-def stencil_oracle(model, t, p):
-    """A(t) p with both rate callables evaluated at t: the generator the
-    solvers applied at every step before the affine split."""
-    xs = np.arange(p.shape[-1])
-    b = np.array(np.broadcast_to(model.birth(t, xs), xs.shape), dtype=float)
-    d = np.broadcast_to(model.death(t, xs), xs.shape)
+def stencil(b, d, p):
+    """A p for birth and death rate vectors b and d, no births out of
+    X_max: the generator as the solvers applied it in one function, before
+    its stencil was built apart."""
+    b = np.array(b, dtype=float)
     b[-1] = 0.0
     out = -(b + d) * p
     out[..., 1:] += b[:-1] * p[..., :-1]
     out[..., :-1] += d[1:] * p[..., 1:]
     return out
+
+
+def stencil_oracle(model, t, p):
+    """A(t) p with both rate callables evaluated at t: the generator the
+    solvers applied at every step before the affine split."""
+    xs = np.arange(p.shape[-1])
+    return stencil(np.broadcast_to(model.birth(t, xs), xs.shape),
+                   np.broadcast_to(model.death(t, xs), xs.shape), p)
+
+
+def rebuilt_rhs(lam, g, d):
+    """The reference's rhs p -> A(t) p with the generator's stencil built
+    afresh at every call."""
+    return lambda t, p: generator_apply(generator(lam(t) * g, d), p)
 
 
 def stagewise(model, coeffs, grid):
@@ -220,9 +235,8 @@ class TestIntegrate:
         def run(dt):
             g = TimeGrid(t0=0.0, T=2.0, dt_out=0.5, dt_int=dt)
             gv, dv = affine_rates(model, g.times, x_max)
-            return integrate(
-                lambda t, p: generator_apply(model.lam(t) * gv, dv, p), p0,
-                g, None, lambda b: b @ xs).values
+            return integrate(rebuilt_rhs(model.lam, gv, dv), p0, g, None,
+                             lambda b: b @ xs).values
 
         fine = run(6.25e-4)
         e1 = np.max(np.abs(run(1e-2) - fine))
@@ -503,8 +517,40 @@ class TestReference:
         P = rng.random((3, x_max + 1))
         for t in (0.0, 0.37, 1.0):
             want = stencil_oracle(model, t, P)
-            got = generator_apply(model.lam(t) * gv, dv, P)
+            got = generator_apply(generator(model.lam(t) * gv, dv), P)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("lam", [
+        SineDrive(4.0, 1.0),
+        TableDrive([0.0, 0.3, 0.7, 1.0], [3.0, 6.0, 2.0, 4.0])],
+        ids=["sine_drive", "table_drive"])
+    def test_one_stencil_per_stage_time_changes_no_bit(self, lam,
+                                                      monkeypatch):
+        # under error control (cap 1e-2 above dt_int), against the same
+        # integrate call with the stencil rebuilt at every rhs call
+        model = make_model(ErlangAParams(lam=lam, mu=1.0, beta=0.4, c=3))
+        p0 = poisson_pmf(3.0, 40)
+        grid = TimeGrid(t0=0.0, T=1.0, dt_out=0.01, dt_int=1e-3)
+        built = []
+        monkeypatch.setattr(solve, "generator",
+                            lambda b, d: built.append(1) or generator(b, d))
+        tr = solve_reference(model, p0, grid, 3)
+        m = tr.meta
+        assert m["h_max"] == 1e-2 and m["n_steps"] < 1000
+        # one at t0, then two per step tried
+        assert len(built) == 1 + 2 * (m["n_steps"] + m["n_rejected"])
+        integrate_ = solve.integrate
+
+        def rebuilt(rhs, y0, grid, h_max, reduce, watch):
+            g, d = affine_rates(model, grid.times, 40)
+            return integrate_(rebuilt_rhs(lam, g, d), y0, grid, h_max,
+                              reduce, watch)
+        monkeypatch.setattr(solve, "integrate", rebuilt)
+        want = solve_reference(model, p0, grid, 3)
+        for name in ("mean", "variance", "cum3", "cum4", "delay"):
+            assert np.array_equal(getattr(tr, name), getattr(want, name))
+        del tr.meta["wall_s"], want.meta["wall_s"]
+        assert tr.meta == want.meta
 
     def test_meta_and_debug_line(self, caplog):
         caplog.set_level(logging.DEBUG, logger="charlierbd")
@@ -593,8 +639,7 @@ class TestReference:
         capped = solve_reference(model, p0, grid, None)
         # the fixed-step run of the same generator, at dt_int
         g, d = affine_rates(model, grid.times, 45)
-        plain = integrate(lambda t, p: generator_apply(model.lam(t) * g, d, p),
-                          p0, grid, None)
+        plain = integrate(rebuilt_rhs(model.lam, g, d), p0, grid, None)
         assert plain.meta["n_steps"] == 1000
         assert plain.meta["h_max"] == 1e-3
         assert capped.meta["n_steps"] < 1000
@@ -754,6 +799,23 @@ class TestGalerkin:
             want = np.matmul(Phi, stencil_oracle(model, t, V)[:, :, None])
             want = want[..., 0]
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("model", four_models(),
+                             ids=lambda m: m.label)
+    def test_matrices_are_the_stencil_products_bit_for_bit(self, model):
+        # M0 and M1 as the generator applied in one function made them
+        x_max = 40
+        bases = [CharlierBasis(a=a, N=N, X_max=x_max)
+                 for a, N in ((4.0, 6), (2.5, 3))]
+        Phi = np.zeros((2, 7, x_max + 1))
+        for k, b in enumerate(bases):
+            Phi[k, :b.N + 1] = b.table
+        Cw = Phi * np.stack([b.weights for b in bases])[:, None, :]
+        g, d = affine_rates(model, np.linspace(0.0, 3.0, 31), x_max)
+        M0, M1 = galerkin_matrices(g, d, Phi, Cw)
+        zero, phi_t = np.zeros_like(d), np.swapaxes(Phi, -1, -2)
+        assert np.array_equal(M0, stencil(zero, d, Cw) @ phi_t)
+        assert np.array_equal(M1, stencil(g, zero, Cw) @ phi_t)
 
     def test_time_dependent_death_is_refused(self):
         lam = SineDrive(4.0, 1.0)
@@ -1207,6 +1269,63 @@ SHIPPED = {
                                   beta=1.0), MomentState(mean=20.0,
                                                          variance=0.0)),
 }
+
+
+def with_servers(p, c):
+    """The record p with its rates kept and its delay threshold set to c,
+    which the kinds' own records refuse below 1."""
+    return SimpleNamespace(kind=p.kind, lam=p.lam, g_terms=p.g_terms,
+                           d_terms=p.d_terms, c=c)
+
+
+class TestDelaySeries:
+    """A closure's delay series is, bit for bit, the per-time
+    `delay_probability` of the surrogate matched to its mean (and, at
+    first order, its variance)."""
+
+    RUNS = {
+        # over-dispersed: the first order falls back at nearly every time
+        "shipped_erlang_a": (*SHIPPED["erlang_a"], 2.0),
+        # beta > mu: under-dispersed, so a1 != 0 at most times
+        "under_dispersed": (ErlangAParams(lam=SineDrive(12.0, 2.0), mu=1.0,
+                                          beta=3.0, c=8),
+                            MomentState(mean=5.0, variance=1.0), 4.0),
+        "c0": (with_servers(ErlangAParams(lam=SineDrive(4.0, 1.0), mu=1.0,
+                                          beta=0.4, c=1), 0),
+               MomentState(mean=3.0, variance=2.0), 2.0),
+        "c1": (ErlangAParams(lam=SineDrive(4.0, 1.0), mu=1.0, beta=0.4, c=1),
+               MomentState(mean=3.0, variance=2.0), 2.0),
+        # started empty: the mean at t0 is clamped at _Q_FLOOR
+        "floor": (ErlangAParams(lam=SineDrive(4.0, 1.0), mu=1.0, beta=0.4,
+                                c=3), MomentState(mean=0.0, variance=0.0),
+                  2.0),
+        "erlang_loss": (ErlangLossParams(lam=SineDrive(4.0, 1.0), mu=1.0,
+                                         beta=0.4, c=3, k=4),
+                        MomentState(mean=3.0, variance=2.0), 2.0),
+    }
+
+    @pytest.mark.parametrize("order", ["zeroth", "first"])
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_matches_the_per_time_delay_probability(self, run, order):
+        p, init, T = self.RUNS[run]
+        tr = solve_closure(p.kind, p, order, init,
+                           TimeGrid(t0=0.0, T=T, dt_out=1e-3, dt_int=1e-3))
+        want = np.array([
+            delay_probability(moment_match(max(m, solve._Q_FLOOR),
+                                           v if order == "first" else None),
+                              p.c)
+            for m, v in zip(tr.mean.tolist(), tr.variance.tolist())])
+        assert np.array_equal(tr.delay, want)
+        if order == "first":
+            tilted = [moment_match(max(m, solve._Q_FLOOR), v).a1 != 0.0
+                      for m, v in zip(tr.mean.tolist(),
+                                      tr.variance.tolist())]
+            if run == "under_dispersed":
+                assert sum(tilted) > 0.9 * len(tilted)
+            if run == "shipped_erlang_a":
+                assert sum(tilted) < 0.01 * len(tilted)
+        if run == "floor":
+            assert tr.mean[0] == 0.0
 
 
 class TestClosureNodes:

@@ -87,6 +87,18 @@ class TestTails:
         assert math.isnan(upper_tail(math.nan, 3))
         assert math.isnan(lower_tail(math.nan, 3))
 
+    def test_array_lower_tail_is_the_scalar_tail_bit_for_bit(self):
+        rng = np.random.default_rng(33)
+        qs = np.concatenate([rng.uniform(0.0, 600.0, 2000),
+                             rng.exponential(3.0, 500), [0.0, 1e-9]])
+        for c in (-3, -1, 0, 1, 2, 7, 99, 100, 450):
+            got = lower_tail(qs, c)
+            assert got.shape == qs.shape
+            assert np.array_equal(got, [lower_tail(q, c)
+                                        for q in qs.tolist()])
+        with pytest.raises(ValueError, match="nonnegative"):
+            lower_tail(np.array([1.0, -1e-300]), 3)
+
     @pytest.mark.parametrize("c", [-1, -2, -700])
     def test_threshold_below_zero(self, c):
         for q in (0.0, 2.5, 600.0):

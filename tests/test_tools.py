@@ -12,6 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import bench_pairs  # noqa: E402
 import coverage_pairs  # noqa: E402
 import output_hashes  # noqa: E402
+import tier1_pairs  # noqa: E402
 
 WALL = {"name": "wall_s", "better": "lower", "bound": 0.25}
 
@@ -151,3 +152,43 @@ def test_diff_names_moved_keys_and_their_cells(tmp_path, capsys):
     ]
     assert output_hashes.main(["--diff", str(old), str(old)]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_tier1_pairs_alternate_and_read_the_summary_line(tmp_path, capsys):
+    # a stub command: each checkout reports its own counts and logs that it
+    # ran, with its src first on PYTHONPATH
+    log = tmp_path / "order.txt"
+    roots = [tmp_path / side for side in bench_pairs.SIDES]
+    for root, summary in zip(roots, ("12 passed in 0.01s",
+                                     "11 passed, 1 failed in 0.02s")):
+        (root / "src").mkdir(parents=True)
+        (root / "src" / "summary.txt").write_text(summary)
+    stub = ("import os, pathlib, sys; src = os.environ['PYTHONPATH']"
+            ".split(os.pathsep)[0]; open(sys.argv[1], 'a').write("
+            "pathlib.Path(src).parent.name + ' '); print('noise in 3 s'); "
+            "print(pathlib.Path(src, 'summary.txt').read_text())")
+    out = tmp_path / "tier1.json"
+    assert tier1_pairs.main([*map(str, roots), "--pairs", "3", "--out",
+                             str(out), "--", sys.executable, "-c", stub,
+                             str(log)]) == 0
+    assert log.read_text().split() == ["parent", "change", "change",
+                                       "parent", "parent", "change"]
+    doc = json.loads(out.read_text())
+    assert [r["counts"] for r in doc["runs"]["parent"]] \
+        == [{"passed": 12}] * 3
+    assert [r["counts"] for r in doc["runs"]["change"]] \
+        == [{"passed": 11, "failed": 1}] * 3
+    assert all(r["returncode"] == 0 and r["wall_s"] > 0
+               for side in doc["runs"].values() for r in side)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("parent wall median ")
+    assert lines[0].endswith("passed/failed per run: 12/0, 12/0, 12/0")
+    assert lines[1].endswith("passed/failed per run: 11/1, 11/1, 11/1")
+
+
+def test_tier1_counts_read_the_last_summary_line():
+    out = ("5 passed in 1.0s\nFAILED x\n== 3 failed, 690 passed, "
+           "2 warnings in 40.81s ==\n")
+    assert tier1_pairs.counts(out) == {"failed": 3, "passed": 690,
+                                       "warnings": 2}
+    assert tier1_pairs.counts("no tests ran\n") == {}
