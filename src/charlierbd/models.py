@@ -318,15 +318,17 @@ def generator(b, d) -> tuple:
     return np.negative(diag, out=diag), b[:-1], d[1:]
 
 
-def generator_apply(stencil, p) -> np.ndarray:
+def generator_apply(stencil, p: np.ndarray) -> np.ndarray:
     """(A p)(x) for the `generator` stencil of A:
     b(x-1)p(x-1) + d(x+1)p(x+1) - (b(x)+d(x))p(x), summed in the order
-    diagonal, birth, death. p may be an (..., X_max+1) stack; A acts on
-    its last axis. The result is a fresh array; the stencil and p are
-    only read."""
+    diagonal, birth, death. p is a float array, a pmf or an
+    (..., X_max+1) stack of them; A acts on its last axis. The result is
+    a fresh array; the stencil and p are only read."""
     diag, birth, death = stencil
-    p = np.asarray(p, dtype=float)
     out = diag * p
-    out[..., 1:] += birth * p[..., :-1]
-    out[..., :-1] += death * p[..., 1:]
+    # adding into views of out, not through out[...] = ..., saves a
+    # write-back per term
+    up, down = out[..., 1:], out[..., :-1]
+    up += birth * p[..., :-1]
+    down += death * p[..., 1:]
     return out
