@@ -88,8 +88,8 @@ KIND_FIELDS = {"infinite_server": {"mu": 1.0},
 
 def stencil(b, d, p):
     """A p for birth and death rate vectors b and d, no births out of
-    X_max: the generator as the solvers applied it in one function, before
-    its stencil was built apart."""
+    X_max, written out in one function: the oracle of `generator` and
+    `generator_apply`, term for term in their order."""
     b = np.array(b, dtype=float)
     b[-1] = 0.0
     out = -(b + d) * p
